@@ -62,4 +62,9 @@ from .actions import (  # noqa: F401
     verify_action,
 )
 from .matching import Intertwiner, match_pair_groupoid  # noqa: F401
-from .errors import InvariantViolation, SchemaError, WorkbenchError  # noqa: F401
+from .errors import (  # noqa: F401
+    InconsistentReport,
+    InvariantViolation,
+    SchemaError,
+    WorkbenchError,
+)

@@ -58,16 +58,15 @@ class CrossedProduct:
 
     The quotient basis consists of classes of elementary tensors; ``basis``
     lists the (carrier unit, structure unit) index pairs selected by pivoted
-    orthogonal factorization.  ``mult[s, t, k]`` are structure constants over
-    that basis and ``involution`` is the antilinear star matrix.
+    orthogonal factorization.  ``structure`` holds the structure constants
+    ``mult[s, t, k]`` over that basis, the unit and the antilinear star
+    matrix ``involution``, with the batched product kernels.
     """
 
     action: ActionData
     basis: list
     quotient_map: np.ndarray       # (dim, carrier.dim * hopf.dim)
-    mult: np.ndarray
-    involution: np.ndarray
-    unit: np.ndarray
+    structure: StructureAlgebra
     carrier_embedding: np.ndarray  # columns: classes of x (x) 1
     source_embedding: np.ndarray   # columns: classes of 1 (x) z over the source Cartan
     source_span: np.ndarray        # source Cartan coordinates used above
@@ -76,19 +75,25 @@ class CrossedProduct:
 
     @property
     def dim(self) -> int:
-        return self.mult.shape[0]
+        return self.structure.dim
 
-    def left_matrix(self, vec: np.ndarray) -> np.ndarray:
-        return np.einsum("s,stk->kt", vec, self.mult)
+    @property
+    def mult(self) -> np.ndarray:
+        return self.structure.mult
 
-    def right_matrix(self, vec: np.ndarray) -> np.ndarray:
-        return np.einsum("t,stk->ks", vec, self.mult)
+    @property
+    def involution(self) -> np.ndarray:
+        return self.structure.involution
+
+    @property
+    def unit(self) -> np.ndarray:
+        return self.structure.unit
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("s,t,stk->k", u, v, self.mult, optimize=True)
+        return self.structure.mul(u, v)
 
     def star(self, vec: np.ndarray) -> np.ndarray:
-        return self.involution @ np.conj(vec)
+        return self.structure.star(vec)
 
 
 @dataclass
@@ -253,13 +258,13 @@ def crossed_product(action: ActionData, *, rng=None,
     source_emb = np.stack([quot @ np.kron(car.unit().vec, source_span[:, j])
                            for j in range(source_span.shape[1])], axis=1)
 
-    crossed = CrossedProduct(action, labels, quot, mult_q, invol, unit,
+    crossed = CrossedProduct(action, labels, quot,
+                             StructureAlgebra(mult_q, unit, invol),
                              carrier_emb, source_emb, source_span)
     _verify_crossed(crossed, complement, rng, tol)
 
-    struct = StructureAlgebra(mult_q, unit, invol)
     crossed.algebra, crossed.to_blocks = decompose_structure_algebra(
-        struct, rng=rng, tol=tol)
+        crossed.structure, rng=rng, tol=tol)
     return crossed
 
 
@@ -311,7 +316,7 @@ def _verify_crossed(crossed: CrossedProduct, complement, rng, tol):
     hopf, car = action.hopf, action.carrier
     db, dm = hopf.dim, car.dim
     qdim = crossed.dim
-    mult_q = crossed.mult
+    struct = crossed.structure
 
     # relators vanish in the quotient
     full = np.eye(dm * db, dtype=complex)
@@ -319,69 +324,76 @@ def _verify_crossed(crossed: CrossedProduct, complement, rng, tol):
     if max_abs(crossed.quotient_map @ relator_proj) > 1e-6:
         raise InvariantViolation("quotient map does not kill the relators")
 
-    # representative independence: products against relator probes vanish
-    for _ in range(4):
-        probe = relator_proj @ (rng.standard_normal(dm * db)
-                                + 1j * rng.standard_normal(dm * db))
+    # representative independence: products of relator probes with basis
+    # classes vanish in the quotient on either side
+    draws, which, labels = [], [], []
+    for i in range(4):
+        draws.append(rng.standard_normal(dm * db) + 1j * rng.standard_normal(dm * db))
         for t in rng.integers(0, qdim, 2):
-            left = _raw_product(action, probe, _elementary(dm, db, *crossed.basis[t]))
-            right = _raw_product(action, _elementary(dm, db, *crossed.basis[t]), probe)
-            if max(max_abs(crossed.quotient_map @ left),
-                   max_abs(crossed.quotient_map @ right)) > 1e-6:
-                raise InvariantViolation(
-                    "product not well defined on the balanced quotient")
+            which.append(i)
+            labels.append(crossed.basis[t])
+    probes = (relator_proj @ np.stack(draws, axis=1)).T[which]
+    left, right = _relator_products(action, probes, np.array(labels))
+    if max(max_abs(crossed.quotient_map @ left.T),
+           max_abs(crossed.quotient_map @ right.T)) > 1e-6:
+        raise InvariantViolation("product not well defined on the balanced quotient")
 
     # unit, associativity and involution probes
-    lu = crossed.left_matrix(crossed.unit)
-    ru = crossed.right_matrix(crossed.unit)
+    lu = struct.left_matrix(crossed.unit)
+    ru = struct.right_matrix(crossed.unit)
     if rel_residual(lu, np.eye(qdim)) > 100 * tol or \
             rel_residual(ru, np.eye(qdim)) > 100 * tol:
         raise InvariantViolation("crossed product unit is not two-sided")
-    for _ in range(_PROBES):
-        u, v, w = (rng.standard_normal(qdim) + 1j * rng.standard_normal(qdim)
-                   for _ in range(3))
-        left = crossed.product(crossed.product(u, v), w)
-        right = crossed.product(u, crossed.product(v, w))
-        if rel_residual(left, right) > 1e-6:
+    u, v, w = np.array([[rng.standard_normal(qdim) + 1j * rng.standard_normal(qdim)
+                         for _ in range(3)] for _ in range(_PROBES)]).transpose(1, 0, 2)
+    uv = struct.mul(u, v)
+    assoc_left = struct.mul(uv, w)
+    assoc_right = struct.mul(u, struct.mul(v, w))
+    star_prod = struct.star(uv)
+    prod_star = struct.mul(struct.star(v), struct.star(u))
+    for i in range(_PROBES):
+        if rel_residual(assoc_left[i], assoc_right[i]) > 1e-6:
             raise InvariantViolation("crossed product is not associative")
-        star_prod = crossed.star(crossed.product(u, v))
-        prod_star = crossed.product(crossed.star(v), crossed.star(u))
-        if rel_residual(star_prod, prod_star) > 1e-6:
+        if rel_residual(star_prod[i], prod_star[i]) > 1e-6:
             raise InvariantViolation("involution is not anti-multiplicative")
     if rel_residual(crossed.involution @ np.conj(crossed.involution),
                     np.eye(qdim)) > 1e-6:
         raise InvariantViolation("involution does not square to the identity")
 
 
-def _elementary(dm, db, x, b):
-    vec = np.zeros(dm * db, dtype=complex)
-    vec[x * db + b] = 1.0
-    return vec
+def _relator_products(action: ActionData, probes: np.ndarray, labels: np.ndarray):
+    """Raw products of carrier (x) structure tensors before quotienting,
+    ``probe * (x (x) b)`` and ``(x (x) b) * probe``, for a stack of probes
+    (n, carrier.dim * hopf.dim) and elementary labels (n, 2) of (x, b).
 
-
-def _raw_product(action: ActionData, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of two raw tensors of carrier (x) structure before quotienting."""
+    With (y (x) c)(x (x) b) = y (c_(1) |> x) (x) c_(2) b, one elementary
+    factor keeps every intermediate at n * dim**3 entries.
+    """
     hopf, car, act = action.hopf, action.carrier, action.tensor
     db, dm = hopf.dim, car.dim
-    u_mat = u.reshape(dm, db)
-    v_mat = v.reshape(dm, db)
-    du = np.einsum("xb,bpq->xpq", u_mat, hopf.delta, optimize=True)
-    acted = np.einsum("xpq,pyz->xqyz", du, act, optimize=True)
-    left = np.einsum("xqyz,xzm->qym", acted, car.mult_tensor, optimize=True)
-    legs = np.einsum("qym,yc,qcn->mn", left, v_mat, hopf.mult, optimize=True)
-    return legs.reshape(dm * db)
+    mult_m, mult_b, delta = car.mult_tensor, hopf.mult, hopf.delta
+    xs, bs = labels[:, 0], labels[:, 1]
+    n = len(labels)
+    probes = probes.reshape(n, dm, db)
+
+    legs = np.einsum("nyc,cpq->nypq", probes, delta, optimize=True)
+    acted = np.einsum("nypq,pnz->nyqz", legs, act[:, xs, :], optimize=True)
+    carried = np.einsum("nyqz,yzm->nqm", acted, mult_m, optimize=True)
+    left = np.einsum("nqm,qnk->nmk", carried, mult_b[:, bs, :], optimize=True)
+
+    acted = np.einsum("npq,pyz->nqyz", delta[bs], act, optimize=True)
+    carried = np.einsum("nqyz,nzm->nqym", acted, mult_m[xs], optimize=True)
+    tails = np.einsum("nyc,qck->nyqk", probes, mult_b, optimize=True)
+    right = np.einsum("nqym,nyqk->nmk", carried, tails, optimize=True)
+    return left.reshape(n, dm * db), right.reshape(n, dm * db)
 
 
 def minimality(crossed: CrossedProduct, tol: float = DEFAULT_TOL) -> Report:
     """Commutant of the carrier image inside the crossed product, compared
     with the image of the source Cartan subalgebra."""
     rep = Report(tolerance=tol, title="minimality check")
-    qdim = crossed.dim
-    rows = []
-    for x in range(crossed.carrier_embedding.shape[1]):
-        img = crossed.carrier_embedding[:, x]
-        rows.append(crossed.left_matrix(img) - crossed.right_matrix(img))
-    commutant = null_space(np.vstack(rows), 1e-10)
+    ops = crossed.structure.commutator_matrices(crossed.carrier_embedding.T)
+    commutant = null_space(ops.reshape(-1, crossed.dim), 1e-10)
 
     source = orthonormal_columns(crossed.source_embedding, 1e-10)
     rep.add_flag("commutant dimension matches the source Cartan",

@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage or I/O error
+(including a stored report whose pass flags contradict its residuals).
 Files named ``-`` read stdin; generated objects go to stdout so commands
 compose with pipes.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -13,7 +15,7 @@ import numpy as np
 from . import serialize
 from .actions import canonical_action, crossed_product, minimality, theta_iso
 from .deform import deform, undeform
-from .errors import SchemaError, WorkbenchError
+from .errors import InconsistentReport, SchemaError, WorkbenchError
 from .groups import FiniteGroup, cyclic, symmetric
 from .reconstruct import (
     StructureBundle,
@@ -224,9 +226,19 @@ def cmd_report(args) -> int:
                     title=payload.get("title", ""))
     report.classification = payload.get("classification")
     for item in payload.get("checks", []):
-        report.checks.append(Check(item.get("name", ""), item.get("ref", ""),
-                                   float(item.get("residual", "0")),
-                                   bool(item.get("pass", False)),
+        name = item.get("name", "")
+        residual = float(item.get("residual", "0"))
+        stored = bool(item.get("pass", False))
+        passed = residual <= report.tolerance
+        # residuals are stored to six significant digits: a stored flag that
+        # this rounding cannot decide against the tolerance is kept
+        if math.isclose(residual, report.tolerance, rel_tol=1e-5):
+            passed = stored
+        if stored != passed:
+            raise InconsistentReport(
+                f"check {name!r} is stored as {'pass' if stored else 'FAIL'} but has "
+                f"residual {residual:.6e} at tolerance {report.tolerance:g}")
+        report.checks.append(Check(name, item.get("ref", ""), residual, passed,
                                    item.get("note", "")))
     args.tolerance = report.tolerance
     return _emit_report(args, report)
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_crossed_product)
 
-    p = add_parser("report", help="re-emit a stored report")
+    p = add_parser("report", help="re-check and re-emit a stored report")
     p.add_argument("file")
     p.set_defaults(func=cmd_report)
     return parser

@@ -5,6 +5,16 @@ matrix over some basis.  The regular trace of a C*-algebra is positive and
 faithful, so it provides a Hilbert metric in which left multiplication is a
 *-representation; from there the block split proceeds spectrally, as in
 :func:`weakhopf.multimatrix.subalgebra_from_basis`.
+
+The dense structure tensor is the large operand (d**3 entries), so every
+product goes through batched operator kernels that read it once per batch of
+elements: :meth:`StructureAlgebra.left_matrices` is one matrix product with
+the ``(d, d**2)`` flattening of the tensor and
+:meth:`StructureAlgebra.right_matrices` one stacked matrix product over its
+leading index.  Products, all-pairs products and commutators are thin layers
+over these two, and the matrix-unit relations are checked block by block
+against ``e_ij e_kl = delta_jk e_il`` rather than against a canonical
+structure tensor.
 """
 
 import numpy as np
@@ -17,46 +27,64 @@ __all__ = ["StructureAlgebra", "decompose_structure_algebra"]
 
 
 class StructureAlgebra:
-    """A *-algebra given by structure constants over an arbitrary basis."""
+    """A *-algebra given by structure constants over an arbitrary basis.
+
+    ``mult[a, b, k]`` is the coefficient of ``u_k`` in ``u_a u_b``.  Operator
+    matrices act on coefficient columns: ``left_matrix(x) @ y`` is ``x y`` and
+    ``right_matrix(x) @ y`` is ``y x``.
+    """
 
     def __init__(self, mult: np.ndarray, unit: np.ndarray, involution: np.ndarray):
-        self.mult = np.asarray(mult, dtype=complex)
+        self.mult = np.ascontiguousarray(mult, dtype=complex)
         self.unit = np.asarray(unit, dtype=complex).reshape(-1)
         self.involution = np.asarray(involution, dtype=complex)
         self.dim = self.unit.shape[0]
         if self.mult.shape != (self.dim,) * 3 or self.involution.shape != (self.dim,) * 2:
             raise InvariantViolation("structure tensor shapes are inconsistent")
-        self._left_flat = self.mult.reshape(self.dim, -1)
-        self._right_flat = np.ascontiguousarray(
-            self.mult.transpose(1, 0, 2)).reshape(self.dim, -1)
+
+    def left_matrices(self, vecs: np.ndarray) -> np.ndarray:
+        """Left multiplication matrices of a stack (n, dim) -> (n, dim, dim),
+        as one matrix product with the flattened tensor."""
+        vecs = np.asarray(vecs, dtype=complex)
+        d = self.dim
+        partial = vecs @ self.mult.reshape(d, d * d)    # (n, b * d + k)
+        return partial.reshape(-1, d, d).transpose(0, 2, 1)
+
+    def right_matrices(self, vecs: np.ndarray) -> np.ndarray:
+        """Right multiplication matrices of a stack (n, dim) -> (n, dim, dim),
+        as one stacked matrix product over the leading tensor index."""
+        vecs = np.asarray(vecs, dtype=complex)
+        return np.matmul(vecs, self.mult).transpose(1, 2, 0)  # (a, n, k) -> (n, k, a)
+
+    def commutator_matrices(self, vecs: np.ndarray) -> np.ndarray:
+        """Matrices of y -> x y - y x for a stack of elements x."""
+        ops = self.left_matrices(vecs)
+        ops -= self.right_matrices(vecs)
+        return ops
 
     def left_matrix(self, vec: np.ndarray) -> np.ndarray:
-        return (vec @ self._left_flat).reshape(self.dim, self.dim).T
+        return self.left_matrices(np.asarray(vec)[None, :])[0]
 
     def right_matrix(self, vec: np.ndarray) -> np.ndarray:
-        return (vec @ self._right_flat).reshape(self.dim, self.dim).T
+        return self.right_matrices(np.asarray(vec)[None, :])[0]
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
         if u.ndim == 1:
-            partial = (u @ self._left_flat).reshape(self.dim, self.dim)
-            return v @ partial
+            return v @ self.left_matrix(u).T
         if v.ndim == 1:
-            partial = (v @ self._right_flat).reshape(self.dim, self.dim)
-            return u @ partial
+            return u @ self.right_matrix(v).T
         return np.einsum("...a,...b,abk->...k", u, v, self.mult, optimize=True)
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """All-pairs products of two stacks (a, dim), (b, dim) -> (a, b, dim),
-        via staged matrix products."""
-        partial = np.tensordot(u, self.mult, axes=([1], [0]))  # (a, b-slot, k)
-        na, nb = u.shape[0], v.shape[0]
-        flat = partial.transpose(0, 2, 1).reshape(na * self.dim, self.dim)
-        return (flat @ v.T).reshape(na, self.dim, nb).transpose(0, 2, 1)
+        """All-pairs products of two stacks (a, dim), (b, dim) -> (a, b, dim)."""
+        v = np.asarray(v, dtype=complex)
+        return v @ self.left_matrices(u).transpose(0, 2, 1)
 
-    def star(self, vec: np.ndarray) -> np.ndarray:
-        return self.involution @ np.conj(vec)
+    def star(self, vecs: np.ndarray) -> np.ndarray:
+        """Involution of one element or of a stack of elements (rows)."""
+        return np.conj(vecs) @ self.involution.T
 
     def regular_trace_vector(self) -> np.ndarray:
         return np.einsum("kaa->k", self.mult)
@@ -126,18 +154,16 @@ def _random_self_adjoint(on: StructureAlgebra, span: np.ndarray, rng):
 
 def _center_span(on: StructureAlgebra, rng, tol: float) -> np.ndarray:
     d = on.dim
-    eye = np.eye(d, dtype=complex)
-    gens = [eye @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    gens = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
             for _ in range(min(d, 3))]
     for _ in range(6):
-        rows = [on.left_matrix(g) - on.right_matrix(g) for g in gens]
-        cand = null_space(np.vstack(rows), 1e-10)
-        comm = on.pairwise(cand.T, eye) - on.pairwise(eye, cand.T).transpose(1, 0, 2)
+        cand = null_space(on.commutator_matrices(np.stack(gens)).reshape(-1, d), 1e-10)
+        comm = on.commutator_matrices(cand.T)  # [c, k, i]: (cand_c u_i - u_i cand_c)_k
         worst = max_abs(comm) / max(max_abs(cand), 1.0)
         if worst <= 100 * tol:
             return cand
-        j = int(np.argmax(np.abs(comm).reshape(cand.shape[1], d, -1).max(axis=(0, 2))))
-        gens.append(eye[j])
+        j = int(np.argmax(np.abs(comm).max(axis=(0, 1))))
+        gens.append(np.eye(d, dtype=complex)[j])
     raise InvariantViolation("center computation did not stabilize")
 
 
@@ -163,11 +189,10 @@ def _split(on: StructureAlgebra, center: np.ndarray, rng):
     if rel_residual(np.sum(projs, axis=0), on.unit) > 1e-6:
         raise _Retry
 
-    eye = np.eye(on.dim, dtype=complex)
     units, sizes = [], []
     for p in projs:
-        corner = on.mul(on.mul(p, eye), p)  # p u_i p for every basis vector
-        corner = _orth_columns(corner.T)
+        # columns p u_i p for every basis vector u_i
+        corner = _orth_columns(on.right_matrix(p) @ on.left_matrix(p))
         msq = corner.shape[1]
         m = int(round(np.sqrt(msq)))
         if m * m != msq:
@@ -200,15 +225,18 @@ def _minimal_projections(on, corner, p, m, rng):
 
 
 def _matrix_units(on, diag, rng):
+    """Matrix units of one block as rows (m*m, dim), ordered e_00, e_01, ..."""
     m = len(diag)
     if m == 1:
-        return [diag[0]]
+        return diag[0][None, :]
     d = on.dim
+    lefts = on.left_matrices(np.stack(diag[1:]))
+    right0 = on.right_matrix(diag[0])
     isometries = [diag[0]]
     for k in range(1, m):
         for _ in range(8):
             y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            u = on.mul(diag[k], on.mul(y, diag[0]))
+            u = lefts[k - 1] @ (right0 @ y)  # diag_k y diag_0
             gram = on.mul(on.star(u), u)
             c = float(np.real(np.vdot(diag[0], gram) / np.vdot(diag[0], diag[0])))
             if c > 1e-10 and rel_residual(gram, c * diag[0]) < 1e-6:
@@ -216,24 +244,30 @@ def _matrix_units(on, diag, rng):
                 break
         else:
             raise _Retry
-    units = []
-    for j in range(m):
-        for l in range(m):
-            units.append(on.mul(isometries[j], on.star(isometries[l])))
-    return units
+    isometries = np.stack(isometries)
+    return on.pairwise(isometries, on.star(isometries)).reshape(m * m, d)
 
 
 def _verify_units(on: StructureAlgebra, multi: MultiMatrixAlgebra,
                   change: np.ndarray, tol: float):
-    cols = change.T  # (multi.dim, on.dim)
-    canon = multi.mult_tensor
-    prods = on.pairwise(cols, cols)
-    expected = np.tensordot(canon, cols, axes=([2], [0]))
-    if rel_residual(prods, expected) > 1e-6:
+    cols = change.T  # (multi.dim, on.dim), one row per canonical matrix unit
+    # e_ij e_kl = delta_jk e_il inside a block and 0 across blocks, checked one
+    # block of left factors at a time; worst and scale are those of the
+    # relative residual over all pairs at once
+    worst, scale = 0.0, 1.0
+    for alpha, m in enumerate(multi.blocks):
+        sl = multi.block_slice(alpha)
+        block = cols[sl]
+        prods = on.pairwise(block, cols)
+        expected = np.einsum("jk,ilx->ijklx", np.eye(m), block.reshape(m, m, -1))
+        expected = expected.reshape(m * m, m * m, -1)
+        scale = max(scale, max_abs(prods), max_abs(expected))
+        prods[:, sl] -= expected
+        worst = max(worst, max_abs(prods))
+    if worst / scale > 1e-6:
         raise InvariantViolation("matrix-unit relations failed")
     eye = np.eye(multi.dim, dtype=complex)
-    stars = np.stack([on.star(cols[j]) for j in range(multi.dim)])
-    if rel_residual(stars, multi.adjoint_vecs(eye) @ cols) > 1e-6:
+    if rel_residual(on.star(cols), multi.adjoint_vecs(eye) @ cols) > 1e-6:
         raise InvariantViolation("matrix units are not adjoint-compatible")
     if rel_residual(np.tensordot(multi.unit().vec, cols, axes=([0], [0])), on.unit) > 1e-6:
         raise InvariantViolation("matrix units do not sum to the unit")

@@ -28,18 +28,9 @@ class DeformedStructure:
     modular_element: np.ndarray          # G = S(H)^-1 H
 
 
-def _left_matrix(mult: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.einsum("a,abk->kb", vec, mult)
-
-
-def _right_matrix(mult: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.einsum("b,abk->ka", vec, mult)
-
-
-def _inverse_coords(mult: np.ndarray, vec: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    lmat = _left_matrix(mult, vec)
+def _inverse_coords(hopf: WeakHopfData, vec: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.solve(lmat, unit)
+        return np.linalg.solve(hopf.structure.left_matrix(vec), hopf.unit_vec)
     except np.linalg.LinAlgError as exc:
         raise InvariantViolation("element is not invertible") from exc
 
@@ -48,7 +39,7 @@ def _positivity_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     """Self-adjointness under the structure involution plus spectral
     positivity (eigenvalues of left multiplication, basis-independent)."""
     res = rel_residual(hopf.star(vec), vec)
-    spec = np.linalg.eigvals(_left_matrix(hopf.mult, vec))
+    spec = np.linalg.eigvals(hopf.structure.left_matrix(vec))
     scale = max(max_abs(spec), 1.0)
     res = max(res, float(np.max(np.abs(np.imag(spec)))) / scale)
     res = max(res, float(-np.min(np.real(spec))) / scale)
@@ -59,8 +50,7 @@ def _central_in_cartan_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     """Membership in the target Cartan subalgebra and centrality there."""
     res = rel_residual(hopf.target_counital @ vec, vec)
     fixed = null_space(hopf.target_counital - np.eye(hopf.dim), 1e-10)
-    comm = np.einsum("a,bj,abk->jk", vec, fixed, hopf.mult, optimize=True) \
-        - np.einsum("aj,b,abk->jk", fixed, vec, hopf.mult, optimize=True)
+    comm = hopf.structure.commutator_matrices(vec[None, :])[0] @ fixed
     return max(res, max_abs(comm) / max(max_abs(vec), 1.0))
 
 
@@ -76,7 +66,7 @@ def check_bundle(bundle: StructureBundle, tol: float = DEFAULT_TOL) -> Report:
     mult, delta, eps, anti = hopf.mult, hopf.delta, hopf.epsilon, hopf.antipode
     eye = np.eye(d, dtype=complex)
     star = hopf.star_matrix
-    hinv = _inverse_coords(mult, h, hopf.unit_vec)
+    hinv = _inverse_coords(hopf, h)
 
     lhs = np.einsum("ipc,pab->iabc", delta, delta, optimize=True)
     rhs = np.einsum("iaq,qbc->iabc", delta, delta, optimize=True)
@@ -87,7 +77,7 @@ def check_bundle(bundle: StructureBundle, tol: float = DEFAULT_TOL) -> Report:
             rel_residual(np.einsum("ipq,q->ip", delta, eps), eye), ref="Cor 4.16")
 
     prod_delta = np.einsum("ijm,mpq->ijpq", mult, delta, optimize=True)
-    lh_inv = _left_matrix(mult, hinv)
+    lh_inv = hopf.structure.left_matrix(hinv)
     twisted = np.einsum("cpq,rq->cpr", delta, lh_inv, optimize=True)
     rep.add("twisted multiplicativity",
             rel_residual(prod_delta, _delta_product(hopf, delta, twisted)),
@@ -116,8 +106,7 @@ def check_bundle(bundle: StructureBundle, tol: float = DEFAULT_TOL) -> Report:
     rep.add("antipode star-compatible",
             rel_residual(anti @ star, star @ np.conj(anti)), ref="Cor 4.16")
 
-    rh_inv = _right_matrix(mult, hinv)
-    sr = anti @ rh_inv
+    sr = anti @ hopf.structure.right_matrix(hinv)
     inner = np.einsum("psr,sq->pqr", mult, sr, optimize=True)
     lhs = np.einsum("bpq,pqr->br", delta, inner, optimize=True)
     rep.add("twisted antipode counital identity", rel_residual(lhs, et.T),
@@ -149,17 +138,16 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
             f"structure bundle violated: {worst.name} residual {worst.residual:.3e}")
 
     hopf, h = bundle.hopf, bundle.index_element
-    mult = hopf.mult
-    unit = hopf.unit_vec
-    hinv = _inverse_coords(mult, h, unit)
+    ops = hopf.structure
+    hinv = _inverse_coords(hopf, h)
     s_h = hopf.antipode @ h
-    s_h_inv = _inverse_coords(mult, s_h, unit)
+    s_h_inv = _inverse_coords(hopf, s_h)
 
-    dagger = _left_matrix(mult, s_h_inv) @ _right_matrix(mult, s_h) @ hopf.star_matrix
-    lh_inv = _left_matrix(mult, hinv)
+    dagger = ops.left_matrix(s_h_inv) @ ops.right_matrix(s_h) @ hopf.star_matrix
+    lh_inv = ops.left_matrix(hinv)
     delta_tilde = np.einsum("bpQ,qQ->bpq", hopf.delta, lh_inv, optimize=True)
-    eps_tilde = hopf.epsilon @ _left_matrix(mult, h)
-    s_tilde = hopf.antipode @ _left_matrix(mult, h) @ _right_matrix(mult, hinv)
+    eps_tilde = hopf.epsilon @ ops.left_matrix(h)
+    s_tilde = hopf.antipode @ ops.left_matrix(h) @ ops.right_matrix(hinv)
 
     deformed = WeakHopfData(hopf.algebra, delta_tilde, eps_tilde, s_tilde, dagger)
     rep = Report(tolerance=tol, title="deformation check")
@@ -179,10 +167,9 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
     s_h_tilde = s_tilde @ h
     rep.add("antipode fixes the image of the index element",
             rel_residual(s_h_tilde, s_h), ref="Prop 5.6")
-    modular = np.einsum("a,b,abk->k", s_h_inv, h, mult, optimize=True)
+    modular = ops.mul(s_h_inv, h)
     squared = s_tilde @ s_tilde
-    adg = _left_matrix(mult, modular) @ _right_matrix(
-        mult, _inverse_coords(mult, modular, unit))
+    adg = ops.left_matrix(modular) @ ops.right_matrix(_inverse_coords(hopf, modular))
     rep.add("squared antipode is conjugation by the modular element",
             rel_residual(squared, adg), ref="Prop 5.6")
     rep.add("modular element positive", _positivity_residual(deformed, modular),
@@ -192,14 +179,14 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
         from .weak_hopf import haar_functional, haar_projection
 
         e2_b = tower.rel_b.coords_vec(tower.e2.vec[None, :])[0]
-        e2h = np.einsum("a,b,abk->k", e2_b, h, mult, optimize=True)
+        e2h = ops.mul(e2_b, h)
         solved = haar_projection(deformed, tol)
         rep.add("Haar projection is e2 twisted by the index element",
                 rel_residual(solved.vec, e2h), ref="Thm 5.7")
         phi = haar_functional(deformed, tol)
-        sh_h = np.einsum("a,b,abk->k", s_h, h, mult, optimize=True)
+        sh_h = ops.mul(s_h, h)
         closed = tower.d * tower.tau.values(
-            (tower.rel_b.images @ _left_matrix(mult, sh_h)).T)
+            (tower.rel_b.images @ ops.left_matrix(sh_h)).T)
         rep.add("Haar functional closed form",
                 rel_residual(phi, closed), ref="Thm 5.7")
 
@@ -207,11 +194,11 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
         power = modular.copy()
         found = None
         for n in range(1, 13):
-            comm = _left_matrix(mult, power) - _right_matrix(mult, power)
+            comm = ops.left_matrix(power) - ops.right_matrix(power)
             if max_abs(comm) / max(max_abs(power), 1.0) <= 1e-8:
                 found = n
                 break
-            power = np.einsum("a,b,abk->k", power, modular, mult, optimize=True)
+            power = ops.mul(power, modular)
         rep.add_info("modular element central power",
                      0.0 if found is None else float(found),
                      ref="Remark 5.8",
@@ -239,15 +226,15 @@ def undeform(hopf: WeakHopfData, h: np.ndarray, tol: float = DEFAULT_TOL):
     if _central_in_cartan_residual(hopf, h) > 100 * tol:
         raise InvariantViolation("twist element is not central in the Cartan")
 
-    mult, unit = hopf.mult, hopf.unit_vec
-    hinv = _inverse_coords(mult, h, unit)
-    lh = _left_matrix(mult, h)
+    ops = hopf.structure
+    hinv = _inverse_coords(hopf, h)
+    lh = ops.left_matrix(h)
     delta_b = np.einsum("bpQ,qQ->bpq", hopf.delta, lh, optimize=True)
-    eps_b = hopf.epsilon @ _left_matrix(mult, hinv)
-    s_b = hopf.antipode @ _left_matrix(mult, hinv) @ _right_matrix(mult, h)
+    eps_b = hopf.epsilon @ ops.left_matrix(hinv)
+    s_b = hopf.antipode @ ops.left_matrix(hinv) @ ops.right_matrix(h)
     s_h = hopf.antipode @ h  # = S_B(h) for the produced bundle
-    star = _left_matrix(mult, s_h) @ _right_matrix(
-        mult, _inverse_coords(mult, s_h, unit)) @ hopf.star_matrix
+    star = ops.left_matrix(s_h) @ ops.right_matrix(
+        _inverse_coords(hopf, s_h)) @ hopf.star_matrix
 
     bundle = StructureBundle(
         WeakHopfData(hopf.algebra, delta_b, eps_b, s_b, star), h)

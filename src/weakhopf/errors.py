@@ -1,7 +1,8 @@
 """Exception hierarchy for the workbench.
 
-CLI exit-code mapping: SchemaError -> 2 (usage / malformed input),
-InvariantViolation and any other WorkbenchError -> 1 (verification failure).
+CLI exit-code mapping: SchemaError (and its InconsistentReport) -> 2 (usage /
+malformed input), InvariantViolation and any other WorkbenchError -> 1
+(verification failure).
 """
 
 
@@ -11,6 +12,10 @@ class WorkbenchError(Exception):
 
 class SchemaError(WorkbenchError):
     """A file or payload does not match the documented JSON schema."""
+
+
+class InconsistentReport(SchemaError):
+    """A stored report row has a pass flag its residual and tolerance deny."""
 
 
 class InvariantViolation(WorkbenchError):

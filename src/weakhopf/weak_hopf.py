@@ -81,6 +81,12 @@ class WeakHopfData:
         return self.algebra.mult_tensor
 
     @cached_property
+    def structure(self) -> StructureAlgebra:
+        """The algebra and its involution as structure constants, with the
+        batched left/right multiplication kernels."""
+        return StructureAlgebra(self.mult, self.unit_vec, self.star_matrix)
+
+    @cached_property
     def unit_vec(self) -> np.ndarray:
         return self.algebra.unit().vec
 

@@ -4,6 +4,7 @@ import pytest
 from weakhopf._linalg import rel_residual, subspace_residual
 from weakhopf.actions import (
     ActionData,
+    _relator_products,
     crossed_product,
     fixed_points,
     minimality,
@@ -119,6 +120,36 @@ def test_theta_unit_class(get_pipeline):
     theta, crossed = pipe["theta"], pipe["crossed"]
     tower_unit = pipe["tower"].ambient.unit().vec
     assert rel_residual(theta.matrix @ crossed.unit, tower_unit) < TOL
+
+
+def raw_product(action, u, v):
+    """Reference product of two raw carrier (x) structure tensors,
+    (x (x) b)(y (x) c) = x (b_(1) |> y) (x) b_(2) c, one pair at a time."""
+    hopf, car, act = action.hopf, action.carrier, action.tensor
+    db, dm = hopf.dim, car.dim
+    du = np.einsum("xb,bpq->xpq", u.reshape(dm, db), hopf.delta)
+    acted = np.einsum("xpq,pyz->xqyz", du, act)
+    left = np.einsum("xqyz,xzm->qym", acted, car.mult_tensor)
+    legs = np.einsum("qym,yc,qcn->mn", left, v.reshape(dm, db), hopf.mult,
+                     optimize=True)
+    return legs.reshape(dm * db)
+
+
+def test_relator_products_match_the_pairwise_reference(get_pipeline):
+    action = get_pipeline("z2")["action"]
+    db, dm = action.hopf.dim, action.carrier.dim
+    labels = np.array([(x, b) for x in range(dm) for b in range(db)])
+    rng = np.random.default_rng(11)
+    probes = rng.standard_normal((len(labels), dm * db)) \
+        + 1j * rng.standard_normal((len(labels), dm * db))
+    left, right = _relator_products(action, probes, labels)
+    eye = np.eye(dm * db)
+    pairs = list(zip(probes, labels))
+    ref_left = np.stack([raw_product(action, p, eye[x * db + b]) for p, (x, b) in pairs])
+    ref_right = np.stack([raw_product(action, eye[x * db + b], p) for p, (x, b) in pairs])
+    assert min(np.abs(ref_left).max(), np.abs(ref_right).max()) > 0.1
+    assert rel_residual(left, ref_left) < 1e-13
+    assert rel_residual(right, ref_right) < 1e-13
 
 
 def test_source_cartan_commutes_inside_crossed_product(get_pipeline):

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakhopf
 from weakhopf import serialize
 from weakhopf._linalg import rel_residual
 from weakhopf.cli import main
@@ -212,6 +215,29 @@ def test_cli_report_reemission(tmp_path, capsys):
     assert "result: pass" in out
 
 
+@pytest.mark.parametrize("residual, stored, expected_code, message", [
+    ("1.00000e+00", True, 2, "stored as pass"),
+    ("0.00000e+00", False, 2, "stored as FAIL"),
+    ("1.00000e+00", False, 1, "result: FAIL"),
+    # at the tolerance to six digits the stored flag decides
+    ("1.00000e-09", False, 1, "result: FAIL"),
+])
+def test_cli_report_recomputes_pass_flags(tmp_path, capsys, residual, stored,
+                                          expected_code, message):
+    path = tmp_path / "pg2.json"
+    code, out, _ = run_cli(capsys, "gen", "pair-groupoid", "2")
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "--json", "verify-wha", str(path))
+    report = json.loads(out)
+    assert report["payload"]["environment"]["tolerance"] == 1e-9
+    report["payload"]["checks"][0].update(residual=residual, **{"pass": stored})
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "report", str(report_path))
+    assert code == expected_code
+    assert message in out + err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # schema error -> 2
     bad = tmp_path / "bad.json"
@@ -237,13 +263,18 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess(tmp_path):
+    # the child imports the same weakhopf as this process, installed or not
+    src = str(Path(weakhopf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     gen = subprocess.run([sys.executable, "-m", "weakhopf.cli",
                           "gen", "pair-groupoid", "2"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert gen.returncode == 0
     verify = subprocess.run([sys.executable, "-m", "weakhopf.cli",
                              "verify-wha", "-"],
-                            input=gen.stdout, capture_output=True, text=True)
+                            input=gen.stdout, capture_output=True, text=True,
+                            env=env)
     assert verify.returncode == 0
     assert "weak Kac" in verify.stdout
 
