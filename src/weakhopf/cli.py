@@ -216,19 +216,32 @@ def cmd_crossed_product(args) -> int:
     return _emit_report(args, report)
 
 
+def _number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} is not a number: {value!r}") from exc
+
+
 def cmd_report(args) -> int:
     from .report import Check
 
     payload = _load(args.file, "report")
     env = payload.get("environment", {})
-    report = Report(tolerance=float(env.get("tolerance", args.tolerance)),
-                    seed=int(env.get("seed", 0)),
+    checks = payload.get("checks", [])
+    if not isinstance(env, dict) or not isinstance(checks, list) \
+            or not all(isinstance(item, dict) for item in checks):
+        raise SchemaError("report environment and check rows must be objects")
+    report = Report(tolerance=_number(env.get("tolerance", args.tolerance), "tolerance"),
+                    seed=_number(env.get("seed", 0), "seed", int),
                     title=payload.get("title", ""))
     report.classification = payload.get("classification")
-    for item in payload.get("checks", []):
+    for item in checks:
         name = item.get("name", "")
-        residual = float(item.get("residual", "0"))
-        stored = bool(item.get("pass", False))
+        residual = _number(item.get("residual", "0"), f"residual of {name!r}")
+        stored = item.get("pass", False)
+        if not isinstance(stored, bool):
+            raise SchemaError(f"pass flag of {name!r} is not a boolean: {stored!r}")
         passed = residual <= report.tolerance
         # residuals are stored to six significant digits: a stored flag that
         # this rounding cannot decide against the tolerance is kept

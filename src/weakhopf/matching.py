@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import axioms
 from ._linalg import rel_residual
 from .errors import InvariantViolation
 from .reconstruct import ReconstructedStructure
@@ -30,25 +31,6 @@ class Intertwiner:
 
     matrix: np.ndarray
     residual: float
-
-
-def intertwiner_residual(source: WeakHopfData, target: WeakHopfData,
-                         matrix: np.ndarray) -> float:
-    """Worst deviation of the candidate map from intertwining the product,
-    coproduct, counit, antipode and involution."""
-    u = matrix
-    res = rel_residual(
-        np.einsum("ijk,mk->ijm", source.mult, u, optimize=True),
-        np.einsum("pi,qj,pqm->ijm", u, u, target.mult, optimize=True))
-    res = max(res, rel_residual(
-        np.einsum("mi,mPQ->iPQ", u, target.delta, optimize=True),
-        np.einsum("ipq,Pp,Qq->iPQ", source.delta, u, u, optimize=True)))
-    res = max(res, rel_residual(target.epsilon @ u, source.epsilon))
-    res = max(res, rel_residual(target.antipode @ u, u @ source.antipode))
-    res = max(res, rel_residual(target.star_matrix @ np.conj(u),
-                                u @ source.star_matrix))
-    res = max(res, rel_residual(u @ source.unit_vec, target.unit_vec))
-    return res
 
 
 def _minimal_cartan_projections(hopf: WeakHopfData, tol: float):
@@ -107,7 +89,7 @@ def match_pair_groupoid(rec: ReconstructedStructure, tol: float = 1e-9):
     for m, (i, j) in enumerate(labels):
         perm[generator.algebra.basis_index(0, i, j), m] = 1.0
     u_a = perm @ np.linalg.inv(grouplikes)
-    res_a = intertwiner_residual(hopf_a, generator, u_a)
+    res_a = axioms.intertwines(hopf_a, generator, u_a)
 
     # commutative side: minimal idempotents map to evaluation functionals
     dual_gen = dual_algebra(generator, tol)
@@ -115,6 +97,6 @@ def match_pair_groupoid(rec: ReconstructedStructure, tol: float = 1e-9):
     u_b = np.zeros((n2, n2), dtype=complex)
     for m, (i, j) in enumerate(labels):
         u_b[:, m] = targets[:, generator.algebra.basis_index(0, i, j)]
-    res_b = intertwiner_residual(hopf_b, dual_gen.hopf, u_b)
+    res_b = axioms.intertwines(hopf_b, dual_gen.hopf, u_b)
 
     return Intertwiner(u_a, res_a), Intertwiner(u_b, res_b), n

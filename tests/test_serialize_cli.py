@@ -238,6 +238,29 @@ def test_cli_report_recomputes_pass_flags(tmp_path, capsys, residual, stored,
     assert message in out + err
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("checks", 0, "residual"), "small", "not a number"),
+    (("environment", "tolerance"), "tight", "not a number"),
+    (("checks", 0), "coassociativity", "must be objects"),
+    (("checks", 0, "pass"), "false", "not a boolean"),
+], ids=["residual", "tolerance", "check-row", "pass-flag"])
+def test_cli_report_malformed_is_schema_error(tmp_path, capsys, keys, value, message):
+    path = tmp_path / "pg2.json"
+    code, out, _ = run_cli(capsys, "gen", "pair-groupoid", "2")
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "--json", "verify-wha", str(path))
+    report = json.loads(out)
+    target = report["payload"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, _, err = run_cli(capsys, "report", str(report_path))
+    assert code == 2
+    assert message in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # schema error -> 2
     bad = tmp_path / "bad.json"
