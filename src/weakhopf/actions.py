@@ -216,7 +216,7 @@ def crossed_product(action: ActionData, *, rng=None,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    hopf, car, act = action.hopf, action.carrier, action.tensor
+    hopf, car = action.hopf, action.carrier
     db, dm = hopf.dim, car.dim
     mult_b, mult_m = hopf.mult, car.mult_tensor
 

@@ -186,7 +186,7 @@ def cmd_deform(args) -> int:
 def cmd_undeform(args) -> int:
     hopf, _ = serialize.parse_weak_hopf(_load(args.file, "weak-hopf"))
     h = serialize.parse_element(_load(args.h, "element"), hopf.dim)
-    bundle, _report = undeform(hopf, h, args.tolerance)
+    bundle, _ = undeform(hopf, h, args.tolerance)
     payload = serialize.weak_hopf_payload(bundle.hopf, bundle.index_element)
     _write_out(args, serialize.dumps("weak-hopf", payload, args.tolerance, args.seed))
     return 0

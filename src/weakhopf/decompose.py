@@ -3,8 +3,10 @@
 Input is a multiplication tensor, a unit vector and an antilinear involution
 matrix over some basis.  The regular trace of a C*-algebra is positive and
 faithful, so it provides a Hilbert metric in which left multiplication is a
-*-representation; from there the block split proceeds spectrally, as in
-:func:`weakhopf.multimatrix.subalgebra_from_basis`.
+*-representation; from there the block split proceeds spectrally.  This is the
+only block-splitting engine: :func:`weakhopf.multimatrix.subalgebra_from_basis`
+recognizes subalgebras of a multimatrix algebra by passing it the structure
+constants of the span.
 
 The dense structure tensor is the large operand (d**3 entries), so every
 product goes through batched operator kernels that read it once per batch of
@@ -183,7 +185,7 @@ def _spectral_projections(on: StructureAlgebra, h: np.ndarray, gap=1e-6):
 
 def _split(on: StructureAlgebra, center: np.ndarray, rng):
     z = _random_self_adjoint(on, center, rng)
-    vals, projs = _spectral_projections(on, z)
+    _, projs = _spectral_projections(on, z)
     if len(projs) != center.shape[1]:
         raise _Retry
     if rel_residual(np.sum(projs, axis=0), on.unit) > 1e-6:

@@ -57,6 +57,22 @@ def _central_in_cartan_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     return max(res, max_abs(comm) / max(max_abs(vec), 1.0))
 
 
+def _twist(hopf: WeakHopfData, t: np.ndarray) -> WeakHopfData:
+    """Twist by a central invertible Cartan element t: coproduct
+    Delta (1 (x) L(t)), counit eps L(t^-1), antipode S L(t^-1) R(t) and the
+    involution conjugated by S(t).  ``undeform`` twists by H and ``deform`` by
+    H^-1, so the two are inverse to each other."""
+    ops = hopf.structure
+    t_inv = _inverse_coords(hopf, t)
+    s_t = hopf.antipode @ t
+    delta = np.einsum("bpQ,qQ->bpq", hopf.delta, ops.left_matrix(t), optimize=True)
+    eps = hopf.epsilon @ ops.left_matrix(t_inv)
+    antipode = hopf.antipode @ ops.left_matrix(t_inv) @ ops.right_matrix(t)
+    star = ops.left_matrix(s_t) @ ops.right_matrix(
+        _inverse_coords(hopf, s_t)) @ hopf.star_matrix
+    return WeakHopfData(hopf.algebra, delta, eps, antipode, star)
+
+
 def check_bundle(bundle: StructureBundle, tol: float = DEFAULT_TOL) -> Report:
     """Verify the axiom bundle satisfied by a reconstructed (possibly
     non-multiplicative) structure: coalgebra, twisted multiplicativity,
@@ -109,17 +125,9 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
 
     hopf, h = bundle.hopf, bundle.index_element
     ops = hopf.structure
-    hinv = _inverse_coords(hopf, h)
     s_h = hopf.antipode @ h
     s_h_inv = _inverse_coords(hopf, s_h)
-
-    dagger = ops.left_matrix(s_h_inv) @ ops.right_matrix(s_h) @ hopf.star_matrix
-    lh_inv = ops.left_matrix(hinv)
-    delta_tilde = np.einsum("bpQ,qQ->bpq", hopf.delta, lh_inv, optimize=True)
-    eps_tilde = hopf.epsilon @ ops.left_matrix(h)
-    s_tilde = hopf.antipode @ ops.left_matrix(h) @ ops.right_matrix(hinv)
-
-    deformed = WeakHopfData(hopf.algebra, delta_tilde, eps_tilde, s_tilde, dagger)
+    deformed = _twist(hopf, _inverse_coords(hopf, h))
     rep = Report(tolerance=tol, title="deformation check")
 
     axioms = verify_axioms(deformed, tol)
@@ -134,11 +142,10 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
             rel_residual(deformed.target_counital, hopf.target_counital),
             ref="Prop 5.5")
 
-    s_h_tilde = s_tilde @ h
     rep.add("antipode fixes the image of the index element",
-            rel_residual(s_h_tilde, s_h), ref="Prop 5.6")
+            rel_residual(deformed.antipode @ h, s_h), ref="Prop 5.6")
     modular = ops.mul(s_h_inv, h)
-    squared = s_tilde @ s_tilde
+    squared = deformed.antipode @ deformed.antipode
     adg = ops.left_matrix(modular) @ ops.right_matrix(_inverse_coords(hopf, modular))
     rep.add("squared antipode is conjugation by the modular element",
             rel_residual(squared, adg), ref="Prop 5.6")
@@ -196,18 +203,7 @@ def undeform(hopf: WeakHopfData, h: np.ndarray, tol: float = DEFAULT_TOL):
     if _central_in_cartan_residual(hopf, h) > 100 * tol:
         raise InvariantViolation("twist element is not central in the Cartan")
 
-    ops = hopf.structure
-    hinv = _inverse_coords(hopf, h)
-    lh = ops.left_matrix(h)
-    delta_b = np.einsum("bpQ,qQ->bpq", hopf.delta, lh, optimize=True)
-    eps_b = hopf.epsilon @ ops.left_matrix(hinv)
-    s_b = hopf.antipode @ ops.left_matrix(hinv) @ ops.right_matrix(h)
-    s_h = hopf.antipode @ h  # = S_B(h) for the produced bundle
-    star = ops.left_matrix(s_h) @ ops.right_matrix(
-        _inverse_coords(hopf, s_h)) @ hopf.star_matrix
-
-    bundle = StructureBundle(
-        WeakHopfData(hopf.algebra, delta_b, eps_b, s_b, star), h)
+    bundle = StructureBundle(_twist(hopf, h), h)
     rep = check_bundle(bundle, tol)
     if not rep.passed:
         worst = max(rep.failures(), key=lambda c: c.residual)

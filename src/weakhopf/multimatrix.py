@@ -4,6 +4,12 @@ A multimatrix algebra is a direct sum of full complex matrix blocks.  Elements
 are kept as flat coefficient vectors over the canonical matrix-unit basis, so
 linear maps between algebras are ordinary matrices and batched element
 arithmetic reduces to block einsums.
+
+Subalgebras given by a spanning set are recognized by handing their structure
+constants to :mod:`weakhopf.decompose`, the one block-splitting engine.  The
+Jones basic construction needs no splitting at all: it is built as the
+commutant of the right action of the subalgebra, with matrix units read off
+those of the subalgebra.
 """
 
 from dataclasses import dataclass
@@ -12,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
-    cluster_values,
     condition_number,
     max_abs,
     null_space,
@@ -510,41 +515,6 @@ def conditional_expectation(sub: SubalgebraEmbedding, trace: TraceState,
 # ---------------------------------------------------------------------------
 
 
-class _RetryDecomposition(Exception):
-    pass
-
-
-def _spectral_projections(algebra, vec, gap_tol=1e-6):
-    """Spectral projections of a self-adjoint element, one per cluster of
-    eigenvalues pooled across all blocks.  Returns (values, projections)."""
-    per_block = algebra.eigh_blocks(vec)
-    all_vals = np.concatenate([vals for vals, _ in per_block])
-    scale = max(max_abs(all_vals), 1.0)
-    clusters = cluster_values(all_vals, gap_tol * scale)
-    reps, projections = [], []
-    for cluster in clusters:
-        members = set(cluster.tolist())
-        mats, pos = [], 0
-        for (vals, vecs), m in zip(per_block, algebra.blocks):
-            take = [i for i in range(m) if pos + i in members]
-            pos += m
-            if take:
-                sel = vecs[:, take]
-                mats.append(sel @ sel.conj().T)
-            else:
-                mats.append(np.zeros((m, m), dtype=complex))
-        reps.append(float(np.mean(all_vals[cluster])))
-        projections.append(algebra.from_blocks(mats).vec)
-    return np.asarray(reps), projections
-
-
-def _random_self_adjoint(algebra, span, rng):
-    k = span.shape[1]
-    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    x = span @ coeff
-    return 0.5 * (x + algebra.adjoint_vecs(x))
-
-
 def _commutant_in_span(ambient, span, generators, tol):
     """Vectors in the column span commuting with each generator."""
     rows = [
@@ -554,44 +524,18 @@ def _commutant_in_span(ambient, span, generators, tol):
     return span @ null_space(np.vstack(rows), tol)
 
 
-def _center_of_span(ambient, span, rng, tol):
-    """Center of a *-closed subalgebra span.
-
-    Uses a few random elements as generators (the commutant of a generating
-    set equals the commutant of the algebra) and verifies against the full
-    span afterwards, enlarging the generator set if needed.
-    """
-    dim = span.shape[1]
-    n_gen = min(dim, 3)
-    gens = [span @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            for _ in range(n_gen)]
-    basis = span.T
-    for _ in range(6):
-        cand = _commutant_in_span(ambient, span, gens, tol)
-        comm = ambient.mul_vecs(cand.T[:, None, :], basis[None, :, :]) \
-            - ambient.mul_vecs(basis[None, :, :], cand.T[:, None, :])
-        worst = max_abs(comm) / max(max_abs(cand), 1.0)
-        if worst <= 100 * tol:
-            return cand
-        j = int(np.argmax(np.abs(comm).reshape(cand.shape[1], dim, -1)
-                          .max(axis=(0, 2))))
-        gens.append(span[:, j])
-    raise InvariantViolation("center computation did not stabilize")
-
-
 def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
                           rng=None, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
     """Recognize a *-closed unital subspace of ``ambient`` as a multimatrix
     algebra and return the embedding carrying its canonical matrix units.
 
-    Blocks are split with spectral projections of a random self-adjoint
-    element of the center (retried on unlucky draws, deterministic for a fixed
-    seed, blocks ordered by the sorted eigenvalues of the splitting element);
-    within a block, minimal projections come from a random self-adjoint corner
-    element and the partial isometries are normalized corner products.
+    The span is checked for closure under adjoints, the unit and all pairwise
+    products; its structure constants in an orthonormal basis of the span then
+    go through :func:`weakhopf.decompose.decompose_structure_algebra`, which
+    splits blocks and builds matrix units (deterministic for a fixed seed).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    from .decompose import StructureAlgebra, decompose_structure_algebra
+
     span = orthonormal_columns(np.asarray(span, dtype=complex), 1e-10)
     dim = span.shape[1]
     if dim == 0:
@@ -599,106 +543,24 @@ def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
     if dim == ambient.dim:
         return SubalgebraEmbedding.identity(ambient)
 
-    _check_closure(ambient, span, rng, tol)
-    center_span = _center_of_span(ambient, span, rng, tol)
+    basis = span.T
+    adjoints = ambient.adjoint_vecs(basis)
+    if residual_outside(adjoints.T, span) > 100 * tol:
+        raise InvariantViolation("not a subalgebra")
+    unit = ambient.unit().vec
+    if residual_outside(unit[:, None], span) > 100 * tol:
+        raise InvariantViolation("subspace does not contain the unit")
+    prods = ambient.pairwise_mul(basis, basis)
+    if residual_outside(prods.reshape(-1, ambient.dim).T, span) > 100 * tol:
+        raise InvariantViolation("not a subalgebra")
 
-    for _ in range(8):
-        try:
-            units, sizes = _split_into_matrix_units(ambient, span, center_span, rng)
-            break
-        except _RetryDecomposition:
-            continue
-    else:
-        raise InvariantViolation("failed to split subalgebra into matrix blocks")
-
-    sub = MultiMatrixAlgebra(sizes)
-    emb = SubalgebraEmbedding(sub, ambient, np.column_stack(units))
+    # coordinates in the orthonormal span basis are inner products with it
+    coords = span.conj()
+    structure = StructureAlgebra(prods @ coords, unit @ coords, (adjoints @ coords).T)
+    sub, change = decompose_structure_algebra(structure, rng=rng, tol=tol)
+    emb = SubalgebraEmbedding(sub, ambient, span @ change)
     emb.require_valid(tol)
     return emb
-
-
-def _check_closure(ambient, span, rng, tol):
-    """Adjoint and unit closure in full; product closure on random pairs.
-
-    Full multiplicativity is re-verified on the constructed matrix units, so
-    the sampled check here only serves to fail early with a clear message.
-    """
-    dim = span.shape[1]
-    basis = span.T
-    if residual_outside(ambient.adjoint_vecs(basis).T, span) > 100 * tol:
-        raise InvariantViolation("not a subalgebra")
-    if residual_outside(ambient.unit().vec[:, None], span) > 100 * tol:
-        raise InvariantViolation("subspace does not contain the unit")
-    samples = min(dim * dim, 4 * dim + 16)
-    left = basis[rng.integers(0, dim, samples)]
-    right = basis[rng.integers(0, dim, samples)]
-    prods = ambient.mul_vecs(left, right)
-    if residual_outside(prods.T, span) > 100 * tol:
-        raise InvariantViolation("not a subalgebra")
-
-
-def _split_into_matrix_units(ambient, span, center_span, rng):
-    z = _random_self_adjoint(ambient, center_span, rng)
-    _, projs = _spectral_projections(ambient, z)
-    central = [p for p in projs
-               if residual_outside(p[:, None], center_span) < 1e-6]
-    if len(central) != len(projs):
-        raise _RetryDecomposition
-    if rel_residual(np.sum(central, axis=0), ambient.unit().vec) > 1e-6:
-        raise _RetryDecomposition
-
-    units: list[np.ndarray] = []
-    sizes: list[int] = []
-    for p in central:
-        corner = ambient.mul_vecs(p, ambient.mul_vecs(span.T, p))
-        corner = orthonormal_columns(corner.T, 1e-8)
-        msq = corner.shape[1]
-        m = int(round(np.sqrt(msq)))
-        if m * m != msq:
-            raise _RetryDecomposition
-        diag = _minimal_projections(ambient, corner, p, m, rng)
-        units.extend(_matrix_units_from_projections(ambient, span, diag, rng))
-        sizes.append(m)
-    return units, sizes
-
-
-def _minimal_projections(ambient, corner, p, m, rng):
-    if m == 1:
-        return [p]
-    h = _random_self_adjoint(ambient, corner, rng)
-    vals, projs = _spectral_projections(ambient, h)
-    scale = max(max_abs(vals), 1.0)
-    keep = [q for v, q in zip(vals, projs) if abs(v) > 1e-6 * scale]
-    if len(keep) != m:
-        raise _RetryDecomposition
-    if rel_residual(np.sum(keep, axis=0), p) > 1e-6:
-        raise _RetryDecomposition
-    return keep
-
-
-def _matrix_units_from_projections(ambient, span, diag, rng):
-    m = len(diag)
-    if m == 1:
-        return [diag[0]]
-    isometries = [diag[0]]
-    for k in range(1, m):
-        for _ in range(8):
-            y = span @ (rng.standard_normal(span.shape[1])
-                        + 1j * rng.standard_normal(span.shape[1]))
-            u = ambient.mul_vecs(diag[k], ambient.mul_vecs(y, diag[0]))
-            gram = ambient.mul_vecs(ambient.adjoint_vecs(u), u)
-            c = float(np.real(np.vdot(diag[0], gram) / np.vdot(diag[0], diag[0])))
-            if c > 1e-10 and rel_residual(gram, c * diag[0]) < 1e-6:
-                isometries.append(u / np.sqrt(c))
-                break
-        else:
-            raise _RetryDecomposition
-    units = []
-    for j in range(m):
-        for l in range(m):
-            units.append(ambient.mul_vecs(isometries[j],
-                                          ambient.adjoint_vecs(isometries[l])))
-    return units
 
 
 # ---------------------------------------------------------------------------
@@ -791,17 +653,18 @@ def watatani_index(trace: TraceState) -> AlgebraElement:
 
 
 def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
-                       *, rng=None, tol: float = DEFAULT_TOL) -> JonesExtension:
+                       *, tol: float = DEFAULT_TOL) -> JonesExtension:
     """Jones basic construction for ``sub`` inside its ambient, for a Markov
     trace of modulus ``lam``.
 
-    The extension is realized on the trace-GNS space of the ambient algebra:
-    left multiplications together with the orthogonal projection onto the GNS
-    closure of the subalgebra generate the new algebra, whose span is closed
-    under products until the dimension stabilizes.
+    The extension is realized on the trace-GNS space L2(M) of the ambient
+    algebra M as the commutant of the right action of the subalgebra N, which
+    equals the algebra generated by M and the projection e onto L2(N).  Its
+    blocks follow those of N: block alpha acts on L2(M) f_00 and is copied
+    onto each L2(M) f_cc by right multiplication with the matrix unit f_0c of
+    N, so the matrix units are read off directly (no span growth, no random
+    splitting) and come out in the block order of N.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     ambient = sub.ambient
     if trace.algebra != ambient:
         raise InvariantViolation("trace lives on a different algebra")
@@ -817,33 +680,34 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
 
     def as_operator(mat: np.ndarray) -> np.ndarray:
         # conjugate into the orthonormal GNS coordinates
-        return (root[:, None] * mat * inv_root[None, :]).reshape(-1)
+        return root[:, None] * mat * inv_root[None, :]
 
     eye = np.eye(n, dtype=complex)
-    left_ops = np.stack([as_operator(ambient.left_mult_matrix(eye[j]))
+    left_ops = np.stack([as_operator(ambient.left_mult_matrix(eye[j])).reshape(-1)
                          for j in range(n)])
 
     w = sub.images * root[:, None]
     q = orthonormal_columns(w, 1e-10)
     e_vec = (q @ q.conj().T).reshape(-1)
 
-    # words in the generators collapse quickly: seed with D, e and D e D
-    pairs = gns.mul_vecs(left_ops[:, None, :],
-                         gns.mul_vecs(e_vec, left_ops[None, :, :]))
-    candidates = np.vstack([left_ops, e_vec[None, :], pairs.reshape(-1, gns.dim)])
-    span = orthonormal_columns(candidates.T, 1e-10)
-    generators = np.vstack([left_ops, e_vec[None, :]])
-    for _ in range(n + 1):
-        grown = gns.mul_vecs(span.T[:, None, :],
-                             generators[None, :, :]).reshape(-1, gns.dim)
-        if residual_outside(grown.T, span) < 100 * tol:
-            break
-        span = orthonormal_columns(np.hstack([span, grown.T]), 1e-10)
-    else:
-        raise InvariantViolation("generated algebra did not stabilize")
+    units, sizes = [], []
+    for alpha, k in enumerate(sub.sub.blocks):
+        # right multiplication by f_0c maps L2(M) f_00 isometrically onto
+        # L2(M) f_cc, since tau(f_c0 x* x f_0c) = tau(x* x f_00)
+        rights = np.stack([
+            as_operator(ambient.right_mult_matrix(
+                sub.images[:, sub.sub.basis_index(alpha, 0, c)]))
+            for c in range(k)])
+        basis = orthonormal_columns(rights[0], 1e-10)  # L2(M) f_00
+        copies = rights @ basis                         # (k, n, D)
+        size = basis.shape[1]
+        units.append(np.einsum("cai,cbj->ijab", copies, copies.conj())
+                     .reshape(size * size, n * n))
+        sizes.append(size)
 
-    new_emb = subalgebra_from_basis(gns, span, rng=rng, tol=tol)
-    algebra = new_emb.sub
+    algebra = MultiMatrixAlgebra(sizes)
+    new_emb = SubalgebraEmbedding(algebra, gns, np.vstack(units).T)
+    new_emb.require_valid(tol)
 
     incl_images = new_emb.coords_vec(left_ops, tol)  # (n, algebra.dim)
     e_coords = new_emb.coords_vec(e_vec[None, :], tol)[0]

@@ -118,7 +118,6 @@ def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,
     n = group.order
     if n < 2:
         raise InvariantViolation("tower needs a group of order at least 2")
-    rng = np.random.default_rng(seed)
 
     diag = MultiMatrixAlgebra([1] * n)
     scalars = MultiMatrixAlgebra([1])
@@ -130,9 +129,8 @@ def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,
         raise InvariantViolation("Markov index does not match the group order")
     lam = 1.0 / n
 
-    first = basic_construction(start, trace_mid, lam, rng=rng, tol=tol)
-    second = basic_construction(first.inclusion, first.extended_trace, lam,
-                                rng=rng, tol=tol)
+    first = basic_construction(start, trace_mid, lam, tol=tol)
+    second = basic_construction(first.inclusion, first.extended_trace, lam, tol=tol)
 
     ambient = second.algebra
     sub_top = second.inclusion                           # M1 in ambient

@@ -113,11 +113,6 @@ class WeakHopfData:
         """Matrix of the source counital map eps_s(b) = 1_(1) eps(b 1_(2))."""
         return np.einsum("pq,bq->pb", self.delta_unit, self._eps_of_products)
 
-    def apply_delta(self, vecs: np.ndarray) -> np.ndarray:
-        """Coproduct of a stack of coefficient vectors, as (..., d, d) tensors."""
-        return np.tensordot(np.asarray(vecs, dtype=complex), self.delta,
-                            axes=([-1], [0]))
-
     def copy_with(self, **kwargs) -> "WeakHopfData":
         data = dict(algebra=self.algebra, delta=self.delta, epsilon=self.epsilon,
                     antipode=self.antipode, involution=self.involution)
@@ -307,7 +302,6 @@ def dual_algebra(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
     transpose, and involution phi* (b) = conj(phi(S(b)*)).
     """
     rng = np.random.default_rng(seed)
-    d = hopf.dim
     mult_dual = hopf.delta.transpose(1, 2, 0)
     delta_dual = hopf.mult.transpose(2, 0, 1)
     unit_dual = hopf.epsilon.copy()

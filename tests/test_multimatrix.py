@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weakhopf._linalg import null_space, rel_residual
+from weakhopf._linalg import containment_residual, null_space, rel_residual
 from weakhopf.errors import InvariantViolation
 from weakhopf.multimatrix import (
     ConditionalExpectation,
@@ -34,6 +34,19 @@ def diag_in_m2():
 def scalars_in(algebra):
     return SubalgebraEmbedding(MultiMatrixAlgebra([1]), algebra,
                                algebra.unit().vec[:, None])
+
+
+def m2_in_m4_m2():
+    # x -> (diag(x, x), x): the one sub block spreads over both ambient blocks
+    amb = MultiMatrixAlgebra([4, 2])
+    m2 = MultiMatrixAlgebra([2])
+    images = np.zeros((amb.dim, m2.dim), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            f = m2.basis_unit(0, i, j).blocks()[0]
+            images[:, m2.basis_index(0, i, j)] = amb.from_blocks(
+                [np.kron(np.eye(2), f), f]).vec
+    return SubalgebraEmbedding(m2, amb, images)
 
 
 def random_element(algebra, rng=RNG):
@@ -121,10 +134,15 @@ def test_degenerate_trace_rejected():
         TraceState(MultiMatrixAlgebra([2]), [0.0])
 
 
-def test_non_subalgebra_rejected():
+@pytest.mark.parametrize("units, message", [
+    ([None, (0, 1)], "not a subalgebra"),
+    ([(0, 0)], "subspace does not contain the unit"),
+], ids=["not_product_closed", "no_unit"])
+def test_non_subalgebra_rejected(units, message):
     alg = MultiMatrixAlgebra([2])
-    span = np.stack([alg.unit().vec, alg.basis_unit(0, 0, 1).vec]).T
-    with pytest.raises(InvariantViolation, match="not a subalgebra"):
+    span = np.stack([alg.unit().vec if u is None else alg.basis_unit(0, *u).vec
+                     for u in units]).T
+    with pytest.raises(InvariantViolation, match=message):
         subalgebra_from_basis(alg, span)
 
 
@@ -251,45 +269,76 @@ def test_basic_construction_rejects_wrong_modulus():
 
 
 def test_jones_extension_invariants():
-    sub = diag_in_m2()
-    tr = TraceState(sub.ambient, [0.5])
-    ext = basic_construction(sub, tr, 0.5)
-    alg = ext.algebra
-    e = ext.e.vec
-    imgs = ext.inclusion.images.T
-    expect = ConditionalExpectation(ext.sub_projection, ext.extended_trace)
-    exe = alg.mul_vecs(e, alg.mul_vecs(imgs, e))
-    assert rel_residual(exe, alg.mul_vecs(expect.apply_vec(imgs), e)) < TOL
-    assert rel_residual(ext.extended_trace.values(alg.mul_vecs(imgs, e)),
-                        0.5 * tr.values(np.eye(sub.ambient.dim))) < TOL
+    for sub, weights, lam, blocks in (
+            (diag_in_m2(), [0.5], 0.5, [2, 2]),
+            (m2_in_m4_m2(), [0.2, 0.1], 0.2, [10])):
+        tr = TraceState(sub.ambient, weights)
+        ext = basic_construction(sub, tr, lam)
+        assert sorted(ext.algebra.blocks) == blocks
+        alg = ext.algebra
+        e = ext.e.vec
+        imgs = ext.inclusion.images.T
+        expect = ConditionalExpectation(ext.sub_projection, ext.extended_trace)
+        exe = alg.mul_vecs(e, alg.mul_vecs(imgs, e))
+        assert rel_residual(exe, alg.mul_vecs(expect.apply_vec(imgs), e)) < TOL
+        assert rel_residual(ext.extended_trace.values(alg.mul_vecs(imgs, e)),
+                            lam * tr.values(np.eye(sub.ambient.dim))) < TOL
+        assert abs(ext.extended_trace.value(ext.e) - lam) < 1e-12
+        # e and every L_x, built here on the GNS space, lie in the realization
+        root = np.sqrt(tr.metric_weights)
+        amb = sub.ambient
+        lefts = np.stack([(root[:, None] * amb.left_mult_matrix(x) / root[None, :])
+                          .reshape(-1) for x in np.eye(amb.dim)])
+        q = np.linalg.qr(sub.images * root[:, None])[0]
+        proj = (q @ q.conj().T).reshape(-1)
+        assert containment_residual(np.vstack([lefts, proj]).T,
+                                    ext.realization.images) < 1e-12
+        assert rel_residual(ext.realization.embed_vec(imgs), lefts) < 1e-12
+        assert rel_residual(ext.realization.embed_vec(e), proj) < 1e-12
 
 
-def test_bratteli_reflection():
+@pytest.mark.parametrize("blocks, weights, lam, first_blocks, second_blocks", [
+    ((1, 1), [0.5, 0.5], 0.5, (2,), (2, 2)),
+    ((1, 2), [0.2, 0.4], 0.2, (5,), (5, 10)),
+], ids=["c_in_c2", "c_in_c_m2"])
+def test_bratteli_reflection(blocks, weights, lam, first_blocks, second_blocks):
     # iterating the construction reflects the inclusion matrix
-    c2 = MultiMatrixAlgebra([1, 1])
-    sub = scalars_in(c2)
-    tr = TraceState(c2, [0.5, 0.5])
-    first = basic_construction(sub, tr, 0.5)
+    amb = MultiMatrixAlgebra(blocks)
+    sub = scalars_in(amb)
+    tr = TraceState(amb, weights)
+    first = basic_construction(sub, tr, lam)
+    assert first.algebra.blocks == first_blocks
     lam0 = inclusion_matrix(sub)
     lam1 = inclusion_matrix(first.inclusion)
     assert lam1.entries.tolist() == lam0.entries.T.tolist()
-    second = basic_construction(first.inclusion, first.extended_trace, 0.5)
+    second = basic_construction(first.inclusion, first.extended_trace, lam)
+    assert second.algebra.blocks == second_blocks
     lam2 = inclusion_matrix(second.inclusion)
     assert lam2.entries.tolist() == lam0.entries.tolist()
-    pattern = lam0.entries.T @ (lam0.entries @ np.asarray(c2.blocks))
+    pattern = lam0.entries.T @ (lam0.entries @ np.asarray(amb.blocks))
     assert sorted(second.algebra.blocks) == sorted(pattern.tolist())
 
 
-def test_recognized_subalgebra_roundtrip():
-    # a randomly conjugated diagonal inside M3 is recognized with clean units
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (1, 2)], ids=["diagonal", "m1_m2"])
+def test_recognized_subalgebra_roundtrip(sizes):
+    # a randomly conjugated block-diagonal subalgebra of M3 is recognized with
+    # clean units
     alg = MultiMatrixAlgebra([3])
     rng = np.random.default_rng(5)
     herm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q = np.linalg.qr(herm)[0]
-    vecs = [alg.from_blocks([q @ np.diag(v) @ q.conj().T]).vec
-            for v in np.eye(3)]
+    block_diag = MultiMatrixAlgebra(sizes)
+    vecs = []
+    for mat in np.eye(block_diag.dim):
+        inner = np.zeros((3, 3), dtype=complex)
+        start = 0
+        for part in block_diag.block_views(mat):
+            m = part.shape[0]
+            inner[start:start + m, start:start + m] = part
+            start += m
+        vecs.append(alg.from_blocks([q @ inner @ q.conj().T]).vec)
     emb = subalgebra_from_basis(alg, np.stack(vecs).T, rng=rng)
-    assert emb.sub.blocks == (1, 1, 1)
+    assert sorted(emb.sub.blocks) == sorted(sizes)
     assert emb.verify() < 1e-12
 
 
