@@ -130,13 +130,13 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
     deformed = _twist(hopf, _inverse_coords(hopf, h))
     rep = Report(tolerance=tol, title="deformation check")
 
-    axioms = verify_axioms(deformed, tol)
-    rep.extend(axioms, prefix="deformed: ")
-    if axioms.classification == "invalid":
-        worst = max(axioms.failures(), key=lambda c: c.residual)
+    axiom_rep = verify_axioms(deformed, tol)
+    rep.extend(axiom_rep, prefix="deformed: ")
+    if axiom_rep.classification == "invalid":
+        worst = max(axiom_rep.failures(), key=lambda c: c.residual)
         raise InvariantViolation(
             f"deformed axioms failed: {worst.name} residual {worst.residual:.3e}")
-    rep.classification = axioms.classification
+    rep.classification = axiom_rep.classification
 
     rep.add("deformed target counital map unchanged",
             rel_residual(deformed.target_counital, hopf.target_counital),
@@ -194,8 +194,7 @@ def undeform(hopf: WeakHopfData, h: np.ndarray, tol: float = DEFAULT_TOL):
     Returns ``(StructureBundle, Report)`` where the report is the bundle
     check of the output.
     """
-    axioms = verify_axioms(hopf, tol)
-    if axioms.classification == "invalid":
+    if verify_axioms(hopf, tol).classification == "invalid":
         raise InvariantViolation("input does not satisfy the structure axioms")
     h = np.asarray(h, dtype=complex).reshape(-1)
     if _positivity_residual(hopf, h) > 100 * tol:

@@ -5,22 +5,23 @@ are kept as flat coefficient vectors over the canonical matrix-unit basis, so
 linear maps between algebras are ordinary matrices and batched element
 arithmetic reduces to block einsums.
 
-Subalgebras given by a spanning set are recognized by handing their structure
-constants to :mod:`weakhopf.decompose`, the one block-splitting engine.  The
-Jones basic construction needs no splitting at all: it is built as the
-commutant of the right action of the subalgebra, with matrix units read off
-those of the subalgebra.
+Commutants need no splitting: relative commutants, centers and the Jones basic
+construction (the commutant of the right action of the subalgebra) all take
+their matrix units from those of the subalgebra, through one closed form.
+Only subalgebras given by a bare spanning set are recognized by handing their
+structure constants to :mod:`weakhopf.decompose`, the one block-splitting
+engine.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from ._linalg import (
     condition_number,
     max_abs,
-    null_space,
     orthonormal_columns,
     rel_residual,
     residual_outside,
@@ -297,15 +298,6 @@ class TraceState:
     def __repr__(self):
         return f"TraceState({list(self.algebra.blocks)}, weights={self.weights.tolist()})"
 
-    @classmethod
-    def normalized_uniform(cls, algebra: MultiMatrixAlgebra) -> "TraceState":
-        m = np.asarray(algebra.blocks, dtype=float)
-        return cls(algebra, np.full(len(algebra.blocks), 1.0 / float(np.sum(m))))
-
-    @property
-    def normalized(self) -> bool:
-        return abs(float(np.dot(self.weights, self.algebra.blocks)) - 1.0) <= 1e-9
-
     @cached_property
     def coefficient_weights(self) -> np.ndarray:
         """Vector t with tau(x) = t . x on coefficient vectors."""
@@ -330,9 +322,6 @@ class TraceState:
     def values(self, vecs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(vecs, dtype=complex),
                             self.coefficient_weights, axes=([-1], [0]))
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.sum(np.conj(u) * self.metric_weights * v))
 
 
 class SubalgebraEmbedding:
@@ -408,32 +397,32 @@ class SubalgebraEmbedding:
         res = max(res, rel_residual(sub_adj @ img, adj))
 
         sub = self.sub
-        cols, labels = [], []
+        cols, corner_rows, starts = [], [], [0]
         for alpha, m in enumerate(sub.blocks):
-            for j in range(m):
-                cols.append(sub.basis_index(alpha, j, 0))
-                labels.append((alpha, j))
+            cols += [sub.basis_index(alpha, j, 0) for j in range(m)]
+            corner_rows += [sub.basis_index(alpha, 0, 0)] * m
+            starts.append(starts[-1] + m)
         w = img[cols]
         w_star = self.ambient.adjoint_vecs(w)
+        corners = img[corner_rows]
+        diag = np.arange(len(cols))
 
+        # subtract the expected values in place, so no second (k, k,
+        # ambient.dim) array is built; the scale is the one rel_residual uses
         grams = self.ambient.pairwise_mul(w_star, w)
-        expected = np.zeros_like(grams)
-        for a, (alpha, j) in enumerate(labels):
-            for b, (beta, k) in enumerate(labels):
-                if alpha == beta and j == k:
-                    expected[a, b] = img[sub.basis_index(alpha, 0, 0)]
-        res = max(res, rel_residual(grams, expected))
+        scale = max(max_abs(grams), max_abs(corners), 1.0)
+        grams[diag, diag] -= corners
+        res = max(res, max_abs(grams) / scale)
+        del grams
 
         outer = self.ambient.pairwise_mul(w, w_star)
-        expected = np.zeros_like(outer)
-        for a, (alpha, j) in enumerate(labels):
-            for b, (beta, l) in enumerate(labels):
-                if alpha == beta:
-                    expected[a, b] = img[sub.basis_index(alpha, j, l)]
-        res = max(res, rel_residual(outer, expected))
+        scale = max(max_abs(outer), max_abs(img), 1.0)
+        for alpha, m in enumerate(sub.blocks):
+            blk = slice(starts[alpha], starts[alpha + 1])
+            outer[blk, blk] -= img[sub.block_slice(alpha)].reshape(m, m, -1)
+        res = max(res, max_abs(outer) / scale)
+        del outer
 
-        corners = np.stack([img[sub.basis_index(alpha, 0, 0)]
-                            for (alpha, _) in labels])
         absorbed = self.ambient.mul_vecs(corners, w_star)
         res = max(res, rel_residual(absorbed, w_star))
         return res
@@ -515,15 +504,6 @@ def conditional_expectation(sub: SubalgebraEmbedding, trace: TraceState,
 # ---------------------------------------------------------------------------
 
 
-def _commutant_in_span(ambient, span, generators, tol):
-    """Vectors in the column span commuting with each generator."""
-    rows = [
-        (ambient.left_mult_matrix(g) - ambient.right_mult_matrix(g)) @ span
-        for g in generators
-    ]
-    return span @ null_space(np.vstack(rows), tol)
-
-
 def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
                           rng=None, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
     """Recognize a *-closed unital subspace of ``ambient`` as a multimatrix
@@ -568,27 +548,66 @@ def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
 # ---------------------------------------------------------------------------
 
 
+def _commutant_from_units(host: MultiMatrixAlgebra, firsts) -> SubalgebraEmbedding:
+    """Commutant in ``host`` of a subalgebra given by the images of its
+    first-column matrix units: ``firsts[alpha]`` stacks the images of
+    f^alpha_c0 as rows (k_alpha, host.dim).
+
+    In host block beta, let V be an orthonormal basis of the range of
+    f^alpha_00 (its dimension is the multiplicity of alpha in beta).  Block
+    (alpha, beta) of the commutant has the units
+    E_ij = sum_c (f_c0 v_i)(f_c0 v_j)^*, which copy v_i v_j^* onto the range of
+    every f_cc and so commute with every f_ab.  Blocks come alpha by alpha,
+    then beta; nothing is split at random.
+    """
+    units, sizes = [], []
+    for stack in firsts:
+        for beta, mats in enumerate(host.block_views(stack)):
+            # f_00 is a projection, so its singular values are 0 or 1; the
+            # absolute cut ignores rounding noise in blocks alpha misses
+            u, s, _ = scipy.linalg.svd(mats[0], full_matrices=False,
+                                       lapack_driver="gesdd")
+            basis = u[:, s > 0.5]
+            size = basis.shape[1]
+            if size == 0:
+                continue
+            copies = mats @ basis  # (k, n_beta, size)
+            block = np.zeros((size * size, host.dim), dtype=complex)
+            block[:, host.block_slice(beta)] = np.einsum(
+                "cai,cbj->ijab", copies, copies.conj()).reshape(size * size, -1)
+            units.append(block)
+            sizes.append(size)
+    return SubalgebraEmbedding(MultiMatrixAlgebra(sizes), host, np.vstack(units).T)
+
+
 def relative_commutant(sub: SubalgebraEmbedding,
                        within: SubalgebraEmbedding | None = None, *,
-                       rng=None, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
+                       tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
     """Elements of ``within`` (default: the ambient) commuting with the image
-    of ``sub``, block-decomposed and embedded in the same ambient."""
-    ambient = sub.ambient
-    if within is None:
-        carrier = np.eye(ambient.dim, dtype=complex)
-    else:
-        if within.ambient != ambient:
+    of ``sub``, embedded in the same ambient.
+
+    The matrix units are read off those of ``sub`` (restricted into
+    ``within`` first), so the blocks follow the block order of ``sub``.
+    """
+    if within is not None:
+        if within.ambient != sub.ambient:
             raise InvariantViolation("subalgebras live in different ambients")
-        carrier = within.images
-    span = _commutant_in_span(ambient, carrier,
-                              [sub.images[:, j] for j in range(sub.sub.dim)], tol)
-    return subalgebra_from_basis(ambient, span, rng=rng, tol=tol)
+        sub = sub.restrict_to(within, tol)
+    host = sub.ambient
+    firsts = [sub.images[:, [sub.sub.basis_index(alpha, c, 0) for c in range(k)]].T
+              for alpha, k in enumerate(sub.sub.blocks)]
+    comm = _commutant_from_units(host, firsts)
+    comm.require_valid(tol)
+    units, gens = comm.images.T, sub.images.T
+    if rel_residual(host.pairwise_mul(units, gens),
+                    host.pairwise_mul(gens, units).transpose(1, 0, 2)) > 100 * tol:
+        raise InvariantViolation("commutant does not commute with the subalgebra")
+    return comm if within is None else comm.compose(within)
 
 
-def center(emb: SubalgebraEmbedding, *, rng=None,
-           tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
+def center(emb: SubalgebraEmbedding, *, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
     """Center of a (sub)algebra, as a subalgebra of the same ambient."""
-    return relative_commutant(emb, within=emb, rng=rng, tol=tol)
+    return relative_commutant(emb, within=emb, tol=tol)
 
 
 def inclusion_matrix(sub: SubalgebraEmbedding, tol: float = DEFAULT_TOL) -> InclusionMatrix:
@@ -662,8 +681,8 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
     equals the algebra generated by M and the projection e onto L2(N).  Its
     blocks follow those of N: block alpha acts on L2(M) f_00 and is copied
     onto each L2(M) f_cc by right multiplication with the matrix unit f_0c of
-    N, so the matrix units are read off directly (no span growth, no random
-    splitting) and come out in the block order of N.
+    N, so :func:`_commutant_from_units` reads the matrix units off directly
+    (no span growth, no random splitting) in the block order of N.
     """
     ambient = sub.ambient
     if trace.algebra != ambient:
@@ -690,24 +709,16 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
     q = orthonormal_columns(w, 1e-10)
     e_vec = (q @ q.conj().T).reshape(-1)
 
-    units, sizes = [], []
-    for alpha, k in enumerate(sub.sub.blocks):
-        # right multiplication by f_0c maps L2(M) f_00 isometrically onto
-        # L2(M) f_cc, since tau(f_c0 x* x f_0c) = tau(x* x f_00)
-        rights = np.stack([
-            as_operator(ambient.right_mult_matrix(
-                sub.images[:, sub.sub.basis_index(alpha, 0, c)]))
-            for c in range(k)])
-        basis = orthonormal_columns(rights[0], 1e-10)  # L2(M) f_00
-        copies = rights @ basis                         # (k, n, D)
-        size = basis.shape[1]
-        units.append(np.einsum("cai,cbj->ijab", copies, copies.conj())
-                     .reshape(size * size, n * n))
-        sizes.append(size)
-
-    algebra = MultiMatrixAlgebra(sizes)
-    new_emb = SubalgebraEmbedding(algebra, gns, np.vstack(units).T)
+    # right multiplication is an anti-homomorphism, so R(f_0c) plays the part
+    # of the image of f_c0; it maps L2(M) f_00 isometrically onto L2(M) f_cc,
+    # since tau(f_c0 x* x f_0c) = tau(x* x f_00)
+    rights = [np.stack([
+        as_operator(ambient.right_mult_matrix(
+            sub.images[:, sub.sub.basis_index(alpha, 0, c)])).reshape(-1)
+        for c in range(k)]) for alpha, k in enumerate(sub.sub.blocks)]
+    new_emb = _commutant_from_units(gns, rights)
     new_emb.require_valid(tol)
+    algebra = new_emb.sub
 
     incl_images = new_emb.coords_vec(left_ops, tol)  # (n, algebra.dim)
     e_coords = new_emb.coords_vec(e_vec[None, :], tol)[0]

@@ -567,11 +567,11 @@ def classify(tower: TowerData, rec: ReconstructedStructure,
     rep.add("index element trace-normalized",
             abs(tower.tau.value(rec.index_element.vec) - 1.0), ref="Cor 4.7")
 
-    axioms = verify_axioms(hopf, tol)
     if trivial:
-        rep.add_flag("weak Kac axioms", axioms.classification == "weak Kac",
-                     ref="Thm 4.17", note=f"classified {axioms.classification}")
-        if axioms.classification != "weak Kac":
+        axiom_rep = verify_axioms(hopf, tol)
+        rep.add_flag("weak Kac axioms", axiom_rep.classification == "weak Kac",
+                     ref="Thm 4.17", note=f"classified {axiom_rep.classification}")
+        if axiom_rep.classification != "weak Kac":
             raise InvariantViolation("invalid tower: unit index element but "
                                      "weak Kac axioms fail")
 

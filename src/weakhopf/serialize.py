@@ -24,7 +24,7 @@ from .tower import TowerData
 from .weak_hopf import WeakHopfData
 
 FORMAT = "weakhopf/1"
-KINDS = ("weak-hopf", "tower", "action", "crossed-product", "report", "element", "group")
+KINDS = ("weak-hopf", "tower", "crossed-product", "report", "element", "group")
 
 
 @dataclass
@@ -226,26 +226,6 @@ def _tower_invariants(ambient, emb, e1, e2, tau, lam, tol):
 
 
 # -- actions and crossed products -------------------------------------------
-
-
-def action_payload(action) -> dict:
-    return {
-        "hopf": weak_hopf_payload(action.hopf),
-        "carrier_blocks": list(action.carrier.blocks),
-        "tensor": _sparse_tensor(action.tensor),
-    }
-
-
-def parse_action(payload: dict):
-    from .actions import ActionData
-
-    if not isinstance(payload, dict):
-        raise SchemaError("payload must be an object")
-    hopf, _ = parse_weak_hopf(payload.get("hopf", {}))
-    carrier = MultiMatrixAlgebra(_blocks(payload.get("carrier_blocks")))
-    tensor = _dense_tensor(payload.get("tensor"),
-                           (hopf.dim, carrier.dim, carrier.dim))
-    return ActionData(hopf, carrier, tensor)
 
 
 def crossed_product_payload(crossed) -> dict:

@@ -35,7 +35,9 @@ class TowerData:
     ``sub_start``, ``sub_mid``, ``sub_top`` are the embeddings of the chain
     N < M < M1 into the ambient (the finite stand-in for the second
     extension); ``e1``, ``e2`` are the Jones projections, ``tau`` the Markov
-    trace on the ambient and ``lam`` its modulus.
+    trace on the ambient and ``lam`` its modulus.  The relative commutants
+    are computed on first use from the matrix units of the chain, so they do
+    not depend on ``seed``, which only labels reports.
     """
 
     ambient: MultiMatrixAlgebra
@@ -47,37 +49,31 @@ class TowerData:
     tau: TraceState
     lam: float
     seed: int = 0
-    commutant_start: SubalgebraEmbedding | None = None  # N' in M1
-    commutant_mid: SubalgebraEmbedding | None = None    # M' in the ambient
 
-    def __post_init__(self):
-        rng = np.random.default_rng(self.seed)
-        if self.commutant_start is None:
-            self.commutant_start = relative_commutant(
-                self.sub_start, within=self.sub_top, rng=rng)
-        if self.commutant_mid is None:
-            self.commutant_mid = relative_commutant(self.sub_mid, rng=rng)
-
-    # A = N' in M1 and B = M' in the ambient, with their own matrix units
-    @property
+    @cached_property
     def rel_a(self) -> SubalgebraEmbedding:
-        return self.commutant_start
+        """A = N' in M1."""
+        return relative_commutant(self.sub_start, within=self.sub_top)
 
-    @property
+    @cached_property
     def rel_b(self) -> SubalgebraEmbedding:
-        return self.commutant_mid
+        """B = M' in the ambient."""
+        return relative_commutant(self.sub_mid)
 
     @cached_property
     def cartan_target(self) -> SubalgebraEmbedding:
         """M' in M1 (the shared Cartan subalgebra of the two commutants)."""
-        rng = np.random.default_rng(self.seed + 1)
-        return relative_commutant(self.sub_mid, within=self.sub_top, rng=rng)
+        return relative_commutant(self.sub_mid, within=self.sub_top)
 
     @cached_property
     def cartan_source(self) -> SubalgebraEmbedding:
         """M1' in the ambient."""
-        rng = np.random.default_rng(self.seed + 2)
-        return relative_commutant(self.sub_top, rng=rng)
+        return relative_commutant(self.sub_top)
+
+    @cached_property
+    def start_commutant_full(self) -> SubalgebraEmbedding:
+        """N' in the full ambient."""
+        return relative_commutant(self.sub_start)
 
     @property
     def d(self) -> int:
@@ -103,18 +99,15 @@ class TowerData:
         """Expectation onto M' (within the ambient)."""
         return ConditionalExpectation(self.rel_b, self.tau, verify=False)
 
-    @cached_property
-    def start_commutant_full(self) -> SubalgebraEmbedding:
-        """N' in the full ambient."""
-        rng = np.random.default_rng(self.seed + 3)
-        return relative_commutant(self.sub_start, rng=rng)
-
 
 def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,
                            tol: float = DEFAULT_TOL) -> TowerData:
     """Two basic constructions over scalars < functions(G) with the uniform
     Markov trace.  The modulus is 1/|G| (the group enters only through its
-    order; the inclusion of scalars into the diagonal forgets the law)."""
+    order; the inclusion of scalars into the diagonal forgets the law).
+
+    Nothing here is random: ``seed`` is only recorded on the tower, which
+    passes it to its reports."""
     n = group.order
     if n < 2:
         raise InvariantViolation("tower needs a group of order at least 2")

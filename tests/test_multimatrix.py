@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from weakhopf._linalg import containment_residual, null_space, rel_residual
+from weakhopf._linalg import (
+    containment_residual,
+    null_space,
+    rel_residual,
+    subspace_residual,
+)
 from weakhopf.errors import InvariantViolation
 from weakhopf.multimatrix import (
     ConditionalExpectation,
@@ -49,6 +54,19 @@ def m2_in_m4_m2():
     return SubalgebraEmbedding(m2, amb, images)
 
 
+def rotated(emb, seed=4):
+    """``emb`` followed by conjugation with a random complex unitary per
+    ambient block."""
+    rng = np.random.default_rng(seed)
+    amb = emb.ambient
+    units = [np.linalg.qr(rng.standard_normal((m, m))
+                          + 1j * rng.standard_normal((m, m)))[0] for m in amb.blocks]
+    images = np.stack([amb.from_blocks([u @ x @ u.conj().T for u, x in
+                                        zip(units, amb.block_views(col))]).vec
+                       for col in emb.images.T], axis=1)
+    return SubalgebraEmbedding(emb.sub, amb, images)
+
+
 def random_element(algebra, rng=RNG):
     return algebra.element(rng.standard_normal(algebra.dim)
                            + 1j * rng.standard_normal(algebra.dim))
@@ -88,6 +106,64 @@ def test_pairwise_and_contract_helpers():
     direct = np.einsum("sri,rtj->strij", p, q)
     direct = sum(alg.mul_vecs(p[:, r, None, :], q[None, r, :, :]) for r in range(4))
     assert rel_residual(contracted, direct) < 1e-14
+
+
+# -- embeddings ------------------------------------------------------------------
+
+
+def dense_verify(emb):
+    """Reference for ``SubalgebraEmbedding.verify``: the same residuals, with
+    the expected products built as dense (k, k, ambient.dim) arrays."""
+    sub, amb = emb.sub, emb.ambient
+    img = emb.images.T
+    res = rel_residual(emb.embed_vec(sub.unit().vec), amb.unit().vec)
+    res = max(res, rel_residual(sub.adjoint_vecs(np.eye(sub.dim)) @ img,
+                                amb.adjoint_vecs(img)))
+    labels = [(alpha, j) for alpha, m in enumerate(sub.blocks) for j in range(m)]
+    w = img[[sub.basis_index(alpha, j, 0) for alpha, j in labels]]
+    w_star = amb.adjoint_vecs(w)
+    grams = amb.pairwise_mul(w_star, w)
+    outer = amb.pairwise_mul(w, w_star)
+    expected_grams = np.zeros_like(grams)
+    expected_outer = np.zeros_like(outer)
+    for a, (alpha, j) in enumerate(labels):
+        expected_grams[a, a] = img[sub.basis_index(alpha, 0, 0)]
+        for b, (beta, l) in enumerate(labels):
+            if alpha == beta:
+                expected_outer[a, b] = img[sub.basis_index(alpha, j, l)]
+    corners = np.stack([img[sub.basis_index(alpha, 0, 0)] for alpha, _ in labels])
+    return max(res, rel_residual(grams, expected_grams),
+               rel_residual(outer, expected_outer),
+               rel_residual(amb.mul_vecs(corners, w_star), w_star))
+
+
+def non_orthogonal_m2():
+    # f_10 -> (f_10 + f_00)/sqrt(2) and f_01 -> its adjoint: the unit and the
+    # adjoints still hold, but the first-column images are not orthogonal
+    m2 = MultiMatrixAlgebra([2])
+    f = m2.basis_unit
+    images = np.eye(4, dtype=complex)
+    images[:, m2.basis_index(0, 1, 0)] = (f(0, 1, 0).vec + f(0, 0, 0).vec) / np.sqrt(2)
+    images[:, m2.basis_index(0, 0, 1)] = (f(0, 0, 1).vec + f(0, 0, 0).vec) / np.sqrt(2)
+    return SubalgebraEmbedding(m2, m2, images)
+
+
+def perturbed_m2_in_m4_m2():
+    emb = m2_in_m4_m2()
+    noise = np.random.default_rng(3).standard_normal(emb.images.shape)
+    return SubalgebraEmbedding(emb.sub, emb.ambient, emb.images + 1e-6 * noise)
+
+
+def test_verify_flags_non_orthogonal_first_column():
+    assert SubalgebraEmbedding.identity(MultiMatrixAlgebra([2])).verify() < 1e-15
+    assert non_orthogonal_m2().verify() > 1e-3
+
+
+@pytest.mark.parametrize("make", [diag_in_m2, m2_in_m4_m2, non_orthogonal_m2,
+                                  perturbed_m2_in_m4_m2])
+def test_verify_matches_dense_reference(make):
+    emb = make()
+    assert emb.verify() == dense_verify(emb)
 
 
 # -- conditional expectations --------------------------------------------------
@@ -175,6 +251,60 @@ def test_centers():
     assert c.sub.dim == 3
     z = center(SubalgebraEmbedding.identity(MultiMatrixAlgebra([2, 3])))
     assert z.sub.blocks == (1, 1)
+
+
+def nullspace_commutant(sub, within=None):
+    """Reference commutant: the null space of the commutators with every
+    image of ``sub``, inside the span of ``within`` (default: the ambient)."""
+    amb = sub.ambient
+    carrier = np.eye(amb.dim, dtype=complex) if within is None else within.images
+    rows = [(amb.left_mult_matrix(g) - amb.right_mult_matrix(g)) @ carrier
+            for g in sub.images.T]
+    return carrier @ null_space(np.vstack(rows), TOL)
+
+
+def assert_matches_null_space(comm, sub, within=None):
+    span = nullspace_commutant(sub, within)
+    assert subspace_residual(comm.images, span) <= 1e-10
+    ref = subalgebra_from_basis(sub.ambient, span, rng=np.random.default_rng(0))
+    assert sorted(comm.sub.blocks) == sorted(ref.sub.blocks)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (diag_in_m2(), None),
+    lambda: (m2_in_m4_m2(), None),
+    lambda: (rotated(m2_in_m4_m2()), None),
+    lambda: (diag_in_m2().compose(m2_in_m4_m2()), m2_in_m4_m2()),
+], ids=["diag_in_m2", "m2_in_m4_m2", "m2_in_m4_m2_rotated", "diag_within_m2"])
+def test_commutant_matches_null_space_reference(make):
+    sub, within = make()
+    assert_matches_null_space(relative_commutant(sub, within), sub, within)
+
+
+@pytest.mark.parametrize("attr, sub, within", [
+    ("rel_a", "sub_start", "sub_top"),
+    ("rel_b", "sub_mid", None),
+    ("cartan_target", "sub_mid", "sub_top"),
+    ("cartan_source", "sub_top", None),
+    ("start_commutant_full", "sub_start", None),
+])
+def test_tower_commutants_match_null_space_reference(attr, sub, within, get_tower):
+    tower = get_tower("z3")
+    assert_matches_null_space(getattr(tower, attr), getattr(tower, sub),
+                              None if within is None else getattr(tower, within))
+
+
+def test_commutant_rejects_non_homomorphism():
+    # f_ab -> f_ab (x) 1 in M_2 (x) M_2, except f_11 -> f_11 (x) f_00: the
+    # first column is intact, so the commutant units are valid matrix units,
+    # but they fail to commute with the broken image
+    m2, m4 = MultiMatrixAlgebra([2]), MultiMatrixAlgebra([4])
+    images = np.stack([m4.from_blocks([np.kron(u.reshape(2, 2), np.eye(2))]).vec
+                       for u in np.eye(4)], axis=1)
+    f00, f11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    images[:, m2.basis_index(0, 1, 1)] = m4.from_blocks([np.kron(f11, f00)]).vec
+    with pytest.raises(InvariantViolation, match="does not commute"):
+        relative_commutant(SubalgebraEmbedding(m2, m4, images))
 
 
 # -- inclusion matrices and Markov data ----------------------------------------

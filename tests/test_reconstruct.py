@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,15 @@ def test_classification_flags_s3(get_tower, get_reconstruction):
 def test_classification_flags_z4(get_tower, get_reconstruction):
     rep = classify(get_tower("z4"), get_reconstruction("z4"))
     assert "4 squarefree: False" in rep["index square-free"].note
+
+
+def test_classification_with_nontrivial_index_element(get_tower, get_reconstruction):
+    tower, rec = get_tower("z2"), get_reconstruction("z2")
+    doubled = dataclasses.replace(
+        rec, index_element=tower.ambient.element(2 * rec.index_element.vec))
+    rep = classify(tower, doubled)
+    assert rep.classification == "weak C*-Hopf (deformation required)"
+    assert "non-multiplicativity" in rep["coproduct is not multiplicative"].note
 
 
 @pytest.mark.parametrize("name", ["z2", "z3"])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,27 @@ def test_cli_tower_reconstruct(tmp_path, capsys):
     hopf, index = serialize.parse_weak_hopf(bundle.payload)
     assert index is not None
     assert rel_residual(index, hopf.unit_vec) < 1e-9
+
+
+def test_cli_tower_outputs_do_not_depend_on_seed(tmp_path, capsys):
+    # the tower commutants come from matrix units, not random splits, so the
+    # seed only labels the files it is written into
+    def without_seed(text):
+        return re.sub(r'\n *"seed": \d+,?', "", text)
+
+    outputs = []
+    for seed in ("0", "7"):
+        tower_path = tmp_path / f"t{seed}.json"
+        rec_path = tmp_path / f"rec{seed}.json"
+        code, _, _ = run_cli(capsys, "tower", "from-group", "cyclic", "4",
+                             "--seed", seed, "-o", str(tower_path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "reconstruct", str(tower_path), "--json",
+                               "--seed", seed, "-o", str(rec_path))
+        assert code == 0
+        assert f'"seed": {seed}' in out
+        outputs.append((without_seed(out), without_seed(rec_path.read_text())))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_deform_undeform_roundtrip(tmp_path, capsys):

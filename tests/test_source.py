@@ -1,0 +1,43 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import weakhopf
+
+PACKAGE = Path(weakhopf.__file__).parent
+
+
+def shadowed_imports(path: Path) -> set[tuple[str, str]]:
+    """(function, name) pairs where a function assigns a name that its module
+    imports at top level, hiding the import inside that function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(a.asname or a.name for a in node.names)
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                        and node.id in imported):
+                    found.add((func.name, node.id))
+    return found
+
+
+def test_shadowed_imports_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from . import axioms\n\n"
+                      "def f():\n    axioms = 1\n    return axioms\n\n"
+                      "def g():\n    return axioms.rows\n")
+    assert shadowed_imports(source) == {("f", "axioms")}
+
+
+def test_no_function_shadows_a_module_import():
+    found = {f"{path.name}:{func} assigns {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func, name in shadowed_imports(path)}
+    assert not found, sorted(found)

@@ -51,9 +51,7 @@ def test_corrupted_jones_projection_detected(get_tower):
     proj = tower.ambient.apply_spectral(herm, lambda v: (v > 0).astype(float))
     corrupted = TowerData(tower.ambient, tower.sub_start, tower.sub_mid,
                           tower.sub_top, tower.e1, tower.ambient.element(proj),
-                          tower.tau, tower.lam, seed=tower.seed,
-                          commutant_start=tower.commutant_start,
-                          commutant_mid=tower.commutant_mid)
+                          tower.tau, tower.lam, seed=tower.seed)
     rep = verify_tower_premises(corrupted)
     assert not rep.passed
     markov = rep["e2 Markov trace identity"]
