@@ -4,9 +4,9 @@ comparison isomorphism onto the tower ambient.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
     max_abs,
@@ -22,6 +22,8 @@ from .multimatrix import (
     DEFAULT_TOL,
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
+    _commutant_from_units,
+    relative_commutant,
     subalgebra_from_basis,
 )
 from .report import Report
@@ -54,53 +56,60 @@ class ActionData:
 
 @dataclass
 class CrossedProduct:
-    """Balanced tensor product of the carrier with the acting structure.
+    """Balanced tensor product of the carrier M1 with the acting structure B,
+    as a multimatrix algebra.
 
-    The quotient basis consists of classes of elementary tensors; ``basis``
-    lists the (carrier unit, structure unit) index pairs selected by pivoted
-    orthogonal factorization.  ``structure`` holds the structure constants
-    ``mult[s, t, k]`` over that basis, the unit and the antilinear star
-    matrix ``involution``, with the batched product kernels.
+    Raw tensors live in M1 (x) B with the flat index ``x * hopf.dim + b``.
+    ``quot`` maps them to coordinates over a basis of the balanced classes
+    and ``lift`` sends each class basis vector to a representative, so
+    ``quot @ lift`` is the identity.  ``block_coords`` maps class coordinates
+    to coordinates over the matrix units of ``algebra`` and ``unit_classes``
+    is its inverse.  The product is the algebraic one,
+    (x (x) b)(y (x) c) = x (b_(1) |> y) (x) b_(2) c; the blocks only supply
+    the basis in which it is the matrix product.
     """
 
     action: ActionData
-    basis: list
-    quotient_map: np.ndarray       # (dim, carrier.dim * hopf.dim)
-    structure: StructureAlgebra
-    carrier_embedding: np.ndarray  # columns: classes of x (x) 1
-    source_embedding: np.ndarray   # columns: classes of 1 (x) z over the source Cartan
-    source_span: np.ndarray        # source Cartan coordinates used above
-    algebra: MultiMatrixAlgebra = None
-    to_blocks: np.ndarray = None
+    algebra: MultiMatrixAlgebra
+    quot: np.ndarray                        # (dim, carrier.dim * hopf.dim)
+    lift: np.ndarray                        # (carrier.dim * hopf.dim, dim)
+    block_coords: np.ndarray                # (dim, dim): classes -> blocks
+    unit_classes: np.ndarray                # (dim, dim): blocks -> classes
 
     @property
     def dim(self) -> int:
-        return self.structure.dim
+        return self.algebra.dim
+
+    def coords(self, raw: np.ndarray) -> np.ndarray:
+        """Block coordinates of the classes of raw tensors (trailing axis)."""
+        return np.asarray(raw, dtype=complex) @ self.quot.T @ self.block_coords.T
 
     @property
-    def mult(self) -> np.ndarray:
-        return self.structure.mult
+    def representatives(self) -> np.ndarray:
+        """Raw tensors representing the block matrix units, as columns."""
+        return self.lift @ self.unit_classes
 
-    @property
-    def involution(self) -> np.ndarray:
-        return self.structure.involution
+    @cached_property
+    def carrier_embedding(self) -> SubalgebraEmbedding:
+        """The carrier in the blocks, x -> [x (x) 1]."""
+        car, hopf = self.action.carrier, self.action.hopf
+        raw = np.kron(np.eye(car.dim), hopf.unit_vec)
+        return SubalgebraEmbedding(car, self.algebra, self.coords(raw).T)
 
-    @property
-    def unit(self) -> np.ndarray:
-        return self.structure.unit
-
-    def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.structure.mul(u, v)
-
-    def star(self, vec: np.ndarray) -> np.ndarray:
-        return self.structure.star(vec)
+    @cached_property
+    def source_embedding(self) -> np.ndarray:
+        """Columns: [1 (x) z] for z over an orthonormal basis of the source
+        Cartan subalgebra."""
+        car, hopf = self.action.carrier, self.action.hopf
+        span = null_space(hopf.source_counital - np.eye(hopf.dim), 1e-10)
+        return self.coords(np.kron(car.unit().vec[:, None], span).T).T
 
 
 @dataclass
 class ThetaMap:
     """Linear comparison map from the crossed product onto the tower ambient."""
 
-    matrix: np.ndarray  # (ambient.dim, crossed.dim), columns = basis images
+    matrix: np.ndarray  # (ambient.dim, crossed.dim), columns = images of the block units
     report: Report
 
 
@@ -207,158 +216,189 @@ def fixed_points(action: ActionData, *, rng=None,
 
 def crossed_product(action: ActionData, *, rng=None,
                     tol: float = DEFAULT_TOL) -> CrossedProduct:
-    """Quotient of carrier (x) structure by the Cartan balancing relation,
-    with product, involution and the two canonical embeddings.
+    """Quotient of M1 (x) B by the balancing relation over the target Cartan
+    B_t, with its blocks and the two canonical embeddings.
 
-    The quotient basis is chosen among classes of elementary tensors by a
-    rank-revealing pivoted factorization; representative independence of the
-    product and involution is checked on random relator probes.
+    Classes: B_t acts on M1 from the right through z -> z |> 1, so the
+    quotient is M1 (x)_{B_t} B.  With matrix units f^a_ij of B_t and
+    p_a = f^a_00 |> 1 it is the direct sum over a of M1 p_a (x) f^a_00 B, and
+    x (x) b goes to sum_i x (f^a_i0 |> 1) (x) f^a_0i b.
+
+    Blocks: pi(x (x) b) = L_x A_b, with A_b the operator y -> b |> y on
+    L2(M1) (coefficient coordinates, unweighted trace).  pi kills the
+    relators when A_z = L_(z |> 1) on B_t, which is checked.  It is
+    multiplicative: the module law gives A_b A_c = A_(bc), and axiom (1),
+    b |> (y w) = (b_(1) |> y)(b_(2) |> w), says A_b L_y = L_(b_(1) |> y) A_(b_(2)),
+    so pi(x (x) b) pi(y (x) c) = L_x L_(b_(1) |> y) A_(b_(2)) A_c
+    = pi(x (b_(1) |> y) (x) b_(2) c); ``verify_action`` checks both laws on
+    every basis pair.  Every pi(x (x) b) commutes with right multiplication
+    by the fixed points M, and when pi is a *-map its image is exactly their
+    commutant, whose matrix units come from those of M in closed form.  So
+    classes map to block coordinates, and pi must be injective there; for
+    the tower actions it is, and nothing is split at random beyond the small
+    B_t and M.  A kernel (non-Galois actions such as the counit action) is
+    an ideal whose blocks are split from its algebraic structure constants.
+    Random probes compare the algebraic product and involution with the
+    block product and adjoint.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     hopf, car = action.hopf, action.carrier
     db, dm = hopf.dim, car.dim
-    mult_b, mult_m = hopf.mult, car.mult_tensor
 
     cartan_span = null_space(hopf.target_counital - np.eye(db), 1e-10)
-    z_on_unit = (action.on_unit @ cartan_span).T  # rows: (z |> 1) in carrier
+    cartan = subalgebra_from_basis(hopf.algebra, cartan_span, rng=rng, tol=tol)
+    quot, lift, factors = _class_basis(action, cartan)
+    _check_relators(action, cartan, quot, tol)
 
-    # complement of the relator span via the positive sum of K^H K
-    quad = np.zeros((dm * db, dm * db), dtype=complex)
-    for z_col, z1 in zip(cartan_span.T, z_on_unit):
-        rz = np.einsum("a,xay->yx", z1, mult_m)      # right multiplication by z|>1
-        lz = np.einsum("a,aby->yb", z_col, mult_b)   # left multiplication by z
-        quad += np.kron(rz.conj().T @ rz, np.eye(db))
-        quad += np.kron(np.eye(dm), lz.conj().T @ lz)
-        quad -= np.kron(rz.conj().T, lz)
-        quad -= np.kron(rz, lz.conj().T)
-    vals, vecs = np.linalg.eigh(quad)
-    scale = max(float(vals[-1]), 1.0)
-    keep = vals <= 1e-10 * scale
-    complement = vecs[:, keep]
-    qdim = complement.shape[1]
+    fixed = fixed_points(action, rng=rng, tol=tol)
+    rights = [np.stack([
+        car.right_mult_matrix(fixed.images[:, fixed.sub.basis_index(alpha, 0, c)]).reshape(-1)
+        for c in range(k)]) for alpha, k in enumerate(fixed.sub.blocks)]
+    image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
+    image.require_valid(tol)
 
-    # pick elementary-class representatives by pivoted QR
-    proj = complement.conj().T  # class coordinates of the elementary tensors
-    _, _, piv = scipy.linalg.qr(proj, pivoting=True, mode="economic")
-    selected = np.sort(piv[:qdim])
-    sel_mat = proj[:, selected]
-    if np.linalg.cond(sel_mat) > 1e8:
-        raise InvariantViolation("quotient basis selection is ill-conditioned")
-    quot = np.linalg.solve(sel_mat, proj)  # coefficients over selected classes
-    labels = [(int(i // db), int(i % db)) for i in selected]
+    left_basis = np.stack([car.left_mult_matrix(e) for e in np.eye(dm)])
+    ops = [(np.einsum("xv,xij->vij", vs, left_basis)[:, None]
+            @ np.einsum("bw,bxy->wyx", ws, action.tensor)[None]).reshape(-1, dm * dm)
+           for vs, ws in factors]
+    try:
+        coords = image.coords_vec(np.concatenate(ops), tol)  # (classes, image.dim)
+    except InvariantViolation as exc:
+        raise InvariantViolation(
+            "classes do not act in the commutant of the fixed points") from exc
+    u, sv, vh = np.linalg.svd(coords.T)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    if rank < image.sub.dim:
+        raise InvariantViolation("crossed product does not fill the commutant "
+                                 "of the fixed points")
+    if rank == quot.shape[0]:
+        algebra, block_coords = image.sub, coords.T
+        unit_classes = np.linalg.inv(block_coords)
+    else:
+        kernel = vh[rank:].conj().T
+        preimages = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
+        ideal, ideal_units, ideal_unit = _kernel_ideal(action, quot, lift, kernel,
+                                                       rng, tol)
+        # the complementary ideal is (1 - e) times the crossed product
+        preimages -= quot @ _left_products(action, ideal_unit).T @ lift @ preimages
+        algebra = MultiMatrixAlgebra(image.sub.blocks + ideal.blocks)
+        unit_classes = np.hstack([preimages, ideal_units])
+        block_coords = np.linalg.inv(unit_classes)
 
-    mult_q = _product_tensor(action, selected, quot)
-    invol = _involution_matrix(action, selected, quot)
-    unit = quot @ np.kron(car.unit().vec, hopf.unit_vec)
-
-    carrier_emb = np.stack([quot @ np.kron(np.eye(dm)[x], hopf.unit_vec)
-                            for x in range(dm)], axis=1)
-    source_span = null_space(hopf.source_counital - np.eye(db), 1e-10)
-    source_emb = np.stack([quot @ np.kron(car.unit().vec, source_span[:, j])
-                           for j in range(source_span.shape[1])], axis=1)
-
-    crossed = CrossedProduct(action, labels, quot,
-                             StructureAlgebra(mult_q, unit, invol),
-                             carrier_emb, source_emb, source_span)
-    _verify_crossed(crossed, complement, rng, tol)
-
-    crossed.algebra, crossed.to_blocks = decompose_structure_algebra(
-        crossed.structure, rng=rng, tol=tol)
+    crossed = CrossedProduct(action, algebra, quot, lift, block_coords, unit_classes)
+    if crossed.carrier_embedding.verify(tol) > 100 * tol:
+        raise InvariantViolation("carrier embedding is not a *-homomorphism")
+    _verify_products(crossed, rng, tol)
     return crossed
 
 
-def _product_tensor(action: ActionData, selected, quot, chunk: int = 24) -> np.ndarray:
-    """Structure constants over the selected elementary classes."""
-    hopf, car, act = action.hopf, action.carrier, action.tensor
-    db, dm = hopf.dim, car.dim
-    qdim = len(selected)
-    xs = selected // db
-    bs = selected % db
-    mult_m, mult_b = car.mult_tensor, hopf.mult
-
-    # x (p |> y) expanded over the carrier basis, for the selected x only
-    t1 = np.einsum("pyt,xtm->xpym", act, mult_m[xs], optimize=True)
-    delta_sel = hopf.delta[bs]     # (s, p, q)
-    gather_m = mult_b[:, bs, :]    # (q, t, n) for the q c_t products
-    out = np.empty((qdim, qdim, qdim), dtype=complex)
-    gm_t = gather_m.transpose(1, 0, 2)  # (t, q, n)
-    for start in range(0, qdim, chunk):
-        sl = slice(start, min(start + chunk, qdim))
-        u = np.einsum("spq,spym->sqym", delta_sel[sl], t1[sl], optimize=True)
-        left = u[:, :, xs, :]      # (s, q, t, m)
-        n_s = left.shape[0]
-        # batched over t: (s m, q) @ (q, n)
-        lt = left.transpose(2, 0, 3, 1).reshape(qdim, n_s * dm, db)
-        raw = (lt @ gm_t).reshape(qdim, n_s, dm, db).transpose(1, 0, 2, 3)
-        out[sl] = (raw.reshape(n_s * qdim, dm * db) @ quot.T) \
-            .reshape(n_s, qdim, qdim)
-    return out
-
-
-def _involution_matrix(action: ActionData, selected, quot) -> np.ndarray:
-    hopf, car, act = action.hopf, action.carrier, action.tensor
-    db, dm = hopf.dim, car.dim
-    j_m = canonical_involution_matrix(car)
-    cols = []
-    for idx in selected:
-        x, b = int(idx // db), int(idx % db)
-        b_star = hopf.star_matrix[:, b]
-        x_star = j_m[:, x]
-        legs = np.einsum("k,kpq->pq", b_star, hopf.delta, optimize=True)
-        acted = np.einsum("pq,x,pxy->yq", legs, x_star, act, optimize=True)
-        cols.append(quot @ acted.reshape(dm * db))
-    return np.stack(cols, axis=1)
-
-
-def _verify_crossed(crossed: CrossedProduct, complement, rng, tol):
-    action = crossed.action
+def _class_basis(action: ActionData, cartan: SubalgebraEmbedding):
+    """``quot`` and ``lift`` of M1 (x)_{B_t} B from the matrix units of B_t,
+    plus the factors (V_a, W_a): orthonormal bases of M1 p_a and f^a_00 B,
+    whose products v (x) w represent the classes of block a."""
     hopf, car = action.hopf, action.carrier
-    db, dm = hopf.dim, car.dim
-    qdim = crossed.dim
-    struct = crossed.structure
+    on_unit = action.on_unit
+    quots, lifts, factors = [], [], []
+    for alpha, k in enumerate(cartan.sub.blocks):
+        def unit(i, j):
+            return cartan.images[:, cartan.sub.basis_index(alpha, i, j)]
+        rights = [car.right_mult_matrix(on_unit @ unit(i, 0)) for i in range(k)]
+        lefts = [hopf.algebra.left_mult_matrix(unit(0, i)) for i in range(k)]
+        vs = orthonormal_columns(rights[0], 1e-10)
+        ws = orthonormal_columns(lefts[0], 1e-10)
+        quots.append(sum(np.kron(vs.conj().T @ r, ws.conj().T @ l)
+                         for r, l in zip(rights, lefts)))
+        lifts.append(np.kron(vs, ws))
+        factors.append((vs, ws))
+    return np.vstack(quots), np.hstack(lifts), factors
 
-    # relators vanish in the quotient
-    full = np.eye(dm * db, dtype=complex)
-    relator_proj = full - complement @ complement.conj().T
-    if max_abs(crossed.quotient_map @ relator_proj) > 1e-6:
+
+def _check_relators(action: ActionData, cartan: SubalgebraEmbedding, quot, tol):
+    """The class map kills x (z |> 1) (x) b - x (x) z b, and the operators
+    A_z equal L_(z |> 1), for every matrix unit z of B_t."""
+    hopf, car = action.hopf, action.carrier
+    zs = cartan.images.T
+    on_unit = action.on_unit @ cartan.images
+    q3 = quot.reshape(-1, car.dim, hopf.dim)
+    worst = 0.0
+    for z, z1 in zip(zs, on_unit.T):
+        moved = car.right_mult_matrix(z1).T @ q3
+        absorbed = q3 @ hopf.algebra.left_mult_matrix(z)
+        worst = max(worst, rel_residual(moved, absorbed))
+    if worst > 1e-6:
         raise InvariantViolation("quotient map does not kill the relators")
 
-    # representative independence: products of relator probes with basis
-    # classes vanish in the quotient on either side
-    draws, which, labels = [], [], []
-    for i in range(4):
-        draws.append(rng.standard_normal(dm * db) + 1j * rng.standard_normal(dm * db))
-        for t in rng.integers(0, qdim, 2):
-            which.append(i)
-            labels.append(crossed.basis[t])
-    probes = (relator_proj @ np.stack(draws, axis=1)).T[which]
-    left, right = _relator_products(action, probes, np.array(labels))
-    if max(max_abs(crossed.quotient_map @ left.T),
-           max_abs(crossed.quotient_map @ right.T)) > 1e-6:
-        raise InvariantViolation("product not well defined on the balanced quotient")
+    acts = np.einsum("bk,bxy->kyx", cartan.images, action.tensor)
+    lefts = np.stack([car.left_mult_matrix(z1) for z1 in on_unit.T])
+    if rel_residual(acts, lefts) > 100 * tol:
+        raise InvariantViolation(
+            "representation on L2(M1) does not kill the relators: "
+            "A_z differs from L_(z |> 1) on the target Cartan")
 
-    # unit, associativity and involution probes
-    lu = struct.left_matrix(crossed.unit)
-    ru = struct.right_matrix(crossed.unit)
-    if rel_residual(lu, np.eye(qdim)) > 100 * tol or \
-            rel_residual(ru, np.eye(qdim)) > 100 * tol:
-        raise InvariantViolation("crossed product unit is not two-sided")
-    u, v, w = np.array([[rng.standard_normal(qdim) + 1j * rng.standard_normal(qdim)
-                         for _ in range(3)] for _ in range(_PROBES)]).transpose(1, 0, 2)
-    uv = struct.mul(u, v)
-    assoc_left = struct.mul(uv, w)
-    assoc_right = struct.mul(u, struct.mul(v, w))
-    star_prod = struct.star(uv)
-    prod_star = struct.mul(struct.star(v), struct.star(u))
-    for i in range(_PROBES):
-        if rel_residual(assoc_left[i], assoc_right[i]) > 1e-6:
-            raise InvariantViolation("crossed product is not associative")
-        if rel_residual(star_prod[i], prod_star[i]) > 1e-6:
-            raise InvariantViolation("involution is not anti-multiplicative")
-    if rel_residual(crossed.involution @ np.conj(crossed.involution),
-                    np.eye(qdim)) > 1e-6:
-        raise InvariantViolation("involution does not square to the identity")
+
+def _kernel_ideal(action: ActionData, quot, lift, kernel, rng, tol):
+    """Blocks of the ideal ker pi (columns of ``kernel``: an orthonormal basis
+    in class coordinates) from its algebraic structure constants.  Returns
+    the block algebra, the class coordinates of its matrix units and its
+    unit as a raw tensor."""
+    reps = (lift @ kernel).T
+    dual = quot.T @ kernel.conj()  # raw tensor -> ideal coordinates
+    mult = np.stack([reps @ _left_products(action, r) @ dual for r in reps])
+    k = kernel.shape[1]
+    coeff, *_ = np.linalg.lstsq(mult.reshape(k, k * k).T, np.eye(k).reshape(-1),
+                                rcond=None)
+    if rel_residual(coeff @ mult.reshape(k, k * k), np.eye(k).reshape(-1)) > 1e-6:
+        raise InvariantViolation("kernel of the representation has no unit")
+    star = (_raw_star(action, reps) @ dual).T
+    ideal, change = decompose_structure_algebra(StructureAlgebra(mult, coeff, star),
+                                                rng=rng, tol=tol)
+    return ideal, kernel @ change, coeff @ reps
+
+
+def _left_products(action: ActionData, raw: np.ndarray) -> np.ndarray:
+    """``raw * (x (x) b)`` for every elementary tensor, one row per (x, b);
+    carrier.dim * hopf.dim products at once, so meant for the small kernel
+    ideals of non-Galois actions."""
+    db, dm = action.hopf.dim, action.carrier.dim
+    labels = np.array([(x, b) for x in range(dm) for b in range(db)])
+    left, _ = _relator_products(action, np.tile(raw, (len(labels), 1)), labels)
+    return left
+
+
+def _raw_star(action: ActionData, raw: np.ndarray) -> np.ndarray:
+    """Algebraic involution (x (x) b)* = (b*_(1) |> x*) (x) b*_(2) of a stack
+    of raw tensors (n, carrier.dim * hopf.dim)."""
+    hopf, car, act = action.hopf, action.carrier, action.tensor
+    db, dm = hopf.dim, car.dim
+    raw = np.asarray(raw, dtype=complex).reshape(-1, dm, db)
+    starred = np.einsum("yx,kb,nxb->nyk", canonical_involution_matrix(car),
+                        hopf.star_matrix, np.conj(raw), optimize=True)
+    legs = np.einsum("nyk,kpq->nypq", starred, hopf.delta, optimize=True)
+    out = np.einsum("nypq,pyz->nzq", legs, act, optimize=True)
+    return out.reshape(len(raw), dm * db)
+
+
+def _verify_products(crossed: CrossedProduct, rng, tol):
+    """Random probes: the algebraic product and involution of raw tensors
+    agree with the block product and adjoint of their classes."""
+    action = crossed.action
+    db, dm = action.hopf.dim, action.carrier.dim
+    alg = crossed.algebra
+    draws = rng.standard_normal((_PROBES, dm * db)) \
+        + 1j * rng.standard_normal((_PROBES, dm * db))
+    labels = np.stack([rng.integers(0, dm, _PROBES), rng.integers(0, db, _PROBES)],
+                      axis=1)
+    left, right = _relator_products(action, draws, labels)
+    probes = crossed.coords(draws)
+    elementary = crossed.coords(np.eye(dm * db)[labels[:, 0] * db + labels[:, 1]])
+    if max(rel_residual(crossed.coords(left), alg.mul_vecs(probes, elementary)),
+           rel_residual(crossed.coords(right), alg.mul_vecs(elementary, probes))) \
+            > 100 * tol:
+        raise InvariantViolation("algebraic product differs from the block product")
+    if rel_residual(crossed.coords(_raw_star(action, draws)),
+                    alg.adjoint_vecs(probes)) > 100 * tol:
+        raise InvariantViolation("algebraic involution differs from the block adjoint")
 
 
 def _relator_products(action: ActionData, probes: np.ndarray, labels: np.ndarray):
@@ -392,8 +432,7 @@ def minimality(crossed: CrossedProduct, tol: float = DEFAULT_TOL) -> Report:
     """Commutant of the carrier image inside the crossed product, compared
     with the image of the source Cartan subalgebra."""
     rep = Report(tolerance=tol, title="minimality check")
-    ops = crossed.structure.commutator_matrices(crossed.carrier_embedding.T)
-    commutant = null_space(ops.reshape(-1, crossed.dim), 1e-10)
+    commutant = relative_commutant(crossed.carrier_embedding, tol=tol).images
 
     source = orthonormal_columns(crossed.source_embedding, 1e-10)
     rep.add_flag("commutant dimension matches the source Cartan",
@@ -413,8 +452,9 @@ def theta_iso(tower: TowerData, deformed: DeformedStructure,
               crossed: CrossedProduct, tol: float = DEFAULT_TOL) -> ThetaMap:
     """Comparison map sending a class of x (x) b to x s b s^-1 in the tower
     ambient, where s is the positive square root of the antipode image of the
-    index element.  Verified well defined, bijective, multiplicative and
-    involution-preserving."""
+    index element.  Verified well defined on the classes and, on the block
+    matrix units, bijective and a unital *-homomorphism (the first-column
+    argument of :meth:`SubalgebraEmbedding.residuals`)."""
     alg = tower.ambient
     hopf = deformed.hopf
     db, dm = hopf.dim, crossed.action.carrier.dim
@@ -429,12 +469,11 @@ def theta_iso(tower: TowerData, deformed: DeformedStructure,
 
     rep = Report(tolerance=tol, seed=tower.seed, title="comparison map check")
     # well definedness: the raw map factors through the balanced classes
-    residual = theta_raw - _reconstruct_from_classes(theta_raw, crossed)
+    residual = theta_raw - (theta_raw @ crossed.lift) @ crossed.quot
     rep.add("well defined on balanced classes",
             max_abs(residual) / max(max_abs(theta_raw), 1.0), ref="Prop 6.3")
 
-    selected = [x * db + b for (x, b) in crossed.basis]
-    matrix = theta_raw[:, selected]
+    matrix = theta_raw @ crossed.representatives
     sv = np.linalg.svd(matrix, compute_uv=False)
     bij = sv[-1] > 1e-8 * sv[0] and matrix.shape[0] == matrix.shape[1]
     rep.add_flag("bijective", bij, ref="Prop 6.3",
@@ -442,26 +481,12 @@ def theta_iso(tower: TowerData, deformed: DeformedStructure,
     if not bij:
         raise InvariantViolation("theta not bijective")
 
-    prods = alg.pairwise_mul(matrix.T, matrix.T)
-    images = np.einsum("stk,ak->sta", crossed.mult, matrix, optimize=True)
-    rep.add("multiplicative", rel_residual(prods, images), ref="Prop 6.3")
-
-    starred = alg.adjoint_vecs(matrix.T)
-    mapped = (matrix @ crossed.involution).T
-    rep.add("involution-preserving", rel_residual(mapped, starred), ref="Prop 6.3")
-
-    rep.add("unital", rel_residual(matrix @ crossed.unit, alg.unit().vec),
-            ref="Prop 6.3")
+    parts = SubalgebraEmbedding(crossed.algebra, alg, matrix).residuals()
+    rep.add("multiplicative", parts["multiplicative"], ref="Prop 6.3")
+    rep.add("involution-preserving", parts["adjoint"], ref="Prop 6.3")
+    rep.add("unital", parts["unital"], ref="Prop 6.3")
     if not rep.passed:
         worst = max(rep.failures(), key=lambda c: c.residual)
         raise InvariantViolation(
             f"comparison map failed: {worst.name} residual {worst.residual:.3e}")
     return ThetaMap(matrix, rep)
-
-
-def _reconstruct_from_classes(theta_raw: np.ndarray, crossed: CrossedProduct) -> np.ndarray:
-    """Re-express the raw map through class coordinates; equals the raw map
-    exactly when it is constant on classes."""
-    db = crossed.action.hopf.dim
-    selected = [x * db + b for (x, b) in crossed.basis]
-    return theta_raw[:, selected] @ crossed.quotient_map

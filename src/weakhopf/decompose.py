@@ -4,9 +4,12 @@ Input is a multiplication tensor, a unit vector and an antilinear involution
 matrix over some basis.  The regular trace of a C*-algebra is positive and
 faithful, so it provides a Hilbert metric in which left multiplication is a
 *-representation; from there the block split proceeds spectrally.  This is the
-only block-splitting engine: :func:`weakhopf.multimatrix.subalgebra_from_basis`
-recognizes subalgebras of a multimatrix algebra by passing it the structure
-constants of the span.
+only block-splitting engine.  Its callers:
+:func:`weakhopf.multimatrix.subalgebra_from_basis` passes it the structure
+constants of a span (fixed points, Cartan subalgebras of abstract structures,
+group algebras, duals), and :func:`weakhopf.actions.crossed_product` the
+kernel ideal of a non-Galois action; crossed products of tower actions take
+their blocks in closed form and never reach it.
 
 The dense structure tensor is the large operand (d**3 entries), so every
 product goes through batched operator kernels that read it once per batch of

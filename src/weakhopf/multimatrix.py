@@ -357,7 +357,16 @@ class SubalgebraEmbedding:
 
     @cached_property
     def _pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.images, rcond=1e-12)
+        """Left inverse of ``images`` for a *-homomorphism: images of distinct
+        matrix units are orthogonal in coefficient coordinates (the pairing
+        Tr(x* y) with the unweighted trace), and the image of f_jk has squared
+        norm Tr(image of f_jj).  So the conjugate transpose with each row
+        divided by that norm inverts it; zero columns get zero rows.  Images
+        that are not orthogonal fail the back-substitution in ``coords_vec``.
+        """
+        norms = np.einsum("aj,aj->j", self.images.conj(), self.images).real
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        return self.images.conj().T * scale[:, None]
 
     def coords_vec(self, ambient_vecs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Coordinates of ambient vectors in the sub basis (must lie in the image)."""
@@ -380,21 +389,23 @@ class SubalgebraEmbedding:
         coords = other.coords_vec(self.images.T, tol)
         return SubalgebraEmbedding(self.sub, other.sub, coords.T)
 
-    def verify(self, tol: float = DEFAULT_TOL) -> float:
-        """Residual over the unit, multiplicativity and adjoint requirements.
+    def residuals(self) -> dict:
+        """Residuals of the three *-homomorphism requirements, keyed
+        ``"unital"``, ``"adjoint"`` and ``"multiplicative"``.
 
         Multiplicativity over all unit pairs reduces to three checks on the
         first-column partial isometries w_j = image(f_j0): their mutual grams
         w_j* w_k = [j=k] image(f_00), the reconstruction of every image as
         w_j w_l*, and absorption of f_00 into the w_l*.  Together with the
-        ambient's associativity this implies the full product table.
+        ambient's associativity and the adjoint requirement this implies the
+        full product table.
         """
         img = self.images.T  # (sub.dim, ambient.dim)
         eye = np.eye(self.sub.dim, dtype=complex)
-        res = rel_residual(self.embed_vec(self.sub.unit().vec), self.ambient.unit().vec)
+        unital = rel_residual(self.embed_vec(self.sub.unit().vec), self.ambient.unit().vec)
         adj = self.ambient.adjoint_vecs(img)
         sub_adj = self.sub.adjoint_vecs(eye)
-        res = max(res, rel_residual(sub_adj @ img, adj))
+        adjoint = rel_residual(sub_adj @ img, adj)
 
         sub = self.sub
         cols, corner_rows, starts = [], [], [0]
@@ -412,7 +423,7 @@ class SubalgebraEmbedding:
         grams = self.ambient.pairwise_mul(w_star, w)
         scale = max(max_abs(grams), max_abs(corners), 1.0)
         grams[diag, diag] -= corners
-        res = max(res, max_abs(grams) / scale)
+        res = max_abs(grams) / scale
         del grams
 
         outer = self.ambient.pairwise_mul(w, w_star)
@@ -425,7 +436,11 @@ class SubalgebraEmbedding:
 
         absorbed = self.ambient.mul_vecs(corners, w_star)
         res = max(res, rel_residual(absorbed, w_star))
-        return res
+        return {"unital": unital, "adjoint": adjoint, "multiplicative": res}
+
+    def verify(self, tol: float = DEFAULT_TOL) -> float:
+        """Largest of the :meth:`residuals`."""
+        return max(self.residuals().values())
 
     def require_valid(self, tol: float = DEFAULT_TOL):
         if self.verify(tol) > 100 * tol:

@@ -230,13 +230,12 @@ def _tower_invariants(ambient, emb, e1, e2, tau, lam, tol):
 
 def crossed_product_payload(crossed) -> dict:
     return {
-        "blocks": list(crossed.algebra.blocks) if crossed.algebra else None,
+        "blocks": list(crossed.algebra.blocks),
         "dim": crossed.dim,
-        "basis_provenance": [{"carrier_unit": int(x), "structure_unit": int(b)}
-                             for (x, b) in crossed.basis],
-        "product": _sparse_tensor(crossed.mult),
-        "involution": _enc_mat(crossed.involution),
-        "unit": _enc_vec(crossed.unit),
+        # [k, x, b, re, im]: coefficient of x (x) b in the representative of
+        # the k-th block matrix unit
+        "representatives": _sparse_tensor(crossed.representatives.T.reshape(
+            crossed.dim, crossed.action.carrier.dim, crossed.action.hopf.dim)),
     }
 
 

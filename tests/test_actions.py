@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from weakhopf._linalg import rel_residual, subspace_residual
+from weakhopf import actions
+from weakhopf._linalg import null_space, projector, rel_residual, subspace_residual
 from weakhopf.actions import (
     ActionData,
     _relator_products,
     crossed_product,
     fixed_points,
     minimality,
+    theta_iso,
     verify_action,
 )
+from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic
 from weakhopf.multimatrix import MultiMatrixAlgebra
-from weakhopf.weak_hopf import group_algebra, pair_groupoid
+from weakhopf.weak_hopf import cartan_subalgebras, group_algebra, pair_groupoid
 
 TOL = 1e-9
 
@@ -110,16 +113,19 @@ def test_theta_reduces_to_plain_product_when_untwisted(get_tower, get_pipeline):
     alg = tower.ambient
     top = tower.sub_top.images
     b_img = tower.rel_b.images
-    for k, (x, b) in enumerate(crossed.basis):
-        direct = alg.mul_vecs(top[:, x], b_img[:, b])
-        assert rel_residual(theta.matrix[:, k], direct) < TOL
+    raw = np.eye(top.shape[1] * b_img.shape[1])
+    direct = alg.pairwise_mul(top.T, b_img.T).reshape(len(raw), alg.dim)
+    assert rel_residual(crossed.coords(raw) @ theta.matrix.T, direct) < TOL
 
 
 def test_theta_unit_class(get_pipeline):
     pipe = get_pipeline("z2")
     theta, crossed = pipe["theta"], pipe["crossed"]
+    action = crossed.action
+    unit_class = crossed.coords(np.kron(action.carrier.unit().vec, action.hopf.unit_vec))
+    assert rel_residual(unit_class, crossed.algebra.unit().vec) < TOL
     tower_unit = pipe["tower"].ambient.unit().vec
-    assert rel_residual(theta.matrix @ crossed.unit, tower_unit) < TOL
+    assert rel_residual(theta.matrix @ unit_class, tower_unit) < TOL
 
 
 def raw_product(action, u, v):
@@ -154,33 +160,28 @@ def test_relator_products_match_the_pairwise_reference(get_pipeline):
 
 def test_source_cartan_commutes_inside_crossed_product(get_pipeline):
     crossed = get_pipeline("z3")["crossed"]
-    q = crossed.dim
-    for j in range(crossed.source_embedding.shape[1]):
-        z = crossed.source_embedding[:, j]
-        for x in range(crossed.carrier_embedding.shape[1]):
-            m = crossed.carrier_embedding[:, x]
-            assert rel_residual(crossed.product(z, m), crossed.product(m, z)) < TOL
+    alg = crossed.algebra
+    sources = crossed.source_embedding.T
+    carrier = crossed.carrier_embedding.images.T
+    assert len(sources) > 0
+    assert rel_residual(alg.pairwise_mul(sources, carrier),
+                        alg.pairwise_mul(carrier, sources).transpose(1, 0, 2)) < TOL
 
 
-def test_elementary_source_relation(get_tower, get_pipeline):
+def test_elementary_source_relation(get_pipeline):
     # [1 (x) z][x (x) 1] = [x (x) z] = [x (x) 1][1 (x) z] on the source Cartan
-    name = "z2"
-    tower = get_tower(name)
-    pipe = get_pipeline(name)
-    crossed = pipe["crossed"]
-    hopf = pipe["deformed"].hopf
-    db = hopf.dim
-    dm = crossed.action.carrier.dim
-    src = crossed.source_span
-    for j in range(src.shape[1]):
-        z = crossed.quotient_map @ np.kron(
-            crossed.action.carrier.unit().vec, src[:, j])
-        for x in range(dm):
-            xe = crossed.quotient_map @ np.kron(
-                np.eye(dm)[x], hopf.unit_vec)
-            xz = crossed.quotient_map @ np.kron(np.eye(dm)[x], src[:, j])
-            assert rel_residual(crossed.product(z, xe), xz) < TOL
-            assert rel_residual(crossed.product(xe, z), xz) < TOL
+    crossed = get_pipeline("z2")["crossed"]
+    alg = crossed.algebra
+    hopf, carrier = crossed.action.hopf, crossed.action.carrier
+    src = null_space(hopf.source_counital - np.eye(hopf.dim))
+    eye = np.eye(carrier.dim)
+    for z in src.T:
+        zc = crossed.coords(np.kron(carrier.unit().vec, z))
+        for x in eye:
+            xe = crossed.coords(np.kron(x, hopf.unit_vec))
+            xz = crossed.coords(np.kron(x, z))
+            assert rel_residual(alg.mul_vecs(zc, xe), xz) < TOL
+            assert rel_residual(alg.mul_vecs(xe, zc), xz) < TOL
 
 
 def test_hopf_case_has_full_tensor_dimension():
@@ -216,3 +217,77 @@ def test_twisted_action_fails_star_axiom(get_pipeline):
     rep = verify_action(twisted)
     assert not rep.passed
     assert rep["action star-compatible"].residual > 1e-3
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3"])
+def test_tower_crossed_product_splits_nothing_at_random(name, get_pipeline, monkeypatch):
+    # the representation on L2(M1) is injective on the classes of a tower
+    # action, so the block split of a kernel ideal never runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decompose_structure_algebra called")
+
+    monkeypatch.setattr(actions, "decompose_structure_algebra", forbidden)
+    crossed = crossed_product(get_pipeline(name)["action"])
+    assert crossed.dim == get_pipeline(name)["crossed"].dim
+
+
+def test_crossed_product_rejects_an_action_breaking_the_relators(get_pipeline):
+    # A_z = L_(z |> 1) fails for one matrix unit z of B_t; z |> 1 itself is
+    # unchanged, since the perturbed carrier unit has no unit component
+    action = get_pipeline("z2")["action"]
+    hopf, car = action.hopf, action.carrier
+    z = cartan_subalgebras(hopf).target.images[:, 0]
+    off = car.basis_index(0, 0, 1)
+    tensor = action.tensor.copy()
+    tensor[:, off, off] += 0.1 * np.conj(z) / np.vdot(z, z)
+    with pytest.raises(InvariantViolation,
+                       match=r"representation on L2\(M1\) does not kill the relators"):
+        crossed_product(ActionData(hopf, car, tensor))
+
+
+def test_crossed_product_probes_catch_broken_covariance(get_pipeline):
+    # A'_b = A_b T off the target Cartan, with T = 1 + L_y (1 - P_M) fixing the
+    # fixed points M and commuting with their right action: the relators, the
+    # fixed points and the blocks survive, axiom (1) does not
+    action = get_pipeline("z2")["action"]
+    hopf, car = action.hopf, action.carrier
+    eye_m, eye_b = np.eye(car.dim), np.eye(hopf.dim)
+    fixed = fixed_points(action)
+    bend = eye_m + 0.5 * car.left_mult_matrix(eye_m[car.basis_index(0, 0, 1)]) \
+        @ (eye_m - projector(fixed.images))
+    cartan = projector(null_space(hopf.target_counital - eye_b))
+    mats = action.tensor.transpose(0, 2, 1)
+    bent = np.einsum("cb,cyx->byx", cartan, mats) \
+        + np.einsum("cb,cyx->byx", eye_b - cartan, mats) @ bend
+    broken = ActionData(hopf, car, bent.transpose(0, 2, 1))
+    assert verify_action(broken)["action multiplicative on products"].residual > 1e-3
+    with pytest.raises(InvariantViolation,
+                       match="algebraic product differs from the block product"):
+        crossed_product(broken)
+
+
+def test_crossed_product_probes_catch_a_wrong_involution(get_pipeline):
+    # the structure involution is negated, so axiom (2) fails while the
+    # product, the relators and the blocks are untouched
+    action = get_pipeline("z2")["action"]
+    hopf = action.hopf.copy_with(involution=-action.hopf.star_matrix)
+    broken = ActionData(hopf, action.carrier, action.tensor)
+    assert verify_action(broken)["action star-compatible"].residual > 1e-3
+    with pytest.raises(InvariantViolation,
+                       match="algebraic involution differs from the block adjoint"):
+        crossed_product(broken)
+
+
+def test_theta_rejects_a_wrong_twist_root(get_pipeline, monkeypatch):
+    # B is commutative on every tower here, so a wrong root inside B would not
+    # change theta; a positive root outside B breaks the balancing
+    pipe = get_pipeline("z2")
+    tower = pipe["tower"]
+    amb = tower.ambient
+    rng = np.random.default_rng(5)
+    a = 0.5 * (rng.standard_normal(amb.dim) + 1j * rng.standard_normal(amb.dim))
+    wrong = amb.mul_vecs(amb.adjoint_vecs(a), a) + amb.unit().vec
+    monkeypatch.setattr(amb, "sqrt_posdef_vec", lambda vec, tol: wrong)
+    with pytest.raises(InvariantViolation, match="comparison map failed: well defined "
+                                                 "on balanced classes residual"):
+        theta_iso(tower, pipe["deformed"], pipe["crossed"])

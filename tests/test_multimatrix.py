@@ -166,6 +166,27 @@ def test_verify_matches_dense_reference(make):
     assert emb.verify() == dense_verify(emb)
 
 
+@pytest.mark.parametrize("make", [diag_in_m2, m2_in_m4_m2,
+                                  lambda: rotated(m2_in_m4_m2())],
+                         ids=["diag_in_m2", "m2_in_m4_m2", "rotated"])
+def test_coords_match_pseudo_inverse(make):
+    emb = make()
+    vecs = RNG.standard_normal((3, emb.sub.dim)) @ emb.images.T
+    reference = vecs @ np.linalg.pinv(emb.images, rcond=1e-12).T
+    assert rel_residual(emb.coords_vec(vecs), reference) < 1e-13
+
+
+def test_coords_reject_non_homomorphic_images():
+    # f_10 lies in the span of the images, but the images are not orthogonal,
+    # so the scaled conjugate transpose misses it and back-substitution fails
+    emb = non_orthogonal_m2()
+    target = emb.ambient.basis_unit(0, 1, 0).vec
+    assert rel_residual(emb.images @ np.linalg.solve(emb.images, target), target) < 1e-14
+    with pytest.raises(InvariantViolation,
+                       match="vector does not lie in the subalgebra image"):
+        emb.coords_vec(target[None, :])
+
+
 # -- conditional expectations --------------------------------------------------
 
 

@@ -218,11 +218,86 @@ def test_cli_crossed_product(tmp_path, capsys):
                            "-o", str(out_path))
     assert code == 0
     payload = serialize.loads(out_path.read_text()).payload
+    assert set(payload) == {"blocks", "dim", "representatives"}
     assert payload["dim"] == 8
     assert sorted(payload["blocks"]) == [2, 2]
-    assert len(payload["basis_provenance"]) == 8
-    assert {"carrier_unit", "structure_unit"} == set(
-        payload["basis_provenance"][0])
+    # [k, x, b, re, im]: every block matrix unit has a representative tensor
+    entries = payload["representatives"]
+    assert {row[0] for row in entries} == set(range(8))
+    assert all(len(row) == 5 and 0 <= row[1] < 4 and 0 <= row[2] < 4 for row in entries)
+
+
+# name, ref and pass flag of every row of `crossed-product --json` on a
+# cyclic tower, in report order
+CROSSED_PRODUCT_CHECKS = [
+    ('e1 idempotent', 'Jones projection', True),
+    ('e1 self-adjoint', 'Jones projection', True),
+    ('e2 idempotent', 'Jones projection', True),
+    ('e2 self-adjoint', 'Jones projection', True),
+    ("e1 in N' of M1", 'Jones projection', True),
+    ("e2 in M'", 'Jones projection', True),
+    ('e2 implements expectation onto M', 'Markov', True),
+    ('e2 Markov trace identity', 'Markov', True),
+    ('e1 implements expectation onto N', 'Markov', True),
+    ('e1 Markov trace identity', 'Markov', True),
+    ('e2 e1 e2 = lam e2', 'Temperley-Lieb', True),
+    ('e1 e2 e1 = lam e1', 'Temperley-Lieb', True),
+    ('commuting square', 'commuting square', True),
+    ("products of the commutants span N'", 'non-degenerate square', True),
+    ('x e2 collapse', 'Lemma 3.1', True),
+    ('x e1 collapse', 'Lemma 3.1', True),
+    ('M e1 M spans M1', 'Remark 4.4', True),
+    ('M1 e2 M1 spans the ambient', 'Remark 4.4', True),
+    ('shared Cartan inside A', 'chain', True),
+    ('shared Cartan inside B', 'chain', True),
+    ('Cartan subalgebras commute', 'chain', True),
+    ('deformed: coassociativity', 'coalgebra', True),
+    ('deformed: counit left', 'coalgebra', True),
+    ('deformed: counit right', 'coalgebra', True),
+    ('deformed: comultiplication multiplicative', 'axiom (1)', True),
+    ('deformed: comultiplication star-preserving', 'axiom (1)', True),
+    ('deformed: target counital relation', 'axiom (2)', True),
+    ('deformed: target counital coproduct', 'axiom (2)', True),
+    ('deformed: source counital relation', "axiom (2')", True),
+    ('deformed: source counital coproduct', "axiom (2')", True),
+    ('deformed: antipode target identity', 'axiom (3)', True),
+    ('deformed: antipode source identity', "axiom (3')", True),
+    ('deformed: antipode anti-multiplicative', 'axiom (3)', True),
+    ('deformed: antipode anti-comultiplicative', 'axiom (3)', True),
+    ('deformed: counit antipode-invariant', 'axiom (3)', True),
+    ('deformed: star-antipode squared identity', 'axiom (3)', True),
+    ('deformed: involution squared identity', 'C* structure', True),
+    ('deformed: involution anti-multiplicative', 'C* structure', True),
+    ('deformed: involution fixes unit', 'C* structure', True),
+    ('deformed: antipode involutive', 'weak Kac', True),
+    ('deformed: antipode commutes with star', 'weak Kac', True),
+    ('deformed target counital map unchanged', 'Prop 5.5', True),
+    ('antipode fixes the image of the index element', 'Prop 5.6', True),
+    ('squared antipode is conjugation by the modular element', 'Prop 5.6', True),
+    ('modular element positive', 'Remark 5.8', True),
+    ('Haar projection is e2 twisted by the index element', 'Thm 5.7', True),
+    ('Haar functional closed form', 'Thm 5.7', True),
+    ('crossed product dimension matches the ambient', 'Prop 6.3', True),
+    ('commutant dimension matches the source Cartan', 'Remark 6.4', True),
+    ('commutant equals the source Cartan image', 'Remark 6.4', True),
+    ('action minimal', 'minimality', True),
+    ('well defined on balanced classes', 'Prop 6.3', True),
+    ('bijective', 'Prop 6.3', True),
+    ('multiplicative', 'Prop 6.3', True),
+    ('involution-preserving', 'Prop 6.3', True),
+    ('unital', 'Prop 6.3', True),
+]
+
+
+@pytest.mark.parametrize("order", ["2", "3"])
+def test_cli_crossed_product_checks_pinned(tmp_path, capsys, order):
+    tower_path = tmp_path / "t.json"
+    code, out, _ = run_cli(capsys, "tower", "from-group", "cyclic", order)
+    tower_path.write_text(out)
+    code, out, _ = run_cli(capsys, "--json", "crossed-product", str(tower_path))
+    assert code == 0
+    checks = json.loads(out)["payload"]["checks"]
+    assert [(c["name"], c["ref"], c["pass"]) for c in checks] == CROSSED_PRODUCT_CHECKS
 
 
 def test_cli_report_reemission(tmp_path, capsys):
