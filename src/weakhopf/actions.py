@@ -8,6 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import axioms
 from ._linalg import (
     max_abs,
     null_space,
@@ -124,23 +125,16 @@ def verify_action(action: ActionData, tol: float = DEFAULT_TOL) -> Report:
     rep = Report(tolerance=tol, title="action check")
     hopf, car, act = action.hopf, action.carrier, action.tensor
     db, dm = hopf.dim, car.dim
-    mult_b = hopf.mult
-    mult_m = car.mult_tensor
 
-    lhs = np.einsum("bcm,mxy->bcxy", mult_b, act, optimize=True)
+    lhs = np.einsum("bcm,mxy->bcxy", hopf.mult, act, optimize=True)
     rhs = np.einsum("cxz,bzy->bcxy", act, act, optimize=True)
     rep.add("module law", rel_residual(lhs, rhs), ref="action")
     rep.add("unit acts trivially",
             rel_residual(np.einsum("b,bxy->xy", hopf.unit_vec, act), np.eye(dm)),
             ref="action")
 
-    lhs = np.einsum("xym,bmr->bxyr", mult_m, act, optimize=True)
-    inner = np.einsum("bpq,pxz->bxqz", hopf.delta, act, optimize=True)
-    paired = np.einsum("qyw,zwr->qzyr", act, mult_m, optimize=True)
-    rhs = (inner.reshape(db * dm, db * dm)
-           @ paired.reshape(db * dm, dm * dm)).reshape(db, dm, dm, dm)
-    rep.add("action multiplicative on products", rel_residual(lhs, rhs),
-            ref="axiom (1)")
+    rep.add("action multiplicative on products",
+            axioms.module_multiplicativity(hopf, act, car, act), ref="axiom (1)")
 
     j_m = canonical_involution_matrix(car)
     starred_s = hopf.star((hopf.antipode @ np.eye(db)).T)  # rows: S(u_b)*
@@ -161,34 +155,19 @@ def verify_action(action: ActionData, tol: float = DEFAULT_TOL) -> Report:
 
 def canonical_action(tower: TowerData, deformed: DeformedStructure,
                      tol: float = DEFAULT_TOL) -> ActionData:
-    """Action of the deformed structure on the middle extension by compressed
-    left multiplication against the second Jones projection."""
-    alg, lam = tower.ambient, tower.lam
+    """Action of the deformed structure on M1 through the tower's module map
+    b |> x = lam^-1 E_M1(b x e2) (``TowerData.module_tensor``).  Verified as
+    an action, and against b x = (b_(1) |> x) b_(2) in the ambient with the
+    deformed legs."""
     hopf = deformed.hopf
-    top = tower.sub_top
-    b_basis = tower.rel_b.images.T
-    m_basis = top.images.T
-    db, dm = b_basis.shape[0], m_basis.shape[0]
-
-    raw = tower.expect_top.apply_vec(
-        alg.pairwise_mul(b_basis, alg.mul_vecs(m_basis, tower.e2.vec)))
-    tensor = (1 / lam) * top.coords_vec(raw.reshape(db * dm, -1), tol)
-    tensor = tensor.reshape(db, dm, dm)
-    action = ActionData(hopf, top.sub, tensor)
+    action = ActionData(hopf, tower.sub_top.sub, tower.module_tensor)
 
     rep = verify_action(action, tol)
     if not rep.passed:
         worst = max(rep.failures(), key=lambda c: c.residual)
         raise InvariantViolation(
             f"canonical action invalid: {worst.name} residual {worst.residual:.3e}")
-
-    # b x = (b_(1) |> x) b_(2) in the ambient, with the deformed legs
-    bx = alg.pairwise_mul(b_basis, m_basis)
-    acted = np.einsum("pxy,ay->pxa", tensor, top.images, optimize=True)
-    mixed = np.einsum("bpq,pxa->bxqa", hopf.delta, acted, optimize=True)
-    rhs = alg.contract_mul(mixed.reshape(db * dm, db, -1),
-                           b_basis[:, None, :]).reshape(db, dm, -1)
-    if rel_residual(bx, rhs) > 100 * tol:
+    if tower.decomposition_residual(hopf.delta, tower.rel_b.images.T) > 100 * tol:
         raise InvariantViolation(
             "canonical action fails the product decomposition identity")
     return action

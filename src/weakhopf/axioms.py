@@ -7,8 +7,11 @@ structure on the relative commutant B = M' cap M2 satisfies these identities
 twisted by its index element H (Cor 4.16, Prop 4.14-4.15).  The twisted rows
 take the inverse ``hinv`` of H in carrier coordinates and default to H = 1,
 where they are the untwisted weak C*-Hopf axioms of Boehm-Nill-Szlachanyi.
+``module_multiplicativity`` takes an action tensor on a carrier instead:
+``verify_action`` checks it as axiom (1), ``identity_suite`` as Prop 4.13.
 Callers (``verify_axioms``, ``check_bundle``, ``identity_suite``,
-``classify``) pick rows under their own check names and refs.
+``classify``, ``verify_action``) pick rows under their own check names and
+refs.
 """
 
 import numpy as np
@@ -183,6 +186,20 @@ def index_from_counital_legs(hopf, h: np.ndarray) -> float:
                     optimize=True)
     rhs = np.einsum("k,kbr->br", h, hopf.mult, optimize=True)
     return rel_residual(lhs, rhs)
+
+
+def module_multiplicativity(hopf, act: np.ndarray, carrier, right: np.ndarray) -> float:
+    """b |> (x y) = (b_(1) |> x) right[b_(2), y], with ``act[b, x]`` the
+    carrier coordinates of b |> x over the units of ``hopf`` and ``carrier``.
+    ``right = act`` is axiom (1) of an action; right[q, y] = H^-1 (q |> y)
+    is the twisted comultiplicativity of the tower expectation (Prop 4.13)."""
+    db, dm = act.shape[:2]
+    mult_m = carrier.mult_tensor
+    lhs = np.einsum("xym,bmr->bxyr", mult_m, act, optimize=True)
+    legs = np.einsum("bpq,pxz->bxqz", hopf.delta, act, optimize=True)
+    paired = np.einsum("qyw,zwr->qzyr", right, mult_m, optimize=True)
+    rhs = legs.reshape(db * dm, db * dm) @ paired.reshape(db * dm, dm * dm)
+    return rel_residual(lhs, rhs.reshape(db, dm, dm, dm))
 
 
 def intertwines(source, target, u: np.ndarray) -> float:

@@ -216,13 +216,6 @@ def cmd_crossed_product(args) -> int:
     return _emit_report(args, report)
 
 
-def _number(value, what: str, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} is not a number: {value!r}") from exc
-
-
 def cmd_report(args) -> int:
     from .report import Check
 
@@ -232,13 +225,14 @@ def cmd_report(args) -> int:
     if not isinstance(env, dict) or not isinstance(checks, list) \
             or not all(isinstance(item, dict) for item in checks):
         raise SchemaError("report environment and check rows must be objects")
-    report = Report(tolerance=_number(env.get("tolerance", args.tolerance), "tolerance"),
-                    seed=_number(env.get("seed", 0), "seed", int),
+    report = Report(tolerance=serialize.number(env.get("tolerance", args.tolerance),
+                                               "tolerance"),
+                    seed=serialize.number(env.get("seed", 0), "seed", int),
                     title=payload.get("title", ""))
     report.classification = payload.get("classification")
     for item in checks:
         name = item.get("name", "")
-        residual = _number(item.get("residual", "0"), f"residual of {name!r}")
+        residual = serialize.number(item.get("residual", "0"), f"residual of {name!r}")
         stored = item.get("pass", False)
         if not isinstance(stored, bool):
             raise SchemaError(f"pass flag of {name!r} is not a boolean: {stored!r}")

@@ -149,24 +149,6 @@ class MultiMatrixAlgebra:
             out[:, :, sl] = prod.reshape(a, b, m * m)
         return out
 
-    def contract_mul(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """sum_r p[s, r] * q[r, t] for stacks p: (s, r, dim), q: (r, t, dim).
-
-        One matrix multiply per block over the fused (r, matrix-col) index.
-        """
-        p = np.asarray(p, dtype=complex)
-        q = np.asarray(q, dtype=complex)
-        s, r = p.shape[0], p.shape[1]
-        t = q.shape[1]
-        out = np.empty((s, t, self.dim), dtype=complex)
-        for alpha, m in enumerate(self.blocks):
-            sl = self.block_slice(alpha)
-            pb = p[:, :, sl].reshape(s, r, m, m).transpose(0, 2, 1, 3).reshape(s * m, r * m)
-            qb = q[:, :, sl].reshape(r, t, m, m).transpose(0, 2, 1, 3).reshape(r * m, t * m)
-            prod = (pb @ qb).reshape(s, m, t, m).transpose(0, 2, 1, 3)
-            out[:, :, sl] = prod.reshape(s, t, m * m)
-        return out
-
     def adjoint_vecs(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
         out = np.empty_like(u)

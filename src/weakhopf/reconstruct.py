@@ -191,20 +191,18 @@ def _restricted_weights(tower: TowerData, cartan: SubalgebraEmbedding) -> np.nda
 def _expectation_cross_checks(tower: TowerData, hopf_b: WeakHopfData,
                               tol: float) -> dict:
     alg, lam = tower.ambient, tower.lam
-    b_basis = tower.rel_b.images.T
 
-    direct = (1 / lam) * tower.expect_top.apply_vec(
-        alg.mul_vecs(b_basis, tower.e2.vec))
+    direct = tower.act(alg.unit().vec)  # b |> 1
     from_pairing = (tower.rel_b.images @ hopf_b.target_counital).T
     counital_res = rel_residual(direct, from_pairing)
     if counital_res > 100 * tol:
         raise InvariantViolation(
             "target counital map disagrees with the expectation formula")
 
+    # S(b) = lam^-3 E_M'(e1 e2 E_M1(b e1 e2)) = lam^-2 E_M'(e1 e2 (b |> e1))
     e1e2 = alg.mul_vecs(tower.e1.vec, tower.e2.vec)
-    inner = tower.expect_top.apply_vec(alg.mul_vecs(b_basis, e1e2))
-    direct_s = (1 / lam ** 3) * tower.expect_mid_commutant.apply_vec(
-        alg.mul_vecs(e1e2, inner))
+    direct_s = tower.expect_mid_commutant.apply_vec(
+        alg.mul_vecs(e1e2, tower.act(tower.e1.vec))) / lam ** 2
     from_pairing_s = (tower.rel_b.images @ hopf_b.antipode).T
     antipode_res = rel_residual(direct_s, from_pairing_s)
     if antipode_res > 100 * tol:
@@ -243,7 +241,6 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
     alpha_of = np.array([alpha for (alpha, _, _) in labels])
 
     e2e1 = alg.mul_vecs(tower.e2.vec, tower.e1.vec)
-    e1e2 = alg.mul_vecs(tower.e1.vec, tower.e2.vec)
 
     lhs = tower.expect_top.apply_vec(alg.mul_vecs(e2e1, v_amb.T))
     scale = (lam ** 2 / d) / block_traces[alpha_of]
@@ -251,7 +248,7 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
     rep.add("expectation collapse of comatrix units", rel_residual(lhs, rhs),
             ref="Lemma 4.9(i)")
 
-    lhs = tower.expect_top.apply_vec(alg.mul_vecs(v_amb.T, e1e2))
+    lhs = lam * gram_inv.T @ tower.act(tower.e1.vec)  # E_M1(v e1 e2)
     sa_img = a_img @ rec.on_a.hopf.antipode
     rhs = scale[:, None] * sa_img[:, transpose_index].T
     rep.add("reverse expectation collapse", rel_residual(lhs, rhs),
@@ -307,7 +304,14 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
 def identity_suite(tower: TowerData, rec: ReconstructedStructure,
                    tol: float = DEFAULT_TOL) -> Report:
     """Residuals of the seventeen structural identities tying the pairing
-    data to the tower, evaluated over full bases."""
+    data to the tower, evaluated over full bases.
+
+    The module map b |> x = lam^-1 E_M1(b x e2) is ``tower.module_tensor``
+    (rows 1, 3 and 10-12).  Rows 3 and 12 compare M1 coordinates.  Row 12 is
+    ``axioms.module_multiplicativity`` with right factor H^-1 (b_(2) |> y):
+    exact in M1, since the trace-index cross check of ``reconstruct`` puts H
+    in B_t = M' cap M1 (an H^-1 outside M1 fails ``coords_vec``).  Row 11 is
+    ``tower.decomposition_residual`` with r(b) = H^-1 b."""
     rep = Report(tolerance=tol, seed=tower.seed, title="reconstruction identity suite")
     alg, tau, lam, d = tower.ambient, tower.tau, tower.lam, tower.d
     hopf = rec.on_b.hopf
@@ -322,15 +326,14 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     h_b = rec.on_b.index_element
     hinv_b = hopf.algebra.inverse_vec(h_b)
     hinv_amb = b_img @ hinv_b
+    act = tower.module_tensor
 
     # 1. <a, b1 b2> = lam^-1 <E_M1(b2 a e2), b1>
     bb = alg.pairwise_mul(b_basis, b_basis)
     lhs = pairing_values(tower, a_img, bb.reshape(db * db, -1).T)
     lhs = lhs.reshape(da, db, db)
-    ba = alg.pairwise_mul(b_basis, alg.mul_vecs(a_basis, e2))
-    expected = tower.expect_top.apply_vec(ba.reshape(db * da, -1))
-    rhs = (1 / lam) * pairing_values(tower, expected.T, b_img)
-    rhs = rhs.reshape(db, da, db).transpose(1, 2, 0)
+    acted = tower.act(a_basis).reshape(da * db, -1)  # b2 |> a
+    rhs = pairing_values(tower, acted.T, b_img).reshape(da, db, db).transpose(0, 2, 1)
     rep.add("pairing against products", rel_residual(lhs, rhs), ref="Lemma 4.1")
 
     # 17 b. <a, eps_t(b)> = d lam^-2 tau(a e1 b e2)
@@ -345,14 +348,13 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     rep.add("counital coproduct absorption", axioms.target_counital_absorption(hopf),
             ref="Prop 4.3")
 
-    # 3. E_M1(b x e2) = E_M1(e2 x S(b)) for x in M1
-    bxe = alg.pairwise_mul(b_basis, alg.mul_vecs(top, e2))
-    lhs = tower.expect_top.apply_vec(bxe)
-    s_amb = (b_img @ anti).T
-    exs = alg.pairwise_mul(alg.mul_vecs(e2, top), s_amb)
-    rhs = tower.expect_top.apply_vec(exs).transpose(1, 0, 2)
-    rep.add("antipode under the expectation", rel_residual(lhs, rhs),
-            ref="Remark 4.4")
+    # 3. E_M1(b x e2) = E_M1(e2 x S(b)) for x in M1; the left side is
+    # lam (b |> x)
+    exs = alg.pairwise_mul(alg.mul_vecs(e2, top), (b_img @ anti).T)
+    rhs = tower.sub_top.coords_vec(
+        tower.expect_top.apply_vec(exs).reshape(dm * db, -1)).reshape(dm, db, dm)
+    rep.add("antipode under the expectation",
+            rel_residual(lam * act, rhs.transpose(1, 0, 2)), ref="Remark 4.4")
 
     # 4. S maps the source Cartan onto the target Cartan
     source_in_b = tower.rel_b.coords_vec(tower.cartan_source.images.T).T
@@ -381,24 +383,21 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     # 9. coproduct star-preserving
     rep.add("coproduct star-preserving", axioms.star_preserving(hopf), ref="Cor 4.10")
 
-    # 10. comatrix unit recursion against e1
-    rep.add("comatrix recursion", _comatrix_recursion_residual(tower, rec),
+    # 10. comatrix unit recursion v_ij e1 = sum_k (v_ik |> e1) H^-1 v_kj
+    rep.add("comatrix recursion", _comatrix_recursion_residual(tower, rec, hinv_amb),
             ref="Prop 4.11")
 
-    # 11. b x = lam^-1 E_M1(b_(1) x e2) H^-1 b_(2)
-    bx = alg.pairwise_mul(b_basis, top)
-    t1 = tower.expect_top.apply_vec(
-        alg.pairwise_mul(b_basis, alg.mul_vecs(top, e2)))
-    t1h = alg.mul_vecs(t1, hinv_amb)
-    mixed = np.einsum("bpq,pmr->bmqr", delta, t1h, optimize=True)
-    rhs = alg.contract_mul(mixed.reshape(db * dm, db, -1),
-                           b_basis[:, None, :]).reshape(db, dm, -1)
-    rep.add("product against module elements", rel_residual(bx, (1 / lam) * rhs),
+    # 11. b x = lam^-1 E_M1(b_(1) x e2) H^-1 b_(2) = (b_(1) |> x) H^-1 b_(2)
+    rep.add("product against module elements",
+            tower.decomposition_residual(delta, alg.mul_vecs(hinv_amb, b_basis)),
             ref="Cor 4.12")
 
-    # 12. E_M1(b x y e2) = lam^-1 E_M1(b_(1) x e2) H^-1 E_M1(b_(2) y e2)
+    # 12. E_M1(b x y e2) = lam^-1 E_M1(b_(1) x e2) H^-1 E_M1(b_(2) y e2), that
+    # is b |> (x y) = (b_(1) |> x) H^-1 (b_(2) |> y)
+    m1 = tower.sub_top.sub
+    hinv_m1 = tower.sub_top.coords_vec(hinv_amb[None, :])[0]
     rep.add("expectation comultiplicativity",
-            _expectation_product_residual(tower, bx, t1, mixed),
+            axioms.module_multiplicativity(hopf, act, m1, m1.mul_vecs(hinv_m1, act)),
             ref="Prop 4.13")
 
     # 13. Delta(b c) = Delta(b) (1 (x) H^-1) Delta(c)
@@ -482,45 +481,26 @@ def _tensor_positive_residual(left: MultiMatrixAlgebra, right: MultiMatrixAlgebr
     return worst
 
 
-def _comatrix_recursion_residual(tower: TowerData, rec: ReconstructedStructure) -> float:
-    alg, lam = tower.ambient, tower.lam
+def _comatrix_recursion_residual(tower: TowerData, rec: ReconstructedStructure,
+                                 hinv_amb: np.ndarray) -> float:
+    alg = tower.ambient
     a_sub = tower.rel_a.sub
     gram_inv = rec.pairing.inverse
     v_amb = tower.rel_b.images @ gram_inv
-    hinv_amb = tower.rel_b.images @ rec.on_b.hopf.algebra.inverse_vec(
-        rec.on_b.index_element)
-    e1, e2 = tower.e1.vec, tower.e2.vec
-    e1e2 = alg.mul_vecs(e1, e2)
+    e1 = tower.e1.vec
+    v_on_e1 = gram_inv.T @ tower.act(e1)
     worst = 0.0
     for alpha, m in enumerate(a_sub.blocks):
         idx = np.array([[a_sub.basis_index(alpha, i, j) for j in range(m)]
-                        for i in range(m)])
-        v = v_amb[:, idx.reshape(-1)].T.reshape(m, m, -1)
+                        for i in range(m)]).reshape(-1)
+        v = v_amb[:, idx].T.reshape(m, m, -1)
         lhs = alg.mul_vecs(v, e1)
-        inner = tower.expect_top.apply_vec(alg.mul_vecs(v, e1e2))
-        inner_h = alg.mul_vecs(inner, hinv_amb)
+        inner_h = alg.mul_vecs(v_on_e1[idx].reshape(m, m, -1), hinv_amb)
         acc = np.zeros_like(lhs)
         for k in range(m):
             acc += alg.mul_vecs(inner_h[:, k, :][:, None, :], v[k, :, :][None, :, :])
-        worst = max(worst, rel_residual(lhs, (1 / lam) * acc))
+        worst = max(worst, rel_residual(lhs, acc))
     return worst
-
-
-def _expectation_product_residual(tower: TowerData, bx: np.ndarray, t1: np.ndarray,
-                                  mixed: np.ndarray) -> float:
-    alg, lam = tower.ambient, tower.lam
-    top = tower.sub_top.images.T
-    db, dm = tower.rel_b.images.shape[1], top.shape[0]
-    e2 = tower.e2.vec
-
-    ye = alg.mul_vecs(top, e2)
-    lhs = alg.pairwise_mul(bx.reshape(db * dm, -1), ye)
-    lhs = tower.expect_top.apply_vec(lhs.reshape(db * dm * dm, -1))
-    lhs = lhs.reshape(db, dm, dm, -1)
-
-    rhs = alg.contract_mul(mixed.reshape(db * dm, db, -1), t1)
-    rhs = rhs.reshape(db, dm, dm, -1)
-    return rel_residual(lhs, (1 / lam) * rhs)
 
 
 # ---------------------------------------------------------------------------

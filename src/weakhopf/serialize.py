@@ -58,10 +58,22 @@ def _enc_mat(mat) -> list:
     return [_enc_vec(row) for row in np.asarray(mat, dtype=complex)]
 
 
+def number(value, what: str, kind=float):
+    """``value`` converted by ``kind`` (float or int); a value it rejects, or
+    a non-integral one for int, is a SchemaError naming ``what``."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} is not a number: {value!r}") from exc
+    if kind is int and isinstance(value, float) and out != value:
+        raise SchemaError(f"{what} is not an integer: {value!r}")
+    return out
+
+
 def _dec_c(item) -> complex:
     if not (isinstance(item, (list, tuple)) and len(item) == 2):
         raise SchemaError("complex numbers are [re, im] pairs")
-    return complex(float(item[0]), float(item[1]))
+    return complex(number(item[0], "real part"), number(item[1], "imaginary part"))
 
 
 def _dec_vec(data, length: int | None = None) -> np.ndarray:
@@ -103,10 +115,10 @@ def _dense_tensor(entries, shape) -> np.ndarray:
     for item in entries:
         if not isinstance(item, list) or len(item) != rank + 2:
             raise SchemaError("sparse tensor entries are [indices..., re, im]")
-        idx = tuple(int(i) for i in item[:rank])
+        idx = tuple(number(i, "sparse tensor index", int) for i in item[:rank])
         if any(i < 0 or i >= s for i, s in zip(idx, shape)):
             raise SchemaError("sparse tensor index out of range")
-        out[idx] += complex(item[rank], item[rank + 1])
+        out[idx] += _dec_c(item[rank:])
     return out
 
 
@@ -196,11 +208,11 @@ def parse_tower(payload: dict, tol: float = 1e-9) -> TowerData:
     tau_w = payload.get("tau")
     if not isinstance(tau_w, list) or len(tau_w) != len(ambient.blocks):
         raise SchemaError("tau must list one weight per ambient block")
-    tau = TraceState(ambient, np.asarray(tau_w, dtype=float))
+    tau = TraceState(ambient, [number(w, "tau weight") for w in tau_w])
 
     e1 = ambient.element(_dec_vec(payload.get("e1"), ambient.dim))
     e2 = ambient.element(_dec_vec(payload.get("e2"), ambient.dim))
-    seed = int(payload.get("seed", 0))
+    seed = number(payload.get("seed", 0), "seed", int)
 
     _tower_invariants(ambient, emb, e1, e2, tau, float(lam), tol)
     return TowerData(ambient, emb("start"), emb("mid"), emb("top"),

@@ -99,6 +99,38 @@ class TowerData:
         """Expectation onto M' (within the ambient)."""
         return ConditionalExpectation(self.rel_b, self.tau, verify=False)
 
+    @cached_property
+    def module_tensor(self) -> np.ndarray:
+        """The minimal action b |> x = lam^-1 E_M1(b x e2) of B = M' cap M2 on
+        M1: a read-only (B units, M1 units, M1 coordinates) array.  It does
+        not depend on the coproduct of B."""
+        alg, top = self.ambient, self.sub_top
+        raw = self.expect_top.apply_vec(alg.pairwise_mul(
+            self.rel_b.images.T, alg.mul_vecs(top.images.T, self.e2.vec)))
+        db, dm = raw.shape[:2]
+        tensor = top.coords_vec(raw.reshape(db * dm, -1)).reshape(db, dm, dm) / self.lam
+        tensor.setflags(write=False)
+        return tensor
+
+    def act(self, xs: np.ndarray) -> np.ndarray:
+        """b |> x for every unit b of B and M1 element x of the stack ``xs``,
+        ambient coordinates in and out: shape xs.shape[:-1] + (B units, dim)."""
+        coords = self.sub_top.coords_vec(xs)
+        return self.sub_top.embed_vec(
+            np.einsum("...x,bxy->...by", coords, self.module_tensor, optimize=True))
+
+    def decomposition_residual(self, delta: np.ndarray, right: np.ndarray) -> float:
+        """Residual of b x = (b_(1) |> x) r(b_(2)) over the units b of B and x
+        of M1, for the legs ``delta`` and r(u_q) = ``right[q]`` in the ambient:
+        the M1 x B product map, contracted with the legs in one GEMM."""
+        alg = self.ambient
+        b_basis, m_basis = self.rel_b.images.T, self.sub_top.images.T
+        db, dm = len(b_basis), len(m_basis)
+        legs = np.einsum("bpq,pxy->bxyq", delta, self.module_tensor, optimize=True)
+        products = alg.pairwise_mul(m_basis, right).reshape(dm * db, -1)
+        rhs = legs.reshape(db * dm, dm * db) @ products
+        return rel_residual(alg.pairwise_mul(b_basis, m_basis), rhs.reshape(db, dm, -1))
+
 
 def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,
                            tol: float = DEFAULT_TOL) -> TowerData:

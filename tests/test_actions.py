@@ -291,3 +291,31 @@ def test_theta_rejects_a_wrong_twist_root(get_pipeline, monkeypatch):
     with pytest.raises(InvariantViolation, match="comparison map failed: well defined "
                                                  "on balanced classes residual"):
         theta_iso(tower, pipe["deformed"], pipe["crossed"])
+
+
+@pytest.mark.parametrize("name", ["z2", "z3"])
+def test_module_tensor_is_the_compressed_product(name, get_tower, get_pipeline):
+    # b |> x = lam^-1 E_M1(b x e2), one pair at a time, in M1 coordinates
+    tower = get_tower(name)
+    action = get_pipeline(name)["action"]
+    amb, top = tower.ambient, tower.sub_top
+    local = np.array([[top.coords_vec(tower.expect_top(
+        amb.element(b) * amb.element(x) * tower.e2).vec[None, :])[0]
+        for x in top.images.T] for b in tower.rel_b.images.T]) / tower.lam
+    assert np.abs(local).max() > 0.1
+    assert rel_residual(tower.module_tensor, local) < 1e-12
+    assert action.tensor is tower.module_tensor
+
+
+@pytest.mark.parametrize("name", ["z2", "z3"])
+def test_decomposition_residual_catches_bent_legs(name, get_tower, get_pipeline):
+    # b x = (b_(1) |> x) b_(2) holds for the coproduct and fails once its
+    # legs are swapped or perturbed
+    tower = get_tower(name)
+    delta = get_pipeline(name)["deformed"].hopf.delta
+    units = tower.rel_b.images.T
+    assert tower.decomposition_residual(delta, units) <= TOL
+    assert tower.decomposition_residual(delta.transpose(0, 2, 1), units) > 1e-3
+    rng = np.random.default_rng(13)
+    bent = delta + 0.01 * rng.standard_normal(delta.shape)
+    assert tower.decomposition_residual(bent, units) > 1e-3

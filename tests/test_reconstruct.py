@@ -7,6 +7,7 @@ from weakhopf._linalg import rel_residual
 from weakhopf.matching import match_pair_groupoid
 from weakhopf.multimatrix import TraceState, watatani_index
 from weakhopf.reconstruct import (
+    StructureBundle,
     classify,
     dual_bases,
     identity_suite,
@@ -230,3 +231,44 @@ def test_reconstruction_stable_under_reseeding():
     rec = run_reconstruct(tower)
     suite = identity_suite(tower, rec)
     assert suite.passed and suite.max_residual <= TOL
+
+
+def _suite_with(tower, rec, hopf=None, index_element=None):
+    """The identity suite with the reconstructed structure on B or its index
+    element replaced."""
+    bundle = StructureBundle(
+        rec.on_b.hopf if hopf is None else hopf,
+        rec.on_b.index_element if index_element is None else index_element)
+    return identity_suite(tower, dataclasses.replace(rec, on_b=bundle))
+
+
+def test_suite_catches_a_perturbed_antipode(get_tower, get_reconstruction):
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    hopf = rec.on_b.hopf
+    rng = np.random.default_rng(7)
+    bent = hopf.antipode + 0.1 * rng.standard_normal(hopf.antipode.shape)
+    rep = _suite_with(tower, rec, hopf=hopf.copy_with(antipode=bent))
+    assert rep["antipode under the expectation"].residual > 1e-3
+
+
+def test_suite_catches_swapped_coproduct_legs(get_tower, get_reconstruction):
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    hopf = rec.on_b.hopf
+    swapped = hopf.copy_with(delta=hopf.delta.transpose(0, 2, 1))
+    rep = _suite_with(tower, rec, hopf=swapped)
+    assert rep["product against module elements"].residual > 1e-3
+
+
+@pytest.mark.parametrize("kind", ["doubled", "cartan"])
+def test_suite_catches_a_wrong_index_element(kind, get_tower, get_reconstruction):
+    # 2H, or a positive element of the target Cartan B_t that is not a scalar
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    if kind == "doubled":
+        h = 2 * rec.on_b.index_element
+    else:
+        bt_in_b = tower.rel_b.coords_vec(tower.cartan_target.images.T).T
+        h = bt_in_b @ np.arange(1.0, bt_in_b.shape[1] + 1)
+        assert rel_residual(h, h[0] * rec.on_b.index_element) > 0.1
+    rep = _suite_with(tower, rec, index_element=h)
+    assert rep["product against module elements"].residual > 1e-3
+    assert rep["expectation comultiplicativity"].residual > 1e-3

@@ -358,6 +358,50 @@ def test_cli_report_malformed_is_schema_error(tmp_path, capsys, keys, value, mes
     assert message in err
 
 
+def _set_seed(payload, value):
+    payload["seed"] = value
+
+
+def _set_e2_entry(payload, value):
+    payload["e2"][0] = value
+
+
+def _set_delta(position, value):
+    def edit(payload):
+        entry = payload["delta"][0]
+        entry[position] = value(entry[position])
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("tower", lambda p: _set_seed(p, "abc")),
+    ("tower", lambda p: _set_seed(p, [1])),
+    ("tower", lambda p: _set_e2_entry(p, ["x", 0])),
+    ("tower", lambda p: _set_e2_entry(p, [None, 0])),
+    ("tower", lambda p: p.update(tau=["heavy"] * len(p["tau"]))),
+    ("weak-hopf", _set_delta(0, lambda i: "a")),
+    ("weak-hopf", _set_delta(0, lambda i: i + 0.7)),
+    ("weak-hopf", _set_delta(3, lambda z: "x")),
+    ("weak-hopf", lambda p: p["epsilon"].__setitem__(0, [[1], 0])),
+], ids=["seed-string", "seed-list", "e2-string", "e2-null", "tau-string",
+        "delta-index-string", "delta-index-fraction", "delta-value-string",
+        "epsilon-nested"])
+def test_cli_malformed_numbers_are_schema_errors(tmp_path, capsys, kind, edit):
+    argv = (["tower", "from-group", "cyclic", "2"] if kind == "tower"
+            else ["gen", "pair-groupoid", "2"])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    edit(doc["payload"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    command = "reconstruct" if kind == "tower" else "verify-wha"
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # schema error -> 2
     bad = tmp_path / "bad.json"
