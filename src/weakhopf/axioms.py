@@ -12,6 +12,14 @@ where they are the untwisted weak C*-Hopf axioms of Boehm-Nill-Szlachanyi.
 Callers (``verify_axioms``, ``check_bundle``, ``identity_suite``,
 ``classify``, ``verify_action``) pick rows under their own check names and
 refs.
+
+Rows multiply through the algebra's block kernels (``mul_vecs``,
+``pairwise_mul``, ``matmul_vecs``): a sum over coproduct legs such as
+b_(1) S(b_(2)) is one broadcast product of the leg rows, summed.  Counit
+values of products come from ``product_form``, and products of coproducts
+from the tensor square.  The table ``mult_tensor`` is read only to apply a
+map to products of basis units: Delta(u_b u_c), mat(u_i u_j) (also for the
+basis change of ``intertwines``) and b |> (u_x u_y).
 """
 
 import numpy as np
@@ -40,17 +48,17 @@ def counit_right(hopf) -> float:
 
 
 def multiplicativity(hopf, hinv=None) -> float:
-    """Delta(b c) = Delta(b) (1 (x) H^-1) Delta(c)."""
-    delta, mult, d = hopf.delta, hopf.mult, hopf.dim
-    twist = hopf.structure.left_matrix(hopf.unit_vec if hinv is None else hinv)
-    twisted = np.einsum("cpq,rq->cpr", delta, twist, optimize=True)
-    prod = np.einsum("ijm,mpq->ijpq", mult, delta, optimize=True)
-    # products of every pair in B(x)B as one matmul of the regrouped four-leg
-    # contraction
-    c1 = np.einsum("ipq,pPr->irPq", delta, mult, optimize=True)
-    c2 = np.einsum("jPQ,qQs->Pqjs", twisted, mult, optimize=True)
-    pairs = (c1.reshape(d * d, d * d) @ c2.reshape(d * d, d * d)).reshape(d, d, d, d)
-    return rel_residual(prod, pairs.transpose(0, 2, 1, 3))
+    """Delta(b c) = Delta(b) (1 (x) H^-1) Delta(c), all products taken in the
+    tensor square."""
+    alg, d = hopf.algebra, hopf.dim
+    square, index = alg.tensor_square
+    coproducts = np.empty((d, square.dim), dtype=complex)
+    coproducts[:, index] = hopf.delta
+    twist = np.empty(square.dim, dtype=complex)
+    twist[index] = np.outer(hopf.unit_vec, hopf.unit_vec if hinv is None else hinv)
+    twisted = square.mul_vecs(twist, coproducts)
+    prod = (alg.mult_tensor.reshape(d * d, d) @ coproducts).reshape(d, d, -1)
+    return rel_residual(prod, square.pairwise_mul(coproducts, twisted))
 
 
 def star_preserving(hopf) -> float:
@@ -63,59 +71,62 @@ def star_preserving(hopf) -> float:
 
 def target_counital_relation(hopf) -> float:
     """b eps_t(c) = eps(b_(1) c) b_(2)."""
-    lhs = np.einsum("kc,bkr->bcr", hopf.target_counital, hopf.mult, optimize=True)
-    rhs = np.einsum("bpq,pc->bcq", hopf.delta, hopf._eps_of_products, optimize=True)
+    lhs = hopf.algebra.pairwise_mul(np.eye(hopf.dim), hopf.target_counital.T)
+    rhs = np.einsum("bpq,pc->bcq", hopf.delta, hopf.counit_form, optimize=True)
     return rel_residual(lhs, rhs)
 
 
 def target_counital_absorption(hopf) -> float:
     """b_(1) (x) eps_t(b_(2)) = 1_(1) b (x) 1_(2)."""
     lhs = np.einsum("bpq,sq->bps", hopf.delta, hopf.target_counital, optimize=True)
-    rhs = np.einsum("pq,pbr->brq", hopf.delta_unit, hopf.mult, optimize=True)
-    return rel_residual(lhs, rhs)
+    # row q of delta_unit.T is the first leg paired with u_q
+    rhs = hopf.algebra.pairwise_mul(hopf.delta_unit.T, np.eye(hopf.dim))
+    return rel_residual(lhs, rhs.transpose(1, 2, 0))
 
 
 def source_counital_relation(hopf) -> float:
     """eps_s(c) b = b_(1) eps(c b_(2))."""
-    lhs = np.einsum("kc,kbr->cbr", hopf.source_counital, hopf.mult, optimize=True)
-    rhs = np.einsum("bpq,cq->cbp", hopf.delta, hopf._eps_of_products, optimize=True)
+    lhs = hopf.algebra.pairwise_mul(hopf.source_counital.T, np.eye(hopf.dim))
+    rhs = np.einsum("bpq,cq->cbp", hopf.delta, hopf.counit_form, optimize=True)
     return rel_residual(lhs, rhs)
 
 
 def source_counital_absorption(hopf) -> float:
     """eps_s(b_(1)) (x) b_(2) = 1_(1) (x) b 1_(2)."""
     lhs = np.einsum("bpq,sp->bsq", hopf.delta, hopf.source_counital, optimize=True)
-    rhs = np.einsum("pq,bqr->bpr", hopf.delta_unit, hopf.mult, optimize=True)
+    # row p of delta_unit is the second leg paired with u_p
+    rhs = hopf.algebra.pairwise_mul(np.eye(hopf.dim), hopf.delta_unit)
     return rel_residual(lhs, rhs)
 
 
 def antipode_counital(hopf, hinv=None) -> float:
     """b_(1) S(b_(2) H^-1) = eps_t(b)."""
-    sr = hopf.antipode @ hopf.structure.right_matrix(
-        hopf.unit_vec if hinv is None else hinv)
-    inner = np.einsum("psr,sq->pqr", hopf.mult, sr, optimize=True)
-    lhs = np.einsum("bpq,pqr->br", hopf.delta, inner, optimize=True)
+    alg = hopf.algebra
+    sr = hopf.antipode @ alg.right_mult_matrix(hopf.unit_vec if hinv is None else hinv)
+    # sum over q of (the first leg paired with u_q) times S(u_q H^-1)
+    lhs = alg.mul_vecs(hopf.delta.transpose(0, 2, 1), sr.T).sum(axis=1)
     return rel_residual(lhs, hopf.target_counital.T)
 
 
 def antipode_source(hopf) -> float:
     """S(b_(1)) b_(2) = eps_s(b)."""
-    sp = np.einsum("kp,kqr->pqr", hopf.antipode, hopf.mult, optimize=True)
-    lhs = np.einsum("bpq,pqr->br", hopf.delta, sp, optimize=True)
+    lhs = hopf.algebra.mul_vecs(hopf.antipode.T, hopf.delta).sum(axis=1)
     return rel_residual(lhs, hopf.source_counital.T)
 
 
-def _reverses_products(hopf, mat: np.ndarray, mult_image: np.ndarray) -> float:
-    """mat(u_i u_j) = mat(u_j) mat(u_i), with ``mult_image`` the structure
-    tensor as ``mat`` sees it (conjugated for an antilinear map)."""
-    lhs = np.einsum("ijm,km->ijk", mult_image, mat, optimize=True)
-    rhs = np.einsum("aj,bi,abr->ijr", mat, mat, hopf.mult, optimize=True)
+def _reverses_products(hopf, mat: np.ndarray) -> float:
+    """mat(u_i u_j) = mat(u_j) mat(u_i) for a linear or antilinear ``mat``
+    (the same test: the basis-unit products have real coefficients)."""
+    alg = hopf.algebra
+    images = mat.T  # row i: mat(u_i)
+    lhs = alg.mult_tensor @ images
+    rhs = alg.pairwise_mul(images, images).transpose(1, 0, 2)
     return rel_residual(lhs, rhs)
 
 
 def anti_multiplicative(hopf) -> float:
     """S(b c) = S(c) S(b)."""
-    return _reverses_products(hopf, hopf.antipode, hopf.mult)
+    return _reverses_products(hopf, hopf.antipode)
 
 
 def anti_comultiplicative(hopf) -> float:
@@ -161,7 +172,7 @@ def involution_squared(hopf) -> float:
 
 def involution_anti_multiplicative(hopf) -> float:
     """(b c)* = c* b*."""
-    return _reverses_products(hopf, hopf.star_matrix, np.conj(hopf.mult))
+    return _reverses_products(hopf, hopf.star_matrix)
 
 
 def involution_fixes_unit(hopf) -> float:
@@ -171,8 +182,7 @@ def involution_fixes_unit(hopf) -> float:
 
 def index_element(hopf) -> np.ndarray:
     """S(1_(1)) 1_(2), the index element H of a reconstructed structure."""
-    return np.einsum("pq,ap,aqr->r", hopf.delta_unit, hopf.antipode, hopf.mult,
-                     optimize=True)
+    return hopf.algebra.mul_vecs(hopf.antipode.T, hopf.delta_unit).sum(axis=0)
 
 
 def index_from_unit_legs(hopf, h: np.ndarray) -> float:
@@ -182,32 +192,33 @@ def index_from_unit_legs(hopf, h: np.ndarray) -> float:
 
 def index_from_counital_legs(hopf, h: np.ndarray) -> float:
     """eps_t(b_(1)) b_(2) = H b  (Prop 4.8)."""
-    lhs = np.einsum("bpq,kp,kqr->br", hopf.delta, hopf.target_counital, hopf.mult,
-                    optimize=True)
-    rhs = np.einsum("k,kbr->br", h, hopf.mult, optimize=True)
-    return rel_residual(lhs, rhs)
+    alg = hopf.algebra
+    lhs = alg.mul_vecs(hopf.target_counital.T, hopf.delta).sum(axis=1)
+    return rel_residual(lhs, alg.mul_vecs(h, np.eye(hopf.dim)))
 
 
 def module_multiplicativity(hopf, act: np.ndarray, carrier, right: np.ndarray) -> float:
     """b |> (x y) = (b_(1) |> x) right[b_(2), y], with ``act[b, x]`` the
     carrier coordinates of b |> x over the units of ``hopf`` and ``carrier``.
     ``right = act`` is axiom (1) of an action; right[q, y] = H^-1 (q |> y)
-    is the twisted comultiplicativity of the tower expectation (Prop 4.13)."""
+    is the twisted comultiplicativity of the tower expectation (Prop 4.13).
+    The right side is a matrix product over the carrier: the row of legs
+    b_(1) |> x paired with u_q, times the column right[q, y]."""
     db, dm = act.shape[:2]
-    mult_m = carrier.mult_tensor
-    lhs = np.einsum("xym,bmr->bxyr", mult_m, act, optimize=True)
+    # the legs are dropped before the left side is formed: each of these
+    # arrays has db * dm**3 entries
     legs = np.einsum("bpq,pxz->bxqz", hopf.delta, act, optimize=True)
-    paired = np.einsum("qyw,zwr->qzyr", right, mult_m, optimize=True)
-    rhs = legs.reshape(db * dm, db * dm) @ paired.reshape(db * dm, dm * dm)
-    return rel_residual(lhs, rhs.reshape(db, dm, dm, dm))
+    rhs = carrier.matmul_vecs(legs.reshape(db * dm, db, dm), right)
+    del legs
+    lhs = carrier.mult_tensor.reshape(dm * dm, dm) @ act  # b |> (u_x u_y)
+    return rel_residual(lhs.reshape(db, dm, dm, dm), rhs.reshape(db, dm, dm, dm))
 
 
 def intertwines(source, target, u: np.ndarray) -> float:
     """u maps the product, coproduct, counit, antipode, involution and unit
     of ``source`` to those of ``target`` (worst residual)."""
-    res = rel_residual(
-        np.einsum("ijk,mk->ijm", source.mult, u, optimize=True),
-        np.einsum("pi,qj,pqm->ijm", u, u, target.mult, optimize=True))
+    res = rel_residual(source.algebra.mult_tensor @ u.T,  # u(u_i u_j)
+                       target.algebra.pairwise_mul(u.T, u.T))
     res = max(res, rel_residual(
         np.einsum("mi,mPQ->iPQ", u, target.delta, optimize=True),
         np.einsum("ipq,Pp,Qq->iPQ", source.delta, u, u, optimize=True)))

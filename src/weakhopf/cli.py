@@ -145,7 +145,7 @@ def cmd_tower(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    tower = serialize.parse_tower(_load(args.file, "tower"), args.tolerance)
+    tower = serialize.parse_tower(_load(args.file, "tower"))
     report = verify_tower_premises(tower, args.tolerance)
     rec = reconstruct(tower, args.tolerance)
     _, dual_rep = dual_bases(tower, rec, args.tolerance)
@@ -193,7 +193,7 @@ def cmd_undeform(args) -> int:
 
 
 def cmd_crossed_product(args) -> int:
-    tower = serialize.parse_tower(_load(args.file, "tower"), args.tolerance)
+    tower = serialize.parse_tower(_load(args.file, "tower"))
     report = verify_tower_premises(tower, args.tolerance)
     rec = reconstruct(tower, args.tolerance)
     deformed, drep = deform(rec.on_b, args.tolerance, tower=tower)

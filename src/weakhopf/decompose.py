@@ -4,12 +4,18 @@ Input is a multiplication tensor, a unit vector and an antilinear involution
 matrix over some basis.  The regular trace of a C*-algebra is positive and
 faithful, so it provides a Hilbert metric in which left multiplication is a
 *-representation; from there the block split proceeds spectrally.  This is the
-only block-splitting engine.  Its callers:
-:func:`weakhopf.multimatrix.subalgebra_from_basis` passes it the structure
-constants of a span (fixed points, Cartan subalgebras of abstract structures,
-group algebras, duals), and :func:`weakhopf.actions.crossed_product` the
-kernel ideal of a non-Galois action; crossed products of tower actions take
-their blocks in closed form and never reach it.
+only block-splitting engine.
+
+:class:`StructureAlgebra` is the type of abstract algebras only, those not
+yet known as a multimatrix algebra.  There are three:
+:func:`weakhopf.multimatrix.subalgebra_from_basis` passes the structure
+constants of a span (fixed points, Cartan subalgebras, group algebras),
+:func:`weakhopf.weak_hopf.dual_algebra` the raw dual (product = transposed
+coproduct), and :func:`weakhopf.actions.crossed_product` the kernel ideal of
+a non-Galois action; crossed products of tower actions take their blocks in
+closed form and never reach it.  Once an algebra is a
+:class:`~weakhopf.multimatrix.MultiMatrixAlgebra`, its products go through
+the block kernels there, never through a structure tensor here.
 
 The dense structure tensor is the large operand (d**3 entries), so every
 product goes through batched operator kernels that read it once per batch of
@@ -147,7 +153,7 @@ def decompose_structure_algebra(algebra: StructureAlgebra, *, rng=None,
     if multi.dim != d:
         raise InvariantViolation("matrix units do not span the algebra")
     change_on = np.column_stack(units)
-    _verify_units(on, multi, change_on, tol)
+    _verify_units(on, multi, change_on)
     return multi, t @ change_on
 
 
@@ -254,7 +260,7 @@ def _matrix_units(on, diag, rng):
 
 
 def _verify_units(on: StructureAlgebra, multi: MultiMatrixAlgebra,
-                  change: np.ndarray, tol: float):
+                  change: np.ndarray):
     cols = change.T  # (multi.dim, on.dim), one row per canonical matrix unit
     # e_ij e_kl = delta_jk e_il inside a block and 0 across blocks, checked one
     # block of left factors at a time; worst and scale are those of the

@@ -33,7 +33,7 @@ class DeformedStructure:
 
 def _inverse_coords(hopf: WeakHopfData, vec: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.solve(hopf.structure.left_matrix(vec), hopf.unit_vec)
+        return np.linalg.solve(hopf.algebra.left_mult_matrix(vec), hopf.unit_vec)
     except np.linalg.LinAlgError as exc:
         raise InvariantViolation("element is not invertible") from exc
 
@@ -42,7 +42,7 @@ def _positivity_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     """Self-adjointness under the structure involution plus spectral
     positivity (eigenvalues of left multiplication, basis-independent)."""
     res = rel_residual(hopf.star(vec), vec)
-    spec = np.linalg.eigvals(hopf.structure.left_matrix(vec))
+    spec = np.linalg.eigvals(hopf.algebra.left_mult_matrix(vec))
     scale = max(max_abs(spec), 1.0)
     res = max(res, float(np.max(np.abs(np.imag(spec)))) / scale)
     res = max(res, float(-np.min(np.real(spec))) / scale)
@@ -53,7 +53,8 @@ def _central_in_cartan_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     """Membership in the target Cartan subalgebra and centrality there."""
     res = rel_residual(hopf.target_counital @ vec, vec)
     fixed = null_space(hopf.target_counital - np.eye(hopf.dim), 1e-10)
-    comm = hopf.structure.commutator_matrices(vec[None, :])[0] @ fixed
+    alg = hopf.algebra
+    comm = (alg.left_mult_matrix(vec) - alg.right_mult_matrix(vec)) @ fixed
     return max(res, max_abs(comm) / max(max_abs(vec), 1.0))
 
 
@@ -62,13 +63,13 @@ def _twist(hopf: WeakHopfData, t: np.ndarray) -> WeakHopfData:
     Delta (1 (x) L(t)), counit eps L(t^-1), antipode S L(t^-1) R(t) and the
     involution conjugated by S(t).  ``undeform`` twists by H and ``deform`` by
     H^-1, so the two are inverse to each other."""
-    ops = hopf.structure
+    alg = hopf.algebra
     t_inv = _inverse_coords(hopf, t)
     s_t = hopf.antipode @ t
-    delta = np.einsum("bpQ,qQ->bpq", hopf.delta, ops.left_matrix(t), optimize=True)
-    eps = hopf.epsilon @ ops.left_matrix(t_inv)
-    antipode = hopf.antipode @ ops.left_matrix(t_inv) @ ops.right_matrix(t)
-    star = ops.left_matrix(s_t) @ ops.right_matrix(
+    delta = np.einsum("bpQ,qQ->bpq", hopf.delta, alg.left_mult_matrix(t), optimize=True)
+    eps = hopf.epsilon @ alg.left_mult_matrix(t_inv)
+    antipode = hopf.antipode @ alg.left_mult_matrix(t_inv) @ alg.right_mult_matrix(t)
+    star = alg.left_mult_matrix(s_t) @ alg.right_mult_matrix(
         _inverse_coords(hopf, s_t)) @ hopf.star_matrix
     return WeakHopfData(hopf.algebra, delta, eps, antipode, star)
 
@@ -124,7 +125,7 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
             f"structure bundle violated: {worst.name} residual {worst.residual:.3e}")
 
     hopf, h = bundle.hopf, bundle.index_element
-    ops = hopf.structure
+    alg = hopf.algebra
     s_h = hopf.antipode @ h
     s_h_inv = _inverse_coords(hopf, s_h)
     deformed = _twist(hopf, _inverse_coords(hopf, h))
@@ -144,9 +145,10 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
 
     rep.add("antipode fixes the image of the index element",
             rel_residual(deformed.antipode @ h, s_h), ref="Prop 5.6")
-    modular = ops.mul(s_h_inv, h)
+    modular = alg.mul_vecs(s_h_inv, h)
     squared = deformed.antipode @ deformed.antipode
-    adg = ops.left_matrix(modular) @ ops.right_matrix(_inverse_coords(hopf, modular))
+    adg = alg.left_mult_matrix(modular) @ alg.right_mult_matrix(
+        _inverse_coords(hopf, modular))
     rep.add("squared antipode is conjugation by the modular element",
             rel_residual(squared, adg), ref="Prop 5.6")
     rep.add("modular element positive", _positivity_residual(deformed, modular),
@@ -156,14 +158,14 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
         from .weak_hopf import haar_functional, haar_projection
 
         e2_b = tower.rel_b.coords_vec(tower.e2.vec[None, :])[0]
-        e2h = ops.mul(e2_b, h)
+        e2h = alg.mul_vecs(e2_b, h)
         solved = haar_projection(deformed, tol)
         rep.add("Haar projection is e2 twisted by the index element",
                 rel_residual(solved.vec, e2h), ref="Thm 5.7")
         phi = haar_functional(deformed, tol)
-        sh_h = ops.mul(s_h, h)
+        sh_h = alg.mul_vecs(s_h, h)
         closed = tower.d * tower.tau.values(
-            (tower.rel_b.images @ ops.left_matrix(sh_h)).T)
+            (tower.rel_b.images @ alg.left_mult_matrix(sh_h)).T)
         rep.add("Haar functional closed form",
                 rel_residual(phi, closed), ref="Thm 5.7")
 
@@ -171,11 +173,11 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
         power = modular.copy()
         found = None
         for n in range(1, 13):
-            comm = ops.left_matrix(power) - ops.right_matrix(power)
+            comm = alg.left_mult_matrix(power) - alg.right_mult_matrix(power)
             if max_abs(comm) / max(max_abs(power), 1.0) <= 1e-8:
                 found = n
                 break
-            power = ops.mul(power, modular)
+            power = alg.mul_vecs(power, modular)
         rep.add_info("modular element central power",
                      0.0 if found is None else float(found),
                      ref="Remark 5.8",

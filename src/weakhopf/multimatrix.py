@@ -2,8 +2,19 @@
 
 A multimatrix algebra is a direct sum of full complex matrix blocks.  Elements
 are kept as flat coefficient vectors over the canonical matrix-unit basis, so
-linear maps between algebras are ordinary matrices and batched element
-arithmetic reduces to block einsums.
+linear maps between algebras are ordinary matrices.
+
+Products of elements have one home, the block kernels of
+:class:`MultiMatrixAlgebra`: ``mul_vecs`` (broadcast products),
+``matmul_vecs`` (matrices of elements, with ``pairwise_mul`` as its all-pairs
+case) and the left/right multiplication matrices.  They multiply block by
+block, one batched matmul per run of equal blocks, and every module
+multiplies through them.  Two helpers hide the formats built on them:
+``product_form(f)``, the matrix of (x, y) -> f(x y) (the trace form for
+f = tau), and ``tensor_square``, the algebra tensored with itself, in which
+coproducts multiply.  The dense table ``mult_tensor`` of basis-unit products
+is never contracted against a general element; its docstring lists what
+reads it.
 
 Commutants need no splitting: relative commutants, centers and the Jones basic
 construction (the commutant of the right action of the subalgebra) all take
@@ -13,6 +24,7 @@ structure constants to :mod:`weakhopf.decompose`, the one block-splitting
 engine.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +41,10 @@ from ._linalg import (
 from .errors import InvariantViolation
 
 DEFAULT_TOL = 1e-9
+
+# relative residual above which a vector is judged to lie outside the image
+# of a subalgebra embedding (``SubalgebraEmbedding.coords_vec``)
+MEMBERSHIP_TOL = 1e-6
 
 
 class MultiMatrixAlgebra:
@@ -117,37 +133,61 @@ class MultiMatrixAlgebra:
 
     # -- batched arithmetic on coefficient arrays --------------------------
 
+    @cached_property
+    def _runs(self) -> list[tuple[slice, int, int]]:
+        """Maximal runs of consecutive blocks of one size, as (coefficient
+        slice, block size m, number of blocks r): the products of a run are
+        one batched matmul over its r blocks."""
+        runs, alpha = [], 0
+        for m, group in itertools.groupby(self.blocks):
+            r = len(list(group))
+            runs.append((slice(int(self._offsets[alpha]), int(self._offsets[alpha + r])),
+                         m, r))
+            alpha += r
+        return runs
+
     def mul_vecs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Product of (broadcast) stacks of coefficient vectors."""
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
         shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
         out = np.empty(shape + (self.dim,), dtype=complex)
-        for alpha, m in enumerate(self.blocks):
-            sl = self.block_slice(alpha)
-            ub = u[..., sl].reshape(u.shape[:-1] + (m, m))
-            vb = v[..., sl].reshape(v.shape[:-1] + (m, m))
-            prod = ub @ vb
-            out[..., sl] = prod.reshape(shape + (m * m,))
+        for sl, m, r in self._runs:
+            if m == 1:
+                out[..., sl] = u[..., sl] * v[..., sl]
+                continue
+            ub = u[..., sl].reshape(u.shape[:-1] + (r, m, m))
+            vb = v[..., sl].reshape(v.shape[:-1] + (r, m, m))
+            out[..., sl] = (ub @ vb).reshape(shape + (r * m * m,))
+        return out
+
+    def matmul_vecs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Matrix product of two arrays whose entries are elements:
+        ``u`` is (a, k, dim), ``v`` is (k, c, dim) and the result (a, c, dim)
+        holds sum_l u[i, l] v[l, j].  In each block the entries of u lie side
+        by side in one (a m, k m) matrix and those of v in one (k m, c m)
+        matrix, so the sum over l is one matmul per run of equal blocks."""
+        u = np.asarray(u, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        (a, k), c = u.shape[:2], v.shape[1]
+        out = np.empty((a, c, self.dim), dtype=complex)
+        for sl, m, r in self._runs:
+            ub = u[:, :, sl].reshape(a, k, r, m, m).transpose(2, 0, 3, 1, 4)
+            vb = v[:, :, sl].reshape(k, c, r, m, m).transpose(2, 0, 3, 1, 4)
+            prod = ub.reshape(r, a * m, k * m) @ vb.reshape(r, k * m, c * m)
+            out[:, :, sl] = prod.reshape(r, a, m, c, m).transpose(1, 3, 0, 2, 4) \
+                .reshape(a, c, r * m * m)
         return out
 
     def pairwise_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """All-pairs products of two stacks of coefficient vectors.
 
-        ``u`` is (a, dim), ``v`` is (b, dim); returns (a, b, dim) with one
-        matrix multiply per block.
+        ``u`` is (a, dim), ``v`` is (b, dim); returns (a, b, dim), the
+        :meth:`matmul_vecs` of a column by a row.
         """
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
-        a, b = u.shape[0], v.shape[0]
-        out = np.empty((a, b, self.dim), dtype=complex)
-        for alpha, m in enumerate(self.blocks):
-            sl = self.block_slice(alpha)
-            ub = u[:, sl].reshape(a * m, m)
-            vb = v[:, sl].reshape(b, m, m).transpose(1, 0, 2).reshape(m, b * m)
-            prod = (ub @ vb).reshape(a, m, b, m).transpose(0, 2, 1, 3)
-            out[:, :, sl] = prod.reshape(a, b, m * m)
-        return out
+        return self.matmul_vecs(u[:, None, :], v[None, :, :])
 
     def adjoint_vecs(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -177,11 +217,57 @@ class MultiMatrixAlgebra:
             mat[sl, sl] = np.kron(np.eye(m), a.T)
         return mat
 
+    def product_form(self, f: np.ndarray) -> np.ndarray:
+        """Matrix F[p, c] = f(u_p u_c) of a functional given by its values
+        f(u_k), so that f(x y) = x @ F @ y.  Since e_ij e_kl = [j = k] e_il
+        inside a block and 0 across blocks, F is block diagonal with entries
+        [j = k] f(e_il)."""
+        form = np.zeros((self.dim, self.dim), dtype=complex)
+        for alpha, (m, view) in enumerate(zip(self.blocks, self.block_views(f))):
+            sl = self.block_slice(alpha)
+            form[sl, sl] = np.einsum("il,jk->ijkl", view, np.eye(m)).reshape(m * m, m * m)
+        return form
+
+    @cached_property
+    def tensor_square(self) -> tuple["MultiMatrixAlgebra", np.ndarray]:
+        """``(square, index)``: this algebra tensored with itself, with one
+        block of size m_a m_b per block pair (a, b) in row-major pair order,
+        and ``index[p, q]`` the coefficient of u_p (x) u_q in it.  Legs
+        ``legs[..., p, q]`` become square coordinates through
+        ``vec[..., index] = legs`` and come back as ``vec[..., index]``.  The
+        tensor of e_ij in block a and e_kl in block b is the matrix unit
+        ((i, k), (j, l)) of block (a, b)."""
+        pairs = [(a, b) for a in range(len(self.blocks)) for b in range(len(self.blocks))]
+        square = MultiMatrixAlgebra([self.blocks[a] * self.blocks[b] for a, b in pairs])
+        index = np.empty((self.dim, self.dim), dtype=int)
+        for s, (a, b) in enumerate(pairs):
+            m, n = self.blocks[a], self.blocks[b]
+            i, j = np.divmod(np.arange(m * m), m)
+            k, l = np.divmod(np.arange(n * n), n)
+            rows = i[:, None] * n + k[None, :]
+            cols = j[:, None] * n + l[None, :]
+            index[self.block_slice(a), self.block_slice(b)] = \
+                square._offsets[s] + rows * (m * n) + cols
+        return square, index
+
     @cached_property
     def mult_tensor(self) -> np.ndarray:
-        """Structure constants c[i, j, k] with u_i u_j = sum_k c[i,j,k] u_k.
+        """Table of basis-unit products: u_i u_j = sum_k c[i, j, k] u_k.
 
-        Materialized lazily; only meant for small algebras.
+        Products of general elements go through the block kernels above;
+        this table is read only where a map is applied to the products of
+        basis units:
+
+        - Delta(u_b u_c) in ``axioms.multiplicativity``;
+        - mat(u_i u_j) for the antipode and the involution in
+          ``axioms._reverses_products`` and for a general basis change in
+          ``axioms.intertwines``;
+        - b |> (u_x u_y) in ``axioms.module_multiplicativity`` and
+          (u_b u_c) |> x in ``actions.verify_action``;
+        - the dual coproduct (the transposed table) in
+          ``weak_hopf.dual_algebra``;
+        - the left multiplications by the units in the linear system of
+          ``weak_hopf.haar_projection``.
         """
         eye = np.eye(self.dim, dtype=complex)
         return self.mul_vecs(eye[:, None, :], eye[None, :, :])
@@ -305,6 +391,11 @@ class TraceState:
         return np.tensordot(np.asarray(vecs, dtype=complex),
                             self.coefficient_weights, axes=([-1], [0]))
 
+    @cached_property
+    def trace_form(self) -> np.ndarray:
+        """The trace form T with tau(x y) = x @ T @ y on coefficient vectors."""
+        return self.algebra.product_form(self.coefficient_weights)
+
 
 class SubalgebraEmbedding:
     """Unital *-homomorphism of one multimatrix algebra into another.
@@ -350,12 +441,13 @@ class SubalgebraEmbedding:
         scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         return self.images.conj().T * scale[:, None]
 
-    def coords_vec(self, ambient_vecs: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Coordinates of ambient vectors in the sub basis (must lie in the image)."""
+    def coords_vec(self, ambient_vecs: np.ndarray) -> np.ndarray:
+        """Coordinates of ambient vectors in the sub basis (must lie in the
+        image, up to ``MEMBERSHIP_TOL``)."""
         coords = np.tensordot(np.asarray(ambient_vecs, dtype=complex), self._pinv,
                               axes=([-1], [1]))
         back = self.embed_vec(coords)
-        if rel_residual(back, ambient_vecs) > 1e-6:
+        if rel_residual(back, ambient_vecs) > MEMBERSHIP_TOL:
             raise InvariantViolation("vector does not lie in the subalgebra image")
         return coords
 
@@ -365,10 +457,9 @@ class SubalgebraEmbedding:
             raise InvariantViolation("embeddings do not compose")
         return SubalgebraEmbedding(self.sub, outer.ambient, outer.images @ self.images)
 
-    def restrict_to(self, other: "SubalgebraEmbedding",
-                    tol: float = DEFAULT_TOL) -> "SubalgebraEmbedding":
+    def restrict_to(self, other: "SubalgebraEmbedding") -> "SubalgebraEmbedding":
         """Re-express this subalgebra as a subalgebra of ``other`` (same ambient)."""
-        coords = other.coords_vec(self.images.T, tol)
+        coords = other.coords_vec(self.images.T)
         return SubalgebraEmbedding(self.sub, other.sub, coords.T)
 
     def residuals(self) -> dict:
@@ -420,12 +511,12 @@ class SubalgebraEmbedding:
         res = max(res, rel_residual(absorbed, w_star))
         return {"unital": unital, "adjoint": adjoint, "multiplicative": res}
 
-    def verify(self, tol: float = DEFAULT_TOL) -> float:
+    def verify(self) -> float:
         """Largest of the :meth:`residuals`."""
         return max(self.residuals().values())
 
     def require_valid(self, tol: float = DEFAULT_TOL):
-        if self.verify(tol) > 100 * tol:
+        if self.verify() > 100 * tol:
             raise InvariantViolation("not a subalgebra")
 
 
@@ -589,7 +680,7 @@ def relative_commutant(sub: SubalgebraEmbedding,
     if within is not None:
         if within.ambient != sub.ambient:
             raise InvariantViolation("subalgebras live in different ambients")
-        sub = sub.restrict_to(within, tol)
+        sub = sub.restrict_to(within)
     host = sub.ambient
     firsts = [sub.images[:, [sub.sub.basis_index(alpha, c, 0) for c in range(k)]].T
               for alpha, k in enumerate(sub.sub.blocks)]
@@ -717,8 +808,8 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
     new_emb.require_valid(tol)
     algebra = new_emb.sub
 
-    incl_images = new_emb.coords_vec(left_ops, tol)  # (n, algebra.dim)
-    e_coords = new_emb.coords_vec(e_vec[None, :], tol)[0]
+    incl_images = new_emb.coords_vec(left_ops)  # (n, algebra.dim)
+    e_coords = new_emb.coords_vec(e_vec[None, :])[0]
     inclusion = SubalgebraEmbedding(ambient, algebra, incl_images.T)
     inclusion.require_valid(tol)
     sub_in_new = sub.compose(inclusion)
@@ -726,7 +817,7 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
     ext_trace = _solve_extended_trace(algebra, incl_images, e_coords, trace, lam)
     ext = JonesExtension(algebra, algebra.element(e_coords), ext_trace, float(lam),
                          inclusion, sub_in_new, new_emb)
-    _verify_jones(ext, sub, trace, lam_mat, tol)
+    _verify_jones(ext, trace, lam_mat, tol)
     return ext
 
 
@@ -753,7 +844,7 @@ def _solve_extended_trace(algebra, incl_images, e_coords, trace, lam):
     return TraceState(algebra, sol)
 
 
-def _verify_jones(ext: JonesExtension, sub, old_trace, lam_mat, tol):
+def _verify_jones(ext: JonesExtension, old_trace, lam_mat, tol):
     alg = ext.algebra
     e = ext.e.vec
     res = rel_residual(alg.mul_vecs(e, e), e)

@@ -7,6 +7,7 @@ invariants raise InvariantViolation (distinct exit codes in the CLI).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,17 @@ def _enc_mat(mat) -> list:
 
 
 def number(value, what: str, kind=float):
-    """``value`` converted by ``kind`` (float or int); a value it rejects, or
-    a non-integral one for int, is a SchemaError naming ``what``."""
+    """``value`` converted by ``kind`` (float or int); a boolean, a value
+    ``kind`` rejects, a non-finite one (NaN, Infinity) or a non-integral one
+    for int is a SchemaError naming ``what``."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{what} is not a number: {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{what} is not a number: {value!r}") from exc
+    if not math.isfinite(out):
+        raise SchemaError(f"{what} is not finite: {value!r}")
     if kind is int and isinstance(value, float) and out != value:
         raise SchemaError(f"{what} is not an integer: {value!r}")
     return out
@@ -124,7 +130,8 @@ def _dense_tensor(entries, shape) -> np.ndarray:
 
 def _blocks(data) -> tuple:
     if not isinstance(data, list) or not data or \
-            not all(isinstance(b, int) and b >= 1 for b in data):
+            not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1
+                    for b in data):
         raise SchemaError("blocks must be a non-empty list of positive integers")
     return tuple(data)
 
@@ -186,7 +193,7 @@ def tower_payload(tower: TowerData) -> dict:
     }
 
 
-def parse_tower(payload: dict, tol: float = 1e-9) -> TowerData:
+def parse_tower(payload: dict) -> TowerData:
     if not isinstance(payload, dict):
         raise SchemaError("payload must be an object")
     ambient = MultiMatrixAlgebra(_blocks(payload.get("blocks")))
@@ -203,7 +210,7 @@ def parse_tower(payload: dict, tol: float = 1e-9) -> TowerData:
         return SubalgebraEmbedding(sub, ambient, images)
 
     lam = payload.get("lambda")
-    if not isinstance(lam, (int, float)) or not 0 < lam <= 1:
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 < lam <= 1:
         raise SchemaError("lambda must be a real in (0, 1]")
     tau_w = payload.get("tau")
     if not isinstance(tau_w, list) or len(tau_w) != len(ambient.blocks):
@@ -213,23 +220,23 @@ def parse_tower(payload: dict, tol: float = 1e-9) -> TowerData:
     e1 = ambient.element(_dec_vec(payload.get("e1"), ambient.dim))
     e2 = ambient.element(_dec_vec(payload.get("e2"), ambient.dim))
     seed = number(payload.get("seed", 0), "seed", int)
+    chain = {key: emb(key) for key in ("start", "mid", "top")}
 
-    _tower_invariants(ambient, emb, e1, e2, tau, float(lam), tol)
-    return TowerData(ambient, emb("start"), emb("mid"), emb("top"),
+    _tower_invariants(ambient, chain, e1, e2, tau, float(lam))
+    return TowerData(ambient, chain["start"], chain["mid"], chain["top"],
                      e1, e2, tau, float(lam), seed=seed)
 
 
-def _tower_invariants(ambient, emb, e1, e2, tau, lam, tol):
+def _tower_invariants(ambient, chain, e1, e2, tau, lam):
     for name, e in (("e1", e1), ("e2", e2)):
         idem = rel_residual(ambient.mul_vecs(e.vec, e.vec), e.vec)
         adj = rel_residual(ambient.adjoint_vecs(e.vec), e.vec)
         if max(idem, adj) > 1e-6:
             raise InvariantViolation(f"{name} not a projection")
-    for key in ("start", "mid", "top"):
-        embedding = emb(key)
-        if embedding.verify(tol) > 1e-6:
+    for key, embedding in chain.items():
+        if embedding.verify() > 1e-6:
             raise InvariantViolation(f"embedding {key!r} is not a subalgebra")
-    top = emb("top")
+    top = chain["top"]
     markov = rel_residual(
         tau.values(ambient.mul_vecs(top.images.T, e2.vec)),
         lam * tau.values(top.images.T))

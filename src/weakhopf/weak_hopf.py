@@ -5,6 +5,14 @@ multimatrix algebra; the involution is either that basis adjoint or an
 explicitly supplied antilinear map (needed for deformed structures).  The
 residual of each axiom is a row of :mod:`weakhopf.axioms`; ``verify_axioms``
 lists the rows it reports.
+
+The algebra itself is the :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`
+and every product goes through its block kernels.  Counit and Haar values of
+products are ``product_form`` matrices: eps(u_p u_c) gives the counital maps,
+phi(u_i u_j) the positivity gram and the traciality test.  Only the dual
+(whose product is the transposed coproduct, not a multimatrix product) and
+subalgebras given by a spanning set go through
+:class:`~weakhopf.decompose.StructureAlgebra`.
 """
 
 from dataclasses import dataclass
@@ -80,16 +88,6 @@ class WeakHopfData:
         return np.tensordot(np.conj(vecs), self.star_matrix, axes=([-1], [1]))
 
     @cached_property
-    def mult(self) -> np.ndarray:
-        return self.algebra.mult_tensor
-
-    @cached_property
-    def structure(self) -> StructureAlgebra:
-        """The algebra and its involution as structure constants, with the
-        batched left/right multiplication kernels."""
-        return StructureAlgebra(self.mult, self.unit_vec, self.star_matrix)
-
-    @cached_property
     def unit_vec(self) -> np.ndarray:
         return self.algebra.unit().vec
 
@@ -99,19 +97,19 @@ class WeakHopfData:
         return np.tensordot(self.unit_vec, self.delta, axes=([0], [0]))
 
     @cached_property
-    def _eps_of_products(self) -> np.ndarray:
-        """eps(u_p u_b) as a (p, b) matrix."""
-        return np.einsum("pbk,k->pb", self.mult, self.epsilon)
+    def counit_form(self) -> np.ndarray:
+        """eps(u_p u_c) as a (p, c) matrix: the ``product_form`` of eps."""
+        return self.algebra.product_form(self.epsilon)
 
     @cached_property
     def target_counital(self) -> np.ndarray:
         """Matrix of the target counital map eps_t(b) = eps(1_(1) b) 1_(2)."""
-        return np.einsum("pq,pb->qb", self.delta_unit, self._eps_of_products)
+        return self.delta_unit.T @ self.counit_form
 
     @cached_property
     def source_counital(self) -> np.ndarray:
         """Matrix of the source counital map eps_s(b) = 1_(1) eps(b 1_(2))."""
-        return np.einsum("pq,bq->pb", self.delta_unit, self._eps_of_products)
+        return self.delta_unit @ self.counit_form.T
 
     def copy_with(self, **kwargs) -> "WeakHopfData":
         data = dict(algebra=self.algebra, delta=self.delta, epsilon=self.epsilon,
@@ -236,9 +234,9 @@ def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
 def haar_projection(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> AlgebraElement:
     """Unique projection p with x p = eps_t(x) p, S(p) = p, eps_t(p) = 1."""
     d = hopf.dim
-    mult = hopf.mult
     et = hopf.target_counital
-    left_all = mult.transpose(0, 2, 1)  # left_all[i] = matrix of left mult by u_i
+    # left_all[i] = matrix of left multiplication by u_i
+    left_all = hopf.algebra.mult_tensor.transpose(0, 2, 1)
     et_left = np.einsum("ki,kab->iab", et, left_all, optimize=True)
     rows = [(left_all - et_left).reshape(d * d, d),
             hopf.antipode - np.eye(d),
@@ -276,7 +274,7 @@ def haar_functional(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise InvariantViolation("Haar functional system degenerate")
     if rel_residual(mat @ sol, rhs) > 100 * tol:
         raise InvariantViolation("Haar functional system degenerate")
-    gram = np.einsum("ai,ajk,k->ij", hopf.star_matrix, hopf.mult, sol, optimize=True)
+    gram = hopf.star_matrix.T @ hopf.algebra.product_form(sol)  # phi(u_i* u_j)
     herm = rel_residual(gram, gram.conj().T)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     if herm > 1e-6 or eigs[0] < -1e-7 * max(eigs[-1], 1.0):
@@ -285,7 +283,7 @@ def haar_functional(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def haar_traciality_residual(hopf: WeakHopfData, phi: np.ndarray) -> float:
-    values = np.einsum("ijk,k->ij", hopf.mult, phi)
+    values = hopf.algebra.product_form(phi)  # phi(u_i u_j)
     return rel_residual(values, values.T)
 
 
@@ -303,7 +301,7 @@ def dual_algebra(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
     """
     rng = np.random.default_rng(seed)
     mult_dual = hopf.delta.transpose(1, 2, 0)
-    delta_dual = hopf.mult.transpose(2, 0, 1)
+    delta_dual = hopf.algebra.mult_tensor.transpose(2, 0, 1)
     unit_dual = hopf.epsilon.copy()
     eps_dual = hopf.unit_vec.copy()
     s_dual = hopf.antipode.T

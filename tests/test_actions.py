@@ -136,8 +136,8 @@ def raw_product(action, u, v):
     du = np.einsum("xb,bpq->xpq", u.reshape(dm, db), hopf.delta)
     acted = np.einsum("xpq,pyz->xqyz", du, act)
     left = np.einsum("xqyz,xzm->qym", acted, car.mult_tensor)
-    legs = np.einsum("qym,yc,qcn->mn", left, v.reshape(dm, db), hopf.mult,
-                     optimize=True)
+    legs = np.einsum("qym,yc,qcn->mn", left, v.reshape(dm, db),
+                     hopf.algebra.mult_tensor, optimize=True)
     return legs.reshape(dm * db)
 
 

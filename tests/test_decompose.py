@@ -86,7 +86,7 @@ def test_decompose_recovers_blocks_under_a_basis_change():
 
 def test_verify_units_accepts_the_canonical_units():
     multi, algebra = canonical_structure([1, 2])
-    _verify_units(algebra, multi, np.eye(multi.dim, dtype=complex), 1e-9)
+    _verify_units(algebra, multi, np.eye(multi.dim, dtype=complex))
 
 
 @pytest.mark.parametrize("column", [0, 2, 4])
@@ -95,4 +95,4 @@ def test_verify_units_rejects_a_corrupted_unit(column):
     change = np.eye(multi.dim, dtype=complex)
     change[(column + 1) % multi.dim, column] = 0.5
     with pytest.raises(InvariantViolation, match="matrix-unit relations"):
-        _verify_units(algebra, multi, change, 1e-9)
+        _verify_units(algebra, multi, change)

@@ -1,0 +1,59 @@
+"""Properties of the product kernel and of the two formats built on it,
+over random block shapes (one to three blocks of sizes one to three)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weakhopf._linalg import rel_residual
+from weakhopf.multimatrix import MultiMatrixAlgebra
+
+SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def _elements(rng, count, dim):
+    return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+
+
+@PROPERTY
+@given(SHAPES, SEEDS)
+def test_product_form_evaluates_the_product(blocks, seed):
+    alg = MultiMatrixAlgebra(blocks)
+    f, x, y = _elements(np.random.default_rng(seed), 3, alg.dim)
+    assert np.isclose(x @ alg.product_form(f) @ y, f @ alg.mul_vecs(x, y),
+                      rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(SHAPES, SEEDS)
+def test_tensor_square_multiplies_elementary_tensors_legwise(blocks, seed):
+    alg = MultiMatrixAlgebra(blocks)
+    square, index = alg.tensor_square
+    assert square.dim == alg.dim ** 2
+    assert sorted(index.ravel()) == list(range(square.dim))
+    x, y, z, w = _elements(np.random.default_rng(seed), 4, alg.dim)
+
+    def tensor(a, b):
+        out = np.empty(square.dim, dtype=complex)
+        out[index] = np.outer(a, b)
+        return out
+
+    product = square.mul_vecs(tensor(x, y), tensor(z, w))
+    assert rel_residual(product, tensor(alg.mul_vecs(x, z), alg.mul_vecs(y, w))) < 1e-12
+    assert rel_residual(product[index], np.outer(alg.mul_vecs(x, z),
+                                                 alg.mul_vecs(y, w))) < 1e-12
+
+
+@PROPERTY
+@given(SHAPES, SEEDS, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_matmul_vecs_sums_products_over_the_inner_index(blocks, seed, a, k, c):
+    alg = MultiMatrixAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    u = _elements(rng, a * k, alg.dim).reshape(a, k, alg.dim)
+    v = _elements(rng, k * c, alg.dim).reshape(k, c, alg.dim)
+    expected = sum(alg.mul_vecs(u[:, l, None, :], v[None, l, :, :]) for l in range(k))
+    assert rel_residual(alg.matmul_vecs(u, v), expected) < 1e-12
+    assert rel_residual(alg.pairwise_mul(u[:, 0], v[0]),
+                        alg.mul_vecs(u[:, 0, None, :], v[None, 0])) < 1e-12

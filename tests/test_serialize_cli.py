@@ -402,6 +402,38 @@ def test_cli_malformed_numbers_are_schema_errors(tmp_path, capsys, kind, edit):
     assert err.startswith("error: ")
 
 
+def _set_tau_weight(value):
+    def edit(payload):
+        payload["tau"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("tower", _set_tau_weight("NaN")),
+    ("tower", _set_tau_weight(float("inf"))),
+    ("tower", lambda p: _set_e2_entry(p, [float("nan"), 0])),
+    ("tower", lambda p: p.update({"lambda": True})),
+    ("tower", lambda p: p["embeddings"]["start"].update(blocks=[True])),
+    ("weak-hopf", lambda p: p["epsilon"].__setitem__(0, [float("nan"), 0])),
+], ids=["tau-nan-string", "tau-infinity", "e2-nan", "lambda-true", "blocks-true",
+        "epsilon-nan"])
+def test_cli_non_finite_and_boolean_numbers_are_schema_errors(tmp_path, capsys,
+                                                              kind, edit):
+    argv = (["tower", "from-group", "cyclic", "2"] if kind == "tower"
+            else ["gen", "pair-groupoid", "2"])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    edit(doc["payload"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as bare JSON literals
+    command = "reconstruct" if kind == "tower" else "verify-wha"
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # schema error -> 2
     bad = tmp_path / "bad.json"

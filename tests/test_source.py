@@ -41,3 +41,39 @@ def test_no_function_shadows_a_module_import():
              for path in sorted(PACKAGE.glob("*.py"))
              for func, name in shadowed_imports(path)}
     assert not found, sorted(found)
+
+
+def unread_parameters(path: Path) -> set[tuple[str, str]]:
+    """(function, parameter) pairs where a function, method or lambda never
+    reads one of its parameters (``self`` and ``cls`` aside)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = func.body if isinstance(func.body, list) else [func.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found.update((getattr(func, "name", "<lambda>"), name) for name in params
+                     if name not in read and name not in ("self", "cls"))
+    return found
+
+
+def test_unread_parameters_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("def f(x, tol=1e-9):\n    return x\n\n"
+                      "class A:\n    def g(self, y):\n        return [y for _ in ()]\n\n"
+                      "    def h(self, z, *rest):\n        return self\n\n"
+                      "k = lambda a, b: a\n")
+    assert unread_parameters(source) == {("f", "tol"), ("h", "z"), ("h", "rest"),
+                                         ("<lambda>", "b")}
+
+
+def test_every_parameter_is_read():
+    found = {f"{path.name}:{func} never reads {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func, name in unread_parameters(path)}
+    assert not found, sorted(found)
