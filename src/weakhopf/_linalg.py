@@ -1,11 +1,15 @@
 """Dense linear-algebra helpers shared by the workbench modules.
 
 Everything here works on plain complex ndarrays; subspaces are represented
-by matrices whose *columns* span them.
+by matrices whose *columns* span them.  Factorizations use ``numpy.linalg``
+(LAPACK ``gesdd`` for the SVD, ``heevd`` for ``eigh``); an inf or NaN in
+their input raises ``numpy.linalg.LinAlgError``.
 """
 
 import numpy as np
-import scipy.linalg
+
+# entries per slab when rel_residual sweeps large operands (1 MiB of complex)
+_SLAB = 1 << 16
 
 
 def max_abs(a) -> float:
@@ -17,13 +21,31 @@ def max_abs(a) -> float:
 
 def rel_residual(lhs, rhs) -> float:
     """Max-abs deviation between two arrays, relative to the largest operand
-    (floored at 1 so near-zero comparisons are absolute)."""
-    lhs = np.asarray(lhs, dtype=complex)
+    (floored at 1 so near-zero comparisons are absolute).
+
+    ``rhs`` broadcasts against ``lhs``.  The three maxima are taken slab by
+    slab along the leading axis, so no operand-sized difference is ever
+    formed; slabs are views, so transposed operands are not copied either.
+    """
+    lhs = np.atleast_1d(np.asarray(lhs, dtype=complex))
     rhs = np.asarray(rhs, dtype=complex)
-    scale = max(max_abs(lhs), max_abs(rhs), 1.0)
     if lhs.size == 0:
         return 0.0
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    if lhs.shape != rhs.shape:
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    rows = max(1, _SLAB * len(lhs) // max(lhs.size, 1))  # leading rows per slab
+    peaks = np.array([(np.abs(a).max(), np.abs(b).max(), np.abs(a - b).max())
+                      for a, b in ((lhs[i:i + rows], rhs[i:i + rows])
+                                   for i in range(0, len(lhs), rows))])
+    top_lhs, top_rhs, top_diff = peaks.max(axis=0)  # NaN in any slab propagates
+    return float(top_diff / max(top_lhs, top_rhs, 1.0))
+
+
+def _finite(mat: np.ndarray) -> np.ndarray:
+    """``mat`` itself; an inf or NaN raises, as LAPACK returns NaNs for an inf."""
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
+    return mat
 
 
 def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -31,7 +53,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.shape[1] == 0:
         return vectors
-    u, s, _ = scipy.linalg.svd(vectors, full_matrices=False, lapack_driver="gesdd")
+    u, s, _ = np.linalg.svd(_finite(vectors), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((vectors.shape[0], 0), dtype=complex)
     rank = int(np.sum(s > tol * s[0]))
@@ -44,7 +66,7 @@ def null_space(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     The cutoff is floored at ``tol`` itself so an (almost) zero matrix has a
     full kernel; callers build these matrices from O(1)-normalized data.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = _finite(np.asarray(mat, dtype=complex))
     m, n = mat.shape
     if m == 0:
         return np.eye(n, dtype=complex)
@@ -54,7 +76,7 @@ def null_space(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         vals, vecs = np.linalg.eigh(gram)
         cutoff = (tol * max(np.sqrt(max(float(vals[-1]), 0.0)), 1.0)) ** 2
         return vecs[:, vals <= cutoff]
-    _, s, vh = scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesdd")
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
     cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:, :].conj().T
@@ -64,7 +86,7 @@ def numeric_rank(mat: np.ndarray, tol: float = 1e-10) -> int:
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return 0
-    s = scipy.linalg.svdvals(mat)
+    s = np.linalg.svd(_finite(mat), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
@@ -86,7 +108,7 @@ def subspace_residual(span_a: np.ndarray, span_b: np.ndarray, tol: float = 1e-10
     pb = projector(span_b, tol)
     if pa.size == 0 and pb.size == 0:
         return 0.0
-    return float(scipy.linalg.norm(pa - pb, 2))
+    return float(np.linalg.norm(pa - pb, 2))
 
 
 def residual_outside(vectors: np.ndarray, q: np.ndarray) -> float:
@@ -129,7 +151,7 @@ def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
 
 
 def condition_number(mat: np.ndarray) -> float:
-    s = scipy.linalg.svdvals(np.asarray(mat, dtype=complex))
+    s = np.linalg.svd(_finite(np.asarray(mat, dtype=complex)), compute_uv=False)
     if s.size == 0 or s[-1] == 0.0:
         return np.inf
     return float(s[0] / s[-1])

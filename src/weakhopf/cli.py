@@ -7,6 +7,7 @@ compose with pipes.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -251,7 +252,10 @@ def cmd_report(args) -> int:
     return _emit_report(args, report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: ``parse_args`` fills a fresh
+    namespace on every call, so no option value outlives its call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
                         help="residual tolerance (default 1e-9)")

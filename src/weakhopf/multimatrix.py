@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
     condition_number,
@@ -653,8 +652,7 @@ def _commutant_from_units(host: MultiMatrixAlgebra, firsts) -> SubalgebraEmbeddi
         for beta, mats in enumerate(host.block_views(stack)):
             # f_00 is a projection, so its singular values are 0 or 1; the
             # absolute cut ignores rounding noise in blocks alpha misses
-            u, s, _ = scipy.linalg.svd(mats[0], full_matrices=False,
-                                       lapack_driver="gesdd")
+            u, s, _ = np.linalg.svd(mats[0], full_matrices=False)
             basis = u[:, s > 0.5]
             size = basis.shape[1]
             if size == 0:

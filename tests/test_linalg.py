@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from weakhopf import _linalg
+from weakhopf._linalg import (
+    condition_number,
+    null_space,
+    numeric_rank,
+    orthonormal_columns,
+    rel_residual,
+)
+
+
+def with_entry(shape, value):
+    mat = np.arange(np.prod(shape), dtype=complex).reshape(shape) / 7.0
+    mat[shape[0] // 2, shape[1] // 2] = value
+    return mat
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("helper, shape", [
+    (orthonormal_columns, (5, 3)),
+    (numeric_rank, (5, 3)),
+    (condition_number, (4, 4)),
+    (null_space, (3, 5)),  # wide: kernel of the Gram matrix through eigh
+    (null_space, (5, 3)),  # tall: SVD
+])
+def test_non_finite_input_raises_linalg_error(helper, shape, value):
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        helper(with_entry(shape, value))
+
+
+def old_rel_residual(lhs, rhs):
+    """The one-pass formula the slab sweep replaces."""
+    lhs = np.asarray(lhs, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex)
+    scale = max(_linalg.max_abs(lhs), _linalg.max_abs(rhs), 1.0)
+    if lhs.size == 0:
+        return 0.0
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+@pytest.mark.parametrize("place", ["first", "last", "middle"])
+def test_rel_residual_matches_one_pass_formula_across_slabs(place):
+    rng = np.random.default_rng(3)
+    size = 2 * _linalg._SLAB + 17
+    lhs = rng.normal(size=size) + 1j * rng.normal(size=size)
+    rhs = lhs + 1e-9 * rng.normal(size=size)
+    # the largest operand entry and the largest deviation sit in different slabs
+    at = {"first": 0, "last": size - 1, "middle": _linalg._SLAB}[place]
+    lhs[at] = 40.0
+    rhs[(at + _linalg._SLAB + 5) % size] += 0.25j
+    for a, b in [(lhs, rhs), (rhs, lhs), (lhs[::-1], rhs[::-1])]:
+        assert rel_residual(a, b) == old_rel_residual(a, b)
+
+
+def test_rel_residual_keeps_broadcasting_real_operands_and_floor():
+    rng = np.random.default_rng(4)
+    n = 300  # n * n spans two slabs
+    mat = np.eye(n) + 1e-3 * rng.normal(size=(n, n))
+    assert rel_residual(mat, np.eye(n)) == old_rel_residual(mat, np.eye(n))
+    assert rel_residual(mat.T, np.eye(n)) == old_rel_residual(mat.T, np.eye(n))
+    cube = rng.normal(size=(24,) * 4) + 1j * rng.normal(size=(24,) * 4)
+    swapped = cube.transpose(1, 0, 3, 2)  # six slabs of four leading rows
+    assert rel_residual(cube, swapped) == old_rel_residual(cube, swapped)
+    row = rng.normal(size=n)
+    assert rel_residual(mat, row) == old_rel_residual(mat, row)
+    assert rel_residual(mat, 0.5) == old_rel_residual(mat, 0.5)
+    assert rel_residual(2.0, [1.0, 2.0]) == old_rel_residual(2.0, [1.0, 2.0])
+    assert rel_residual(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+    assert rel_residual([1e-3], [0.0]) == 1e-3  # scale floored at 1
+    assert np.isnan(rel_residual([1.0, np.nan], [1.0, 1.0]))
+    big = np.zeros(_linalg._SLAB + 1, dtype=complex)
+    big[0] = np.nan  # a NaN in an early slab is not hidden by later ones
+    assert np.isnan(rel_residual(big, 0.0))

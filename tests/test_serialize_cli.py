@@ -11,7 +11,7 @@ import pytest
 import weakhopf
 from weakhopf import serialize
 from weakhopf._linalg import rel_residual
-from weakhopf.cli import main
+from weakhopf.cli import build_parser, main
 from weakhopf.errors import InvariantViolation, SchemaError
 from weakhopf.groups import cyclic
 from weakhopf.weak_hopf import group_algebra, pair_groupoid
@@ -456,6 +456,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
     # unknown command -> 2
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_parser_built_once_keeps_no_options_between_calls(tmp_path, capsys):
+    path = tmp_path / "pg2.json"
+    path.write_text(run_cli(capsys, "gen", "pair-groupoid", "2")[1])
+    calls = [("--json", "verify-wha", str(path)),
+             ("verify-wha", str(path)),
+             ("verify-wha", str(path), "--tolerance", "1e-30"),
+             ("verify-wha", str(path)),
+             ("--tolerance", "1e-30", "--json", "verify-wha", str(path)),
+             ("verify-wha", str(path))]
+    in_one_process = [run_cli(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert in_one_process == fresh
+    # the calls differ: --json and --tolerance reached only their own call
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 1, 0]
+    assert fresh[0][1].startswith("{") and not fresh[1][1].startswith("{")
+    assert fresh[1][1] == fresh[3][1] == fresh[5][1]
 
 
 def test_console_entry_point_subprocess(tmp_path):

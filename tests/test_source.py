@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import weakhopf
@@ -77,3 +80,19 @@ def test_every_parameter_is_read():
              for path in sorted(PACKAGE.glob("*.py"))
              for func, name in unread_parameters(path)}
     assert not found, sorted(found)
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    """Beyond numpy, importing the package and its CLI loads only the
+    standard library and the package itself."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import weakhopf, weakhopf.cli\n"
+            "added = {n.split('.')[0] for n in set(sys.modules) - before}\n"
+            "print(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'weakhopf'}))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
