@@ -8,7 +8,7 @@ their input raises ``numpy.linalg.LinAlgError``.
 
 import numpy as np
 
-# entries per slab when rel_residual sweeps large operands (1 MiB of complex)
+# entries per slab when a residual is reduced slab by slab (1 MiB of complex)
 _SLAB = 1 << 16
 
 
@@ -19,26 +19,43 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def rel_residual(lhs, rhs) -> float:
-    """Max-abs deviation between two arrays, relative to the largest operand
-    (floored at 1 so near-zero comparisons are absolute).
+def slabs(n: int, per_row: int) -> list[slice]:
+    """Slices of ``range(n)`` holding about ``_SLAB`` entries each, for rows
+    of ``per_row`` entries (at least one row per slice)."""
+    rows = max(1, _SLAB // max(per_row, 1))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
-    ``rhs`` broadcasts against ``lhs``.  The three maxima are taken slab by
-    slab along the leading axis, so no operand-sized difference is ever
-    formed; slabs are views, so transposed operands are not copied either.
+
+def streamed_residual(pairs) -> float:
+    """Max-abs deviation between two arrays given as ``(lhs, rhs)`` slab
+    pairs, relative to the largest operand entry (floored at 1 so near-zero
+    comparisons are absolute).
+
+    Only the three maxima |lhs|, |rhs| and |lhs - rhs| are kept from slab to
+    slab, so a row that yields its operands slab by slab never holds them
+    whole.  ``rhs`` broadcasts against ``lhs``; a NaN in any slab propagates.
     """
+    peaks = [(0.0, 0.0, 0.0)]
+    for lhs, rhs in pairs:
+        diff = np.abs(lhs - rhs)
+        if diff.size:
+            peaks.append((np.abs(lhs).max(), np.abs(rhs).max(), diff.max()))
+    top_lhs, top_rhs, top_diff = np.max(peaks, axis=0)
+    return float(top_diff / max(top_lhs, top_rhs, 1.0))
+
+
+def rel_residual(lhs, rhs) -> float:
+    """:func:`streamed_residual` of two whole arrays, swept in slabs along
+    the leading axis.  ``rhs`` broadcasts against ``lhs``; slabs are views,
+    so transposed operands are not copied."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=complex))
     rhs = np.asarray(rhs, dtype=complex)
     if lhs.size == 0:
         return 0.0
     if lhs.shape != rhs.shape:
         lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    rows = max(1, _SLAB * len(lhs) // max(lhs.size, 1))  # leading rows per slab
-    peaks = np.array([(np.abs(a).max(), np.abs(b).max(), np.abs(a - b).max())
-                      for a, b in ((lhs[i:i + rows], rhs[i:i + rows])
-                                   for i in range(0, len(lhs), rows))])
-    top_lhs, top_rhs, top_diff = peaks.max(axis=0)  # NaN in any slab propagates
-    return float(top_diff / max(top_lhs, top_rhs, 1.0))
+    return streamed_residual((lhs[sl], rhs[sl])
+                             for sl in slabs(len(lhs), lhs.size // len(lhs)))
 
 
 def _finite(mat: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ from ._linalg import (
     null_space,
     orthonormal_columns,
     rel_residual,
+    slabs,
+    streamed_residual,
     subspace_residual,
 )
 from .decompose import StructureAlgebra, decompose_structure_algebra
@@ -126,11 +128,13 @@ def verify_action(action: ActionData, tol: float = DEFAULT_TOL) -> Report:
     hopf, car, act = action.hopf, action.carrier, action.tensor
     db, dm = hopf.dim, car.dim
 
-    # (u_b u_c) |> x = u_b |> (u_c |> x); both sides are built inside the
-    # call, so neither outlives it
-    rep.add("module law", rel_residual(
-        np.einsum("bcm,mxy->bcxy", hopf.algebra.mult_tensor, act, optimize=True),
-        np.einsum("cxz,bzy->bcxy", act, act, optimize=True)), ref="action")
+    # (u_b u_c) |> x = u_b |> (u_c |> x), slab by slab over b: the left
+    # side gathers act over the product index, the right side is the matrix
+    # product act[c] @ act[b]
+    def module_law():
+        for sl in slabs(db, db * dm * dm):
+            yield hopf.algebra.unit_products(act, sl), act[None] @ act[sl, None]
+    rep.add("module law", streamed_residual(module_law()), ref="action")
     rep.add("unit acts trivially",
             rel_residual(np.einsum("b,bxy->xy", hopf.unit_vec, act), np.eye(dm)),
             ref="action")

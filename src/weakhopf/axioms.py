@@ -17,22 +17,31 @@ Rows multiply through the algebra's block kernels (``mul_vecs``,
 ``pairwise_mul``, ``matmul_vecs``): a sum over coproduct legs such as
 b_(1) S(b_(2)) is one broadcast product of the leg rows, summed.  Counit
 values of products come from ``product_form``, and products of coproducts
-from the tensor square.  The table ``mult_tensor`` is read only to apply a
-map to products of basis units: Delta(u_b u_c), mat(u_i u_j) (also for the
-basis change of ``intertwines``) and b |> (u_x u_y).
+from the tensor square.  A map applied to products of basis units
+(Delta(u_b u_c), mat(u_i u_j), also for the basis change of ``intertwines``,
+and b |> (u_x u_y)) is a gather through the algebra's ``product_index``
+(``unit_products``): u_i u_j is one unit or zero, so nothing is multiplied.
+
+The rows whose two sides have d**4 entries (``coassociativity``,
+``multiplicativity``, ``module_multiplicativity``) build them slab by slab
+over their leading index and fold them with ``streamed_residual``, so no
+operand-sized array is ever held.
 """
 
 import numpy as np
 
-from ._linalg import rel_residual
+from ._linalg import rel_residual, slabs, streamed_residual
 
 
 def coassociativity(hopf) -> float:
     """(Delta (x) id) Delta = (id (x) Delta) Delta."""
     delta = hopf.delta
-    lhs = np.einsum("ipc,pab->iabc", delta, delta, optimize=True)
-    rhs = np.einsum("iaq,qbc->iabc", delta, delta, optimize=True)
-    return rel_residual(lhs, rhs)
+
+    def pairs():
+        for sl in slabs(hopf.dim, hopf.dim ** 3):
+            yield (np.einsum("ipc,pab->iabc", delta[sl], delta, optimize=True),
+                   np.einsum("iaq,qbc->iabc", delta[sl], delta, optimize=True))
+    return streamed_residual(pairs())
 
 
 def counit_left(hopf) -> float:
@@ -57,8 +66,12 @@ def multiplicativity(hopf, hinv=None) -> float:
     twist = np.empty(square.dim, dtype=complex)
     twist[index] = np.outer(hopf.unit_vec, hopf.unit_vec if hinv is None else hinv)
     twisted = square.mul_vecs(twist, coproducts)
-    prod = (alg.mult_tensor.reshape(d * d, d) @ coproducts).reshape(d, d, -1)
-    return rel_residual(prod, square.pairwise_mul(coproducts, twisted))
+
+    def pairs():
+        for sl in slabs(d, d * square.dim):
+            yield (alg.unit_products(coproducts, sl),
+                   square.pairwise_mul(coproducts[sl], twisted))
+    return streamed_residual(pairs())
 
 
 def star_preserving(hopf) -> float:
@@ -117,10 +130,9 @@ def antipode_source(hopf) -> float:
 def _reverses_products(hopf, mat: np.ndarray) -> float:
     """mat(u_i u_j) = mat(u_j) mat(u_i) for a linear or antilinear ``mat``
     (the same test: the basis-unit products have real coefficients)."""
-    alg = hopf.algebra
     images = mat.T  # row i: mat(u_i)
-    lhs = alg.mult_tensor @ images
-    rhs = alg.pairwise_mul(images, images).transpose(1, 0, 2)
+    lhs = hopf.algebra.unit_products(images)
+    rhs = hopf.algebra.pairwise_mul(images, images).transpose(1, 0, 2)
     return rel_residual(lhs, rhs)
 
 
@@ -203,21 +215,25 @@ def module_multiplicativity(hopf, act: np.ndarray, carrier, right: np.ndarray) -
     ``right = act`` is axiom (1) of an action; right[q, y] = H^-1 (q |> y)
     is the twisted comultiplicativity of the tower expectation (Prop 4.13).
     The right side is a matrix product over the carrier: the row of legs
-    b_(1) |> x paired with u_q, times the column right[q, y]."""
+    b_(1) |> x paired with u_q, times the column right[q, y].  Both sides have
+    db * dm**3 entries and are built slab by slab over b."""
     db, dm = act.shape[:2]
-    # the legs are dropped before the left side is formed: each of these
-    # arrays has db * dm**3 entries
-    legs = np.einsum("bpq,pxz->bxqz", hopf.delta, act, optimize=True)
-    rhs = carrier.matmul_vecs(legs.reshape(db * dm, db, dm), right)
-    del legs
-    lhs = carrier.mult_tensor.reshape(dm * dm, dm) @ act  # b |> (u_x u_y)
-    return rel_residual(lhs.reshape(db, dm, dm, dm), rhs.reshape(db, dm, dm, dm))
+
+    def pairs():
+        for sl in slabs(db, dm * dm * max(db, dm)):
+            legs = np.einsum("bpq,pxz->bxqz", hopf.delta[sl], act, optimize=True)
+            rows = len(legs)
+            rhs = carrier.matmul_vecs(legs.reshape(rows * dm, db, dm), right)
+            # b |> (u_x u_y), gathered as (x, y, b, z)
+            lhs = carrier.unit_products(act[sl].transpose(1, 0, 2))
+            yield lhs.transpose(2, 0, 1, 3), rhs.reshape(rows, dm, dm, dm)
+    return streamed_residual(pairs())
 
 
 def intertwines(source, target, u: np.ndarray) -> float:
     """u maps the product, coproduct, counit, antipode, involution and unit
     of ``source`` to those of ``target`` (worst residual)."""
-    res = rel_residual(source.algebra.mult_tensor @ u.T,  # u(u_i u_j)
+    res = rel_residual(source.algebra.unit_products(u.T),  # u(u_i u_j)
                        target.algebra.pairwise_mul(u.T, u.T))
     res = max(res, rel_residual(
         np.einsum("mi,mPQ->iPQ", u, target.delta, optimize=True),

@@ -12,9 +12,10 @@ block, one batched matmul per run of equal blocks, and every module
 multiplies through them.  Two helpers hide the formats built on them:
 ``product_form(f)``, the matrix of (x, y) -> f(x y) (the trace form for
 f = tau), and ``tensor_square``, the algebra tensored with itself, in which
-coproducts multiply.  The dense table ``mult_tensor`` of basis-unit products
-is never contracted against a general element; its docstring lists what
-reads it.
+coproducts multiply.  A map applied to products of basis units is a gather
+through ``product_index`` (u_i u_j is one unit or zero); the dense table
+``mult_tensor`` is never contracted against an element, and its docstring
+lists what reads it.
 
 Commutants need no splitting: relative commutants, centers and the Jones basic
 construction (the commutant of the right action of the subalgebra) all take
@@ -36,6 +37,8 @@ from ._linalg import (
     orthonormal_columns,
     rel_residual,
     residual_outside,
+    slabs,
+    streamed_residual,
 )
 from .errors import InvariantViolation
 
@@ -44,6 +47,16 @@ DEFAULT_TOL = 1e-9
 # relative residual above which a vector is judged to lie outside the image
 # of a subalgebra embedding (``SubalgebraEmbedding.coords_vec``)
 MEMBERSHIP_TOL = 1e-6
+
+
+def take_units(images: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``images[index]`` with zeros where ``index`` is -1: the images of
+    basis-unit products (or of any unit-valued table) under a linear map."""
+    images = np.asarray(images)
+    out = np.zeros(index.shape + images.shape[1:], dtype=images.dtype)
+    hit = index >= 0
+    out[hit] = images[index[hit]]
+    return out
 
 
 class MultiMatrixAlgebra:
@@ -198,23 +211,32 @@ class MultiMatrixAlgebra:
             out[..., sl] = adj.reshape(u.shape[:-1] + (m * m,))
         return out
 
-    def left_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of x -> vec * x on coefficient vectors."""
+    def _block_diagonal(self, run_blocks) -> np.ndarray:
+        """(dim, dim) matrix that is block diagonal over the algebra's blocks;
+        the (r, m*m, m*m) blocks of each run come from ``run_blocks(sl, m, r)``
+        and are written in one assignment."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for alpha, m in enumerate(self.blocks):
-            sl = self.block_slice(alpha)
-            a = np.asarray(vec, dtype=complex)[sl].reshape(m, m)
-            mat[sl, sl] = np.kron(a, np.eye(m))
+        for sl, m, r in self._runs:
+            run = np.arange(r)
+            mat[sl, sl].reshape(r, m * m, r, m * m)[run, :, run, :] = run_blocks(sl, m, r)
         return mat
 
+    def left_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
+        """Matrix of x -> vec * x on coefficient vectors: kron(a, 1) on each
+        block a of vec."""
+        vec = np.asarray(vec, dtype=complex)
+        return self._block_diagonal(lambda sl, m, r: (
+            vec[sl].reshape(r, m, 1, m, 1) * np.eye(m).reshape(m, 1, m)
+        ).reshape(r, m * m, m * m))
+
     def right_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x * vec on coefficient vectors."""
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for alpha, m in enumerate(self.blocks):
-            sl = self.block_slice(alpha)
-            a = np.asarray(vec, dtype=complex)[sl].reshape(m, m)
-            mat[sl, sl] = np.kron(np.eye(m), a.T)
-        return mat
+        """Matrix of x -> x * vec on coefficient vectors: kron(1, a.T) on
+        each block a of vec."""
+        vec = np.asarray(vec, dtype=complex)
+        return self._block_diagonal(lambda sl, m, r: (
+            np.eye(m).reshape(m, 1, m, 1)
+            * vec[sl].reshape(r, m, m).transpose(0, 2, 1).reshape(r, 1, m, 1, m)
+        ).reshape(r, m * m, m * m))
 
     def product_form(self, f: np.ndarray) -> np.ndarray:
         """Matrix F[p, c] = f(u_p u_c) of a functional given by its values
@@ -250,21 +272,34 @@ class MultiMatrixAlgebra:
         return square, index
 
     @cached_property
+    def product_index(self) -> np.ndarray:
+        """``index[i, j] = k`` when u_i u_j = u_k and -1 when u_i u_j = 0:
+        e_rc e_cl = e_rl inside a block, and every other product of matrix
+        units vanishes."""
+        index = np.full((self.dim, self.dim), -1)
+        for alpha, m in enumerate(self.blocks):
+            r, c, l = np.indices((m, m, m))
+            off = int(self._offsets[alpha])
+            index[off + r * m + c, off + c * m + l] = off + r * m + l
+        return index
+
+    def unit_products(self, images: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """f(u_i u_j) for the units u_i with i in ``rows`` and every unit
+        u_j, for the linear map f with f(u_k) = ``images[k]``: a gather
+        through :attr:`product_index`, of shape (rows, dim) + images.shape[1:].
+        It copies the images of the nonzero products and multiplies nothing."""
+        return take_units(images, self.product_index[rows])
+
+    @cached_property
     def mult_tensor(self) -> np.ndarray:
-        """Table of basis-unit products: u_i u_j = sum_k c[i, j, k] u_k.
+        """Dense table of basis-unit products: u_i u_j = sum_k c[i, j, k] u_k.
 
-        Products of general elements go through the block kernels above;
-        this table is read only where a map is applied to the products of
-        basis units:
+        Products of general elements go through the block kernels above, and
+        a map applied to products of basis units is a gather through
+        :attr:`product_index` (:meth:`unit_products`).  This table is read
+        only where its transpose is the data:
 
-        - Delta(u_b u_c) in ``axioms.multiplicativity``;
-        - mat(u_i u_j) for the antipode and the involution in
-          ``axioms._reverses_products`` and for a general basis change in
-          ``axioms.intertwines``;
-        - b |> (u_x u_y) in ``axioms.module_multiplicativity`` and
-          (u_b u_c) |> x in ``actions.verify_action``;
-        - the dual coproduct (the transposed table) in
-          ``weak_hopf.dual_algebra``;
+        - the dual coproduct in ``weak_hopf.dual_algebra``;
         - the left multiplications by the units in the linear system of
           ``weak_hopf.haar_projection``.
         """
@@ -479,34 +514,34 @@ class SubalgebraEmbedding:
         sub_adj = self.sub.adjoint_vecs(eye)
         adjoint = rel_residual(sub_adj @ img, adj)
 
+        # w_j = image(f_j0) over the blocks of sub; the expected grams and
+        # outer products are images of sub units, listed in unit-index tables
         sub = self.sub
-        cols, corner_rows, starts = [], [], [0]
+        k = sum(sub.blocks)
+        cols = np.empty(k, dtype=int)     # f_j0
+        corners = np.empty(k, dtype=int)  # f_00 of the block of f_j0
+        outer_at = np.full((k, k), -1)    # w_j w_l* = image(f_jl)
+        start = 0
         for alpha, m in enumerate(sub.blocks):
-            cols += [sub.basis_index(alpha, j, 0) for j in range(m)]
-            corner_rows += [sub.basis_index(alpha, 0, 0)] * m
-            starts.append(starts[-1] + m)
+            blk = slice(start, start + m)
+            first = sub.basis_index(alpha, 0, 0)
+            cols[blk] = first + m * np.arange(m)
+            corners[blk] = first
+            outer_at[blk, blk] = first + np.arange(m * m).reshape(m, m)
+            start += m
+        grams_at = np.full((k, k), -1)    # w_j* w_l = [j = l] image(f_00)
+        grams_at[np.diag_indices(k)] = corners
         w = img[cols]
         w_star = self.ambient.adjoint_vecs(w)
-        corners = img[corner_rows]
-        diag = np.arange(len(cols))
 
-        # subtract the expected values in place, so no second (k, k,
-        # ambient.dim) array is built; the scale is the one rel_residual uses
-        grams = self.ambient.pairwise_mul(w_star, w)
-        scale = max(max_abs(grams), max_abs(corners), 1.0)
-        grams[diag, diag] -= corners
-        res = max_abs(grams) / scale
-        del grams
+        def pairs(left, right, expected_at):
+            for sl in slabs(k, k * self.ambient.dim):
+                yield (self.ambient.pairwise_mul(left[sl], right),
+                       take_units(img, expected_at[sl]))
 
-        outer = self.ambient.pairwise_mul(w, w_star)
-        scale = max(max_abs(outer), max_abs(img), 1.0)
-        for alpha, m in enumerate(sub.blocks):
-            blk = slice(starts[alpha], starts[alpha + 1])
-            outer[blk, blk] -= img[sub.block_slice(alpha)].reshape(m, m, -1)
-        res = max(res, max_abs(outer) / scale)
-        del outer
-
-        absorbed = self.ambient.mul_vecs(corners, w_star)
+        res = max(streamed_residual(pairs(w_star, w, grams_at)),
+                  streamed_residual(pairs(w, w_star, outer_at)))
+        absorbed = self.ambient.mul_vecs(img[corners], w_star)
         res = max(res, rel_residual(absorbed, w_star))
         return {"unital": unital, "adjoint": adjoint, "multiplicative": res}
 

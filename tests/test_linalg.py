@@ -8,6 +8,8 @@ from weakhopf._linalg import (
     numeric_rank,
     orthonormal_columns,
     rel_residual,
+    slabs,
+    streamed_residual,
 )
 
 
@@ -73,3 +75,47 @@ def test_rel_residual_keeps_broadcasting_real_operands_and_floor():
     big = np.zeros(_linalg._SLAB + 1, dtype=complex)
     big[0] = np.nan  # a NaN in an early slab is not hidden by later ones
     assert np.isnan(rel_residual(big, 0.0))
+
+
+def slab_pairs(lhs, rhs, rows):
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=complex), rhs)
+    return ((lhs[i:i + rows], rhs[i:i + rows]) for i in range(0, len(lhs), rows))
+
+
+def test_streamed_residual_of_no_pairs_is_zero():
+    assert streamed_residual(iter(())) == 0.0
+    assert streamed_residual([(np.zeros((0, 3)), np.zeros((0, 3)))]) == 0.0
+
+
+def test_streamed_residual_propagates_a_nan_in_the_last_slab():
+    lhs = np.ones((5, 4), dtype=complex)
+    rhs = lhs.copy()
+    rhs[-1, -1] = np.nan
+    assert np.isnan(streamed_residual(slab_pairs(lhs, rhs, 2)))
+    assert np.isnan(streamed_residual(slab_pairs(rhs, lhs, 2)))
+
+
+def test_streamed_residual_matches_rel_residual_on_real_broadcast_transposed():
+    rng = np.random.default_rng(5)
+    mat = np.eye(40) + 1e-3 * rng.normal(size=(40, 40))
+    cube = rng.normal(size=(6,) * 4) + 1j * rng.normal(size=(6,) * 4)
+    row = rng.normal(size=40)
+    for lhs, rhs in [(mat, np.eye(40)),                        # real
+                     (mat, row), (mat, 0.5),                    # broadcast
+                     (mat.T, mat), (cube, cube.transpose(1, 0, 3, 2))]:  # transposed
+        for rows in (1, 3, len(lhs)):
+            assert streamed_residual(slab_pairs(lhs, rhs, rows)) == rel_residual(lhs, rhs)
+
+
+def test_streamed_residual_keeps_the_floor_of_one_on_the_scale():
+    assert streamed_residual([(np.array([1e-3]), np.array([0.0]))]) == 1e-3
+    assert streamed_residual(slab_pairs([4.0, 1.0], [2.0, 1.0], 1)) == 0.5
+
+
+def test_slabs_read_the_slab_size_at_call_time(monkeypatch):
+    assert slabs(10, 3) == [slice(0, _linalg._SLAB // 3)]
+    monkeypatch.setattr(_linalg, "_SLAB", 7)
+    assert slabs(10, 3) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8),
+                            slice(8, 10)]
+    assert slabs(2, 100) == [slice(0, 1), slice(1, 2)]  # at least one row per slab
+    assert slabs(0, 3) == []

@@ -2,17 +2,21 @@
 formula it was once written as.  The dense formulas live only here, as
 references: on valid input and on a perturbed coproduct, antipode, counit
 or involution every row equals its reference to 1e-12, and on the perturbed
-input it reads above 1e-4."""
+input it reads above 1e-4.  The rows that reduce their residual slab by slab
+are also checked with a slab size small enough that each crosses at least
+three slab boundaries."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from weakhopf import axioms
+from weakhopf import _linalg, actions, axioms, multimatrix, tower
 from weakhopf._linalg import rel_residual
+from weakhopf.actions import ActionData, verify_action
 from weakhopf.deform import undeform
 from weakhopf.groups import cyclic, symmetric
+from weakhopf.multimatrix import SubalgebraEmbedding
 from weakhopf.reconstruct import StructureBundle, identity_suite, pairing_values
 from weakhopf.weak_hopf import (
     function_algebra,
@@ -53,6 +57,12 @@ def ref_target_counital(hopf):
 
 def ref_source_counital(hopf):
     return np.einsum("pq,bq->pb", hopf.delta_unit, _eps_of_products(hopf))
+
+
+def ref_coassociativity(hopf):
+    delta = hopf.delta
+    return rel_residual(np.einsum("ipc,pab->iabc", delta, delta),
+                        np.einsum("iaq,qbc->iabc", delta, delta))
 
 
 def ref_multiplicativity(hopf, hinv=None):
@@ -201,6 +211,9 @@ def _h(hopf, h):
 
 # (row, evaluated row, dense reference, tensor whose perturbation breaks it)
 ROWS = [
+    ("coassociativity",
+     lambda hopf, h: axioms.coassociativity(hopf),
+     lambda hopf, h: ref_coassociativity(hopf), "delta"),
     ("multiplicativity",
      lambda hopf, h: axioms.multiplicativity(hopf, _hinv(hopf, h)),
      lambda hopf, h: ref_multiplicativity(hopf, _hinv(hopf, h)), "delta"),
@@ -353,3 +366,153 @@ def test_suite_rows_match_their_dense_reference(get_tower, get_reconstruction, t
         assert abs(residual - reference(tower, hopf)) <= SAME, name
         if tensor is not None:
             assert residual > BROKEN, name
+
+
+# -- the streamed rows across many slabs -------------------------------------------
+
+STREAMING_MODULES = (axioms, actions, tower, multimatrix)
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    """One-entry slabs, so a streamed row yields one slab per leading index.
+    Returns the number of slab pairs each streamed reduction folded (a test
+    clears it after building its inputs)."""
+    monkeypatch.setattr(_linalg, "_SLAB", 1)
+    counts = []
+
+    def counting(pairs):
+        seen = 0
+
+        def tally():
+            nonlocal seen
+            for pair in pairs:
+                seen += 1
+                yield pair
+        value = _linalg.streamed_residual(tally())
+        counts.append(seen)
+        return value
+
+    for module in STREAMING_MODULES:
+        monkeypatch.setattr(module, "streamed_residual", counting)
+    return counts
+
+
+def _crosses_three_boundaries(counts):
+    return bool(counts) and min(counts) >= 4
+
+
+STREAMED_ROWS = [row for row in ROWS if row[0] in ("coassociativity", "multiplicativity")]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("row, value, reference, tensor", STREAMED_ROWS,
+                         ids=[r[0] for r in STREAMED_ROWS])
+def test_streamed_row_matches_its_dense_reference_across_slabs(
+        get_case, small_slabs, case, row, value, reference, tensor):
+    hopf, h = get_case(case)
+    small_slabs.clear()
+    assert abs(value(hopf, h) - reference(hopf, h)) <= SAME
+    bad = perturbed(hopf, tensor)
+    residual = value(bad, h)
+    assert abs(residual - reference(bad, h)) <= SAME
+    assert residual > BROKEN
+    assert _crosses_three_boundaries(small_slabs)
+
+
+@pytest.mark.parametrize("right", ["action", "twisted"])
+@pytest.mark.parametrize("broken", [None, "delta", "right doubled"])
+def test_module_multiplicativity_matches_its_dense_reference_across_slabs(
+        get_tower, get_reconstruction, small_slabs, right, broken):
+    get_reconstruction("z3")
+    small_slabs.clear()
+    test_module_multiplicativity_matches_its_dense_reference(
+        get_tower, get_reconstruction, right, broken)
+    assert _crosses_three_boundaries(small_slabs)
+
+
+def ref_module_law(hopf, act):
+    """(u_b u_c) |> x = u_b |> (u_c |> x) from the structure tensor."""
+    return rel_residual(np.einsum("bcm,mxy->bcxy", _mult(hopf), act),
+                        np.einsum("cxz,bzy->bcxy", act, act))
+
+
+@pytest.mark.parametrize("broken", [None, "action"])
+def test_module_law_matches_its_dense_reference_across_slabs(get_pipeline, small_slabs,
+                                                             broken):
+    action = get_pipeline("z3")["action"]
+    small_slabs.clear()
+    if broken == "action":
+        action = ActionData(action.hopf, action.carrier,
+                            action.tensor + _noise(action.tensor.shape))
+    residual = verify_action(action)["module law"].residual
+    assert abs(residual - ref_module_law(action.hopf, action.tensor)) <= SAME
+    if broken is not None:
+        assert residual > BROKEN
+    assert _crosses_three_boundaries(small_slabs)
+
+
+def ref_decomposition_residual(tower, delta, right):
+    """Cor 4.12, b x = (b_(1) |> x) r(b_(2)), from the ambient structure tensor."""
+    mult = tower.ambient.mult_tensor
+    b_basis, m_basis = tower.rel_b.images.T, tower.sub_top.images.T
+    lhs = np.einsum("bk,xl,klr->bxr", b_basis, m_basis, mult, optimize=True)
+    products = np.einsum("yk,ql,klr->yqr", m_basis, right, mult, optimize=True)
+    rhs = np.einsum("bpq,pxy,yqr->bxr", delta, tower.module_tensor, products,
+                    optimize=True)
+    return rel_residual(lhs, rhs)
+
+
+@pytest.mark.parametrize("broken", [None, "delta"])
+def test_decomposition_residual_matches_its_dense_reference_across_slabs(
+        get_tower, get_reconstruction, small_slabs, broken):
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    small_slabs.clear()
+    hopf = perturbed(rec.on_b.hopf, broken)
+    alg = tower.ambient
+    hinv_amb = tower.rel_b.images @ rec.on_b.hopf.algebra.inverse_vec(
+        rec.on_b.index_element)
+    right = alg.mul_vecs(hinv_amb, tower.rel_b.images.T)
+    residual = tower.decomposition_residual(hopf.delta, right)
+    assert abs(residual - ref_decomposition_residual(tower, hopf.delta, right)) <= SAME
+    if broken is not None:
+        assert residual > BROKEN
+    assert _crosses_three_boundaries(small_slabs)
+
+
+def ref_embedding_multiplicative(emb):
+    """The first-column checks of ``SubalgebraEmbedding.residuals`` with the
+    products and their expected values as whole (k, k, ambient.dim) arrays."""
+    sub, amb, img = emb.sub, emb.ambient, emb.images.T
+    cols = [sub.basis_index(a, j, 0) for a, m in enumerate(sub.blocks) for j in range(m)]
+    corners = [sub.basis_index(a, 0, 0) for a, m in enumerate(sub.blocks) for _ in range(m)]
+    w = img[cols]
+    w_star = amb.adjoint_vecs(w)
+    k = len(cols)
+    grams = np.zeros((k, k, amb.dim), dtype=complex)
+    grams[np.arange(k), np.arange(k)] = img[corners]
+    outer = np.zeros((k, k, amb.dim), dtype=complex)
+    start = 0
+    for alpha, m in enumerate(sub.blocks):
+        blk = slice(start, start + m)
+        outer[blk, blk] = img[sub.block_slice(alpha)].reshape(m, m, -1)
+        start += m
+    return max(rel_residual(amb.pairwise_mul(w_star, w), grams),
+               rel_residual(amb.pairwise_mul(w, w_star), outer),
+               rel_residual(amb.mul_vecs(img[corners], w_star), w_star))
+
+
+@pytest.mark.parametrize("name", ["rel_a", "rel_b", "start_commutant_full"])
+@pytest.mark.parametrize("broken", [None, "images"])
+def test_embedding_residuals_match_their_dense_reference_across_slabs(
+        get_tower, small_slabs, name, broken):
+    emb = getattr(get_tower("z4"), name)  # four to sixteen first-column units
+    small_slabs.clear()
+    if broken == "images":
+        emb = SubalgebraEmbedding(emb.sub, emb.ambient,
+                                  emb.images + _noise(emb.images.shape))
+    residual = emb.residuals()["multiplicative"]
+    assert abs(residual - ref_embedding_multiplicative(emb)) <= SAME
+    if broken is not None:
+        assert residual > BROKEN
+    assert _crosses_three_boundaries(small_slabs)

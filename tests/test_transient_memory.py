@@ -1,0 +1,49 @@
+"""Transient memory of the rows whose two sides have d**4 entries.  They
+reduce their residual slab by slab, so a call holds a few slabs and its own
+inputs, never an operand: at pair_groupoid(6) each operand is 36**4 complex
+entries (27 MB), and on the cyclic(5) canonical action 25**4 (6.25 MB)."""
+
+import tracemalloc
+
+import pytest
+
+from weakhopf import axioms
+from weakhopf.actions import canonical_action, verify_action
+from weakhopf.deform import deform
+from weakhopf.groups import cyclic
+from weakhopf.reconstruct import reconstruct
+from weakhopf.tower import build_tower_from_group
+from weakhopf.weak_hopf import pair_groupoid
+
+BOUND_MIB = 16
+
+
+def transient_mib(fn) -> float:
+    """Peak of the memory allocated while ``fn`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def cyclic5_action():
+    tower = build_tower_from_group(cyclic(5))
+    deformed, _ = deform(reconstruct(tower).on_b, tower=tower)
+    return canonical_action(tower, deformed)
+
+
+@pytest.mark.parametrize("row", [axioms.coassociativity, axioms.multiplicativity],
+                         ids=["coassociativity", "multiplicativity"])
+def test_coalgebra_rows_hold_no_operand(row):
+    hopf = pair_groupoid(6)
+    assert transient_mib(lambda: row(hopf)) < BOUND_MIB
+
+
+def test_module_rows_hold_no_operand(cyclic5_action):
+    action = cyclic5_action
+    assert transient_mib(lambda: axioms.module_multiplicativity(
+        action.hopf, action.tensor, action.carrier, action.tensor)) < BOUND_MIB
+    assert transient_mib(lambda: verify_action(action)) < BOUND_MIB
