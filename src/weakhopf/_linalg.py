@@ -35,13 +35,25 @@ def streamed_residual(pairs) -> float:
     slab, so a row that yields its operands slab by slab never holds them
     whole.  ``rhs`` broadcasts against ``lhs``; a NaN in any slab propagates.
     """
-    peaks = [(0.0, 0.0, 0.0)]
-    for lhs, rhs in pairs:
-        diff = np.abs(lhs - rhs)
-        if diff.size:
-            peaks.append((np.abs(lhs).max(), np.abs(rhs).max(), diff.max()))
-    top_lhs, top_rhs, top_diff = np.max(peaks, axis=0)
-    return float(top_diff / max(top_lhs, top_rhs, 1.0))
+    return streamed_residuals(((pair,) for pair in pairs), 1)[0]
+
+
+def streamed_residuals(groups, rows: int) -> list[float]:
+    """:func:`streamed_residual` of ``rows`` comparisons swept together:
+    each item of ``groups`` holds one ``(lhs, rhs)`` slab pair per row, in
+    row order, so slabs that share their inputs are built once.  A group may
+    be a generator; its pairs are folded one at a time."""
+    peaks = [[(0.0, 0.0, 0.0)] for _ in range(rows)]
+    for group in groups:
+        for row, (lhs, rhs) in zip(peaks, group):
+            diff = np.abs(lhs - rhs)
+            if diff.size:
+                row.append((np.abs(lhs).max(), np.abs(rhs).max(), diff.max()))
+    out = []
+    for row in peaks:
+        top_lhs, top_rhs, top_diff = np.max(row, axis=0)
+        out.append(float(top_diff / max(top_lhs, top_rhs, 1.0)))
+    return out
 
 
 def rel_residual(lhs, rhs) -> float:

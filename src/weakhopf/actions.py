@@ -10,12 +10,12 @@ import numpy as np
 
 from . import axioms
 from ._linalg import (
-    max_abs,
     null_space,
     orthonormal_columns,
     rel_residual,
     slabs,
     streamed_residual,
+    streamed_residuals,
     subspace_residual,
 )
 from .decompose import StructureAlgebra, decompose_structure_algebra
@@ -58,24 +58,93 @@ class ActionData:
 
 
 @dataclass
+class ClassMap:
+    """The class map of M1 (x)_{B_t} B and its lift, kept as their factors.
+
+    A raw tensor is a (carrier.dim, hopf.dim) matrix T, flattened with the
+    index ``x * hopf.dim + b``.  Block a of the classes is M1 p_a (x) f^a_00 B
+    (see :func:`crossed_product`), with orthonormal bases V (carrier.dim, r)
+    of M1 p_a and W (hopf.dim, s) of f^a_00 B, so its class coordinates are
+    an (r, s) matrix C, flattened row-major after the blocks before it.
+    ``blocks`` holds (V, W, P, Q) per block, with P[i] = V* R(f^a_i0 |> 1)
+    and Q[i] = W* L(f^a_0i):
+
+    - the class map ``quot`` sends T to sum_i P[i] T Q[i]^T in block a;
+    - the lift sends C to its representative V C W^T, so quot after lift
+      is the identity on the classes.
+
+    The dense matrices of both maps, (classes, carrier.dim * hopf.dim)
+    each, are never formed.
+    """
+
+    raw_shape: tuple   # (carrier.dim, hopf.dim)
+    blocks: list       # per block: (V, W, P, Q)
+
+    @property
+    def dim(self) -> int:
+        return sum(vs.shape[1] * ws.shape[1] for vs, ws, _, _ in self.blocks)
+
+    def _split(self, cls):
+        """The per-block (n, r, s) views of class coordinates (n, dim)."""
+        start = 0
+        for vs, ws, ps, qs in self.blocks:
+            r, s = vs.shape[1], ws.shape[1]
+            yield cls[:, start:start + r * s].reshape(-1, r, s), (vs, ws, ps, qs)
+            start += r * s
+
+    def quot(self, raw: np.ndarray) -> np.ndarray:
+        """Class coordinates of raw tensors (trailing axis)."""
+        raw = np.asarray(raw, dtype=complex)
+        mats = raw.reshape((-1,) + self.raw_shape)
+        out = np.concatenate([np.einsum("iax,nxb,icb->nac", ps, mats, qs, optimize=True)
+                              .reshape(len(mats), -1) for _, _, ps, qs in self.blocks],
+                             axis=1)
+        return out.reshape(raw.shape[:-1] + (self.dim,))
+
+    def lift(self, cls: np.ndarray) -> np.ndarray:
+        """Representatives of class coordinates (n, dim) as raw tensors."""
+        cls = np.asarray(cls, dtype=complex)
+        out = np.zeros((len(cls),) + self.raw_shape, dtype=complex)
+        for mats, (vs, ws, _, _) in self._split(cls):
+            out += vs @ mats @ ws.T
+        return out.reshape(len(cls), -1)
+
+    def lift_t(self, raw: np.ndarray) -> np.ndarray:
+        """``lift.T @ raw`` for a stack of raw-tensor columns (raw dim, n),
+        (classes, n): functionals on raw tensors read on the representatives."""
+        mats = np.asarray(raw, dtype=complex).reshape(self.raw_shape + (-1,))
+        return np.concatenate([np.einsum("xa,xbn,bc->acn", vs, mats, ws, optimize=True)
+                               .reshape(-1, mats.shape[-1])
+                               for vs, ws, _, _ in self.blocks])
+
+    def quot_t(self, cls: np.ndarray) -> np.ndarray:
+        """``quot.T @ cls`` for a stack of class columns (classes, n),
+        (raw dim, n): functionals on classes read on raw tensors."""
+        cls = np.asarray(cls, dtype=complex)
+        out = np.zeros(self.raw_shape + (cls.shape[1],), dtype=complex)
+        for mats, (_, _, ps, qs) in self._split(cls.T):
+            out += np.einsum("iax,nac,icb->xbn", ps, mats, qs, optimize=True)
+        return out.reshape(-1, cls.shape[1])
+
+
+@dataclass
 class CrossedProduct:
     """Balanced tensor product of the carrier M1 with the acting structure B,
     as a multimatrix algebra.
 
     Raw tensors live in M1 (x) B with the flat index ``x * hopf.dim + b``.
-    ``quot`` maps them to coordinates over a basis of the balanced classes
-    and ``lift`` sends each class basis vector to a representative, so
-    ``quot @ lift`` is the identity.  ``block_coords`` maps class coordinates
-    to coordinates over the matrix units of ``algebra`` and ``unit_classes``
-    is its inverse.  The product is the algebraic one,
+    ``classes`` maps them to coordinates over a basis of the balanced
+    classes and lifts each class to a representative, as factored maps
+    (:class:`ClassMap`).  ``block_coords`` maps class coordinates to
+    coordinates over the matrix units of ``algebra`` and ``unit_classes`` is
+    its inverse.  The product is the algebraic one,
     (x (x) b)(y (x) c) = x (b_(1) |> y) (x) b_(2) c; the blocks only supply
     the basis in which it is the matrix product.
     """
 
     action: ActionData
     algebra: MultiMatrixAlgebra
-    quot: np.ndarray                        # (dim, carrier.dim * hopf.dim)
-    lift: np.ndarray                        # (carrier.dim * hopf.dim, dim)
+    classes: ClassMap
     block_coords: np.ndarray                # (dim, dim): classes -> blocks
     unit_classes: np.ndarray                # (dim, dim): blocks -> classes
 
@@ -85,12 +154,12 @@ class CrossedProduct:
 
     def coords(self, raw: np.ndarray) -> np.ndarray:
         """Block coordinates of the classes of raw tensors (trailing axis)."""
-        return np.asarray(raw, dtype=complex) @ self.quot.T @ self.block_coords.T
+        return self.classes.quot(raw) @ self.block_coords.T
 
     @property
     def representatives(self) -> np.ndarray:
         """Raw tensors representing the block matrix units, as columns."""
-        return self.lift @ self.unit_classes
+        return self.classes.lift(self.unit_classes.T).T
 
     @cached_property
     def carrier_embedding(self) -> SubalgebraEmbedding:
@@ -233,8 +302,8 @@ def crossed_product(action: ActionData, *, rng=None,
 
     cartan_span = null_space(hopf.target_counital - np.eye(db), 1e-10)
     cartan = subalgebra_from_basis(hopf.algebra, cartan_span, rng=rng, tol=tol)
-    quot, lift, factors = _class_basis(action, cartan)
-    _check_relators(action, cartan, quot, tol)
+    classes = _class_basis(action, cartan)
+    _check_relators(action, cartan, classes, tol)
 
     fixed = fixed_points(action, rng=rng, tol=tol)
     rights = [np.stack([
@@ -243,12 +312,14 @@ def crossed_product(action: ActionData, *, rng=None,
     image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
     image.require_valid(tol)
 
-    left_basis = np.stack([car.left_mult_matrix(e) for e in np.eye(dm)])
-    ops = [(np.einsum("xv,xij->vij", vs, left_basis)[:, None]
-            @ np.einsum("bw,bxy->wyx", ws, action.tensor)[None]).reshape(-1, dm * dm)
-           for vs, ws in factors]
+    def class_images():
+        # pi(v (x) w) = L_v A_w over the factors of each class block
+        for vs, ws, _, _ in classes.blocks:
+            lefts = np.stack([car.left_mult_matrix(v) for v in vs.T])
+            acts = np.einsum("bw,bxy->wyx", ws, action.tensor, optimize=True)
+            yield (lefts[:, None] @ acts[None]).reshape(-1, dm * dm)
     try:
-        coords = image.coords_vec(np.concatenate(ops))  # (classes, image.dim)
+        coords = np.concatenate(image.coords_chunks(class_images()))  # (classes, image.dim)
     except InvariantViolation as exc:
         raise InvariantViolation(
             "classes do not act in the commutant of the fixed points") from exc
@@ -257,61 +328,65 @@ def crossed_product(action: ActionData, *, rng=None,
     if rank < image.sub.dim:
         raise InvariantViolation("crossed product does not fill the commutant "
                                  "of the fixed points")
-    if rank == quot.shape[0]:
+    if rank == classes.dim:
         algebra, block_coords = image.sub, coords.T
         unit_classes = np.linalg.inv(block_coords)
     else:
         kernel = vh[rank:].conj().T
         preimages = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
-        ideal, ideal_units, ideal_unit = _kernel_ideal(action, quot, lift, kernel,
-                                                       rng, tol)
+        ideal, ideal_units, ideal_unit = _kernel_ideal(action, classes, kernel, rng, tol)
         # the complementary ideal is (1 - e) times the crossed product
-        preimages -= quot @ _left_products(action, ideal_unit).T @ lift @ preimages
+        preimages -= classes.quot(
+            classes.lift(preimages.T) @ _left_products(action, ideal_unit)).T
         algebra = MultiMatrixAlgebra(image.sub.blocks + ideal.blocks)
         unit_classes = np.hstack([preimages, ideal_units])
         block_coords = np.linalg.inv(unit_classes)
 
-    crossed = CrossedProduct(action, algebra, quot, lift, block_coords, unit_classes)
+    crossed = CrossedProduct(action, algebra, classes, block_coords, unit_classes)
     if crossed.carrier_embedding.verify() > 100 * tol:
         raise InvariantViolation("carrier embedding is not a *-homomorphism")
     _verify_products(crossed, rng, tol)
     return crossed
 
 
-def _class_basis(action: ActionData, cartan: SubalgebraEmbedding):
-    """``quot`` and ``lift`` of M1 (x)_{B_t} B from the matrix units of B_t,
-    plus the factors (V_a, W_a): orthonormal bases of M1 p_a and f^a_00 B,
-    whose products v (x) w represent the classes of block a."""
+def _class_basis(action: ActionData, cartan: SubalgebraEmbedding) -> ClassMap:
+    """The class map of M1 (x)_{B_t} B from the matrix units of B_t, with
+    V_a and W_a orthonormal bases of M1 p_a and f^a_00 B."""
     hopf, car = action.hopf, action.carrier
     on_unit = action.on_unit
-    quots, lifts, factors = [], [], []
+    blocks = []
     for alpha, k in enumerate(cartan.sub.blocks):
         def unit(i, j):
             return cartan.images[:, cartan.sub.basis_index(alpha, i, j)]
-        rights = [car.right_mult_matrix(on_unit @ unit(i, 0)) for i in range(k)]
-        lefts = [hopf.algebra.left_mult_matrix(unit(0, i)) for i in range(k)]
+        rights = np.stack([car.right_mult_matrix(on_unit @ unit(i, 0)) for i in range(k)])
+        lefts = np.stack([hopf.algebra.left_mult_matrix(unit(0, i)) for i in range(k)])
         vs = orthonormal_columns(rights[0], 1e-10)
         ws = orthonormal_columns(lefts[0], 1e-10)
-        quots.append(sum(np.kron(vs.conj().T @ r, ws.conj().T @ l)
-                         for r, l in zip(rights, lefts)))
-        lifts.append(np.kron(vs, ws))
-        factors.append((vs, ws))
-    return np.vstack(quots), np.hstack(lifts), factors
+        blocks.append((vs, ws, vs.conj().T @ rights, ws.conj().T @ lefts))
+    return ClassMap((car.dim, hopf.dim), blocks)
 
 
-def _check_relators(action: ActionData, cartan: SubalgebraEmbedding, quot, tol):
+def _check_relators(action: ActionData, cartan: SubalgebraEmbedding,
+                    classes: ClassMap, tol):
     """The class map kills x (z |> 1) (x) b - x (x) z b, and the operators
-    A_z equal L_(z |> 1), for every matrix unit z of B_t."""
+    A_z equal L_(z |> 1), for every matrix unit z of B_t.
+
+    In block a the class map is sum_i P_i (x) Q_i, so the relator of z is
+    killed when sum_i P_i R_(z |> 1) (x) Q_i = sum_i P_i (x) Q_i L_z.  Both
+    sides are compared over slabs of the rows of P, for all z at once."""
     hopf, car = action.hopf, action.carrier
     zs = cartan.images.T
     on_unit = action.on_unit @ cartan.images
-    q3 = quot.reshape(-1, car.dim, hopf.dim)
-    worst = 0.0
-    for z, z1 in zip(zs, on_unit.T):
-        moved = car.right_mult_matrix(z1).T @ q3
-        absorbed = q3 @ hopf.algebra.left_mult_matrix(z)
-        worst = max(worst, rel_residual(moved, absorbed))
-    if worst > 1e-6:
+    moves = [(car.right_mult_matrix(z1), hopf.algebra.left_mult_matrix(z))
+             for z, z1 in zip(zs, on_unit.T)]
+
+    def groups():
+        for vs, ws, ps, qs in classes.blocks:
+            for sl in slabs(vs.shape[1], ws.shape[1] * car.dim * hopf.dim):
+                yield ((np.einsum("iay,icb->acyb", ps[:, sl] @ right, qs),
+                        np.einsum("iax,icb->acxb", ps[:, sl], qs @ left))
+                       for right, left in moves)
+    if max(streamed_residuals(groups(), len(moves))) > 1e-6:
         raise InvariantViolation("quotient map does not kill the relators")
 
     acts = np.einsum("bk,bxy->kyx", cartan.images, action.tensor)
@@ -322,33 +397,38 @@ def _check_relators(action: ActionData, cartan: SubalgebraEmbedding, quot, tol):
             "A_z differs from L_(z |> 1) on the target Cartan")
 
 
-def _kernel_ideal(action: ActionData, quot, lift, kernel, rng, tol):
+def _kernel_ideal(action: ActionData, classes: ClassMap, kernel, rng, tol):
     """Blocks of the ideal ker pi (columns of ``kernel``: an orthonormal basis
     in class coordinates) from its algebraic structure constants.  Returns
     the block algebra, the class coordinates of its matrix units and its
     unit as a raw tensor."""
-    reps = (lift @ kernel).T
-    dual = quot.T @ kernel.conj()  # raw tensor -> ideal coordinates
-    mult = np.stack([reps @ _left_products(action, r) @ dual for r in reps])
+    reps = classes.lift(kernel.T)
+
+    def ideal_coords(raw):
+        return classes.quot(raw) @ kernel.conj()
+    mult = np.stack([ideal_coords(reps @ _left_products(action, r)) for r in reps])
     k = kernel.shape[1]
     coeff, *_ = np.linalg.lstsq(mult.reshape(k, k * k).T, np.eye(k).reshape(-1),
                                 rcond=None)
     if rel_residual(coeff @ mult.reshape(k, k * k), np.eye(k).reshape(-1)) > 1e-6:
         raise InvariantViolation("kernel of the representation has no unit")
-    star = (_raw_star(action, reps) @ dual).T
+    star = ideal_coords(_raw_star(action, reps)).T
     ideal, change = decompose_structure_algebra(StructureAlgebra(mult, coeff, star),
                                                 rng=rng, tol=tol)
     return ideal, kernel @ change, coeff @ reps
 
 
 def _left_products(action: ActionData, raw: np.ndarray) -> np.ndarray:
-    """``raw * (x (x) b)`` for every elementary tensor, one row per (x, b);
-    carrier.dim * hopf.dim products at once, so meant for the small kernel
-    ideals of non-Galois actions."""
+    """``raw * (x (x) b)`` for every elementary tensor, one row per (x, b),
+    swept over slabs of the labels with the one probe broadcast; the rows
+    fill a (carrier.dim * hopf.dim)**2 array, so this is meant for the small
+    kernel ideals of non-Galois actions."""
     db, dm = action.hopf.dim, action.carrier.dim
     labels = np.array([(x, b) for x in range(dm) for b in range(db)])
-    left, _ = _relator_products(action, np.tile(raw, (len(labels), 1)), labels)
-    return left
+    return np.concatenate([
+        _relator_products(action, np.broadcast_to(raw, (len(labels[sl]), raw.size)),
+                          labels[sl])[0]
+        for sl in slabs(len(labels), dm * db * max(dm, db))])
 
 
 def _raw_star(action: ActionData, raw: np.ndarray) -> np.ndarray:
@@ -366,7 +446,8 @@ def _raw_star(action: ActionData, raw: np.ndarray) -> np.ndarray:
 
 def _verify_products(crossed: CrossedProduct, rng, tol):
     """Random probes: the algebraic product and involution of raw tensors
-    agree with the block product and adjoint of their classes."""
+    agree with the block product and adjoint of their classes.  The probes
+    go through in slabs; each residual folds their maxima."""
     action = crossed.action
     db, dm = action.hopf.dim, action.carrier.dim
     alg = crossed.algebra
@@ -374,15 +455,20 @@ def _verify_products(crossed: CrossedProduct, rng, tol):
         + 1j * rng.standard_normal((_PROBES, dm * db))
     labels = np.stack([rng.integers(0, dm, _PROBES), rng.integers(0, db, _PROBES)],
                       axis=1)
-    left, right = _relator_products(action, draws, labels)
-    probes = crossed.coords(draws)
-    elementary = crossed.coords(np.eye(dm * db)[labels[:, 0] * db + labels[:, 1]])
-    if max(rel_residual(crossed.coords(left), alg.mul_vecs(probes, elementary)),
-           rel_residual(crossed.coords(right), alg.mul_vecs(elementary, probes))) \
-            > 100 * tol:
+    elementary = np.zeros((_PROBES, dm * db))
+    elementary[np.arange(_PROBES), labels[:, 0] * db + labels[:, 1]] = 1.0
+
+    def groups():
+        for sl in slabs(_PROBES, dm * db * max(dm, db)):
+            left, right = _relator_products(action, draws[sl], labels[sl])
+            probes, units = crossed.coords(draws[sl]), crossed.coords(elementary[sl])
+            yield ((crossed.coords(left), alg.mul_vecs(probes, units)),
+                   (crossed.coords(right), alg.mul_vecs(units, probes)),
+                   (crossed.coords(_raw_star(action, draws[sl])), alg.adjoint_vecs(probes)))
+    left_res, right_res, star_res = streamed_residuals(groups(), 3)
+    if max(left_res, right_res) > 100 * tol:
         raise InvariantViolation("algebraic product differs from the block product")
-    if rel_residual(crossed.coords(_raw_star(action, draws)),
-                    alg.adjoint_vecs(probes)) > 100 * tol:
+    if star_res > 100 * tol:
         raise InvariantViolation("algebraic involution differs from the block adjoint")
 
 
@@ -456,15 +542,18 @@ def theta_iso(tower: TowerData, deformed: DeformedStructure,
 
     top_basis = tower.sub_top.images.T
     mid = alg.mul_vecs(root, alg.mul_vecs(tower.rel_b.images.T, root_inv))
-    theta_raw = alg.pairwise_mul(top_basis, mid).reshape(dm * db, alg.dim).T
+    # row x * db + b: theta of x (x) b; the transpose of the raw map's matrix
+    raw_images = alg.pairwise_mul(top_basis, mid).reshape(dm * db, alg.dim)
 
     rep = Report(tolerance=tol, seed=tower.seed, title="comparison map check")
-    # well definedness: the raw map factors through the balanced classes
-    residual = theta_raw - (theta_raw @ crossed.lift) @ crossed.quot
-    rep.add("well defined on balanced classes",
-            max_abs(residual) / max(max_abs(theta_raw), 1.0), ref="Prop 6.3")
+    # well definedness: the raw map factors through the balanced classes,
+    # quot.T lift.T raw_images = raw_images, compared over ambient columns
+    on_classes = crossed.classes.lift_t(raw_images)  # (classes, ambient)
+    rep.add("well defined on balanced classes", streamed_residual(
+        (raw_images[:, sl], crossed.classes.quot_t(on_classes[:, sl]))
+        for sl in slabs(alg.dim, dm * db)), ref="Prop 6.3")
 
-    matrix = theta_raw @ crossed.representatives
+    matrix = on_classes.T @ crossed.unit_classes
     sv = np.linalg.svd(matrix, compute_uv=False)
     bij = sv[-1] > 1e-8 * sv[0] and matrix.shape[0] == matrix.shape[1]
     rep.add_flag("bijective", bij, ref="Prop 6.3",

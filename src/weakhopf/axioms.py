@@ -67,11 +67,10 @@ def multiplicativity(hopf, hinv=None) -> float:
     twist[index] = np.outer(hopf.unit_vec, hopf.unit_vec if hinv is None else hinv)
     twisted = square.mul_vecs(twist, coproducts)
 
-    def pairs():
-        for sl in slabs(d, d * square.dim):
-            yield (alg.unit_products(coproducts, sl),
-                   square.pairwise_mul(coproducts[sl], twisted))
-    return streamed_residual(pairs())
+    rows = slabs(d, d * square.dim)
+    products = square.pairwise_mul_slabs(coproducts, twisted, rows)
+    return streamed_residual((alg.unit_products(coproducts, sl), rhs)
+                             for sl, rhs in zip(rows, products))
 
 
 def star_preserving(hopf) -> float:

@@ -179,17 +179,28 @@ class MultiMatrixAlgebra:
         holds sum_l u[i, l] v[l, j].  In each block the entries of u lie side
         by side in one (a m, k m) matrix and those of v in one (k m, c m)
         matrix, so the sum over l is one matmul per run of equal blocks."""
-        u = np.asarray(u, dtype=complex)
+        return next(self._matmuls([u], v))
+
+    def _matmuls(self, us, v: np.ndarray):
+        """``matmul_vecs(u, v)`` for each u of the iterable ``us``, as a
+        generator; the per-run layout of the fixed right factor ``v`` is
+        made once."""
         v = np.asarray(v, dtype=complex)
-        (a, k), c = u.shape[:2], v.shape[1]
-        out = np.empty((a, c, self.dim), dtype=complex)
-        for sl, m, r in self._runs:
-            ub = u[:, :, sl].reshape(a, k, r, m, m).transpose(2, 0, 3, 1, 4)
-            vb = v[:, :, sl].reshape(k, c, r, m, m).transpose(2, 0, 3, 1, 4)
-            prod = ub.reshape(r, a * m, k * m) @ vb.reshape(r, k * m, c * m)
-            out[:, :, sl] = prod.reshape(r, a, m, c, m).transpose(1, 3, 0, 2, 4) \
-                .reshape(a, c, r * m * m)
-        return out
+        k, c = v.shape[:2]
+        laid = [v[:, :, sl].reshape(k, c, r, m, m).transpose(2, 0, 3, 1, 4)
+                .reshape(r, k * m, c * m) for sl, m, r in self._runs]
+        for u in us:
+            u = np.asarray(u, dtype=complex)
+            a = u.shape[0]
+            out = np.empty((a, c, self.dim), dtype=complex)
+            for (sl, m, r), vb in zip(self._runs, laid):
+                ub = u[:, :, sl].reshape(a, k, r, m, m).transpose(2, 0, 3, 1, 4)
+                prod = ub.reshape(r, a * m, k * m) @ vb
+                # written through a view of out, so the transposed product
+                # is not copied first
+                out[:, :, sl].reshape(a, c, r, m, m)[...] = \
+                    prod.reshape(r, a, m, c, m).transpose(1, 3, 0, 2, 4)
+            yield out
 
     def pairwise_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """All-pairs products of two stacks of coefficient vectors.
@@ -200,6 +211,13 @@ class MultiMatrixAlgebra:
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
         return self.matmul_vecs(u[:, None, :], v[None, :, :])
+
+    def pairwise_mul_slabs(self, u: np.ndarray, v: np.ndarray, rows):
+        """``pairwise_mul(u[sl], v)`` for each slice ``sl`` of ``rows``, as a
+        generator: the fixed right factor is laid out once, not per slab."""
+        u = np.asarray(u, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        return self._matmuls((u[sl, None, :] for sl in rows), v[None, :, :])
 
     def adjoint_vecs(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -270,6 +288,15 @@ class MultiMatrixAlgebra:
             index[self.block_slice(a), self.block_slice(b)] = \
                 square._offsets[s] + rows * (m * n) + cols
         return square, index
+
+    @cached_property
+    def adjoint_index(self) -> np.ndarray:
+        """``index[i] = j`` when u_i* = u_j: the adjoint of e_rc is e_cr."""
+        index = np.empty(self.dim, dtype=int)
+        for alpha, m in enumerate(self.blocks):
+            sl = self.block_slice(alpha)
+            index[sl] = sl.start + np.arange(m * m).reshape(m, m).T.reshape(-1)
+        return index
 
     @cached_property
     def product_index(self) -> np.ndarray:
@@ -471,19 +498,39 @@ class SubalgebraEmbedding:
         divided by that norm inverts it; zero columns get zero rows.  Images
         that are not orthogonal fail the back-substitution in ``coords_vec``.
         """
-        norms = np.einsum("aj,aj->j", self.images.conj(), self.images).real
-        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-        return self.images.conj().T * scale[:, None]
+        pinv = self.images.conj().T
+        norms = np.einsum("ja,aj->j", pinv, self.images).real
+        pinv *= np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[:, None]
+        return pinv
 
     def coords_vec(self, ambient_vecs: np.ndarray) -> np.ndarray:
         """Coordinates of ambient vectors in the sub basis (must lie in the
         image, up to ``MEMBERSHIP_TOL``)."""
-        coords = np.tensordot(np.asarray(ambient_vecs, dtype=complex), self._pinv,
-                              axes=([-1], [1]))
-        back = self.embed_vec(coords)
-        if rel_residual(back, ambient_vecs) > MEMBERSHIP_TOL:
-            raise InvariantViolation("vector does not lie in the subalgebra image")
+        coords, = self.coords_chunks([ambient_vecs])
         return coords
+
+    def coords_chunks(self, chunks) -> list[np.ndarray]:
+        """:meth:`coords_vec` of each array of the iterable ``chunks``, with
+        one membership test over all of them: the back-substitution residual
+        is folded over slabs of each chunk's leading axis
+        (:func:`streamed_residual`), so it compares the same maxima as one
+        call on the concatenated chunks while only the coordinates outlive
+        their chunk."""
+        out = []
+
+        def pairs():
+            for vecs in chunks:
+                vecs = np.asarray(vecs, dtype=complex)
+                coords = np.tensordot(vecs, self._pinv, axes=([-1], [1]))
+                out.append(coords)
+                if vecs.ndim == 1:
+                    yield self.embed_vec(coords), vecs
+                    continue
+                for sl in slabs(len(vecs), vecs.size // max(len(vecs), 1)):
+                    yield self.embed_vec(coords[sl]), vecs[sl]
+        if streamed_residual(pairs()) > MEMBERSHIP_TOL:
+            raise InvariantViolation("vector does not lie in the subalgebra image")
+        return out
 
     def compose(self, outer: "SubalgebraEmbedding") -> "SubalgebraEmbedding":
         """Embedding of ``self.sub`` into ``outer.ambient`` (outer after self)."""
@@ -508,11 +555,12 @@ class SubalgebraEmbedding:
         full product table.
         """
         img = self.images.T  # (sub.dim, ambient.dim)
-        eye = np.eye(self.sub.dim, dtype=complex)
         unital = rel_residual(self.embed_vec(self.sub.unit().vec), self.ambient.unit().vec)
-        adj = self.ambient.adjoint_vecs(img)
-        sub_adj = self.sub.adjoint_vecs(eye)
-        adjoint = rel_residual(sub_adj @ img, adj)
+        # image(f_ij*) = image(f_ji) is a gather of image rows
+        star_at = self.sub.adjoint_index
+        adjoint = streamed_residual(
+            (img[star_at[sl]], self.ambient.adjoint_vecs(img[sl]))
+            for sl in slabs(self.sub.dim, self.ambient.dim))
 
         # w_j = image(f_j0) over the blocks of sub; the expected grams and
         # outer products are images of sub units, listed in unit-index tables
@@ -682,23 +730,25 @@ def _commutant_from_units(host: MultiMatrixAlgebra, firsts) -> SubalgebraEmbeddi
     every f_cc and so commute with every f_ab.  Blocks come alpha by alpha,
     then beta; nothing is split at random.
     """
-    units, sizes = [], []
+    parts = []
     for stack in firsts:
         for beta, mats in enumerate(host.block_views(stack)):
             # f_00 is a projection, so its singular values are 0 or 1; the
             # absolute cut ignores rounding noise in blocks alpha misses
             u, s, _ = np.linalg.svd(mats[0], full_matrices=False)
             basis = u[:, s > 0.5]
-            size = basis.shape[1]
-            if size == 0:
-                continue
-            copies = mats @ basis  # (k, n_beta, size)
-            block = np.zeros((size * size, host.dim), dtype=complex)
-            block[:, host.block_slice(beta)] = np.einsum(
-                "cai,cbj->ijab", copies, copies.conj()).reshape(size * size, -1)
-            units.append(block)
-            sizes.append(size)
-    return SubalgebraEmbedding(MultiMatrixAlgebra(sizes), host, np.vstack(units).T)
+            if basis.shape[1]:
+                parts.append((beta, mats @ basis))  # copies, (k, n_beta, size)
+    sizes = [copies.shape[2] for _, copies in parts]
+    # one row per unit, written in place: the images are the one array of
+    # (host.dim, commutant dim) the construction holds
+    units = np.zeros((sum(m * m for m in sizes), host.dim), dtype=complex)
+    row = 0
+    for (beta, copies), size in zip(parts, sizes):
+        units[row:row + size * size, host.block_slice(beta)] = np.einsum(
+            "cai,cbj->ijab", copies, copies.conj()).reshape(size * size, -1)
+        row += size * size
+    return SubalgebraEmbedding(MultiMatrixAlgebra(sizes), host, units.T)
 
 
 def relative_commutant(sub: SubalgebraEmbedding,

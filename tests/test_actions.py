@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from weakhopf import actions
+from weakhopf import _linalg, actions
 from weakhopf._linalg import null_space, projector, rel_residual, subspace_residual
 from weakhopf.actions import (
     ActionData,
+    _left_products,
     _relator_products,
     crossed_product,
     fixed_points,
@@ -14,7 +15,7 @@ from weakhopf.actions import (
 )
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic
-from weakhopf.multimatrix import MultiMatrixAlgebra
+from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
 from weakhopf.weak_hopf import cartan_subalgebras, group_algebra, pair_groupoid
 
 TOL = 1e-9
@@ -243,6 +244,84 @@ def test_crossed_product_rejects_an_action_breaking_the_relators(get_pipeline):
     with pytest.raises(InvariantViolation,
                        match=r"representation on L2\(M1\) does not kill the relators"):
         crossed_product(ActionData(hopf, car, tensor))
+
+
+def dense_class_maps(classes):
+    """The dense quot and lift of a class map: sum_i kron(P_i, Q_i) and
+    kron(V, W), block by block."""
+    quot = np.vstack([sum(np.kron(p, q) for p, q in zip(ps, qs))
+                      for _, _, ps, qs in classes.blocks])
+    lift = np.hstack([np.kron(vs, ws) for vs, ws, _, _ in classes.blocks])
+    return quot, lift
+
+
+@pytest.mark.parametrize("name", ["z3", "s3"])
+def test_class_map_applies_its_dense_matrices(name, get_pipeline):
+    classes = get_pipeline(name)["crossed"].classes
+    quot, lift = dense_class_maps(classes)
+    n_raw = quot.shape[1]
+    assert quot.shape == (classes.dim, n_raw) and lift.shape == (n_raw, classes.dim)
+    assert rel_residual(quot @ lift, np.eye(classes.dim)) < 1e-12
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal((4, n_raw)) + 1j * rng.standard_normal((4, n_raw))
+    cls = rng.standard_normal((4, classes.dim)) + 1j * rng.standard_normal((4, classes.dim))
+    assert rel_residual(classes.quot(raw), raw @ quot.T) < 1e-13
+    assert rel_residual(classes.quot(raw[0]), quot @ raw[0]) < 1e-13
+    assert rel_residual(classes.lift(cls), cls @ lift.T) < 1e-13
+    assert rel_residual(classes.lift_t(raw.T), lift.T @ raw.T) < 1e-13
+    assert rel_residual(classes.quot_t(cls.T), quot.T @ cls.T) < 1e-13
+
+
+@pytest.mark.parametrize("slab", [None, 1])
+def test_crossed_product_rejects_a_class_map_keeping_the_relators(
+        get_pipeline, monkeypatch, slab):
+    # one operator P of the first class block is bent, so the class map no
+    # longer kills x (z |> 1) (x) b - x (x) z b; swept in one-row slabs too
+    action = get_pipeline("z2")["action"]
+    assert crossed_product(action).dim == get_pipeline("z2")["crossed"].dim
+    build = actions._class_basis
+
+    def bent(*args):
+        classes = build(*args)
+        vs, ws, ps, qs = classes.blocks[0]
+        rng = np.random.default_rng(19)
+        classes.blocks[0] = (vs, ws, ps + 0.1 * rng.standard_normal(ps.shape), qs)
+        return classes
+
+    monkeypatch.setattr(actions, "_class_basis", bent)
+    if slab is not None:
+        monkeypatch.setattr(_linalg, "_SLAB", slab)
+    with pytest.raises(InvariantViolation,
+                       match="^quotient map does not kill the relators$"):
+        crossed_product(action)
+
+
+def test_crossed_product_rejects_classes_outside_the_commutant(get_pipeline, monkeypatch):
+    # with all of M1 passed off as the fixed points their commutant on L2(M1)
+    # is the left multiplications, and L_v A_w leaves it once A_w is not one
+    action = get_pipeline("z2")["action"]
+    assert crossed_product(action).dim == get_pipeline("z2")["crossed"].dim
+    monkeypatch.setattr(actions, "fixed_points", lambda action, **kwargs:
+                        SubalgebraEmbedding.identity(action.carrier))
+    with pytest.raises(InvariantViolation,
+                       match="^classes do not act in the commutant of the fixed points$"):
+        crossed_product(action)
+
+
+@pytest.mark.parametrize("slab", [None, 7])
+def test_left_products_match_the_tiled_probe(slab, monkeypatch):
+    # the kernel path multiplies one raw tensor by every elementary tensor;
+    # slabs of labels with the probe broadcast give the rows of the tiled stack
+    hopf = group_algebra(cyclic(3))
+    action = counit_action(hopf, MultiMatrixAlgebra([2]))
+    db, dm = hopf.dim, action.carrier.dim
+    labels = np.array([(x, b) for x in range(dm) for b in range(db)])
+    rng = np.random.default_rng(23)
+    raw = rng.standard_normal(dm * db) + 1j * rng.standard_normal(dm * db)
+    tiled, _ = _relator_products(action, np.tile(raw, (len(labels), 1)), labels)
+    if slab is not None:
+        monkeypatch.setattr(_linalg, "_SLAB", slab)
+    assert rel_residual(_left_products(action, raw), tiled) < 1e-14
 
 
 def test_crossed_product_probes_catch_broken_covariance(get_pipeline):

@@ -10,6 +10,7 @@ from weakhopf._linalg import (
     rel_residual,
     slabs,
     streamed_residual,
+    streamed_residuals,
 )
 
 
@@ -119,3 +120,20 @@ def test_slabs_read_the_slab_size_at_call_time(monkeypatch):
                             slice(8, 10)]
     assert slabs(2, 100) == [slice(0, 1), slice(1, 2)]  # at least one row per slab
     assert slabs(0, 3) == []
+
+
+def test_streamed_residuals_fold_each_row_on_its_own():
+    # three rows of different scales swept together give the residual each
+    # would give alone; a group may be a generator
+    rng = np.random.default_rng(6)
+    mat = np.eye(40) + 1e-3 * rng.normal(size=(40, 40))
+    rows = [(mat, np.eye(40)), (100 * mat.T, 100 * mat), (1e-3 * mat, 0.0)]
+
+    def groups(step):
+        for i in range(0, 40, step):
+            yield ((lhs[i:i + step], np.broadcast_to(rhs, lhs.shape)[i:i + step])
+                   for lhs, rhs in rows)
+    expected = [rel_residual(lhs, rhs) for lhs, rhs in rows]
+    for step in (1, 7, 40):
+        assert streamed_residuals(groups(step), 3) == expected
+    assert streamed_residuals(iter(()), 2) == [0.0, 0.0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakhopf import _linalg
 from weakhopf._linalg import (
     containment_residual,
     null_space,
@@ -168,6 +169,49 @@ def test_coords_match_pseudo_inverse(make):
     vecs = RNG.standard_normal((3, emb.sub.dim)) @ emb.images.T
     reference = vecs @ np.linalg.pinv(emb.images, rcond=1e-12).T
     assert rel_residual(emb.coords_vec(vecs), reference) < 1e-13
+
+
+def star_broken_m2():
+    # f_01 -> i f_01: unital and multiplicative on the first column, but
+    # image(f_01) is not the adjoint of image(f_10)
+    m2 = MultiMatrixAlgebra([2])
+    images = np.eye(4, dtype=complex)
+    images[1, 1] = 1j
+    return SubalgebraEmbedding(m2, m2, images)
+
+
+@pytest.mark.parametrize("slab", [None, 1])
+@pytest.mark.parametrize("make", [diag_in_m2, m2_in_m4_m2, non_orthogonal_m2,
+                                  perturbed_m2_in_m4_m2, star_broken_m2])
+def test_adjoint_residual_is_the_dense_permutation_product(make, slab, monkeypatch):
+    # the gather through adjoint_index gives the value of the dense
+    # (sub.dim, sub.dim) permutation product, also swept row by row
+    emb = make()
+    img = emb.images.T
+    dense = rel_residual(emb.sub.adjoint_vecs(np.eye(emb.sub.dim)) @ img,
+                         emb.ambient.adjoint_vecs(img))
+    if slab is not None:
+        monkeypatch.setattr(_linalg, "_SLAB", slab)
+    assert emb.residuals()["adjoint"] == dense
+    if make is star_broken_m2:
+        assert dense > 0.5
+
+
+def test_coords_chunks_fold_one_membership_test():
+    emb = m2_in_m4_m2()
+    inside = RNG.standard_normal((5, emb.sub.dim)) @ emb.images.T
+    outside = null_space(emb.images.conj().T)[:, 0]
+    chunks = [1e4 * inside[:3], inside[3:] + 1e-3 * outside]
+    # the deviation of the second chunk is large against its own entries
+    # and small against the first chunk's, as in one call on both
+    with pytest.raises(InvariantViolation, match="vector does not lie"):
+        emb.coords_vec(chunks[1])
+    whole = emb.coords_vec(np.concatenate(chunks))
+    parts = emb.coords_chunks(iter(chunks))
+    assert [len(part) for part in parts] == [3, 2]
+    assert np.array_equal(np.concatenate(parts), whole)
+    with pytest.raises(InvariantViolation, match="vector does not lie"):
+        emb.coords_chunks(iter([inside[:3], inside[3:] + outside]))
 
 
 def test_coords_reject_non_homomorphic_images():

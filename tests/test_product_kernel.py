@@ -59,6 +59,27 @@ def test_matmul_vecs_sums_products_over_the_inner_index(blocks, seed, a, k, c):
                         alg.mul_vecs(u[:, 0, None, :], v[None, 0])) < 1e-12
 
 
+@PROPERTY
+@given(SHAPES, SEEDS, st.integers(1, 5), st.integers(1, 3))
+def test_pairwise_mul_slabs_match_pairwise_mul(blocks, seed, a, c):
+    alg = MultiMatrixAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    u, v = _elements(rng, a, alg.dim), _elements(rng, c, alg.dim)
+    rows = [slice(i, i + 2) for i in range(0, a, 2)]
+    products = list(alg.pairwise_mul_slabs(u, v, rows))
+    assert len(products) == len(rows)
+    for sl, prod in zip(rows, products):
+        assert np.array_equal(prod, alg.pairwise_mul(u[sl], v))
+
+
+@PROPERTY
+@given(SHAPES)
+def test_adjoint_index_permutes_the_units(blocks):
+    alg = MultiMatrixAlgebra(blocks)
+    eye = np.eye(alg.dim, dtype=complex)
+    assert np.array_equal(eye[alg.adjoint_index], alg.adjoint_vecs(eye))
+
+
 def _kron_blocks(alg, vec, left):
     """The per-block np.kron construction of the multiplication matrices."""
     mat = np.zeros((alg.dim, alg.dim), dtype=complex)

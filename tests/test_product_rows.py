@@ -311,8 +311,11 @@ def _module_rights(tower, rec):
 def test_module_multiplicativity_matches_its_dense_reference(
         get_tower, get_reconstruction, right, broken):
     tower, rec = get_tower("z3"), get_reconstruction("z3")
+    check_module_multiplicativity(tower, rec, _module_rights(tower, rec)[right], broken)
+
+
+def check_module_multiplicativity(tower, rec, factor, broken):
     hopf, act, m1 = rec.on_b.hopf, tower.module_tensor, tower.sub_top.sub
-    factor = _module_rights(tower, rec)[right]
     if broken == "delta":
         hopf = perturbed(hopf, "delta")
     elif broken == "right doubled":
@@ -424,10 +427,10 @@ def test_streamed_row_matches_its_dense_reference_across_slabs(
 @pytest.mark.parametrize("broken", [None, "delta", "right doubled"])
 def test_module_multiplicativity_matches_its_dense_reference_across_slabs(
         get_tower, get_reconstruction, small_slabs, right, broken):
-    get_reconstruction("z3")
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    factor = _module_rights(tower, rec)[right]
     small_slabs.clear()
-    test_module_multiplicativity_matches_its_dense_reference(
-        get_tower, get_reconstruction, right, broken)
+    check_module_multiplicativity(tower, rec, factor, broken)
     assert _crosses_three_boundaries(small_slabs)
 
 
