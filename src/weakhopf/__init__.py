@@ -12,7 +12,6 @@ from .multimatrix import (  # noqa: F401
     TraceState,
     basic_construction,
     center,
-    conditional_expectation,
     inclusion_matrix,
     markov_trace,
     relative_commutant,

@@ -150,11 +150,6 @@ def residual_outside(vectors: np.ndarray, q: np.ndarray) -> float:
     return max_abs(rest) / max(max_abs(vectors), 1.0)
 
 
-def containment_residual(vectors: np.ndarray, span: np.ndarray, tol: float = 1e-10) -> float:
-    """How far the given vectors stick out of the span (relative)."""
-    return residual_outside(vectors, orthonormal_columns(span, tol))
-
-
 def intersection_dim(span_a: np.ndarray, span_b: np.ndarray, tol: float = 1e-10) -> int:
     qa = orthonormal_columns(span_a, tol)
     qb = orthonormal_columns(span_b, tol)

@@ -30,7 +30,7 @@ structure tensor.
 
 import numpy as np
 
-from ._linalg import cluster_values, max_abs, null_space, rel_residual
+from ._linalg import cluster_values, max_abs, null_space, orthonormal_columns, rel_residual
 from .errors import InvariantViolation
 from .multimatrix import MultiMatrixAlgebra
 
@@ -203,7 +203,7 @@ def _split(on: StructureAlgebra, center: np.ndarray, rng):
     units, sizes = [], []
     for p in projs:
         # columns p u_i p for every basis vector u_i
-        corner = _orth_columns(on.right_matrix(p) @ on.left_matrix(p))
+        corner = orthonormal_columns(on.right_matrix(p) @ on.left_matrix(p), 1e-8)
         msq = corner.shape[1]
         m = int(round(np.sqrt(msq)))
         if m * m != msq:
@@ -212,13 +212,6 @@ def _split(on: StructureAlgebra, center: np.ndarray, rng):
         units.extend(_matrix_units(on, diag, rng))
         sizes.append(m)
     return units, sizes
-
-
-def _orth_columns(mat: np.ndarray, tol=1e-8) -> np.ndarray:
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    return u[:, : int(np.sum(s > tol * s[0]))]
 
 
 def _minimal_projections(on, corner, p, m, rng):

@@ -31,13 +31,6 @@ class DeformedStructure:
     modular_element: np.ndarray          # G = S(H)^-1 H
 
 
-def _inverse_coords(hopf: WeakHopfData, vec: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(hopf.algebra.left_mult_matrix(vec), hopf.unit_vec)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolation("element is not invertible") from exc
-
-
 def _positivity_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     """Self-adjointness under the structure involution plus spectral
     positivity (eigenvalues of left multiplication, basis-independent)."""
@@ -64,13 +57,13 @@ def _twist(hopf: WeakHopfData, t: np.ndarray) -> WeakHopfData:
     involution conjugated by S(t).  ``undeform`` twists by H and ``deform`` by
     H^-1, so the two are inverse to each other."""
     alg = hopf.algebra
-    t_inv = _inverse_coords(hopf, t)
+    t_inv = alg.inverse_vec(t)
     s_t = hopf.antipode @ t
     delta = np.einsum("bpQ,qQ->bpq", hopf.delta, alg.left_mult_matrix(t), optimize=True)
     eps = hopf.epsilon @ alg.left_mult_matrix(t_inv)
     antipode = hopf.antipode @ alg.left_mult_matrix(t_inv) @ alg.right_mult_matrix(t)
     star = alg.left_mult_matrix(s_t) @ alg.right_mult_matrix(
-        _inverse_coords(hopf, s_t)) @ hopf.star_matrix
+        alg.inverse_vec(s_t)) @ hopf.star_matrix
     return WeakHopfData(hopf.algebra, delta, eps, antipode, star)
 
 
@@ -81,7 +74,7 @@ def check_bundle(bundle: StructureBundle, tol: float = DEFAULT_TOL) -> Report:
     anti-homomorphism antipode with the twisted counital identity, and a
     positive invertible central index element."""
     hopf, h = bundle.hopf, bundle.index_element
-    hinv = _inverse_coords(hopf, h)
+    hinv = hopf.algebra.inverse_vec(h)
     rows = [
         ("coassociativity", "Cor 4.16", axioms.coassociativity),
         ("counit left", "Cor 4.16", axioms.counit_left),
@@ -127,8 +120,8 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
     hopf, h = bundle.hopf, bundle.index_element
     alg = hopf.algebra
     s_h = hopf.antipode @ h
-    s_h_inv = _inverse_coords(hopf, s_h)
-    deformed = _twist(hopf, _inverse_coords(hopf, h))
+    s_h_inv = alg.inverse_vec(s_h)
+    deformed = _twist(hopf, alg.inverse_vec(h))
     rep = Report(tolerance=tol, title="deformation check")
 
     axiom_rep = verify_axioms(deformed, tol)
@@ -148,7 +141,7 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
     modular = alg.mul_vecs(s_h_inv, h)
     squared = deformed.antipode @ deformed.antipode
     adg = alg.left_mult_matrix(modular) @ alg.right_mult_matrix(
-        _inverse_coords(hopf, modular))
+        alg.inverse_vec(modular))
     rep.add("squared antipode is conjugation by the modular element",
             rel_residual(squared, adg), ref="Prop 5.6")
     rep.add("modular element positive", _positivity_residual(deformed, modular),

@@ -15,7 +15,14 @@ f = tau), and ``tensor_square``, the algebra tensored with itself, in which
 coproducts multiply.  A map applied to products of basis units is a gather
 through ``product_index`` (u_i u_j is one unit or zero); the dense table
 ``mult_tensor`` is never contracted against an element, and its docstring
-lists what reads it.
+lists what reads it.  How unit labels transpose and multiply is read from
+``adjoint_index`` and ``product_index``, never rebuilt from labels.
+
+Projections onto the image of a subalgebra have one home as well.  Images of
+distinct matrix units are orthogonal for Tr(x* y) and for tau(x* y), so
+coordinates, the membership residual ``outside``, conditional expectations
+and the Jones projection all read one closed-form left inverse
+(``SubalgebraEmbedding._left_inverse``); no Gram system is solved.
 
 Commutants need no splitting: relative commutants, centers and the Jones basic
 construction (the commutant of the right action of the subalgebra) all take
@@ -32,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
-    condition_number,
     max_abs,
     orthonormal_columns,
     rel_residual,
@@ -92,6 +98,11 @@ class MultiMatrixAlgebra:
     def basis_index(self, alpha: int, row: int, col: int) -> int:
         m = self.blocks[alpha]
         return int(self._offsets[alpha]) + row * m + col
+
+    @cached_property
+    def block_index(self) -> np.ndarray:
+        """``index[i] = alpha`` when u_i lies in block alpha."""
+        return np.repeat(np.arange(len(self.blocks)), [m * m for m in self.blocks])
 
     def basis_labels(self) -> list[tuple[int, int, int]]:
         return [(alpha, k, l)
@@ -357,8 +368,12 @@ class MultiMatrixAlgebra:
         return max(herm, worst / max(max_abs(vec), 1.0))
 
     def inverse_vec(self, vec: np.ndarray) -> np.ndarray:
-        return self.from_blocks(
-            [np.linalg.inv(mat) for mat in self.block_views(vec)]).vec
+        """Inverse of an element, block by block."""
+        try:
+            return self.from_blocks(
+                [np.linalg.inv(mat) for mat in self.block_views(vec)]).vec
+        except np.linalg.LinAlgError as exc:
+            raise InvariantViolation("element is not invertible") from exc
 
     def sqrt_posdef_vec(self, vec: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         scale = max(max_abs(vec), 1.0)
@@ -439,10 +454,7 @@ class TraceState:
     @cached_property
     def metric_weights(self) -> np.ndarray:
         """Diagonal of the sesquilinear form <x,y> = tau(x* y) on coefficients."""
-        w = np.zeros(self.algebra.dim)
-        for alpha in range(len(self.algebra.blocks)):
-            w[self.algebra.block_slice(alpha)] = self.weights[alpha]
-        return w
+        return self.weights[self.algebra.block_index]
 
     def value(self, x) -> complex:
         vec = x.vec if isinstance(x, AlgebraElement) else np.asarray(x, dtype=complex)
@@ -489,19 +501,26 @@ class SubalgebraEmbedding:
     def embed(self, x: AlgebraElement) -> AlgebraElement:
         return self.ambient.element(self.embed_vec(x.vec))
 
+    def _left_inverse(self, metric=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, norms)``: rows v_j* W / (v_j* W v_j) of the left inverse
+        of ``images`` for the diagonal metric W = ``metric`` (1 when None),
+        and the squared norms v_j* W v_j; zero columns get zero rows.
+
+        Exact for a *-homomorphism: f_kj f_lm = [j = l] f_km, so v_j* v_k
+        with j != k is the image of an off-diagonal unit or zero, on which Tr
+        and every trace vanish.  Images that are not orthogonal fail the
+        back-substitution of :meth:`outside`."""
+        rows = self.images.conj().T
+        if metric is not None:
+            rows = rows * metric[None, :]
+        norms = np.einsum("ja,aj->j", rows, self.images).real
+        rows *= np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[:, None]
+        return rows, norms
+
     @cached_property
     def _pinv(self) -> np.ndarray:
-        """Left inverse of ``images`` for a *-homomorphism: images of distinct
-        matrix units are orthogonal in coefficient coordinates (the pairing
-        Tr(x* y) with the unweighted trace), and the image of f_jk has squared
-        norm Tr(image of f_jj).  So the conjugate transpose with each row
-        divided by that norm inverts it; zero columns get zero rows.  Images
-        that are not orthogonal fail the back-substitution in ``coords_vec``.
-        """
-        pinv = self.images.conj().T
-        norms = np.einsum("ja,aj->j", pinv, self.images).real
-        pinv *= np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[:, None]
-        return pinv
+        """The unweighted (W = 1) :meth:`_left_inverse`."""
+        return self._left_inverse()[0]
 
     def coords_vec(self, ambient_vecs: np.ndarray) -> np.ndarray:
         """Coordinates of ambient vectors in the sub basis (must lie in the
@@ -511,11 +530,24 @@ class SubalgebraEmbedding:
 
     def coords_chunks(self, chunks) -> list[np.ndarray]:
         """:meth:`coords_vec` of each array of the iterable ``chunks``, with
-        one membership test over all of them: the back-substitution residual
-        is folded over slabs of each chunk's leading axis
-        (:func:`streamed_residual`), so it compares the same maxima as one
-        call on the concatenated chunks while only the coordinates outlive
-        their chunk."""
+        one membership test over all of them (:meth:`_back_substitute`)."""
+        out, res = self._back_substitute(chunks)
+        if res > MEMBERSHIP_TOL:
+            raise InvariantViolation("vector does not lie in the subalgebra image")
+        return out
+
+    def outside(self, ambient_vecs: np.ndarray) -> float:
+        """How far a vector or a stack of them sticks out of the image: the
+        relative back-substitution residual that :meth:`coords_vec` holds
+        to ``MEMBERSHIP_TOL``."""
+        return self._back_substitute([ambient_vecs])[1]
+
+    def _back_substitute(self, chunks) -> tuple[list[np.ndarray], float]:
+        """The coordinates of each chunk and the residual of embedding them
+        back, folded over slabs of each chunk's leading axis
+        (:func:`streamed_residual`): it compares the same maxima as one call
+        on the concatenated chunks while only the coordinates outlive their
+        chunk."""
         out = []
 
         def pairs():
@@ -528,9 +560,8 @@ class SubalgebraEmbedding:
                     continue
                 for sl in slabs(len(vecs), vecs.size // max(len(vecs), 1)):
                     yield self.embed_vec(coords[sl]), vecs[sl]
-        if streamed_residual(pairs()) > MEMBERSHIP_TOL:
-            raise InvariantViolation("vector does not lie in the subalgebra image")
-        return out
+        res = streamed_residual(pairs())  # drains pairs(), which fills out
+        return out, res
 
     def compose(self, outer: "SubalgebraEmbedding") -> "SubalgebraEmbedding":
         """Embedding of ``self.sub`` into ``outer.ambient`` (outer after self)."""
@@ -634,39 +665,34 @@ class JonesExtension:
 
 
 class ConditionalExpectation:
-    """Trace-orthogonal projection onto the image of a subalgebra.
+    """Trace-preserving conditional expectation onto the image of a
+    subalgebra, the tau-orthogonal projection.
 
-    Coincides with the unique trace-preserving conditional expectation in
-    finite dimensions.
+    The images v_j of the matrix units are tau-orthogonal, so E(x) has the
+    coordinates tau(v_j* x) / tau(v_j* v_j): one closed-form left inverse
+    (``SubalgebraEmbedding._left_inverse``), no Gram solve and no
+    (ambient, ambient) matrix.
     """
 
-    def __init__(self, sub: SubalgebraEmbedding, trace: TraceState,
-                 tol: float = DEFAULT_TOL, verify: bool = True):
+    def __init__(self, sub: SubalgebraEmbedding, trace: TraceState):
         if trace.algebra != sub.ambient:
             raise InvariantViolation("trace lives on a different algebra")
-        if verify:
-            sub.require_valid(tol)
         self.sub = sub
         self.trace = trace
-        v = sub.images
-        weighted = v * trace.metric_weights[:, None]
-        gram = v.conj().T @ weighted
-        if condition_number(gram) > 1e12:
+        self._rows, norms = sub._left_inverse(trace.metric_weights)
+        if not norms.min() > 1e-12 * norms.max():
             raise InvariantViolation("degenerate trace")
-        self.matrix = v @ np.linalg.solve(gram, weighted.conj().T)
+
+    def coords(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates of E(x) in the sub basis, for each x of ``vecs``."""
+        return np.tensordot(np.asarray(vecs, dtype=complex), self._rows,
+                            axes=([-1], [1]))
 
     def apply_vec(self, vecs: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(vecs, dtype=complex), self.matrix,
-                            axes=([-1], [1]))
+        return self.sub.embed_vec(self.coords(vecs))
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.sub.ambient.element(self.apply_vec(x.vec))
-
-
-def conditional_expectation(sub: SubalgebraEmbedding, trace: TraceState,
-                            x: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    """Trace-preserving conditional expectation of ``x`` onto the subalgebra."""
-    return ConditionalExpectation(sub, trace, tol)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -876,9 +902,10 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
     left_ops = np.stack([as_operator(ambient.left_mult_matrix(eye[j])).reshape(-1)
                          for j in range(n)])
 
-    w = sub.images * root[:, None]
-    q = orthonormal_columns(w, 1e-10)
-    e_vec = (q @ q.conj().T).reshape(-1)
+    # e projects onto L2(N): sum_j w_j w_j* / |w_j|^2 over the orthogonal
+    # w_j = root v_j, which is the expectation onto N in GNS coordinates
+    rows, _ = sub._left_inverse(trace.metric_weights)
+    e_vec = as_operator(sub.images @ rows).reshape(-1)
 
     # right multiplication is an anti-homomorphism, so R(f_0c) plays the part
     # of the image of f_c0; it maps L2(M) f_00 isometrically onto L2(M) f_cc,
@@ -932,8 +959,7 @@ def _verify_jones(ext: JonesExtension, old_trace, lam_mat, tol):
     e = ext.e.vec
     res = rel_residual(alg.mul_vecs(e, e), e)
     res = max(res, rel_residual(alg.adjoint_vecs(e), e))
-    expect = ConditionalExpectation(ext.sub_projection, ext.extended_trace, tol,
-                                    verify=False)
+    expect = ConditionalExpectation(ext.sub_projection, ext.extended_trace)
     imgs = ext.inclusion.images.T
     exe = alg.mul_vecs(e, alg.mul_vecs(imgs, e))
     res = max(res, rel_residual(exe, alg.mul_vecs(expect.apply_vec(imgs), e)))

@@ -21,6 +21,7 @@ from .multimatrix import (
     SubalgebraEmbedding,
     TraceState,
     inclusion_matrix,
+    take_units,
     watatani_index,
 )
 from .report import Report
@@ -221,7 +222,6 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
     expectation identities tying them to the pairing verified."""
     alg, lam, d = tower.ambient, tower.lam, tower.d
     a_sub = tower.rel_a.sub
-    labels = a_sub.basis_labels()
     gram_inv = rec.pairing.inverse
     v_amb = tower.rel_b.images @ gram_inv  # column m dual to a-unit m
     a_img = tower.rel_a.images
@@ -235,14 +235,12 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
         float(np.real(tower.tau.value(a_img[:, a_sub.basis_index(alpha, 0, 0)])))
         for alpha in range(len(a_sub.blocks))])
 
-    transpose_index = np.array([a_sub.basis_index(alpha, k, j)
-                                for (alpha, j, k) in labels])
-    alpha_of = np.array([alpha for (alpha, _, _) in labels])
+    transpose_index = a_sub.adjoint_index
 
     e2e1 = alg.mul_vecs(tower.e2.vec, tower.e1.vec)
 
     lhs = tower.expect_top.apply_vec(alg.mul_vecs(e2e1, v_amb.T))
-    scale = (lam ** 2 / d) / block_traces[alpha_of]
+    scale = (lam ** 2 / d) / block_traces[a_sub.block_index]
     rhs = scale[:, None] * a_img[:, transpose_index].T
     rep.add("expectation collapse of comatrix units", rel_residual(lhs, rhs),
             ref="Lemma 4.9(i)")
@@ -257,11 +255,8 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
     sv = alg.mul_vecs(sa_img.T[:, None, :], alg.mul_vecs(v_amb.T, tower.e1.vec)[None, :, :])
     lhs = (1 / lam) * tower.expect_mid_commutant.apply_vec(
         sv.reshape(a_sub.dim * a_sub.dim, -1)).reshape(a_sub.dim, a_sub.dim, -1)
-    rhs = np.zeros_like(lhs)
-    for mlab, (beta, p, q) in enumerate(labels):
-        for nlab, (alpha, i, j) in enumerate(labels):
-            if alpha == beta and i == p:
-                rhs[mlab, nlab] = v_amb[:, a_sub.basis_index(alpha, q, j)]
+    # f_qp f_ij = [i = p] f_qj
+    rhs = take_units(v_amb.T, a_sub.product_index[transpose_index])
     rep.add("mixed expectation exchange", rel_residual(lhs, rhs),
             ref="Lemma 4.9(iii)")
 
@@ -276,23 +271,19 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
     to_v = rec.pairing.gram
     delta_v = np.einsum("im,ipq,rp,sq->mrs", v_coords, rec.on_b.hopf.delta,
                         to_v, to_v, optimize=True)
-    expected = np.zeros_like(delta_v)
-    for m, (alpha, j, k) in enumerate(labels):
-        for l in range(a_sub.blocks[alpha]):
-            expected[m, a_sub.basis_index(alpha, j, l),
-                     a_sub.basis_index(alpha, l, k)] = 1.0
+    # Delta(v_jk) = sum_l v_jl (x) v_lk, where f_jl f_lk = f_jk
+    expected = a_sub.product_index == np.arange(a_sub.dim)[:, None, None]
     rep.add("comatrix coproduct", rel_residual(delta_v, expected),
             ref="comatrix units")
     eps_v = rec.on_b.hopf.epsilon @ v_coords
-    expected_eps = np.array([1.0 if j == k else 0.0 for (_, j, k) in labels])
-    rep.add("comatrix counit", rel_residual(eps_v, expected_eps),
+    rep.add("comatrix counit", rel_residual(eps_v, a_sub.unit().vec),
             ref="comatrix units")
 
     if not rep.passed:
         raise InvariantViolation(
             f"duality defect: {rep.failures()[0].name} "
             f"residual {rep.failures()[0].residual:.3e}")
-    return DualBases(labels, block_traces, a_img, v_amb), rep
+    return DualBases(a_sub.basis_labels(), block_traces, a_img, v_amb), rep
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +311,7 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     a_img = tower.rel_a.images
     b_basis, a_basis = b_img.T, a_img.T
     top = tower.sub_top.images.T
-    da, db, dm = a_img.shape[1], b_img.shape[1], top.shape[0]
+    da, db = a_img.shape[1], b_img.shape[1]
     e1, e2 = tower.e1.vec, tower.e2.vec
     h_b = rec.on_b.index_element
     hinv_b = hopf.algebra.inverse_vec(h_b)
@@ -349,8 +340,7 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     # 3. E_M1(b x e2) = E_M1(e2 x S(b)) for x in M1; the left side is
     # lam (b |> x)
     exs = alg.pairwise_mul(alg.mul_vecs(e2, top), (b_img @ anti).T)
-    rhs = tower.sub_top.coords_vec(
-        tower.expect_top.apply_vec(exs).reshape(dm * db, -1)).reshape(dm, db, dm)
+    rhs = tower.expect_top.coords(exs)
     rep.add("antipode under the expectation",
             rel_residual(lam * act, rhs.transpose(1, 0, 2)), ref="Remark 4.4")
 
@@ -431,15 +421,10 @@ def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float
     weights = rec.cartan_weights
     sub = cartan.sub
 
-    formula = np.zeros((hopf.dim, hopf.dim), dtype=complex)
-    s_bt = hopf.antipode @ bt_in_b
-    for alpha, m in enumerate(sub.blocks):
-        coeff = 1.0 / (d * weights[alpha])
-        for k in range(m):
-            for l in range(m):
-                left = s_bt[:, sub.basis_index(alpha, k, l)]
-                right = bt_in_b[:, sub.basis_index(alpha, l, k)]
-                formula += coeff * np.outer(left, right)
+    # Delta(1) = sum over the units f_kl of the Cartan of
+    # S(f_kl) (x) f_lk / (d tau(f_kk))
+    s_bt = hopf.antipode @ bt_in_b / (d * weights[sub.block_index])
+    formula = s_bt @ bt_in_b[:, sub.adjoint_index].T
     res = rel_residual(hopf.delta_unit, formula)
 
     # positivity inside the Cartan tensor square
@@ -462,15 +447,9 @@ def _tensor_positive_residual(left: MultiMatrixAlgebra, right: MultiMatrixAlgebr
     scale = max(max_abs(coeffs), 1.0)
     for a, m in enumerate(left.blocks):
         for b, n in enumerate(right.blocks):
-            block = np.zeros((m * n, m * n), dtype=complex)
-            for k in range(m):
-                for l in range(m):
-                    i = left.basis_index(a, k, l)
-                    mat = np.zeros((n, n), dtype=complex)
-                    for p in range(n):
-                        for q in range(n):
-                            mat[p, q] = coeffs[i, right.basis_index(b, p, q)]
-                    block[k * n:(k + 1) * n, l * n:(l + 1) * n] = mat
+            # e_kl (x) e_pq is the matrix unit ((k, p), (l, q)) of block (a, b)
+            block = coeffs[left.block_slice(a), right.block_slice(b)].reshape(
+                m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
             herm = max_abs(block - block.conj().T) / scale
             if block.size:
                 low = float(-np.min(np.linalg.eigvalsh(0.5 * (block + block.conj().T))))
@@ -488,15 +467,11 @@ def _comatrix_recursion_residual(tower: TowerData, rec: ReconstructedStructure,
     v_on_e1 = gram_inv.T @ tower.act(e1)
     worst = 0.0
     for alpha, m in enumerate(a_sub.blocks):
-        idx = np.array([[a_sub.basis_index(alpha, i, j) for j in range(m)]
-                        for i in range(m)]).reshape(-1)
-        v = v_amb[:, idx].T.reshape(m, m, -1)
+        sl = a_sub.block_slice(alpha)
+        v = v_amb[:, sl].T.reshape(m, m, -1)
         lhs = alg.mul_vecs(v, e1)
-        inner_h = alg.mul_vecs(v_on_e1[idx].reshape(m, m, -1), hinv_amb)
-        acc = np.zeros_like(lhs)
-        for k in range(m):
-            acc += alg.mul_vecs(inner_h[:, k, :][:, None, :], v[k, :, :][None, :, :])
-        worst = max(worst, rel_residual(lhs, acc))
+        inner_h = alg.mul_vecs(v_on_e1[sl].reshape(m, m, -1), hinv_amb)
+        worst = max(worst, rel_residual(lhs, alg.matmul_vecs(inner_h, v)))
     return worst
 
 

@@ -11,7 +11,6 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
-    containment_residual,
     max_abs,
     numeric_rank,
     rel_residual,
@@ -89,33 +88,32 @@ class TowerData:
     @cached_property
     def expect_top(self) -> ConditionalExpectation:
         """Expectation onto M1."""
-        return ConditionalExpectation(self.sub_top, self.tau, verify=False)
+        return ConditionalExpectation(self.sub_top, self.tau)
 
     @cached_property
     def expect_mid(self) -> ConditionalExpectation:
         """Expectation onto M."""
-        return ConditionalExpectation(self.sub_mid, self.tau, verify=False)
+        return ConditionalExpectation(self.sub_mid, self.tau)
 
     @cached_property
     def expect_start(self) -> ConditionalExpectation:
         """Expectation onto N."""
-        return ConditionalExpectation(self.sub_start, self.tau, verify=False)
+        return ConditionalExpectation(self.sub_start, self.tau)
 
     @cached_property
     def expect_mid_commutant(self) -> ConditionalExpectation:
         """Expectation onto M' (within the ambient)."""
-        return ConditionalExpectation(self.rel_b, self.tau, verify=False)
+        return ConditionalExpectation(self.rel_b, self.tau)
 
     @cached_property
     def module_tensor(self) -> np.ndarray:
         """The minimal action b |> x = lam^-1 E_M1(b x e2) of B = M' cap M2 on
         M1: a read-only (B units, M1 units, M1 coordinates) array.  It does
         not depend on the coproduct of B."""
-        alg, top = self.ambient, self.sub_top
-        raw = self.expect_top.apply_vec(alg.pairwise_mul(
-            self.rel_b.images.T, alg.mul_vecs(top.images.T, self.e2.vec)))
-        db, dm = raw.shape[:2]
-        tensor = top.coords_vec(raw.reshape(db * dm, -1)).reshape(db, dm, dm) / self.lam
+        alg = self.ambient
+        bxe2 = alg.pairwise_mul(self.rel_b.images.T,
+                                alg.mul_vecs(self.sub_top.images.T, self.e2.vec))
+        tensor = self.expect_top.coords(bxe2) / self.lam
         tensor.setflags(write=False)
         return tensor
 
@@ -200,12 +198,9 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
                 ref="Jones projection")
 
     rep.add("e1 in N' of M1",
-            max(containment_residual(e1[:, None], tower.rel_a.images),
-                containment_residual(e1[:, None], tower.sub_top.images)),
+            max(tower.rel_a.outside(e1), tower.sub_top.outside(e1)),
             ref="Jones projection")
-    rep.add("e2 in M'",
-            containment_residual(e2[:, None], tower.rel_b.images),
-            ref="Jones projection")
+    rep.add("e2 in M'", tower.rel_b.outside(e2), ref="Jones projection")
 
     exe = alg.mul_vecs(e2, alg.mul_vecs(top, e2))
     rep.add("e2 implements expectation onto M",
@@ -229,12 +224,10 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
             ref="Temperley-Lieb")
 
     # commuting square on N' inside the ambient
-    nprime = tower.start_commutant_full.images
-    p_top = tower.expect_top.matrix
-    p_bcomm = tower.expect_mid_commutant.matrix
-    lhs = p_top @ (p_bcomm @ nprime)
-    rhs = p_bcomm @ (p_top @ nprime)
-    rep.add("commuting square", rel_residual(lhs, rhs), ref="commuting square")
+    npb = tower.start_commutant_full.images.T  # basis of N'
+    e_top, e_bcomm = tower.expect_top.apply_vec, tower.expect_mid_commutant.apply_vec
+    rep.add("commuting square", rel_residual(e_top(e_bcomm(npb)), e_bcomm(e_top(npb))),
+            ref="commuting square")
 
     a_img, b_img = tower.rel_a.images, tower.rel_b.images
     prods = alg.mul_vecs(a_img.T[:, None, :], b_img.T[None, :, :])
@@ -246,7 +239,6 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
                  note=f"rank {span_dim} of {tower.start_commutant_full.sub.dim}")
 
     # collapse identities on a basis of N'
-    npb = nprime.T
     xe2 = alg.mul_vecs(npb, e2)
     rep.add("x e2 collapse",
             rel_residual(xe2, (1 / lam) * alg.mul_vecs(
@@ -269,13 +261,10 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
                  ref="Remark 4.4", note=f"rank {rank2} of {alg.dim}")
 
     # Cartan compatibility: M' in M1 sits inside both commutants
-    rep.add("shared Cartan inside A",
-            containment_residual(tower.cartan_target.images, a_img), ref="chain")
-    rep.add("shared Cartan inside B",
-            containment_residual(tower.cartan_target.images, b_img), ref="chain")
-    comm = alg.mul_vecs(tower.cartan_target.images.T[:, None, :],
-                        tower.cartan_source.images.T[None, :, :]) \
-        - alg.mul_vecs(tower.cartan_source.images.T[None, :, :],
-                       tower.cartan_target.images.T[:, None, :])
+    cartan, source = tower.cartan_target.images.T, tower.cartan_source.images.T
+    rep.add("shared Cartan inside A", tower.rel_a.outside(cartan), ref="chain")
+    rep.add("shared Cartan inside B", tower.rel_b.outside(cartan), ref="chain")
+    comm = alg.mul_vecs(cartan[:, None, :], source[None, :, :]) \
+        - alg.mul_vecs(source[None, :, :], cartan[:, None, :])
     rep.add("Cartan subalgebras commute", max_abs(comm), ref="chain")
     return rep

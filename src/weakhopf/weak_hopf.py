@@ -231,6 +231,21 @@ def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
     return CartanPair(target, source)
 
 
+def _solve_unique(mat: np.ndarray, rhs: np.ndarray, tol: float,
+                  message: str) -> np.ndarray:
+    """The solution of an overdetermined system that must have exactly one:
+    one SVD gives both the rank test (smallest singular value above 1e-9 of
+    the largest) and the least-squares solution, which must then satisfy the
+    system.  Either failure raises ``message``."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    if s[-1] <= 1e-9 * s[0]:
+        raise InvariantViolation(message)
+    sol = vh.conj().T @ ((u.conj().T @ rhs) / s)
+    if rel_residual(mat @ sol, rhs) > 100 * tol:
+        raise InvariantViolation(message)
+    return sol
+
+
 def haar_projection(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> AlgebraElement:
     """Unique projection p with x p = eps_t(x) p, S(p) = p, eps_t(p) = 1."""
     d = hopf.dim
@@ -243,13 +258,7 @@ def haar_projection(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> AlgebraElem
             et]
     mat = np.vstack(rows)
     rhs = np.concatenate([np.zeros(d * d + d, dtype=complex), hopf.unit_vec])
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= 1e-9 * sv[0]:
-        raise InvariantViolation("Haar projection system degenerate")
-    if rel_residual(mat @ sol, rhs) > 100 * tol:
-        raise InvariantViolation("Haar projection system degenerate")
-    p = sol
+    p = _solve_unique(mat, rhs, tol, "Haar projection system degenerate")
     if rel_residual(hopf.algebra.mul_vecs(p, p), p) > 100 * tol \
             or rel_residual(hopf.star(p), p) > 100 * tol:
         raise InvariantViolation("Haar projection is not a self-adjoint idempotent")
@@ -268,12 +277,7 @@ def haar_functional(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> np.ndarray:
         et.T,
     ])
     rhs = np.concatenate([np.zeros(d * d + d, dtype=complex), hopf.epsilon])
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= 1e-9 * sv[0]:
-        raise InvariantViolation("Haar functional system degenerate")
-    if rel_residual(mat @ sol, rhs) > 100 * tol:
-        raise InvariantViolation("Haar functional system degenerate")
+    sol = _solve_unique(mat, rhs, tol, "Haar functional system degenerate")
     gram = hopf.star_matrix.T @ hopf.algebra.product_form(sol)  # phi(u_i* u_j)
     herm = rel_residual(gram, gram.conj().T)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))

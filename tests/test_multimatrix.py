@@ -3,7 +3,6 @@ import pytest
 
 from weakhopf import _linalg
 from weakhopf._linalg import (
-    containment_residual,
     null_space,
     rel_residual,
     subspace_residual,
@@ -264,6 +263,65 @@ def test_expectation_properties_random():
     assert rel_residual(expect(a * x * b).vec, (a * expect(x) * b).vec) < 1e-13
 
 
+def gram_solve_expectation(sub, trace):
+    """The (ambient, ambient) matrix the closed form replaces: the
+    tau-orthogonal projection V (V* W V)^-1 V* W through a Gram solve."""
+    v = sub.images
+    weighted = v * trace.metric_weights[:, None]
+    return v @ np.linalg.solve(v.conj().T @ weighted, weighted.conj().T)
+
+
+@pytest.mark.parametrize("make, weights", [(diag_in_m2, [0.5]),
+                                           (m2_in_m4_m2, [0.2, 0.1])],
+                         ids=["diag_in_m2", "m2_in_m4_m2"])
+def test_expectation_matches_the_gram_solve(make, weights):
+    sub = make()
+    tr = TraceState(sub.ambient, weights)
+    expect = ConditionalExpectation(sub, tr)
+    eye = np.eye(sub.ambient.dim)
+    rows = expect.apply_vec(eye)  # E(u_i), row by row
+    assert rel_residual(rows, gram_solve_expectation(sub, tr).T) < 1e-12
+    # coords are the sub coordinates of E(x)
+    assert rel_residual(expect.coords(eye), sub.coords_vec(rows)) < 1e-13
+
+
+@pytest.mark.parametrize("which", ["expect_top", "expect_mid", "expect_start",
+                                   "expect_mid_commutant"])
+def test_tower_expectations_match_the_gram_solve(which, get_tower):
+    tower = get_tower("z3")
+    expect = getattr(tower, which)
+    rows = expect.apply_vec(np.eye(tower.ambient.dim))
+    assert rel_residual(rows, gram_solve_expectation(expect.sub, tower.tau).T) < 1e-12
+
+
+def test_expectation_rejects_a_zero_image_column():
+    # tau(v_j* v_j) = 0 for the zero column: the ratio of the largest to the
+    # smallest squared image norm is infinite
+    sub = diag_in_m2()
+    images = sub.images.copy()
+    images[:, 1] = 0
+    bad = SubalgebraEmbedding(sub.sub, sub.ambient, images)
+    with pytest.raises(InvariantViolation, match="degenerate trace"):
+        ConditionalExpectation(bad, TraceState(sub.ambient, [0.5]))
+
+
+def test_outside_reads_the_back_substitution_residual(get_tower):
+    tower = get_tower("z3")
+    for emb in (tower.rel_a, tower.rel_b, tower.sub_top, tower.cartan_target):
+        inside = RNG.standard_normal((3, emb.sub.dim)) @ emb.images.T
+        assert emb.outside(emb.images.T) <= 1e-12
+        assert emb.outside(inside) <= 1e-12
+        assert emb.outside(inside[0]) <= 1e-12
+    # e2 is not in M1, so not in A = N' cap M1
+    assert tower.rel_a.outside(tower.e2.vec) > 1e-4
+    assert tower.sub_top.outside(tower.e2.vec) > 1e-4
+    off = diag_in_m2().ambient.basis_unit(0, 0, 1).vec
+    assert diag_in_m2().outside(off) > 1e-4
+    # coords_vec refuses exactly what outside reads above MEMBERSHIP_TOL
+    with pytest.raises(InvariantViolation, match="vector does not lie"):
+        tower.rel_a.coords_vec(tower.e2.vec)
+
+
 def test_degenerate_trace_rejected():
     with pytest.raises(InvariantViolation, match="degenerate trace"):
         TraceState(MultiMatrixAlgebra([2]), [0.0])
@@ -480,8 +538,7 @@ def test_jones_extension_invariants():
                           .reshape(-1) for x in np.eye(amb.dim)])
         q = np.linalg.qr(sub.images * root[:, None])[0]
         proj = (q @ q.conj().T).reshape(-1)
-        assert containment_residual(np.vstack([lefts, proj]).T,
-                                    ext.realization.images) < 1e-12
+        assert ext.realization.outside(np.vstack([lefts, proj])) < 1e-12
         assert rel_residual(ext.realization.embed_vec(imgs), lefts) < 1e-12
         assert rel_residual(ext.realization.embed_vec(e), proj) < 1e-12
 

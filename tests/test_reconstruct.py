@@ -1,13 +1,24 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from weakhopf._linalg import rel_residual
+from weakhopf.errors import InvariantViolation
 from weakhopf.matching import match_pair_groupoid
-from weakhopf.multimatrix import TraceState, watatani_index
+from weakhopf.multimatrix import (
+    MultiMatrixAlgebra,
+    SubalgebraEmbedding,
+    TraceState,
+    take_units,
+    watatani_index,
+)
 from weakhopf.reconstruct import (
     StructureBundle,
+    _comatrix_recursion_residual,
+    _delta_unit_residual,
+    _tensor_positive_residual,
     classify,
     dual_bases,
     identity_suite,
@@ -139,8 +150,6 @@ def test_antipode_fixes_second_jones_projection(name, get_tower, get_reconstruct
 def test_watatani_formula_halves():
     # Cartan weights (1/3, 2/3) over two points: blockwise (3/2, 3/4),
     # trace-normalized exactly
-    from weakhopf.multimatrix import MultiMatrixAlgebra
-
     cartan = MultiMatrixAlgebra([1, 1])
     trace = TraceState(cartan, [1 / 3, 2 / 3])
     scaled = watatani_index(trace).vec / 2
@@ -272,3 +281,192 @@ def test_suite_catches_a_wrong_index_element(kind, get_tower, get_reconstruction
     rep = _suite_with(tower, rec, index_element=h)
     assert rep["product against module elements"].residual > 1e-3
     assert rep["expectation comultiplicativity"].residual > 1e-3
+
+
+# -- index tables against the label loops they replace ---------------------------
+
+
+def loop_transpose_index(sub):
+    return np.array([sub.basis_index(alpha, k, j) for (alpha, j, k) in sub.basis_labels()])
+
+
+def loop_exchange_rhs(sub, v_amb):
+    """[alpha = beta][i = p] v_qj for the label pair ((beta, p, q), (alpha, i, j))."""
+    labels = sub.basis_labels()
+    rhs = np.zeros((sub.dim, sub.dim, v_amb.shape[0]), dtype=complex)
+    for mlab, (beta, p, q) in enumerate(labels):
+        for nlab, (alpha, i, j) in enumerate(labels):
+            if alpha == beta and i == p:
+                rhs[mlab, nlab] = v_amb[:, sub.basis_index(alpha, q, j)]
+    return rhs
+
+
+def loop_comatrix_coproduct(sub):
+    expected = np.zeros((sub.dim,) * 3)
+    for m, (alpha, j, k) in enumerate(sub.basis_labels()):
+        for l in range(sub.blocks[alpha]):
+            expected[m, sub.basis_index(alpha, j, l), sub.basis_index(alpha, l, k)] = 1.0
+    return expected
+
+
+def loop_comatrix_counit(sub):
+    return np.array([1.0 if j == k else 0.0 for (_, j, k) in sub.basis_labels()])
+
+
+def loop_tensor_positive_residual(left, right, coeffs):
+    worst = 0.0
+    scale = max(np.abs(coeffs).max(), 1.0)
+    for a, m in enumerate(left.blocks):
+        for b, n in enumerate(right.blocks):
+            block = np.zeros((m * n, m * n), dtype=complex)
+            for k in range(m):
+                for l in range(m):
+                    i = left.basis_index(a, k, l)
+                    mat = np.zeros((n, n), dtype=complex)
+                    for p in range(n):
+                        for q in range(n):
+                            mat[p, q] = coeffs[i, right.basis_index(b, p, q)]
+                    block[k * n:(k + 1) * n, l * n:(l + 1) * n] = mat
+            herm = np.abs(block - block.conj().T).max() / scale
+            low = float(-np.min(np.linalg.eigvalsh(0.5 * (block + block.conj().T))))
+            worst = max(worst, herm, low / scale)
+    return worst
+
+
+def loop_delta_unit_residual(tower, rec):
+    hopf = rec.on_b.hopf
+    cartan = tower.cartan_target
+    bt_in_b = tower.rel_b.coords_vec(cartan.images.T).T
+    sub = cartan.sub
+    formula = np.zeros((hopf.dim, hopf.dim), dtype=complex)
+    s_bt = hopf.antipode @ bt_in_b
+    for alpha, m in enumerate(sub.blocks):
+        coeff = 1.0 / (tower.d * rec.cartan_weights[alpha])
+        for k in range(m):
+            for l in range(m):
+                formula += coeff * np.outer(s_bt[:, sub.basis_index(alpha, k, l)],
+                                            bt_in_b[:, sub.basis_index(alpha, l, k)])
+    res = rel_residual(hopf.delta_unit, formula)
+    src_in_b = tower.rel_b.coords_vec(tower.cartan_source.images.T).T
+    coeffs = np.linalg.lstsq(src_in_b, hopf.delta_unit, rcond=None)[0]
+    res = max(res, rel_residual(src_in_b @ coeffs, hopf.delta_unit))
+    second = np.linalg.lstsq(bt_in_b, coeffs.T, rcond=None)[0].T
+    res = max(res, rel_residual(second @ bt_in_b.T, coeffs))
+    return max(res, loop_tensor_positive_residual(tower.cartan_source.sub, sub, second))
+
+
+def loop_comatrix_recursion_residual(tower, rec, hinv_amb):
+    alg, a_sub = tower.ambient, tower.rel_a.sub
+    gram_inv = rec.pairing.inverse
+    v_amb = tower.rel_b.images @ gram_inv
+    v_on_e1 = gram_inv.T @ tower.act(tower.e1.vec)
+    worst = 0.0
+    for alpha, m in enumerate(a_sub.blocks):
+        idx = np.array([[a_sub.basis_index(alpha, i, j) for j in range(m)]
+                        for i in range(m)]).reshape(-1)
+        v = v_amb[:, idx].T.reshape(m, m, -1)
+        lhs = alg.mul_vecs(v, tower.e1.vec)
+        inner_h = alg.mul_vecs(v_on_e1[idx].reshape(m, m, -1), hinv_amb)
+        acc = np.zeros_like(lhs)
+        for k in range(m):
+            acc += alg.mul_vecs(inner_h[:, k, :][:, None, :], v[k, :, :][None, :, :])
+        worst = max(worst, rel_residual(lhs, acc))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "blocks 2, 1, 3"])
+def test_dual_basis_tables_match_their_label_loops(name, get_tower, get_reconstruction):
+    if name in TOWER_NAMES:
+        tower = get_tower(name)
+        sub = tower.rel_a.sub
+        v_amb = tower.rel_b.images @ get_reconstruction(name).pairing.inverse
+    else:
+        sub = MultiMatrixAlgebra([2, 1, 3])
+        v_amb = np.random.default_rng(5).standard_normal((7, sub.dim)) + 0j
+    assert np.array_equal(sub.adjoint_index, loop_transpose_index(sub))
+    assert np.array_equal(take_units(v_amb.T, sub.product_index[sub.adjoint_index]),
+                          loop_exchange_rhs(sub, v_amb))
+    assert np.array_equal(sub.product_index == np.arange(sub.dim)[:, None, None],
+                          loop_comatrix_coproduct(sub))
+    assert np.array_equal(sub.unit().vec, loop_comatrix_counit(sub))
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4"])
+def test_residual_rows_match_their_label_loops(name, get_tower, get_reconstruction):
+    # on the reconstructed structure and on one with a bent antipode or a
+    # wrong H^-1, where the rows read well above rounding
+    tower, rec = get_tower(name), get_reconstruction(name)
+    hopf = rec.on_b.hopf
+    rng = np.random.default_rng(7)
+    bent = hopf.antipode + 0.1 * rng.standard_normal(hopf.antipode.shape)
+    bent_rec = dataclasses.replace(
+        rec, on_b=StructureBundle(hopf.copy_with(antipode=bent), rec.on_b.index_element))
+    for r in (rec, bent_rec):
+        new, old = _delta_unit_residual(tower, r), loop_delta_unit_residual(tower, r)
+        assert abs(new - old) <= 1e-15 + 1e-12 * old
+    assert loop_delta_unit_residual(tower, bent_rec) > 1e-3
+
+    hinv_amb = tower.rel_b.images @ hopf.algebra.inverse_vec(rec.on_b.index_element)
+    for h in (hinv_amb, 2 * hinv_amb):
+        new = _comatrix_recursion_residual(tower, rec, h)
+        old = loop_comatrix_recursion_residual(tower, rec, h)
+        assert abs(new - old) <= 1e-15 + 1e-12 * old
+    assert loop_comatrix_recursion_residual(tower, rec, 2 * hinv_amb) > 1e-3
+
+
+@pytest.mark.parametrize("left, right", [((2, 1), (1, 3)), ((1, 1, 1), (2,))])
+@pytest.mark.parametrize("kind", ["positive", "hermitian", "general"])
+def test_tensor_positivity_blocks_match_their_label_loop(left, right, kind):
+    left, right = MultiMatrixAlgebra(left), MultiMatrixAlgebra(right)
+    rng = np.random.default_rng(11)
+    shape = (left.dim, right.dim)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind != "general":
+        # sum over x of x (x) x*, with x a random element of each factor:
+        # positive; minus a large multiple of 1 (x) 1 it is only Hermitian
+        coeffs = np.zeros(shape, dtype=complex)
+        for _ in range(3):
+            x = rng.standard_normal(left.dim) + 1j * rng.standard_normal(left.dim)
+            y = rng.standard_normal(right.dim) + 1j * rng.standard_normal(right.dim)
+            coeffs += np.outer(left.mul_vecs(left.adjoint_vecs(x), x),
+                               right.mul_vecs(right.adjoint_vecs(y), y))
+        if kind == "hermitian":
+            coeffs -= 50 * np.outer(left.unit().vec, right.unit().vec)
+    new = _tensor_positive_residual(left, right, coeffs)
+    assert new == loop_tensor_positive_residual(left, right, coeffs)
+    assert (new <= 1e-12) == (kind == "positive")
+
+
+@pytest.mark.parametrize("bend, row", [
+    (lambda hopf: hopf.copy_with(delta=hopf.delta.transpose(0, 2, 1)),
+     "comatrix coproduct"),
+    (lambda hopf: hopf.copy_with(epsilon=hopf.epsilon + 1e-3), "comatrix counit"),
+], ids=["swapped legs", "bent counit"])
+def test_dual_bases_report_a_duality_defect(bend, row, get_tower, get_reconstruction):
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    bent = dataclasses.replace(
+        rec, on_b=StructureBundle(bend(rec.on_b.hopf), rec.on_b.index_element))
+    with pytest.raises(InvariantViolation, match=f"duality defect: {row} residual"):
+        dual_bases(tower, bent)
+
+
+def test_delta_unit_formula_reads_the_adjoint_gather():
+    # every tower build_tower_from_group makes has a commutative Cartan,
+    # where the adjoint gather is the identity; on the stand-in
+    # B = B_s = B_t = M_2 + C with S(x) = x^T, Delta(1) =
+    # sum f_lk (x) f_lk / (d tau(f_kk)) is diagonal and positive, and
+    # pairing S(f_kl) with f_kl instead fails
+    cartan = MultiMatrixAlgebra([2, 1])
+    ident = SubalgebraEmbedding.identity(cartan)
+    weights = np.array([0.25, 0.5])
+    hopf = SimpleNamespace(dim=cartan.dim,
+                           antipode=np.eye(cartan.dim)[:, cartan.adjoint_index],
+                           delta_unit=np.diag(1 / (2 * weights[cartan.block_index])))
+    tower = SimpleNamespace(d=2, cartan_target=ident, cartan_source=ident, rel_b=ident)
+    rec = SimpleNamespace(on_b=SimpleNamespace(hopf=hopf), cartan_weights=weights)
+    assert _delta_unit_residual(tower, rec) <= 1e-15
+    assert loop_delta_unit_residual(tower, rec) <= 1e-15
+    flipped = SimpleNamespace(on_b=SimpleNamespace(hopf=SimpleNamespace(
+        dim=hopf.dim, antipode=np.eye(cartan.dim), delta_unit=hopf.delta_unit)),
+        cartan_weights=weights)
+    assert _delta_unit_residual(tower, flipped) > 0.1

@@ -200,6 +200,20 @@ def test_cli_deform_undeform_roundtrip(tmp_path, capsys):
     assert rel_residual(back.delta, hopf.delta) < 1e-9
 
 
+def test_cli_deform_with_a_singular_twist_names_it(tmp_path, capsys):
+    # one zero diagonal entry: H has no inverse, which deform needs first
+    hopf = pair_groupoid(2)
+    base = tmp_path / "pg2.json"
+    base.write_text(serialize.dumps("weak-hopf", serialize.weak_hopf_payload(hopf)))
+    twist = tmp_path / "h.json"
+    vec = 2.0 * hopf.algebra.basis_unit(0, 0, 0).vec
+    twist.write_text(serialize.dumps("element", serialize.element_payload(vec)))
+    code, out, err = run_cli(capsys, "deform", str(base), "--h", str(twist), "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: element is not invertible\n"
+
+
 def test_cli_deform_requires_twist(tmp_path, capsys):
     base = tmp_path / "pg2.json"
     base.write_text(serialize.dumps(

@@ -9,7 +9,10 @@ no (classes, raw) or (raw, raw) array; its largest is the (1296, 216) images
 of the commutant of the fixed points, and its transient is about 17 MiB,
 where dense class maps and whole probe checks take about 54 MiB.  The
 comparison map holds one (raw, ambient) array of images, about 10 MiB at the
-peak, where two more for the well-definedness check take about 17 MiB."""
+peak, where two more for the well-definedness check take about 17 MiB.
+
+A conditional expectation holds its (sub, ambient) closed-form left inverse,
+never an (ambient, ambient) matrix: on cyclic(6), E_M1 is (36, 216)."""
 
 import tracemalloc
 
@@ -71,3 +74,10 @@ def test_crossed_product_and_theta_hold_no_class_matrix(cyclic6_chain):
     built = []
     assert transient_mib(lambda: built.append(crossed_product(action))) < CROSSED_BOUND_MIB
     assert transient_mib(lambda: theta_iso(tower, deformed, built[0])) < THETA_BOUND_MIB
+
+
+def test_expectation_holds_no_ambient_square(cyclic6_chain):
+    tower = cyclic6_chain[0]
+    square_mib = tower.ambient.dim ** 2 * 16 / 2 ** 20  # one (216, 216) complex array
+    tower.__dict__.pop("expect_top", None)
+    assert transient_mib(lambda: tower.expect_top.apply_vec(tower.e2.vec)) < square_mib
