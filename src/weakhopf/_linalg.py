@@ -4,6 +4,14 @@ Everything here works on plain complex ndarrays; subspaces are represented
 by matrices whose *columns* span them.  Factorizations use ``numpy.linalg``
 (LAPACK ``gesdd`` for the SVD, ``heevd`` for ``eigh``); an inf or NaN in
 their input raises ``numpy.linalg.LinAlgError``.
+
+No projector or intersection of two spans is built here.  Membership in a
+subalgebra image is the embedding's back-substitution residual
+(``multimatrix.SubalgebraEmbedding.outside``), and membership in a Cartan
+subalgebra B_t or B_s is being fixed by its counital map, an idempotent: the
+elements of a span lying in B_t are ``null_space`` of (eps_t - 1) applied to
+a basis of the span.  ``residual_outside`` serves only spans that are not
+yet a subalgebra (the closure checks of ``subalgebra_from_basis``).
 """
 
 import numpy as np
@@ -121,25 +129,6 @@ def numeric_rank(mat: np.ndarray, tol: float = 1e-10) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def projector(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthogonal projector onto the column span."""
-    q = orthonormal_columns(vectors, tol)
-    return q @ q.conj().T
-
-
-def subspace_residual(span_a: np.ndarray, span_b: np.ndarray, tol: float = 1e-10) -> float:
-    """Operator-norm distance between the orthogonal projectors of two spans.
-
-    Zero iff the spans coincide; 1 iff one contains a direction orthogonal
-    to the other.
-    """
-    pa = projector(span_a, tol)
-    pb = projector(span_b, tol)
-    if pa.size == 0 and pb.size == 0:
-        return 0.0
-    return float(np.linalg.norm(pa - pb, 2))
-
-
 def residual_outside(vectors: np.ndarray, q: np.ndarray) -> float:
     """Relative distance of the given column vectors from the span of the
     orthonormal columns ``q``."""
@@ -148,14 +137,6 @@ def residual_outside(vectors: np.ndarray, q: np.ndarray) -> float:
         return 0.0
     rest = vectors - q @ (q.conj().T @ vectors)
     return max_abs(rest) / max(max_abs(vectors), 1.0)
-
-
-def intersection_dim(span_a: np.ndarray, span_b: np.ndarray, tol: float = 1e-10) -> int:
-    qa = orthonormal_columns(span_a, tol)
-    qb = orthonormal_columns(span_b, tol)
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return 0
-    return qa.shape[1] + qb.shape[1] - numeric_rank(np.hstack([qa, qb]), tol)
 
 
 def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:

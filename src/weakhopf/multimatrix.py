@@ -22,7 +22,12 @@ Projections onto the image of a subalgebra have one home as well.  Images of
 distinct matrix units are orthogonal for Tr(x* y) and for tau(x* y), so
 coordinates, the membership residual ``outside``, conditional expectations
 and the Jones projection all read one closed-form left inverse
-(``SubalgebraEmbedding._left_inverse``); no Gram system is solved.
+(``SubalgebraEmbedding._left_inverse``); no Gram system is solved.  Every
+comparison of a span with a subalgebra image is ``outside`` (containment)
+plus a dimension count; no projector, intersection or least-squares solve
+stands in for it.  The Cartan subalgebras of an abstract structure are the
+ranges of its counital maps (idempotents, so z lies in B_t iff
+eps_t z = z), handed to :func:`subalgebra_from_basis` as they are.
 
 Commutants need no splitting: relative commutants, centers and the Jones basic
 construction (the commutant of the right action of the subalgebra) all take

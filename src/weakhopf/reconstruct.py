@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import axioms
-from ._linalg import condition_number, max_abs, rel_residual, subspace_residual
+from ._linalg import condition_number, max_abs, rel_residual
 from .errors import InvariantViolation
 from .multimatrix import (
     DEFAULT_TOL,
@@ -279,10 +279,7 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
     rep.add("comatrix counit", rel_residual(eps_v, a_sub.unit().vec),
             ref="comatrix units")
 
-    if not rep.passed:
-        raise InvariantViolation(
-            f"duality defect: {rep.failures()[0].name} "
-            f"residual {rep.failures()[0].residual:.3e}")
+    rep.require_passed("duality defect")
     return DualBases(a_sub.basis_labels(), block_traces, a_img, v_amb), rep
 
 
@@ -344,12 +341,13 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     rep.add("antipode under the expectation",
             rel_residual(lam * act, rhs.transpose(1, 0, 2)), ref="Remark 4.4")
 
-    # 4. S maps the source Cartan onto the target Cartan
-    source_in_b = tower.rel_b.coords_vec(tower.cartan_source.images.T).T
-    mapped = b_img @ (anti @ source_in_b)
+    # 4. S maps the source Cartan onto the target Cartan: S is invertible,
+    # so S(B_s) inside B_t with equal dimensions is S(B_s) = B_t
+    source_in_b = tower.cartan_source.restrict_to(tower.rel_b)
+    mapped = b_img @ (anti @ source_in_b.images)
     rep.add("antipode exchanges the Cartan subalgebras",
-            subspace_residual(mapped, tower.cartan_target.images),
-            ref="Prop 4.5(ii)")
+            max(tower.cartan_target.outside(mapped.T),
+                float(source_in_b.sub.dim != tower.d)), ref="Prop 4.5(ii)")
 
     # 5. S^2 = id and S(b*) = S(b)*
     rep.add("antipode involutive and star-compatible",
@@ -397,7 +395,7 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
             ref="Prop 4.15")
 
     # 15. eps_t(z b) = z eps_t(b) for z in the target Cartan
-    zs = tower.rel_b.coords_vec(tower.cartan_target.images.T)
+    zs = tower.cartan_target.restrict_to(tower.rel_b).images.T
     lhs = hopf.algebra.pairwise_mul(zs, np.eye(db)) @ et.T
     rhs = hopf.algebra.pairwise_mul(zs, et.T)
     rep.add("counital map is Cartan-linear", rel_residual(lhs, rhs),
@@ -416,10 +414,11 @@ def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float
     an element of (source Cartan) (x) (target Cartan)."""
     hopf = rec.on_b.hopf
     d = tower.d
-    cartan = tower.cartan_target
-    bt_in_b = tower.rel_b.coords_vec(cartan.images.T).T
+    source = tower.cartan_source.restrict_to(tower.rel_b)
+    target = tower.cartan_target.restrict_to(tower.rel_b)
+    bt_in_b = target.images
     weights = rec.cartan_weights
-    sub = cartan.sub
+    sub = target.sub
 
     # Delta(1) = sum over the units f_kl of the Cartan of
     # S(f_kl) (x) f_lk / (d tau(f_kk))
@@ -427,14 +426,11 @@ def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float
     formula = s_bt @ bt_in_b[:, sub.adjoint_index].T
     res = rel_residual(hopf.delta_unit, formula)
 
-    # positivity inside the Cartan tensor square
-    source = tower.cartan_source
-    src_in_b = tower.rel_b.coords_vec(source.images.T).T
-    first = np.linalg.lstsq(src_in_b, hopf.delta_unit, rcond=None)
-    coeffs = first[0]  # (source dim, hopf dim) with legs (s, q)
-    res = max(res, rel_residual(src_in_b @ coeffs, hopf.delta_unit))
-    second = np.linalg.lstsq(bt_in_b, coeffs.T, rcond=None)[0].T  # (s, t)
-    res = max(res, rel_residual(second @ bt_in_b.T, coeffs))
+    # positivity inside the Cartan tensor square: the first legs in source
+    # coordinates, then the second legs in target coordinates
+    (legs,), first = source._back_substitute([hopf.delta_unit.T])  # (q, s)
+    (second,), other = target._back_substitute([legs.T])  # (s, t)
+    res = max(res, first, other)
     res = max(res, _tensor_positive_residual(source.sub, sub, second))
     return res
 
@@ -543,10 +539,7 @@ def classify(tower: TowerData, rec: ReconstructedStructure,
         rep.classification = "weak C*-Hopf (deformation required)"
 
     # Perron-Frobenius consistency of the Cartan inclusion
-    bt_in_b = SubalgebraEmbedding(
-        tower.cartan_target.sub, tower.rel_b.sub,
-        tower.rel_b.coords_vec(tower.cartan_target.images.T).T)
-    lam_mat = inclusion_matrix(bt_in_b, tol)
+    lam_mat = inclusion_matrix(tower.cartan_target.restrict_to(tower.rel_b), tol)
     tvec = rec.cartan_weights
     rep.add("Markov eigenvector consistency",
             rel_residual(lam_mat.product_with_transpose @ tvec, tvec / tower.lam),

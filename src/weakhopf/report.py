@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class Check:
@@ -60,6 +62,14 @@ class Report:
 
     def failures(self) -> list:
         return [check for check in self.checks if not check.passed]
+
+    def require_passed(self, prefix: str):
+        """Raise :class:`InvariantViolation` naming the worst failing row,
+        ``"{prefix}: {name} residual {r}"``; nothing when every row passes."""
+        if not self.passed:
+            worst = max(self.failures(), key=lambda c: c.residual)
+            raise InvariantViolation(
+                f"{prefix}: {worst.name} residual {worst.residual:.3e}")
 
     def __getitem__(self, name: str) -> Check:
         for check in self.checks:

@@ -21,13 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import axioms
-from ._linalg import (
-    intersection_dim,
-    max_abs,
-    null_space,
-    rel_residual,
-    subspace_residual,
-)
+from ._linalg import max_abs, null_space, rel_residual
 from .decompose import StructureAlgebra, decompose_structure_algebra
 from .errors import InvariantViolation
 from .groups import FiniteGroup
@@ -209,15 +203,15 @@ def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
                        seed: int = 0) -> CartanPair:
     """Fixed-point subalgebras of the counital maps, block-decomposed.
 
-    The decomposition uses the canonical block adjoint; both Cartan images
-    are adjoint-stable for every structure handled here.
+    The counital maps are idempotents, so B_t = eps_t(B) is the range of
+    ``target_counital`` (the span of its columns) and B_s that of
+    ``source_counital``.  The decomposition uses the canonical block
+    adjoint; both Cartan images are adjoint-stable for every structure
+    handled here.
     """
     rng = np.random.default_rng(seed)
-    d = hopf.dim
-    target_span = null_space(hopf.target_counital - np.eye(d), 1e-10)
-    source_span = null_space(hopf.source_counital - np.eye(d), 1e-10)
-    target = subalgebra_from_basis(hopf.algebra, target_span, rng=rng, tol=tol)
-    source = subalgebra_from_basis(hopf.algebra, source_span, rng=rng, tol=tol)
+    target = subalgebra_from_basis(hopf.algebra, hopf.target_counital, rng=rng, tol=tol)
+    source = subalgebra_from_basis(hopf.algebra, hopf.source_counital, rng=rng, tol=tol)
 
     comm = hopf.algebra.mul_vecs(target.images.T[:, None, :],
                                  source.images.T[None, :, :]) \
@@ -225,8 +219,9 @@ def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
                                 target.images.T[:, None, :])
     if max_abs(comm) > 100 * tol:
         raise InvariantViolation("Cartan subalgebras do not commute")
+    # S is invertible, so S(B_t) inside B_s with equal dimensions is S(B_t) = B_s
     mapped = hopf.antipode @ target.images
-    if subspace_residual(mapped, source.images) > 1e-6:
+    if target.sub.dim != source.sub.dim or source.outside(mapped.T) > 1e-6:
         raise InvariantViolation("antipode does not exchange the Cartan subalgebras")
     return CartanPair(target, source)
 
@@ -343,17 +338,25 @@ def _center_span_of(algebra: MultiMatrixAlgebra) -> np.ndarray:
                             for a in range(len(algebra.blocks))])
 
 
+def _fixed_dim(counital: np.ndarray, span: np.ndarray) -> int:
+    """Dimension of the elements of the span of the independent columns
+    ``span`` that the idempotent ``counital`` fixes: its intersection with
+    the counital range."""
+    return null_space((counital - np.eye(len(counital))) @ span, 1e-10).shape[1]
+
+
 def connectedness(hopf: WeakHopfData, tol: float = DEFAULT_TOL, seed: int = 0):
     """(connected, dual_connected, biconnected) with the cross-check that the
-    two available criteria for dual connectedness agree."""
+    two available criteria for dual connectedness agree: B_t meets the
+    center of B in the scalars only (connected), B_t meets B_s in the
+    scalars only, and the dual's B_t meets its center in the scalars only
+    (dual connected)."""
     pair = cartan_subalgebras(hopf, tol, seed)
-    connected = intersection_dim(pair.target.images, _center_span_of(hopf.algebra)) == 1
-    primal_criterion = intersection_dim(pair.target.images, pair.source.images) == 1
+    connected = _fixed_dim(hopf.target_counital, _center_span_of(hopf.algebra)) == 1
+    primal_criterion = _fixed_dim(hopf.source_counital, pair.target.images) == 1
 
-    dual = dual_algebra(hopf, tol, seed)
-    dual_pair = cartan_subalgebras(dual.hopf, tol, seed)
-    dual_connected = intersection_dim(dual_pair.target.images,
-                                      _center_span_of(dual.hopf.algebra)) == 1
+    dual = dual_algebra(hopf, tol, seed).hopf
+    dual_connected = _fixed_dim(dual.target_counital, _center_span_of(dual.algebra)) == 1
     if dual_connected != primal_criterion:
         raise InvariantViolation(
             "connectedness criteria disagree between dual and primal")
@@ -399,11 +402,12 @@ def group_algebra(group: FiniteGroup, tol: float = DEFAULT_TOL,
     if emb.sub.dim != n:
         raise InvariantViolation("regular representation span has wrong dimension")
 
-    # coordinates of the new matrix units in the group basis and back
-    from_units, *_ = np.linalg.lstsq(perms.T, emb.images, rcond=None)
-    if rel_residual(perms.T @ from_units, emb.images) > 1e-8:
+    # the group elements in the new matrix units (the spans have equal
+    # dimension, so containment is equality) and back
+    if emb.outside(perms) > 1e-8:
         raise InvariantViolation("matrix units do not lie in the group span")
-    to_units = np.linalg.inv(from_units)
+    to_units = emb.coords_vec(perms).T
+    from_units = np.linalg.inv(to_units)
 
     delta = np.einsum("ij,pi,qi->jpq", from_units, to_units, to_units, optimize=True)
     eps = from_units.sum(axis=0)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from weakhopf import _linalg, actions
-from weakhopf._linalg import null_space, projector, rel_residual, subspace_residual
+from weakhopf._linalg import rel_residual
 from weakhopf.actions import (
     ActionData,
     _left_products,
@@ -32,6 +34,12 @@ def counit_action(hopf, carrier):
     """b |> x = eps(b) x; a genuine action when the counit is an algebra map."""
     tensor = np.einsum("b,xy->bxy", hopf.epsilon, np.eye(carrier.dim, dtype=complex))
     return ActionData(hopf, carrier, tensor)
+
+
+def qr_projector(span):
+    """Orthogonal projector onto the span of the independent columns ``span``."""
+    q, _ = np.linalg.qr(span)
+    return q @ q.conj().T
 
 
 def test_trivial_action_passes():
@@ -82,7 +90,7 @@ def test_fixed_points_recover_middle_algebra(name, get_tower, get_pipeline):
     fixed = fixed_points(get_pipeline(name)["action"])
     mid_in_top = tower.sub_mid.restrict_to(tower.sub_top)
     assert fixed.sub.dim == tower.sub_mid.sub.dim
-    assert subspace_residual(fixed.images, mid_in_top.images) <= 100 * TOL
+    assert mid_in_top.outside(fixed.images.T) <= 100 * TOL
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3"])
@@ -174,9 +182,8 @@ def test_elementary_source_relation(get_pipeline):
     crossed = get_pipeline("z2")["crossed"]
     alg = crossed.algebra
     hopf, carrier = crossed.action.hopf, crossed.action.carrier
-    src = null_space(hopf.source_counital - np.eye(hopf.dim))
     eye = np.eye(carrier.dim)
-    for z in src.T:
+    for z in hopf.source_counital.T:  # the range of eps_s spans B_s
         zc = crossed.coords(np.kron(carrier.unit().vec, z))
         for x in eye:
             xe = crossed.coords(np.kron(x, hopf.unit_vec))
@@ -202,6 +209,22 @@ def test_trivial_group_action_is_not_minimal():
     crossed = crossed_product(action)
     rep = minimality(crossed)
     assert not rep.passed  # everything commutes with the scalars
+    # the scalar Cartan lies in the commutant, which is larger: only the
+    # dimension count tells them apart
+    assert rep["commutant equals the source Cartan image"].residual <= TOL
+    assert rep["commutant dimension matches the source Cartan"].residual == 1.0
+
+
+def test_minimality_catches_a_source_image_outside_the_commutant(get_pipeline):
+    # the carrier image in place of the source Cartan image: M1 is not
+    # commutative, so it sticks out of the commutant of itself
+    crossed = get_pipeline("z2")["crossed"]
+    assert minimality(crossed).passed
+    bent = dataclasses.replace(crossed)
+    bent.source_embedding = crossed.carrier_embedding.images
+    rep = minimality(bent)
+    assert rep["commutant equals the source Cartan image"].residual > 1e-3
+    assert rep["action minimal"].residual == 1.0
 
 
 def test_scalar_structure_minimal_trivially():
@@ -210,6 +233,16 @@ def test_scalar_structure_minimal_trivially():
     crossed = crossed_product(action)
     rep = minimality(crossed)
     assert rep.passed
+
+
+def test_kernel_row_catches_a_zero_action(get_pipeline):
+    # b |> x = 0: the unit image b -> b |> 1 is zero, so it still factors
+    # through eps_t, but its kernel is all of B and eps_t does not kill it
+    action = get_pipeline("z2")["action"]
+    hopf, car = action.hopf, action.carrier
+    rep = verify_action(ActionData(hopf, car, np.zeros((hopf.dim, car.dim, car.dim))))
+    assert rep["unit image factors through the counital map"].residual <= TOL
+    assert rep["kernel of the unit image matches the counital kernel"].residual > 0.5
 
 
 def test_twisted_action_fails_star_axiom(get_pipeline):
@@ -333,8 +366,8 @@ def test_crossed_product_probes_catch_broken_covariance(get_pipeline):
     eye_m, eye_b = np.eye(car.dim), np.eye(hopf.dim)
     fixed = fixed_points(action)
     bend = eye_m + 0.5 * car.left_mult_matrix(eye_m[car.basis_index(0, 0, 1)]) \
-        @ (eye_m - projector(fixed.images))
-    cartan = projector(null_space(hopf.target_counital - eye_b))
+        @ (eye_m - qr_projector(fixed.images))
+    cartan = qr_projector(cartan_subalgebras(hopf).target.images)
     mats = action.tensor.transpose(0, 2, 1)
     bent = np.einsum("cb,cyx->byx", cartan, mats) \
         + np.einsum("cb,cyx->byx", eye_b - cartan, mats) @ bend

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from weakhopf.axioms import multiplicativity
 from weakhopf.deform import check_bundle, deform, undeform
 from weakhopf.errors import InvariantViolation
 from weakhopf.reconstruct import StructureBundle
+from weakhopf.report import Report
 from weakhopf.weak_hopf import (
     haar_functional,
     haar_traciality_residual,
@@ -117,6 +120,26 @@ def test_check_bundle_flags_wrong_index_element():
     wrong = StructureBundle(bundle.hopf, hopf.unit_vec.copy())
     rep = check_bundle(wrong)
     assert not rep.passed
+
+
+def test_require_passed_names_the_worst_row():
+    rep = Report(tolerance=TOL)
+    rep.add("small", 1e-12)
+    rep.require_passed("unused")
+    rep.add("first", 1e-3)
+    rep.add("worst", 0.5)
+    with pytest.raises(InvariantViolation, match=r"^prefix: worst residual 5\.000e-01$"):
+        rep.require_passed("prefix")
+
+
+def test_deform_names_the_worst_violated_bundle_row():
+    hopf = pair_groupoid(2)
+    bundle, _ = undeform(hopf, central_twist(hopf, (2.0, 0.5)))
+    wrong = StructureBundle(bundle.hopf, hopf.unit_vec.copy())
+    worst = max(check_bundle(wrong).failures(), key=lambda c: c.residual)
+    prefix = f"^structure bundle violated: {re.escape(worst.name)} residual"
+    with pytest.raises(InvariantViolation, match=prefix):
+        deform(wrong)
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3"])

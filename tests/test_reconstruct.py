@@ -198,13 +198,12 @@ def test_commutant_sides_are_dual_shapes(get_reconstruction):
 def test_cartan_intersection_reported_not_asserted(get_tower, get_reconstruction):
     # the two Cartan images overlap at least in the scalars; whether the
     # reconstructed structure is biconnected is recorded, never required
-    from weakhopf._linalg import intersection_dim
     from weakhopf.weak_hopf import connectedness
 
     tower = get_tower("z2")
-    overlap = intersection_dim(tower.cartan_target.images,
-                               tower.cartan_source.images)
-    assert overlap >= 1
+    unit = tower.ambient.unit().vec
+    assert tower.cartan_target.outside(unit) <= TOL
+    assert tower.cartan_source.outside(unit) <= TOL
     rec = get_reconstruction("z2")
     triple = connectedness(rec.on_b.hopf)
     assert isinstance(triple, tuple) and len(triple) == 3
@@ -258,6 +257,16 @@ def test_suite_catches_a_perturbed_antipode(get_tower, get_reconstruction):
     bent = hopf.antipode + 0.1 * rng.standard_normal(hopf.antipode.shape)
     rep = _suite_with(tower, rec, hopf=hopf.copy_with(antipode=bent))
     assert rep["antipode under the expectation"].residual > 1e-3
+
+
+def test_suite_catches_an_antipode_that_fixes_the_cartans(get_tower, get_reconstruction):
+    # S = id leaves B_s in place, and on z2 B_s sticks out of B_t
+    tower, rec = get_tower("z2"), get_reconstruction("z2")
+    hopf = rec.on_b.hopf
+    assert identity_suite(tower, rec)["antipode exchanges the Cartan subalgebras"] \
+        .residual <= TOL
+    rep = _suite_with(tower, rec, hopf=hopf.copy_with(antipode=np.eye(hopf.dim)))
+    assert rep["antipode exchanges the Cartan subalgebras"].residual == pytest.approx(0.5)
 
 
 def test_suite_catches_swapped_coproduct_legs(get_tower, get_reconstruction):

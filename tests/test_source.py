@@ -82,6 +82,73 @@ def test_every_parameter_is_read():
     assert not found, sorted(found)
 
 
+# Subspace membership is read from a subalgebra embedding's closed-form
+# back-substitution or from a counital map; least squares is left only where
+# the system is not a membership test.
+LSTSQ_HOMES = {("multimatrix.py", "_solve_extended_trace"), ("actions.py", "_kernel_ideal")}
+RETIRED = {"subspace_residual", "projector", "intersection_dim"}
+
+
+def lstsq_callers(path: Path) -> set[str]:
+    """Names of the functions whose own bodies call ``lstsq`` (``<module>``
+    for top-level code)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "lstsq":
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def retired_names(path: Path) -> set[str]:
+    """Retired subspace helpers named anywhere in a module: defined,
+    imported, read or reached as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names & RETIRED
+
+
+def test_subspace_rule_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import numpy as np\n"
+                      "from ._linalg import projector\n"
+                      "from numpy.linalg import lstsq\n\n"
+                      "def f(a, b):\n    return np.linalg.lstsq(a, b)[0]\n\n"
+                      "def _kernel_ideal(a, b):\n"
+                      "    def inner():\n        return lstsq(a, b)\n"
+                      "    return inner\n\n"
+                      "def intersection_dim(a):\n    return a.rank\n\n"
+                      "x = lstsq(1, 2)\n")
+    assert lstsq_callers(source) == {"f", "inner", "<module>"}
+    assert retired_names(source) == {"projector", "intersection_dim"}
+
+
+def test_subspace_membership_has_two_homes():
+    lstsq = {(path.name, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func in lstsq_callers(path)}
+    assert lstsq <= LSTSQ_HOMES, sorted(lstsq - LSTSQ_HOMES)
+    retired = {f"{path.name} names {name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in retired_names(path)}
+    assert not retired, sorted(retired)
+
+
 def test_import_loads_only_numpy_and_the_standard_library():
     """Beyond numpy, importing the package and its CLI loads only the
     standard library and the package itself."""

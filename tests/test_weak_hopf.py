@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from weakhopf import weak_hopf
 from weakhopf._linalg import rel_residual
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic, symmetric
+from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
 from weakhopf.weak_hopf import (
     cartan_subalgebras,
     connectedness,
@@ -92,6 +94,17 @@ def test_cartan_subalgebras():
     assert pair.target.sub.dim == 1
     pair = cartan_subalgebras(function_algebra(cyclic(4)))
     assert pair.target.sub.dim == 1
+
+
+def test_cartan_exchange_fails_when_the_antipode_fixes_them(get_reconstruction):
+    # on the z2 structure B_t and B_s are distinct, and S = id maps B_t onto
+    # itself
+    hopf = get_reconstruction("z2").on_b.hopf
+    pair = cartan_subalgebras(hopf)
+    assert pair.target.outside(pair.source.images.T) > 0.1
+    with pytest.raises(InvariantViolation,
+                       match="antipode does not exchange the Cartan subalgebras"):
+        cartan_subalgebras(hopf.copy_with(antipode=np.eye(hopf.dim)))
 
 
 @pytest.mark.parametrize("hopf", [pair_groupoid(3), group_algebra(cyclic(3))],
@@ -210,6 +223,18 @@ def test_connectedness_triples():
     assert connectedness(pair_groupoid(2)) == (True, False, False)
     assert connectedness(pair_groupoid(3)) == (True, False, False)
     assert connectedness(pair_groupoid(1)) == (True, True, True)
+    # B_t and B_s of the dual of M_3 are distinct copies of C^3
+    assert connectedness(dual_algebra(pair_groupoid(3)).hopf) == (False, True, False)
+
+
+def test_group_algebra_rejects_units_outside_the_group_span(monkeypatch):
+    # the diagonal of M_2 in place of the span of the permutations of Z2
+    diag = SubalgebraEmbedding(MultiMatrixAlgebra([1, 1]), MultiMatrixAlgebra([2]),
+                               np.eye(4)[:, [0, 3]])
+    monkeypatch.setattr(weak_hopf, "subalgebra_from_basis", lambda *args, **kw: diag)
+    with pytest.raises(InvariantViolation,
+                       match="matrix units do not lie in the group span"):
+        group_algebra(cyclic(2))
 
 
 def test_broken_counit_fails_loudly():
