@@ -28,7 +28,6 @@ from .reconstruct import (
 from .report import Report
 from .tower import build_tower_from_group, verify_tower_premises
 from .weak_hopf import (
-    cartan_subalgebras,
     connectedness,
     dual_algebra,
     function_algebra,
@@ -50,12 +49,17 @@ def _read(path: str) -> str:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_out(args, text: str):
-    if getattr(args, "out", None):
+def _write_out(args, kind: str, payload: dict):
+    """The ``kind`` object to the ``-o`` file, or to stdout without one."""
+    text = serialize.dumps(kind, payload, args.tolerance, args.seed)
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _load(path: str, kind: str) -> dict:
@@ -72,6 +76,21 @@ def _emit_report(args, report: Report) -> int:
     else:
         print(report.render_table())
     return 0 if report.passed else 1
+
+
+# option types: argparse reports their ValueError as an invalid value (exit 2)
+def finite_positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(text)
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _int(text: str) -> int:
@@ -96,20 +115,16 @@ def _group_from_spec(kind: str, value: str) -> FiniteGroup:
 
 
 def cmd_gen(args) -> int:
+    usage = "N" if args.generator == "pair-groupoid" else "{cyclic|sym|table} VALUE"
+    if len(args.spec) != len(usage.split()):
+        raise SchemaError(f"usage: gen {args.generator} {usage}")
     if args.generator == "pair-groupoid":
         hopf = pair_groupoid(_int(args.spec[0]))
     elif args.generator == "group":
-        if len(args.spec) != 2:
-            raise SchemaError("usage: gen group {cyclic|sym|table} VALUE")
         hopf = group_algebra(_group_from_spec(*args.spec), seed=args.seed)
-    elif args.generator == "function":
-        if len(args.spec) != 2:
-            raise SchemaError("usage: gen function {cyclic|sym|table} VALUE")
-        hopf = function_algebra(_group_from_spec(*args.spec))
     else:
-        raise SchemaError(f"unknown generator {args.generator!r}")
-    payload = serialize.weak_hopf_payload(hopf)
-    _write_out(args, serialize.dumps("weak-hopf", payload, args.tolerance, args.seed))
+        hopf = function_algebra(_group_from_spec(*args.spec))
+    _write_out(args, "weak-hopf", serialize.weak_hopf_payload(hopf))
     return 0
 
 
@@ -117,7 +132,6 @@ def cmd_verify_wha(args) -> int:
     hopf, _ = serialize.parse_weak_hopf(_load(args.file, "weak-hopf"))
     report = verify_axioms(hopf, args.tolerance, args.seed)
     if report.classification != "invalid":
-        cartan_subalgebras(hopf, args.tolerance, args.seed)
         haar_projection(hopf, args.tolerance)
         haar_functional(hopf, args.tolerance)
         report.add_flag("integrals solvable", True, ref="integrals")
@@ -130,8 +144,7 @@ def cmd_verify_wha(args) -> int:
 def cmd_dual(args) -> int:
     hopf, _ = serialize.parse_weak_hopf(_load(args.file, "weak-hopf"))
     dual = dual_algebra(hopf, args.tolerance, args.seed)
-    payload = serialize.weak_hopf_payload(dual.hopf)
-    _write_out(args, serialize.dumps("weak-hopf", payload, args.tolerance, args.seed))
+    _write_out(args, "weak-hopf", serialize.weak_hopf_payload(dual.hopf))
     return 0
 
 
@@ -140,8 +153,7 @@ def cmd_tower(args) -> int:
         raise SchemaError(f"unknown tower source {args.source!r}")
     group = _group_from_spec(*args.spec)
     tower = build_tower_from_group(group, seed=args.seed, tol=args.tolerance)
-    payload = serialize.tower_payload(tower)
-    _write_out(args, serialize.dumps("tower", payload, args.tolerance, args.seed))
+    _write_out(args, "tower", serialize.tower_payload(tower))
     return 0
 
 
@@ -157,10 +169,8 @@ def cmd_reconstruct(args) -> int:
     report.classification = cls.classification
     report.title = "tower reconstruction report"
     if args.out:
-        payload = serialize.weak_hopf_payload(rec.on_b.hopf, rec.on_b.index_element)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(serialize.dumps("weak-hopf", payload,
-                                         args.tolerance, args.seed) + "\n")
+        _write_out(args, "weak-hopf", serialize.weak_hopf_payload(rec.on_b.hopf,
+                                                                  rec.on_b.index_element))
     return _emit_report(args, report)
 
 
@@ -177,10 +187,8 @@ def cmd_deform(args) -> int:
     bundle = _load_bundle(args)
     deformed, report = deform(bundle, args.tolerance)
     if args.out:
-        payload = serialize.weak_hopf_payload(deformed.hopf, deformed.index_element)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(serialize.dumps("weak-hopf", payload,
-                                         args.tolerance, args.seed) + "\n")
+        _write_out(args, "weak-hopf", serialize.weak_hopf_payload(deformed.hopf,
+                                                                  deformed.index_element))
     return _emit_report(args, report)
 
 
@@ -188,8 +196,8 @@ def cmd_undeform(args) -> int:
     hopf, _ = serialize.parse_weak_hopf(_load(args.file, "weak-hopf"))
     h = serialize.parse_element(_load(args.h, "element"), hopf.dim)
     bundle, _ = undeform(hopf, h, args.tolerance)
-    payload = serialize.weak_hopf_payload(bundle.hopf, bundle.index_element)
-    _write_out(args, serialize.dumps("weak-hopf", payload, args.tolerance, args.seed))
+    _write_out(args, "weak-hopf", serialize.weak_hopf_payload(bundle.hopf,
+                                                              bundle.index_element))
     return 0
 
 
@@ -210,10 +218,7 @@ def cmd_crossed_product(args) -> int:
     report.extend(theta.report)
     report.title = "crossed product report"
     if args.out:
-        payload = serialize.crossed_product_payload(crossed)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(serialize.dumps("crossed-product", payload,
-                                         args.tolerance, args.seed) + "\n")
+        _write_out(args, "crossed-product", serialize.crossed_product_payload(crossed))
     return _emit_report(args, report)
 
 
@@ -256,24 +261,24 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process: ``parse_args`` fills a fresh
     namespace on every call, so no option value outlives its call."""
+    def add_global_options(p, **kwargs):
+        p.add_argument("--tolerance", type=finite_positive, **kwargs,
+                       help="residual tolerance, a finite real > 0 (default 1e-9)")
+        p.add_argument("--seed", type=nonnegative_int, **kwargs,
+                       help="seed for randomized block splits, an integer >= 0 "
+                            "(default 0)")
+        p.add_argument("--json", action="store_true", **kwargs,
+                       help="emit reports as JSON")
+
+    # before or after the subcommand; SUPPRESS keeps the top-level value
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
-                        help="residual tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized block splits (default 0)")
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit reports as JSON")
+    add_global_options(common, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="weakhopf",
         description="workbench for finite-dimensional weak Kac and weak "
                     "C*-Hopf algebras")
-    parser.add_argument("--tolerance", type=float,
-                        help="residual tolerance (default 1e-9)")
-    parser.add_argument("--seed", type=int,
-                        help="seed for randomized block splits (default 0)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit reports as JSON")
+    add_global_options(parser)
     parser.set_defaults(tolerance=1e-9, seed=0, json=False)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -574,6 +574,12 @@ class SubalgebraEmbedding:
             raise InvariantViolation("embeddings do not compose")
         return SubalgebraEmbedding(self.sub, outer.ambient, outer.images @ self.images)
 
+    def restrict(self, trace: TraceState) -> TraceState:
+        """The ambient trace read on the subalgebra: block alpha weighs
+        tau(image of f^alpha_00)."""
+        corners = self.images[:, self.sub._offsets[:-1]].T
+        return TraceState(self.sub, trace.values(corners).real)
+
     def restrict_to(self, other: "SubalgebraEmbedding") -> "SubalgebraEmbedding":
         """Re-express this subalgebra as a subalgebra of ``other`` (same ambient)."""
         coords = other.coords_vec(self.images.T)

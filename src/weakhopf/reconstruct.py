@@ -4,6 +4,11 @@ central element, comatrix dual bases, the identity suite and the index
 classification.  The weak Hopf identities among the suite's rows, the
 multiplicativity test of ``classify`` and the index element formula
 S(1_(1)) 1_(2) are rows of :mod:`weakhopf.axioms`.
+
+The duality is one Gram matrix G[i, p] = <a_i, b_p> over the matrix units
+(:func:`pairing`).  Both commutants embed as *-homomorphisms, so a pairing of
+unit products, adjoints or the unit is a gather of G through the commutants'
+``product_index``, ``adjoint_index`` and ``unit()``, not an ambient product.
 """
 
 from dataclasses import dataclass
@@ -18,8 +23,6 @@ from .multimatrix import (
     DEFAULT_TOL,
     AlgebraElement,
     MultiMatrixAlgebra,
-    SubalgebraEmbedding,
-    TraceState,
     inclusion_matrix,
     take_units,
     watatani_index,
@@ -124,35 +127,27 @@ def reconstruct(tower: TowerData, tol: float = DEFAULT_TOL) -> ReconstructedStru
     """
     form = pairing(tower)
     alg, tau, lam, d = tower.ambient, tower.tau, tower.lam, tower.d
-    a_img, b_img = tower.rel_a.images, tower.rel_b.images
-    da, db = tower.rel_a.sub.dim, tower.rel_b.sub.dim
+    a_sub, b_sub, b_img = tower.rel_a.sub, tower.rel_b.sub, tower.rel_b.images
     gram, gram_inv = form.gram, form.inverse
 
-    a_basis, b_basis = a_img.T, b_img.T
-
-    # coproduct on B dual to the product of A
-    aa = alg.pairwise_mul(a_basis, a_basis)
-    paired = pairing_values(tower, aa.reshape(da * da, -1).T, b_img)
-    paired = paired.reshape(da, da, db)
+    # coproduct on B dual to the product of A: <a_i a_j, b>
+    paired = take_units(gram, a_sub.product_index)
     delta_b = np.einsum("pi,qj,ijb->bpq", gram_inv, gram_inv, paired, optimize=True)
 
-    eps_b = (d / lam) * tau.values(alg.mul_vecs(b_basis, tower.e2.vec))
+    eps_b = (d / lam) * tau.values(alg.mul_vecs(b_img.T, tower.e2.vec))
 
     # antipodes from conj <a*, b*>
-    conj_gram = np.conj(pairing_values(tower, alg.adjoint_vecs(a_basis).T,
-                                       alg.adjoint_vecs(b_basis).T))
+    conj_gram = np.conj(gram[a_sub.adjoint_index][:, b_sub.adjoint_index])
     antipode_b = gram_inv @ conj_gram
     antipode_a = np.linalg.solve(gram.T, conj_gram.T)
 
     # coproduct on A dual to the product of B, counit from pairing the unit
-    bb = alg.pairwise_mul(b_basis, b_basis)
-    paired_a = pairing_values(tower, a_img, bb.reshape(db * db, -1).T)
-    paired_a = paired_a.reshape(da, db, db)
+    paired_a = take_units(gram.T, b_sub.product_index).transpose(2, 0, 1)
     delta_a = np.einsum("ip,jq,aij->apq", gram_inv, gram_inv, paired_a, optimize=True)
-    eps_a = pairing_values(tower, a_img, alg.unit().vec[:, None])[:, 0]
+    eps_a = gram @ b_sub.unit().vec
 
-    hopf_b = WeakHopfData(tower.rel_b.sub, delta_b, eps_b, antipode_b)
-    hopf_a = WeakHopfData(tower.rel_a.sub, delta_a, eps_a, antipode_a)
+    hopf_b = WeakHopfData(b_sub, delta_b, eps_b, antipode_b)
+    hopf_a = WeakHopfData(a_sub, delta_a, eps_a, antipode_a)
 
     # canonical central element: antipode applied to the first leg of the
     # coproduct of the unit, against the trace-index formula
@@ -160,9 +155,8 @@ def reconstruct(tower: TowerData, tol: float = DEFAULT_TOL) -> ReconstructedStru
     h_ambient = b_img @ h_b
 
     cartan = tower.cartan_target
-    weights = _restricted_weights(tower, cartan)
-    h_watatani = cartan.embed_vec(
-        watatani_index(TraceState(cartan.sub, weights)).vec) / d
+    cartan_trace = cartan.restrict(tau)
+    h_watatani = cartan.embed_vec(watatani_index(cartan_trace).vec) / d
     cross = {"index element vs trace index": rel_residual(h_ambient, h_watatani),
              "index element trace normalization":
                  abs(tau.value(h_ambient) - 1.0)}
@@ -177,15 +171,7 @@ def reconstruct(tower: TowerData, tol: float = DEFAULT_TOL) -> ReconstructedStru
     on_b = StructureBundle(hopf_b, h_b)
     on_a = StructureBundle(hopf_a, tower.rel_a.coords_vec(h_ambient[None, :])[0])
     return ReconstructedStructure(tower, form, on_b, on_a,
-                                  alg.element(h_ambient), weights, cross)
-
-
-def _restricted_weights(tower: TowerData, cartan: SubalgebraEmbedding) -> np.ndarray:
-    vals = []
-    for alpha in range(len(cartan.sub.blocks)):
-        unit = cartan.sub.basis_unit(alpha, 0, 0).vec
-        vals.append(float(np.real(tower.tau.value(cartan.embed_vec(unit)))))
-    return np.asarray(vals)
+                                  alg.element(h_ambient), cartan_trace.weights, cross)
 
 
 def _expectation_cross_checks(tower: TowerData, hopf_b: WeakHopfData,
@@ -228,12 +214,10 @@ def dual_bases(tower: TowerData, rec: ReconstructedStructure,
 
     rep = Report(tolerance=tol, seed=tower.seed, title="dual basis check")
     rep.add("duality normalization",
-            rel_residual(pairing_values(tower, a_img, v_amb), np.eye(a_sub.dim)),
+            rel_residual(rec.pairing.gram @ gram_inv, np.eye(a_sub.dim)),
             ref="comatrix units")
 
-    block_traces = np.array([
-        float(np.real(tower.tau.value(a_img[:, a_sub.basis_index(alpha, 0, 0)])))
-        for alpha in range(len(a_sub.blocks))])
+    block_traces = tower.rel_a.restrict(tower.tau).weights
 
     transpose_index = a_sub.adjoint_index
 
@@ -304,6 +288,7 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     hopf = rec.on_b.hopf
     delta, anti = hopf.delta, hopf.antipode
     et = hopf.target_counital
+    gram = rec.pairing.gram
     b_img = tower.rel_b.images
     a_img = tower.rel_a.images
     b_basis, a_basis = b_img.T, a_img.T
@@ -315,17 +300,15 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     hinv_amb = b_img @ hinv_b
     act = tower.module_tensor
 
-    # 1. <a, b1 b2> = lam^-1 <E_M1(b2 a e2), b1>
-    bb = alg.pairwise_mul(b_basis, b_basis)
-    lhs = pairing_values(tower, a_img, bb.reshape(db * db, -1).T)
-    lhs = lhs.reshape(da, db, db)
+    # 1. <a, b1 b2> = lam^-1 <E_M1(b2 a e2), b1>; the left side is a read
+    # of the pairing matrix, the right side pairs in the ambient
+    lhs = take_units(gram.T, hopf.algebra.product_index).transpose(2, 0, 1)
     acted = tower.act(a_basis).reshape(da * db, -1)  # b2 |> a
     rhs = pairing_values(tower, acted.T, b_img).reshape(da, db, db).transpose(0, 2, 1)
     rep.add("pairing against products", rel_residual(lhs, rhs), ref="Lemma 4.1")
 
     # 17 b. <a, eps_t(b)> = d lam^-2 tau(a e1 b e2)
-    et_amb = (b_img @ et).T
-    lhs = pairing_values(tower, a_img, et_amb.T)
+    lhs = gram @ et
     mids = alg.mul_vecs(e1, alg.mul_vecs(b_basis, e2))
     rhs = (d / lam ** 2) * (a_basis @ tau.trace_form @ mids.T)
     rep.add("counital pairing formula", rel_residual(lhs, rhs), ref="Prop 4.2")

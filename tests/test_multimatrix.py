@@ -16,6 +16,7 @@ from weakhopf.multimatrix import (
     markov_trace,
     relative_commutant,
     subalgebra_from_basis,
+    take_units,
     watatani_index,
 )
 
@@ -164,6 +165,71 @@ def test_coords_match_pseudo_inverse(make):
     vecs = RNG.standard_normal((3, emb.sub.dim)) @ emb.images.T
     reference = vecs @ np.linalg.pinv(emb.images, rcond=1e-12).T
     assert rel_residual(emb.coords_vec(vecs), reference) < 1e-13
+
+
+def m2_c_in_m3_m2():
+    # (x, c) -> (x + c, x): a non-commutative sub of two blocks spread over
+    # two ambient blocks
+    amb = MultiMatrixAlgebra([3, 2])
+    sub = MultiMatrixAlgebra([2, 1])
+    images = np.zeros((amb.dim, sub.dim), dtype=complex)
+    for i, (alpha, r, c) in enumerate(sub.basis_labels()):
+        big, small = np.zeros((3, 3)), np.zeros((2, 2))
+        big[2 * alpha + r, 2 * alpha + c] = 1.0
+        if alpha == 0:
+            small[r, c] = 1.0
+        images[:, i] = amb.from_blocks([big, small]).vec
+    return SubalgebraEmbedding(sub, amb, images)
+
+
+@pytest.mark.parametrize("make", [m2_in_m4_m2, m2_c_in_m3_m2,
+                                  lambda: rotated(m2_c_in_m3_m2())],
+                         ids=["m2_in_m4_m2", "m2_c_in_m3_m2", "rotated"])
+def test_bilinear_forms_on_unit_products_and_adjoints_are_gathers(make):
+    # a *-homomorphism maps a product of units to a unit or zero and the
+    # adjoint of a unit to a unit, so a bilinear form F on the images is
+    # read on their products and adjoints from its values g on the images
+    emb = make()
+    assert emb.verify() < 1e-13
+    rng = np.random.default_rng(11)
+    form = rng.standard_normal((emb.ambient.dim,) * 2) \
+        + 1j * rng.standard_normal((emb.ambient.dim,) * 2)
+    img, sub = emb.images, emb.sub
+    g = img.T @ form @ img
+    products = emb.ambient.pairwise_mul(img.T, img.T)  # (i, j, ambient)
+    assert rel_residual(products @ form @ img, take_units(g, sub.product_index)) < 1e-13
+    stars = emb.ambient.adjoint_vecs(img.T)
+    assert rel_residual(stars @ form @ stars.T,
+                        g[sub.adjoint_index][:, sub.adjoint_index]) < 1e-13
+
+
+def test_unit_gathers_fail_off_a_homomorphism():
+    # the gathers read a form correctly only on the images of a
+    # *-homomorphism: non-orthogonal images break the product table, and
+    # f_01 -> i f_01 breaks the adjoint table
+    form = np.random.default_rng(11).standard_normal((4, 4))
+    for emb in (non_orthogonal_m2(), star_broken_m2()):
+        img, sub = emb.images, emb.sub
+        g = img.T @ form @ img
+        products = emb.ambient.pairwise_mul(img.T, img.T)
+        stars = emb.ambient.adjoint_vecs(img.T)
+        worst = max(rel_residual(products @ form @ img, take_units(g, sub.product_index)),
+                    rel_residual(stars @ form @ stars.T,
+                                 g[sub.adjoint_index][:, sub.adjoint_index]))
+        assert worst > 1e-3
+
+
+def test_restricted_trace_weighs_the_corner_images():
+    # block alpha of the sub weighs tau(image of f^alpha_00): on
+    # x -> (diag(x, x), x) with ambient weights (w4, w2) that is 2 w4 + w2;
+    # on (x, c) -> (x + c, x) it is w3 + w2 for x and w3 for c
+    trace = TraceState(MultiMatrixAlgebra([4, 2]), [0.2, 0.1])
+    restricted = m2_in_m4_m2().restrict(trace)
+    assert restricted.algebra == MultiMatrixAlgebra([2])
+    np.testing.assert_allclose(restricted.weights, [0.5], rtol=1e-15)
+    emb = rotated(m2_c_in_m3_m2())
+    restricted = emb.restrict(TraceState(emb.ambient, [0.25, 0.125]))
+    np.testing.assert_allclose(restricted.weights, [0.375, 0.25], rtol=1e-14)
 
 
 def star_broken_m2():

@@ -15,6 +15,7 @@ from weakhopf.multimatrix import (
     watatani_index,
 )
 from weakhopf.reconstruct import (
+    PairingForm,
     StructureBundle,
     _comatrix_recursion_residual,
     _delta_unit_residual,
@@ -479,3 +480,66 @@ def test_delta_unit_formula_reads_the_adjoint_gather():
         dim=hopf.dim, antipode=np.eye(cartan.dim), delta_unit=hopf.delta_unit)),
         cartan_weights=weights)
     assert _delta_unit_residual(tower, flipped) > 0.1
+
+
+# -- the pairing read through unit tables against ambient pairings --------------
+
+
+def ambient_structure(tower):
+    """Coproduct, counit and antipode on B and on A from pairings evaluated in
+    the ambient: the products and adjoints of the commutant bases and the
+    ambient unit paired through ``pairing_values``."""
+    alg = tower.ambient
+    a_img, b_img = tower.rel_a.images, tower.rel_b.images
+    da, db = a_img.shape[1], b_img.shape[1]
+    gram = pairing_values(tower, a_img, b_img)
+    gram_inv = np.linalg.inv(gram)
+    aa = alg.pairwise_mul(a_img.T, a_img.T).reshape(da * da, -1)
+    paired = pairing_values(tower, aa.T, b_img).reshape(da, da, db)
+    bb = alg.pairwise_mul(b_img.T, b_img.T).reshape(db * db, -1)
+    paired_a = pairing_values(tower, a_img, bb.T).reshape(da, db, db)
+    conj_gram = np.conj(pairing_values(tower, alg.adjoint_vecs(a_img.T).T,
+                                       alg.adjoint_vecs(b_img.T).T))
+    on_b = (np.einsum("pi,qj,ijb->bpq", gram_inv, gram_inv, paired),
+            (tower.d / tower.lam) * tower.tau.values(alg.mul_vecs(b_img.T, tower.e2.vec)),
+            gram_inv @ conj_gram)
+    on_a = (np.einsum("ip,jq,aij->apq", gram_inv, gram_inv, paired_a),
+            pairing_values(tower, a_img, alg.unit().vec[:, None])[:, 0],
+            np.linalg.solve(gram.T, conj_gram.T))
+    return on_b, on_a
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+def test_structure_gathered_from_the_gram_matches_ambient_pairings(
+        name, get_tower, get_reconstruction):
+    tower, rec = get_tower(name), get_reconstruction(name)
+    for bundle, expected in zip((rec.on_b, rec.on_a), ambient_structure(tower)):
+        hopf = bundle.hopf
+        for got, want in zip((hopf.delta, hopf.epsilon, hopf.antipode), expected):
+            assert rel_residual(got, want) <= 1e-13
+
+
+def _bent_pairing(rec, scale=1e-3):
+    gram = rec.pairing.gram
+    noise = np.random.default_rng(5).standard_normal(gram.shape)
+    return dataclasses.replace(
+        rec, pairing=PairingForm(gram + scale * noise, rec.pairing.condition))
+
+
+def test_pairing_rows_see_a_gram_that_is_not_the_towers(get_tower, get_reconstruction):
+    # rows 1 and 17b read their left sides from the Gram matrix and pair
+    # their right sides in the ambient
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    rows = ["pairing against products", "counital pairing formula"]
+    good = identity_suite(tower, rec)
+    assert all(good[row].residual <= TOL for row in rows)
+    bent = identity_suite(tower, _bent_pairing(rec))
+    assert all(bent[row].residual > 1e-4 for row in rows)
+
+
+def test_dual_bases_see_a_gram_that_is_not_the_towers(get_tower, get_reconstruction):
+    # the normalization row reads G against its own inverse; the expectation
+    # rows pair the comatrix units in the ambient and catch the bent form
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    with pytest.raises(InvariantViolation, match="duality defect: (?!duality normalization)"):
+        dual_bases(tower, _bent_pairing(rec))

@@ -472,6 +472,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("command", ["tower", "reconstruct"])
+def test_cli_unwritable_output_is_an_io_error(command, tmp_path, capsys):
+    # the console script exits 2 with one line on stderr, no traceback
+    target = str(tmp_path / "missing" / "out.json")
+    argv = ["tower", "from-group", "cyclic", "2", "-o", target]
+    if command == "reconstruct":
+        tower_path = tmp_path / "t2.json"
+        tower_path.write_text(run_cli(capsys, *argv[:-2])[1])
+        argv = ["reconstruct", str(tower_path), "-o", target]
+    src = str(Path(weakhopf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("option", [
+    ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "inf"),
+    ("--tolerance", "0"), ("--tolerance", "tiny"), ("--seed", "-1"), ("--seed", "1.5"),
+], ids=lambda option: f"{option[0][2:]}={option[1]}")
+@pytest.mark.parametrize("place", ["before", "after"])
+def test_cli_global_options_are_checked_at_parse_time(option, place, capsys):
+    # the tolerance is a finite real > 0 and the seed an integer >= 0
+    command = ["gen", "group", "cyclic", "4"]
+    argv = [*option, *command] if place == "before" else [*command, *option]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {option[0]}: invalid" in err
+    valid = ("--tolerance", "1e-6") if option[0] == "--tolerance" else ("--seed", "3")
+    argv = [*valid, *command] if place == "before" else [*command, *valid]
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_cli_gen_pair_groupoid_takes_one_spec(capsys):
+    code, out, err = run_cli(capsys, "gen", "pair-groupoid", "3", "junk")
+    assert (code, out) == (2, "")
+    assert err == "error: usage: gen pair-groupoid N\n"
+
+
 def test_cli_parser_built_once_keeps_no_options_between_calls(tmp_path, capsys):
     path = tmp_path / "pg2.json"
     path.write_text(run_cli(capsys, "gen", "pair-groupoid", "2")[1])

@@ -29,6 +29,7 @@ from weakhopf.weak_hopf import pair_groupoid
 BOUND_MIB = 16
 CROSSED_BOUND_MIB = 27
 THETA_BOUND_MIB = 13.5
+RECONSTRUCT_BOUND_MIB = 10
 
 
 def transient_mib(fn) -> float:
@@ -74,6 +75,15 @@ def test_crossed_product_and_theta_hold_no_class_matrix(cyclic6_chain):
     built = []
     assert transient_mib(lambda: built.append(crossed_product(action))) < CROSSED_BOUND_MIB
     assert transient_mib(lambda: theta_iso(tower, deformed, built[0])) < THETA_BOUND_MIB
+
+
+def test_reconstruct_reads_pairings_from_the_gram(cyclic6_chain):
+    # every pairing of unit products, adjoints or the unit is a gather of
+    # the (36, 36) Gram matrix, so no (36 * 36, 216) stack of ambient
+    # products is formed: about 4.4 MiB, where ambient pairings take 23 MiB
+    tower = cyclic6_chain[0]
+    reconstruct(tower)  # warms the cached properties of the tower
+    assert transient_mib(lambda: reconstruct(tower)) < RECONSTRUCT_BOUND_MIB
 
 
 def test_expectation_holds_no_ambient_square(cyclic6_chain):
