@@ -11,7 +11,13 @@ where they are the untwisted weak C*-Hopf axioms of Boehm-Nill-Szlachanyi.
 ``verify_action`` checks it as axiom (1), ``identity_suite`` as Prop 4.13.
 Callers (``verify_axioms``, ``check_bundle``, ``identity_suite``,
 ``classify``, ``verify_action``) pick rows under their own check names and
-refs.
+refs.  They read every row that takes a structure through that structure's
+memo, ``hopf.row(axioms.<row>, *args)``, so a row is evaluated once per
+structure and twist however many reports list it.  The exceptions are
+``module_multiplicativity`` (its action tensors are built afresh by each
+caller), ``intertwines`` (two structures), ``index_element`` (an element, not
+a residual) and ``antipode_anti_homomorphism``, which is itself the larger of
+two memoised rows.
 
 Rows multiply through the algebra's block kernels (``mul_vecs``,
 ``pairwise_mul``, ``matmul_vecs``): a sum over coproduct legs such as
@@ -149,8 +155,9 @@ def anti_comultiplicative(hopf) -> float:
 
 
 def antipode_anti_homomorphism(hopf) -> float:
-    """Anti-multiplicative and anti-comultiplicative, the larger residual."""
-    return max(anti_multiplicative(hopf), anti_comultiplicative(hopf))
+    """Anti-multiplicative and anti-comultiplicative, the larger residual; both
+    are read through the structure's row memo."""
+    return max(hopf.row(anti_multiplicative), hopf.row(anti_comultiplicative))
 
 
 def counit_antipode_invariant(hopf) -> float:

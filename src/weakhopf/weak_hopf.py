@@ -3,8 +3,9 @@
 Structure tensors live over the canonical matrix-unit basis of the underlying
 multimatrix algebra; the involution is either that basis adjoint or an
 explicitly supplied antilinear map (needed for deformed structures).  The
-residual of each axiom is a row of :mod:`weakhopf.axioms`; ``verify_axioms``
-lists the rows it reports.
+residual of each axiom is a row of :mod:`weakhopf.axioms`, read through the
+structure's row memo (``WeakHopfData.row``); ``verify_axioms`` lists the rows
+it reports.
 
 The algebra itself is the :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`
 and every product goes through its block kernels.  Counit and Haar values of
@@ -41,6 +42,13 @@ def canonical_involution_matrix(algebra: MultiMatrixAlgebra) -> np.ndarray:
     return algebra.adjoint_vecs(eye).T
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only complex view of ``a``: writing through it raises."""
+    view = np.asarray(a, dtype=complex).view()
+    view.flags.writeable = False
+    return view
+
+
 class WeakHopfData:
     """Comultiplication / counit / antipode tensors over a multimatrix algebra.
 
@@ -48,25 +56,30 @@ class WeakHopfData:
     of the i-th basis unit; ``antipode[:, j]`` is the image of the j-th unit.
     ``involution`` is None for the canonical block adjoint, otherwise an
     antilinear matrix J acting as x* = J conj(x).
+
+    The four tensors are read-only views, so the cached maps below and the
+    row memo of :meth:`row` cannot go stale; a changed structure is a new
+    one (``copy_with``), with a memo of its own.
     """
 
     def __init__(self, algebra: MultiMatrixAlgebra, delta, epsilon, antipode,
                  involution=None):
         self.algebra = algebra
         d = algebra.dim
-        self.delta = np.asarray(delta, dtype=complex)
-        self.epsilon = np.asarray(epsilon, dtype=complex).reshape(-1)
-        self.antipode = np.asarray(antipode, dtype=complex)
+        self.delta = _read_only(delta)
+        self.epsilon = _read_only(epsilon).reshape(-1)
+        self.antipode = _read_only(antipode)
         if self.delta.shape != (d, d, d) or self.epsilon.shape != (d,) \
                 or self.antipode.shape != (d, d):
             raise InvariantViolation("structure tensor shapes are inconsistent")
         if involution is None:
             self.involution = None
         else:
-            involution = np.asarray(involution, dtype=complex)
+            involution = _read_only(involution)
             if involution.shape != (d, d):
                 raise InvariantViolation("involution matrix has wrong shape")
             self.involution = involution
+        self._rows = {}
 
     @property
     def dim(self) -> int:
@@ -104,6 +117,17 @@ class WeakHopfData:
     def source_counital(self) -> np.ndarray:
         """Matrix of the source counital map eps_s(b) = 1_(1) eps(b 1_(2))."""
         return self.delta_unit @ self.counit_form.T
+
+    def row(self, fn, *args) -> float:
+        """The residual ``fn(self, *args)`` of a row of :mod:`weakhopf.axioms`,
+        evaluated once per structure: the memo is keyed by the row and the
+        dtype, shape and bytes of its array arguments (H or H^-1; None for
+        the untwisted row)."""
+        key = (fn, *(None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                     for a in args))
+        if key not in self._rows:
+            self._rows[key] = fn(self, *args)
+        return self._rows[key]
 
     def copy_with(self, **kwargs) -> "WeakHopfData":
         data = dict(algebra=self.algebra, delta=self.delta, epsilon=self.epsilon,
@@ -175,11 +199,11 @@ def verify_axioms(hopf: WeakHopfData, tol: float = DEFAULT_TOL, seed: int = 0) -
     weak Kac algebra, a weak C*-Hopf algebra, or invalid."""
     rep = Report(tolerance=tol, seed=seed, title="weak Hopf axiom check")
     for name, ref, row in _AXIOM_ROWS:
-        rep.add(name, row(hopf), ref=ref)
+        rep.add(name, hopf.row(row), ref=ref)
 
     core_pass = rep.passed
-    kac_s2 = axioms.antipode_involutive(hopf)
-    kac_comm = axioms.antipode_star_compatible(hopf)
+    kac_s2 = hopf.row(axioms.antipode_involutive)
+    kac_comm = hopf.row(axioms.antipode_star_compatible)
     rep.add_info("antipode involutive", kac_s2, ref="weak Kac",
                  note="classification only")
     rep.add_info("antipode commutes with star", kac_comm, ref="weak Kac",

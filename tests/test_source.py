@@ -1,12 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import weakhopf
+from weakhopf import axioms
 
 PACKAGE = Path(weakhopf.__file__).parent
 
@@ -147,6 +149,67 @@ def test_subspace_membership_has_two_homes():
     retired = {f"{path.name} names {name}" for path in sorted(PACKAGE.glob("*.py"))
                for name in retired_names(path)}
     assert not retired, sorted(retired)
+
+
+# Rows of weakhopf.axioms read through the structure's row memo
+# (``hopf.row(axioms.<row>, *args)``) everywhere outside axioms.py; the rest
+# are called directly.
+UNMEMOISED = {"module_multiplicativity", "intertwines", "index_element",
+              "antipode_anti_homomorphism"}
+MEMOISED = {name for name, value in vars(axioms).items()
+            if inspect.isfunction(value) and value.__module__ == axioms.__name__
+            and not name.startswith("_")} - UNMEMOISED
+
+
+def memo_bypasses(path: Path) -> set[tuple[str, str]]:
+    """(function, row) pairs where a function's own body calls a memoised
+    row directly, as ``axioms.<row>(...)`` or an imported ``<row>(...)``
+    (``<module>`` for top-level code)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                        and func.value.id == "axioms" and func.attr in MEMOISED:
+                    found.add((owner, func.attr))
+                elif isinstance(func, ast.Name) and func.id in MEMOISED:
+                    found.add((owner, func.id))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_memo_rule_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from . import axioms\n"
+                      "from .axioms import coassociativity\n\n"
+                      "ROWS = [axioms.star_preserving]\n\n"
+                      "def f(hopf):\n    return axioms.coassociativity(hopf)\n\n"
+                      "def g(hopf, hinv):\n"
+                      "    def inner():\n        return coassociativity(hopf)\n"
+                      "    return hopf.row(axioms.multiplicativity, hinv) + max(\n"
+                      "        axioms.antipode_anti_homomorphism(hopf),\n"
+                      "        axioms.module_multiplicativity(hopf, 1, 2, 3))\n\n"
+                      "x = axioms.counit_left(1)\n")
+    assert memo_bypasses(source) == {("f", "coassociativity"),
+                                     ("inner", "coassociativity"),
+                                     ("<module>", "counit_left")}
+    assert {"coassociativity", "multiplicativity", "anti_multiplicative",
+            "index_from_unit_legs"} <= MEMOISED
+    assert not MEMOISED & (UNMEMOISED | {"rel_residual", "streamed_residual"})
+
+
+def test_rows_are_read_through_the_memo():
+    found = {f"{path.name}:{func} calls axioms.{row}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "axioms.py"
+             for func, row in memo_bypasses(path)}
+    assert not found, sorted(found)
 
 
 def test_import_loads_only_numpy_and_the_standard_library():
