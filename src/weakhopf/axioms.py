@@ -7,16 +7,20 @@ structure on the relative commutant B = M' cap M2 satisfies these identities
 twisted by its index element H (Cor 4.16, Prop 4.14-4.15).  The twisted rows
 take the inverse ``hinv`` of H in carrier coordinates and default to H = 1,
 where they are the untwisted weak C*-Hopf axioms of Boehm-Nill-Szlachanyi.
-``module_multiplicativity`` takes an action tensor on a carrier instead:
-``verify_action`` checks it as axiom (1), ``identity_suite`` as Prop 4.13.
+``module_multiplicativity`` takes an action tensor on a carrier and
+``product_decomposition`` a tower; both take H^-1 too.  At H = 1 they are
+axiom (1) of an action and the product check of ``canonical_action``; at
+the tower's H^-1 they are Prop 4.13 and Cor 4.12 of ``identity_suite``.
 Callers (``verify_axioms``, ``check_bundle``, ``identity_suite``,
-``classify``, ``verify_action``) pick rows under their own check names and
-refs.  They read every row that takes a structure through that structure's
-memo, ``hopf.row(axioms.<row>, *args)``, so a row is evaluated once per
-structure and twist however many reports list it.  The exceptions are
-``module_multiplicativity`` (its action tensors are built afresh by each
-caller), ``intertwines`` (two structures), ``index_element`` (an element, not
-a residual) and ``antipode_anti_homomorphism``, which is itself the larger of
+``classify``, ``verify_action``, ``canonical_action``) pick rows under their
+own check names and refs.  They read every row that takes a structure
+through that structure's memo, ``hopf.row(axioms.<row>, *args)``, so a row
+is evaluated once per structure, twist and operand however many reports
+list it.  At a trivial index element every caller passes no H^-1 (the
+untwisted row), so the suite, ``check_bundle``, ``verify_axioms`` and the
+canonical action share one entry per row.  The exceptions are
+``intertwines`` (two structures), ``index_element`` (an element, not a
+residual) and ``antipode_anti_homomorphism``, which is itself the larger of
 two memoised rows.
 
 Rows multiply through the algebra's block kernels (``mul_vecs``,
@@ -29,9 +33,9 @@ and b |> (u_x u_y)) is a gather through the algebra's ``product_index``
 (``unit_products``): u_i u_j is one unit or zero, so nothing is multiplied.
 
 The rows whose two sides have d**4 entries (``coassociativity``,
-``multiplicativity``, ``module_multiplicativity``) build them slab by slab
-over their leading index and fold them with ``streamed_residual``, so no
-operand-sized array is ever held.
+``multiplicativity``, ``module_multiplicativity``, ``product_decomposition``)
+build them slab by slab over their leading index and fold them with
+``streamed_residual``, so no operand-sized array is ever held.
 """
 
 import numpy as np
@@ -215,15 +219,17 @@ def index_from_counital_legs(hopf, h: np.ndarray) -> float:
     return rel_residual(lhs, alg.mul_vecs(h, np.eye(hopf.dim)))
 
 
-def module_multiplicativity(hopf, act: np.ndarray, carrier, right: np.ndarray) -> float:
-    """b |> (x y) = (b_(1) |> x) right[b_(2), y], with ``act[b, x]`` the
-    carrier coordinates of b |> x over the units of ``hopf`` and ``carrier``.
-    ``right = act`` is axiom (1) of an action; right[q, y] = H^-1 (q |> y)
-    is the twisted comultiplicativity of the tower expectation (Prop 4.13).
-    The right side is a matrix product over the carrier: the row of legs
-    b_(1) |> x paired with u_q, times the column right[q, y].  Both sides have
-    db * dm**3 entries and are built slab by slab over b."""
+def module_multiplicativity(hopf, act: np.ndarray, carrier, hinv=None) -> float:
+    """b |> (x y) = (b_(1) |> x) H^-1 (b_(2) |> y), with ``act[b, x]`` the
+    carrier coordinates of b |> x over the units of ``hopf`` and ``carrier``
+    and H^-1 in carrier coordinates.  At H = 1 (``hinv`` None) it is axiom
+    (1) of an action; with the tower's H^-1 it is the twisted
+    comultiplicativity of the tower expectation (Prop 4.13).  The right side
+    is a matrix product over the carrier: the row of legs b_(1) |> x paired
+    with u_q, times the column H^-1 (u_q |> y).  Both sides have db * dm**3
+    entries and are built slab by slab over b."""
     db, dm = act.shape[:2]
+    right = act if hinv is None else carrier.mul_vecs(hinv, act)
 
     def pairs():
         for sl in slabs(db, dm * dm * max(db, dm)):
@@ -233,6 +239,30 @@ def module_multiplicativity(hopf, act: np.ndarray, carrier, right: np.ndarray) -
             # b |> (u_x u_y), gathered as (x, y, b, z)
             lhs = carrier.unit_products(act[sl].transpose(1, 0, 2))
             yield lhs.transpose(2, 0, 1, 3), rhs.reshape(rows, dm, dm, dm)
+    return streamed_residual(pairs())
+
+
+def product_decomposition(hopf, tower, hinv=None) -> float:
+    """b x = (b_(1) |> x) H^-1 b_(2) over the units b of B = ``tower.rel_b``
+    and x of M1 = ``tower.sub_top``, in the ambient, with the module map
+    b |> x = ``tower.module_tensor`` and H^-1 in B coordinates.  With the
+    tower's H^-1 it is Cor 4.12; at H = 1 (``hinv`` None) it is the product
+    decomposition b x = (b_(1) |> x) b_(2) of the canonical action.  The
+    M1 x B product map is contracted with the legs in one GEMM per slab of
+    b."""
+    alg = tower.ambient
+    b_img = tower.rel_b.images
+    b_basis, m_basis = b_img.T, tower.sub_top.images.T
+    db, dm = len(b_basis), len(m_basis)
+    right = b_basis if hinv is None else alg.mul_vecs(b_img @ hinv, b_basis)
+    products = alg.pairwise_mul(m_basis, right).reshape(dm * db, -1)
+
+    def pairs():
+        for sl in slabs(db, dm * max(dm * db, alg.dim)):
+            legs = np.einsum("bpq,pxy->bxyq", hopf.delta[sl], tower.module_tensor,
+                             optimize=True)
+            rhs = legs.reshape(-1, dm * db) @ products
+            yield alg.pairwise_mul(b_basis[sl], m_basis), rhs.reshape(len(legs), dm, -1)
     return streamed_residual(pairs())
 
 

@@ -2,7 +2,8 @@
 the formal inverse used to synthesize structures with a nontrivial central
 twist from honest weak Kac data.  ``check_bundle`` reads the twisted rows of
 :mod:`weakhopf.axioms` at the bundle's index element through the structure's
-row memo, so ``undeform`` followed by ``deform`` evaluates each row once.
+row memo, so ``undeform`` followed by ``deform`` evaluates each row once; at
+a trivial index element it reads them untwisted.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from ._linalg import max_abs, rel_residual
 from .errors import InvariantViolation
 from .multimatrix import DEFAULT_TOL
 from .report import Report
-from .reconstruct import StructureBundle, trivial_index
+from .reconstruct import StructureBundle
 from .weak_hopf import WeakHopfData, verify_axioms
 from .tower import TowerData
 
@@ -73,9 +74,12 @@ def check_bundle(bundle: StructureBundle, tol: float = DEFAULT_TOL) -> Report:
     non-multiplicative) structure: coalgebra, twisted multiplicativity,
     star-preservation, counital relations, involutive star-compatible
     anti-homomorphism antipode with the twisted counital identity, and a
-    positive invertible central index element."""
+    positive invertible central index element.  At a trivial index element
+    (``bundle.twist`` is None) the two twisted rows are read untwisted: the
+    entries that ``verify_axioms`` and the identity suite read for the same
+    structure."""
     hopf, h = bundle.hopf, bundle.index_element
-    hinv = hopf.algebra.inverse_vec(h)
+    hinv = bundle.twist(tol)
     rows = [
         ("coassociativity", "Cor 4.16", hopf.row(axioms.coassociativity)),
         ("counit left", "Cor 4.16", hopf.row(axioms.counit_left)),
@@ -112,9 +116,10 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
     Returns ``(DeformedStructure, Report)``.  With a tower supplied, the Haar
     projection is matched against the product of the second Jones projection
     with the index element and the Haar functional against its closed form.
-    At a trivial index element (the Thm 4.17 test of ``trivial_index``) the
-    twist is the identity and the deformed structure is the input itself, so
-    its axiom rows are read from the memo the earlier checks filled.
+    At a trivial index element (the Thm 4.17 test of ``trivial_index``,
+    where ``bundle.twist`` is None) the twist is the identity and the
+    deformed structure is the input itself, so its axiom rows are read from
+    the memo the earlier checks filled.
     """
     check_bundle(bundle, tol).require_passed("structure bundle violated")
 
@@ -122,10 +127,8 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
     alg = hopf.algebra
     s_h = hopf.antipode @ h
     s_h_inv = alg.inverse_vec(s_h)
-    if trivial_index(h, hopf.unit_vec, tol)[1]:
-        deformed = hopf
-    else:
-        deformed = _twist(hopf, alg.inverse_vec(h))
+    hinv = bundle.twist(tol)
+    deformed = hopf if hinv is None else _twist(hopf, hinv)
     rep = Report(tolerance=tol, title="deformation check")
 
     axiom_rep = verify_axioms(deformed, tol)

@@ -10,13 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (
-    max_abs,
-    numeric_rank,
-    rel_residual,
-    slabs,
-    streamed_residual,
-)
+from ._linalg import max_abs, numeric_rank, rel_residual
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .multimatrix import (
@@ -123,24 +117,6 @@ class TowerData:
         coords = self.sub_top.coords_vec(xs)
         return self.sub_top.embed_vec(
             np.einsum("...x,bxy->...by", coords, self.module_tensor, optimize=True))
-
-    def decomposition_residual(self, delta: np.ndarray, right: np.ndarray) -> float:
-        """Residual of b x = (b_(1) |> x) r(b_(2)) over the units b of B and x
-        of M1, for the legs ``delta`` and r(u_q) = ``right[q]`` in the ambient:
-        the M1 x B product map, contracted with the legs in one GEMM per slab
-        of b."""
-        alg = self.ambient
-        b_basis, m_basis = self.rel_b.images.T, self.sub_top.images.T
-        db, dm = len(b_basis), len(m_basis)
-        products = alg.pairwise_mul(m_basis, right).reshape(dm * db, -1)
-
-        def pairs():
-            for sl in slabs(db, dm * max(dm * db, alg.dim)):
-                legs = np.einsum("bpq,pxy->bxyq", delta[sl], self.module_tensor,
-                                 optimize=True)
-                rhs = legs.reshape(-1, dm * db) @ products
-                yield alg.pairwise_mul(b_basis[sl], m_basis), rhs.reshape(len(legs), dm, -1)
-        return streamed_residual(pairs())
 
 
 def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,

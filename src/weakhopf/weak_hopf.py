@@ -43,10 +43,26 @@ def canonical_involution_matrix(algebra: MultiMatrixAlgebra) -> np.ndarray:
 
 
 def _read_only(a) -> np.ndarray:
-    """A read-only complex view of ``a``: writing through it raises."""
-    view = np.asarray(a, dtype=complex).view()
+    """A read-only complex view of ``a`` (``a`` itself when it already is
+    one): writing through it raises."""
+    a = np.asarray(a, dtype=complex)
+    if not a.flags.writeable:
+        return a
+    view = a.view()
     view.flags.writeable = False
     return view
+
+
+def _memo_key(arg):
+    """The row-memo key of one row argument: None stays None, a writeable
+    array (H or H^-1) is its dtype, shape and bytes, and a read-only array
+    (a module tensor) or any other object (a carrier, a tower) is its
+    identity."""
+    if arg is None:
+        return None
+    if isinstance(arg, np.ndarray) and arg.flags.writeable:
+        return (arg.dtype.str, arg.shape, arg.tobytes())
+    return id(arg)
 
 
 class WeakHopfData:
@@ -120,14 +136,18 @@ class WeakHopfData:
 
     def row(self, fn, *args) -> float:
         """The residual ``fn(self, *args)`` of a row of :mod:`weakhopf.axioms`,
-        evaluated once per structure: the memo is keyed by the row and the
-        dtype, shape and bytes of its array arguments (H or H^-1; None for
-        the untwisted row)."""
-        key = (fn, *(None if a is None else (a.dtype.str, a.shape, a.tobytes())
-                     for a in args))
+        evaluated once per structure.  The memo is keyed by the row and
+        ``_memo_key`` of each argument.  Trailing None arguments (the
+        untwisted row, H = 1) are dropped first, so ``row(fn, None)`` and
+        ``row(fn)`` share one entry.  The memo keeps the arguments with the
+        value, so an identity in a key is never reused by another object;
+        it copies no operand."""
+        while args and args[-1] is None:
+            args = args[:-1]
+        key = (fn, *map(_memo_key, args))
         if key not in self._rows:
-            self._rows[key] = fn(self, *args)
-        return self._rows[key]
+            self._rows[key] = fn(self, *args), args
+        return self._rows[key][0]
 
     def copy_with(self, **kwargs) -> "WeakHopfData":
         data = dict(algebra=self.algebra, delta=self.delta, epsilon=self.epsilon,

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from weakhopf import _linalg, actions
+from weakhopf import _linalg, actions, axioms
 from weakhopf._linalg import rel_residual
 from weakhopf.actions import (
     ActionData,
@@ -424,10 +424,11 @@ def test_decomposition_residual_catches_bent_legs(name, get_tower, get_pipeline)
     # b x = (b_(1) |> x) b_(2) holds for the coproduct and fails once its
     # legs are swapped or perturbed
     tower = get_tower(name)
-    delta = get_pipeline(name)["deformed"].hopf.delta
-    units = tower.rel_b.images.T
-    assert tower.decomposition_residual(delta, units) <= TOL
-    assert tower.decomposition_residual(delta.transpose(0, 2, 1), units) > 1e-3
+    hopf = get_pipeline(name)["deformed"].hopf
+    delta = hopf.delta
+    assert axioms.product_decomposition(hopf, tower) <= TOL
+    swapped = hopf.copy_with(delta=delta.transpose(0, 2, 1))
+    assert axioms.product_decomposition(swapped, tower) > 1e-3
     rng = np.random.default_rng(13)
-    bent = delta + 0.01 * rng.standard_normal(delta.shape)
-    assert tower.decomposition_residual(bent, units) > 1e-3
+    bent = hopf.copy_with(delta=delta + 0.01 * rng.standard_normal(delta.shape))
+    assert axioms.product_decomposition(bent, tower) > 1e-3

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from weakhopf import _linalg, actions, axioms, multimatrix, tower
+from weakhopf import _linalg, actions, axioms, multimatrix
 from weakhopf._linalg import rel_residual
 from weakhopf.actions import ActionData, verify_action
 from weakhopf.deform import undeform
@@ -297,13 +297,12 @@ def test_haar_traciality_matches_its_dense_reference(get_case, case):
 # -- rows on the cyclic(3) tower ---------------------------------------------------
 
 
-def _module_rights(tower, rec):
-    act = tower.module_tensor
-    m1 = tower.sub_top.sub
+def _module_twists(tower, rec):
+    """H^-1 in M1 coordinates for each right factor: none for the action's
+    own (axiom (1)), the tower's for the twisted one (Prop 4.13)."""
     hinv_amb = tower.rel_b.images @ rec.on_b.hopf.algebra.inverse_vec(
         rec.on_b.index_element)
-    hinv_m1 = tower.sub_top.coords_vec(hinv_amb[None, :])[0]
-    return {"action": act, "twisted": m1.mul_vecs(hinv_m1, act)}
+    return {"action": None, "twisted": tower.sub_top.coords_vec(hinv_amb[None, :])[0]}
 
 
 @pytest.mark.parametrize("right", ["action", "twisted"])
@@ -311,16 +310,17 @@ def _module_rights(tower, rec):
 def test_module_multiplicativity_matches_its_dense_reference(
         get_tower, get_reconstruction, right, broken):
     tower, rec = get_tower("z3"), get_reconstruction("z3")
-    check_module_multiplicativity(tower, rec, _module_rights(tower, rec)[right], broken)
+    check_module_multiplicativity(tower, rec, _module_twists(tower, rec)[right], broken)
 
 
-def check_module_multiplicativity(tower, rec, factor, broken):
+def check_module_multiplicativity(tower, rec, hinv, broken):
     hopf, act, m1 = rec.on_b.hopf, tower.module_tensor, tower.sub_top.sub
     if broken == "delta":
         hopf = perturbed(hopf, "delta")
     elif broken == "right doubled":
-        factor = 2 * factor
-    residual = axioms.module_multiplicativity(hopf, act, m1, factor)
+        hinv = 2 * (m1.unit().vec if hinv is None else hinv)
+    factor = act if hinv is None else m1.mul_vecs(hinv, act)  # H^-1 (u_q |> y)
+    residual = axioms.module_multiplicativity(hopf, act, m1, hinv)
     assert abs(residual - ref_module_multiplicativity(hopf, act, m1, factor)) <= SAME
     if broken is not None:
         assert residual > BROKEN
@@ -373,7 +373,7 @@ def test_suite_rows_match_their_dense_reference(get_tower, get_reconstruction, t
 
 # -- the streamed rows across many slabs -------------------------------------------
 
-STREAMING_MODULES = (axioms, actions, tower, multimatrix)
+STREAMING_MODULES = (axioms, actions, multimatrix)
 
 
 @pytest.fixture
@@ -428,9 +428,9 @@ def test_streamed_row_matches_its_dense_reference_across_slabs(
 def test_module_multiplicativity_matches_its_dense_reference_across_slabs(
         get_tower, get_reconstruction, small_slabs, right, broken):
     tower, rec = get_tower("z3"), get_reconstruction("z3")
-    factor = _module_rights(tower, rec)[right]
+    hinv = _module_twists(tower, rec)[right]
     small_slabs.clear()
-    check_module_multiplicativity(tower, rec, factor, broken)
+    check_module_multiplicativity(tower, rec, hinv, broken)
     assert _crosses_three_boundaries(small_slabs)
 
 
@@ -472,11 +472,9 @@ def test_decomposition_residual_matches_its_dense_reference_across_slabs(
     tower, rec = get_tower("z3"), get_reconstruction("z3")
     small_slabs.clear()
     hopf = perturbed(rec.on_b.hopf, broken)
-    alg = tower.ambient
-    hinv_amb = tower.rel_b.images @ rec.on_b.hopf.algebra.inverse_vec(
-        rec.on_b.index_element)
-    right = alg.mul_vecs(hinv_amb, tower.rel_b.images.T)
-    residual = tower.decomposition_residual(hopf.delta, right)
+    hinv = rec.on_b.hopf.algebra.inverse_vec(rec.on_b.index_element)
+    right = tower.ambient.mul_vecs(tower.rel_b.images @ hinv, tower.rel_b.images.T)
+    residual = axioms.product_decomposition(hopf, tower, hinv)
     assert abs(residual - ref_decomposition_residual(tower, hopf.delta, right)) <= SAME
     if broken is not None:
         assert residual > BROKEN

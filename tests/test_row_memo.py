@@ -1,7 +1,10 @@
 """The row memo of ``WeakHopfData``: each axiom row is evaluated once per
-structure and twist, the reports read exactly the values a direct call of the
-row gives, a changed structure never sees the memo of the one it came from,
-and ``deform`` at a trivial index element returns its input."""
+structure, twist and operand, the reports read exactly the values a direct
+call of the row gives, a changed structure never sees the memo of the one it
+came from, and ``deform`` at a trivial index element returns its input.  At
+a trivial index element the identity suite and ``check_bundle`` read their
+twisted rows untwisted, so they share the entries of ``verify_axioms`` and
+``canonical_action``."""
 
 import dataclasses
 import importlib
@@ -13,11 +16,18 @@ import pytest
 
 from weakhopf import axioms
 from weakhopf._linalg import rel_residual
-from weakhopf.actions import canonical_action
+from weakhopf.actions import ActionData, canonical_action, verify_action
 from weakhopf.deform import check_bundle, deform, undeform
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic, symmetric
-from weakhopf.reconstruct import StructureBundle, classify, identity_suite, reconstruct
+from weakhopf.multimatrix import MultiMatrixAlgebra
+from weakhopf.reconstruct import (
+    StructureBundle,
+    classify,
+    identity_suite,
+    reconstruct,
+    trivial_index,
+)
 from weakhopf.tower import build_tower_from_group
 from weakhopf.weak_hopf import (
     _AXIOM_ROWS,
@@ -33,11 +43,14 @@ from weakhopf.weak_hopf import (
     verify_axioms,
 )
 
+from test_actions import counit_action
 from test_product_rows import perturbed
 
 TOL = 1e-9
-COUNTED = ("coassociativity", "multiplicativity", "star_preserving",
-           "target_counital_absorption", "anti_comultiplicative")
+STRUCTURE_ROWS = ("coassociativity", "multiplicativity", "star_preserving",
+                  "target_counital_absorption", "anti_comultiplicative")
+MODULE_ROWS = ("module_multiplicativity", "product_decomposition")
+COUNTED = STRUCTURE_ROWS + MODULE_ROWS
 
 
 def count_row_calls(run):
@@ -75,11 +88,10 @@ def test_the_cyclic3_chain_evaluates_each_row_once(get_tower):
         assert rep.passed
         canonical_action(tower, deformed, TOL)
 
-    counts = count_row_calls(chain)
-    # multiplicativity twice: twisted by H^-1 (suite, bundle) and untwisted
-    # (axioms); H = 1 only to rounding, so the two keys differ
-    assert counts == {"coassociativity": 1, "multiplicativity": 2, "star_preserving": 1,
-                      "target_counital_absorption": 1, "anti_comultiplicative": 1}
+    # H is trivial, so the suite and the bundle check read multiplicativity
+    # untwisted, as verify_axioms does, and the suite's rows 11 and 12 are
+    # the product check and axiom (1) of the canonical action
+    assert count_row_calls(chain) == {name: 1 for name in COUNTED}
 
 
 def test_a_twist_operation_evaluates_each_row_three_times():
@@ -99,7 +111,7 @@ def test_a_twist_operation_evaluates_each_row_three_times():
         _, rep = deform(bundle, TOL)
         assert rep.passed
 
-    assert count_row_calls(operation) == {name: 3 for name in COUNTED}
+    assert count_row_calls(operation) == {name: 3 for name in STRUCTURE_ROWS}
 
 
 # -- the memo cannot hide a fault ---------------------------------------------------
@@ -163,6 +175,69 @@ def test_a_perturbed_copy_trips_every_report_on_a_twisted_bundle(tensor):
     assert _fails(lambda: verify_axioms(perturbed(hopf, tensor), TOL))
 
 
+def _coproduct_off_by(hopf, scale, seed=3):
+    rng = np.random.default_rng(seed)
+    return hopf.copy_with(delta=hopf.delta + scale * rng.standard_normal(hopf.delta.shape))
+
+
+def test_a_perturbed_coproduct_fails_the_shared_module_rows(get_tower):
+    tower = get_tower("z3")
+    rec = _warm_reconstruction(tower)
+    deformed, _ = deform(rec.on_b, TOL, tower=tower)
+    canonical_action(tower, deformed, TOL)  # the module rows are memo entries now
+    bad = _coproduct_off_by(rec.on_b.hopf, 1e-3)
+    bad_rec = dataclasses.replace(rec, on_b=StructureBundle(bad, rec.on_b.index_element))
+    suite = identity_suite(tower, bad_rec, TOL)
+    assert not suite["product against module elements"].passed
+    assert not suite["expectation comultiplicativity"].passed
+    action = ActionData(bad, tower.sub_top.sub, tower.module_tensor)
+    assert not verify_action(action, TOL)["action multiplicative on products"].passed
+    with pytest.raises(InvariantViolation, match="canonical action"):
+        canonical_action(tower, dataclasses.replace(deformed, hopf=bad), TOL)
+    # the warm structure still passes both
+    assert identity_suite(tower, rec, TOL).passed
+    assert verify_action(canonical_action(tower, deformed, TOL), TOL).passed
+
+
+def test_a_perturbed_module_tensor_fails_the_action_check(get_tower):
+    tower = get_tower("z3")
+    rec = _warm_reconstruction(tower)
+    hopf, m1 = rec.on_b.hopf, tower.sub_top.sub
+    assert verify_action(ActionData(hopf, m1, tower.module_tensor), TOL).passed
+    rng = np.random.default_rng(4)
+    bent = tower.module_tensor + 1e-3 * rng.standard_normal(tower.module_tensor.shape)
+    rep = verify_action(ActionData(hopf, m1, bent), TOL)
+    assert not rep["action multiplicative on products"].passed
+
+
+def test_an_action_without_a_tower_evaluates_axiom_1_once():
+    hopf = group_algebra(cyclic(3))
+    action = counit_action(hopf, MultiMatrixAlgebra([2, 1]))
+    reports = []
+    counts = count_row_calls(
+        lambda: reports.extend(verify_action(action, TOL) for _ in range(2)))
+    assert counts == {"module_multiplicativity": 1}
+    assert all(rep.passed for rep in reports)
+    assert reports[0]["action multiplicative on products"].residual \
+        == axioms.module_multiplicativity(hopf, action.tensor, action.carrier)
+
+
+def test_the_memo_keys_a_module_tensor_by_identity_and_keeps_it(get_tower):
+    """No copy of the operand in the key: a read-only tensor is keyed by its
+    identity, and the memo holds the tensor itself, so the id is not reused."""
+    tower = get_tower("z2")
+    hopf = reconstruct(tower, TOL).on_b.hopf
+    tensor = np.array(tower.module_tensor)
+    tensor.setflags(write=False)
+    m1 = tower.sub_top.sub
+    value = hopf.row(axioms.module_multiplicativity, tensor, m1)
+    ((key, (memo_value, held)),) = hopf._rows.items()
+    assert key == (axioms.module_multiplicativity, id(tensor), id(m1))
+    assert memo_value == value and held[0] is tensor and held[1] is m1
+    assert hopf.row(axioms.module_multiplicativity, tensor, m1, None) == value
+    assert len(hopf._rows) == 1
+
+
 # -- reports read the values of direct calls, bit for bit -----------------------------
 
 
@@ -177,9 +252,10 @@ def _check_axiom_report(hopf, rep):
         assert rep[name].note == f"classification only; value {value:.6e}", name
 
 
-def _check_bundle_report(bundle, rep):
+def _check_bundle_report(bundle, rep, hinv):
+    """``hinv`` is the twist of the two twisted rows: H^-1, or None at a
+    trivial index element, where they are read untwisted."""
     hopf, h = bundle.hopf, bundle.index_element
-    hinv = hopf.algebra.inverse_vec(h)
     direct = {
         "coassociativity": axioms.coassociativity(hopf),
         "counit left": axioms.counit_left(hopf),
@@ -209,7 +285,8 @@ def test_tower_reports_equal_direct_row_calls(order):
     axiom_rep = verify_axioms(rec.on_b.hopf, TOL)
 
     hopf, h = rec.on_b.hopf, rec.on_b.index_element
-    hinv = hopf.algebra.inverse_vec(h)
+    # H = 1 to rounding: rows 11-14 are the untwisted rows
+    assert trivial_index(h, hopf.unit_vec, TOL)[1]
     direct = {
         "counital coproduct absorption": axioms.target_counital_absorption(hopf),
         "antipode involutive and star-compatible": max(
@@ -218,12 +295,15 @@ def test_tower_reports_equal_direct_row_calls(order):
                                           axioms.anti_comultiplicative(hopf)),
         "index element from counital legs": axioms.index_from_counital_legs(hopf, h),
         "coproduct star-preserving": axioms.star_preserving(hopf),
-        "twisted multiplicativity of the coproduct": axioms.multiplicativity(hopf, hinv),
-        "twisted antipode counital identity": axioms.antipode_counital(hopf, hinv),
+        "product against module elements": axioms.product_decomposition(hopf, tower),
+        "expectation comultiplicativity": axioms.module_multiplicativity(
+            hopf, tower.module_tensor, tower.sub_top.sub),
+        "twisted multiplicativity of the coproduct": axioms.multiplicativity(hopf),
+        "twisted antipode counital identity": axioms.antipode_counital(hopf),
     }
     for name, value in direct.items():
         assert suite[name].residual == value, name
-    _check_bundle_report(rec.on_b, bundle_rep)
+    _check_bundle_report(rec.on_b, bundle_rep, None)
     _check_axiom_report(hopf, axiom_rep)
     assert kind["weak Kac axioms"].note == f"classified {axiom_rep.classification}"
 
@@ -243,7 +323,8 @@ def test_hopf_twist_reports_equal_direct_row_calls():
             continue
         h = central_twist(hopf, rng.uniform(0.5, 2.0, hopf.algebra.blocks[0]))
         bundle, rep = undeform(hopf, h, TOL)
-        _check_bundle_report(bundle, rep)
+        assert not trivial_index(h, hopf.unit_vec, TOL)[1]
+        _check_bundle_report(bundle, rep, hopf.algebra.inverse_vec(h))
         deformed, rep = deform(bundle, TOL)
         _check_axiom_report(deformed.hopf, verify_axioms(deformed.hopf, TOL))
 

@@ -154,8 +154,7 @@ def test_subspace_membership_has_two_homes():
 # Rows of weakhopf.axioms read through the structure's row memo
 # (``hopf.row(axioms.<row>, *args)``) everywhere outside axioms.py; the rest
 # are called directly.
-UNMEMOISED = {"module_multiplicativity", "intertwines", "index_element",
-              "antipode_anti_homomorphism"}
+UNMEMOISED = {"intertwines", "index_element", "antipode_anti_homomorphism"}
 MEMOISED = {name for name, value in vars(axioms).items()
             if inspect.isfunction(value) and value.__module__ == axioms.__name__
             and not name.startswith("_")} - UNMEMOISED
@@ -199,9 +198,11 @@ def test_memo_rule_detected(tmp_path):
                       "x = axioms.counit_left(1)\n")
     assert memo_bypasses(source) == {("f", "coassociativity"),
                                      ("inner", "coassociativity"),
+                                     ("g", "module_multiplicativity"),
                                      ("<module>", "counit_left")}
     assert {"coassociativity", "multiplicativity", "anti_multiplicative",
-            "index_from_unit_legs"} <= MEMOISED
+            "index_from_unit_legs", "module_multiplicativity",
+            "product_decomposition"} <= MEMOISED
     assert not MEMOISED & (UNMEMOISED | {"rel_residual", "streamed_residual"})
 
 

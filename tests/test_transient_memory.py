@@ -59,7 +59,7 @@ def test_coalgebra_rows_hold_no_operand(row):
 def test_module_rows_hold_no_operand(cyclic5_action):
     action = cyclic5_action
     assert transient_mib(lambda: axioms.module_multiplicativity(
-        action.hopf, action.tensor, action.carrier, action.tensor)) < BOUND_MIB
+        action.hopf, action.tensor, action.carrier)) < BOUND_MIB
     assert transient_mib(lambda: verify_action(action)) < BOUND_MIB
 
 
