@@ -12,6 +12,10 @@ subalgebra B_t or B_s is being fixed by its counital map, an idempotent: the
 elements of a span lying in B_t are ``null_space`` of (eps_t - 1) applied to
 a basis of the span.  ``residual_outside`` serves only spans that are not
 yet a subalgebra (the closure checks of ``subalgebra_from_basis``).
+
+``support`` and ``support_matmul`` let a contraction skip the exact zeros of
+an operand, which data built from matrix units is mostly made of; no
+threshold decides what counts as zero.
 """
 
 import numpy as np
@@ -119,13 +123,42 @@ def null_space(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return vh[rank:, :].conj().T
 
 
+def support(a: np.ndarray, *axes: int) -> list[np.ndarray]:
+    """For each of ``axes``, the indices along it at which ``a`` holds a
+    nonzero entry (an inf or NaN counts as nonzero).  Dropping the other
+    indices drops only exact zeros."""
+    nz = np.asarray(a) != 0
+    return [np.flatnonzero(nz.any(axis=tuple(i for i in range(nz.ndim)
+                                             if i != axis % nz.ndim)))
+            for axis in axes]
+
+
+def support_matmul(a: np.ndarray, b: np.ndarray, finite: bool):
+    """``(rows, prod)``: the rows of ``a @ b`` (stacks of matrices in the
+    last two axes) that can be nonzero, and ``prod = (a @ b)[..., rows, :]``
+    contracted over the support of ``a``.  Only the columns of ``a`` holding
+    a nonzero (in any matrix of the stack) are read, and only its rows
+    holding one are computed; every other row of the product is an exact
+    zero.  An ``a`` with full support, or a ``b`` that is not ``finite``,
+    takes the plain product over every row, so an inf or NaN of ``b``
+    propagates as it does there."""
+    rows, cols = support(a, -2, -1)
+    if not finite or (len(rows) == a.shape[-2] and len(cols) == a.shape[-1]):
+        return np.arange(a.shape[-2]), a @ b
+    return rows, a[..., rows[:, None], cols] @ b[..., cols, :]
+
+
 def numeric_rank(mat: np.ndarray, tol: float = 1e-10) -> int:
-    mat = np.asarray(mat, dtype=complex)
+    """Number of singular values above ``tol`` times the largest.  The SVD
+    sees only the rows and columns holding a nonzero entry: deleting zero
+    rows and columns leaves the nonzero singular values unchanged."""
+    mat = _finite(np.asarray(mat, dtype=complex))
     if mat.size == 0:
         return 0
-    s = np.linalg.svd(_finite(mat), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    mat = mat[np.ix_(*support(mat, 0, 1))]
+    if mat.size == 0:
         return 0
+    s = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(s > tol * s[0]))
 
 

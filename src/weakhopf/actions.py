@@ -55,7 +55,9 @@ class ActionData:
         self.tensor = _read_only(self.tensor)
 
     def act(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.einsum("b,x,bxy->y", b, x, self.tensor, optimize=True)
+        """b |> x for coefficient vectors b and x."""
+        db, dm = self.tensor.shape[:2]
+        return x @ (b @ self.tensor.reshape(db, dm * dm)).reshape(dm, dm)
 
     @property
     def on_unit(self) -> np.ndarray:
@@ -125,20 +127,30 @@ class ClassMap:
 
     def lift_t(self, raw: np.ndarray) -> np.ndarray:
         """``lift.T @ raw`` for a stack of raw-tensor columns (raw dim, n),
-        (classes, n): functionals on raw tensors read on the representatives."""
-        mats = np.asarray(raw, dtype=complex).reshape(self.raw_shape + (-1,))
-        return np.concatenate([np.einsum("xa,xbn,bc->acn", vs, mats, ws, optimize=True)
-                               .reshape(-1, mats.shape[-1])
+        (classes, n): functionals on raw tensors read on the representatives.
+        Per block, V^T T_n W is two matrix products: V^T times the raw
+        tensors side by side, then W^T times each (B index, n) slice."""
+        width, n = self.raw_shape[1], np.shape(raw)[-1]
+        mats = np.asarray(raw, dtype=complex).reshape(self.raw_shape[0], width * n)
+        return np.concatenate([(ws.T @ (vs.T @ mats).reshape(-1, width, n)).reshape(-1, n)
                                for vs, ws, _, _ in self.blocks])
 
     def quot_t(self, cls: np.ndarray) -> np.ndarray:
         """``quot.T @ cls`` for a stack of class columns (classes, n),
-        (raw dim, n): functionals on classes read on raw tensors."""
+        (raw dim, n): functionals on classes read on raw tensors.  Per block,
+        sum_i P[i]^T C_n Q[i] is two matrix products, as in :meth:`quot`:
+        each C_n times the stacked Q[i], then, with i moved next to the class
+        row index, the stacked P[i]^T times the result."""
         cls = np.asarray(cls, dtype=complex)
-        out = np.zeros(self.raw_shape + (cls.shape[1],), dtype=complex)
+        height, width = self.raw_shape
+        n = cls.shape[1]
+        out = np.zeros((height, n * width), dtype=complex)
         for mats, (_, _, ps, qs) in self._split(cls.T):
-            out += np.einsum("iax,nac,icb->xbn", ps, mats, qs, optimize=True)
-        return out.reshape(-1, cls.shape[1])
+            k, r, _ = ps.shape
+            right = mats.reshape(n * r, -1) @ qs.transpose(1, 0, 2).reshape(-1, k * width)
+            right = right.reshape(n, r, k, width).transpose(2, 1, 0, 3).reshape(k * r, -1)
+            out += ps.reshape(k * r, height).T @ right
+        return out.reshape(height, n, width).transpose(0, 2, 1).reshape(-1, n)
 
 
 @dataclass
@@ -334,7 +346,8 @@ def crossed_product(action: ActionData, *, rng=None,
         # pi(v (x) w) = L_v A_w over the factors of each class block
         for vs, ws, _, _ in classes.blocks:
             lefts = np.stack([car.left_mult_matrix(v) for v in vs.T])
-            acts = np.einsum("bw,bxy->wyx", ws, action.tensor, optimize=True)
+            acts = (action.tensor.reshape(len(ws), -1).T @ ws).reshape(dm, dm, -1) \
+                .transpose(2, 1, 0)
             yield (lefts[:, None] @ acts[None]).reshape(-1, dm * dm)
     try:
         coords = np.concatenate(image.coords_chunks(class_images()))  # (classes, image.dim)

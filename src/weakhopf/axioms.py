@@ -36,11 +36,21 @@ The rows whose two sides have d**4 entries (``coassociativity``,
 ``multiplicativity``, ``module_multiplicativity``, ``product_decomposition``)
 build them slab by slab over their leading index and fold them with
 ``streamed_residual``, so no operand-sized array is ever held.
+
+Support rule: a contraction skips exact zeros only.  Each slab of Delta is
+contracted over the leg indices where that slab is nonzero
+(``delta[sl][:, ps]`` against ``delta[ps]`` or ``act[ps]``, the indices from
+``_linalg.support``), ``product_decomposition`` forms only the M1 x B
+products that its legs use, and products of elements go through the
+block kernels, which contract over the support of their left factor.  The
+support is read from the operands on every call, never from the structure
+they were built from, so a fault off the old support still shows in full,
+and a NaN or inf still propagates.
 """
 
 import numpy as np
 
-from ._linalg import rel_residual, slabs, streamed_residual
+from ._linalg import rel_residual, slabs, streamed_residual, support
 
 
 def coassociativity(hopf) -> float:
@@ -49,8 +59,9 @@ def coassociativity(hopf) -> float:
 
     def pairs():
         for sl in slabs(hopf.dim, hopf.dim ** 3):
-            yield (np.einsum("ipc,pab->iabc", delta[sl], delta, optimize=True),
-                   np.einsum("iaq,qbc->iabc", delta[sl], delta, optimize=True))
+            ps, qs = support(delta[sl], 1, 2)
+            yield (np.einsum("ipc,pab->iabc", delta[sl][:, ps], delta[ps], optimize=True),
+                   np.einsum("iaq,qbc->iabc", delta[sl][:, :, qs], delta[qs], optimize=True))
     return streamed_residual(pairs())
 
 
@@ -230,15 +241,19 @@ def module_multiplicativity(hopf, act: np.ndarray, carrier, hinv=None) -> float:
     entries and are built slab by slab over b."""
     db, dm = act.shape[:2]
     right = act if hinv is None else carrier.mul_vecs(hinv, act)
+    rows = slabs(db, dm * dm * max(db, dm))
+
+    def legs():
+        for sl in rows:
+            ps, = support(hopf.delta[sl], 1)
+            yield np.einsum("bpq,pxz->bxqz", hopf.delta[sl][:, ps], act[ps],
+                            optimize=True).reshape(-1, db, dm)
 
     def pairs():
-        for sl in slabs(db, dm * dm * max(db, dm)):
-            legs = np.einsum("bpq,pxz->bxqz", hopf.delta[sl], act, optimize=True)
-            rows = len(legs)
-            rhs = carrier.matmul_vecs(legs.reshape(rows * dm, db, dm), right)
+        for sl, rhs in zip(rows, carrier.matmuls(legs(), right)):
             # b |> (u_x u_y), gathered as (x, y, b, z)
             lhs = carrier.unit_products(act[sl].transpose(1, 0, 2))
-            yield lhs.transpose(2, 0, 1, 3), rhs.reshape(rows, dm, dm, dm)
+            yield lhs.transpose(2, 0, 1, 3), rhs.reshape(-1, dm, dm, dm)
     return streamed_residual(pairs())
 
 
@@ -248,21 +263,26 @@ def product_decomposition(hopf, tower, hinv=None) -> float:
     b |> x = ``tower.module_tensor`` and H^-1 in B coordinates.  With the
     tower's H^-1 it is Cor 4.12; at H = 1 (``hinv`` None) it is the product
     decomposition b x = (b_(1) |> x) b_(2) of the canonical action.  The
-    M1 x B product map is contracted with the legs in one GEMM per slab of
-    b."""
-    alg = tower.ambient
+    legs, indexed by (x, y, q) for the M1 units x and y = b_(1) |> x and the
+    B leg q, are contracted with the products u_y H^-1 u_q in one GEMM per
+    slab of b.  Only the (y, q) columns the slab's legs use are formed, so
+    the (dm * db, ambient) product map is never held."""
+    alg, mt, delta = tower.ambient, tower.module_tensor, hopf.delta
     b_img = tower.rel_b.images
     b_basis, m_basis = b_img.T, tower.sub_top.images.T
     db, dm = len(b_basis), len(m_basis)
     right = b_basis if hinv is None else alg.mul_vecs(b_img @ hinv, b_basis)
-    products = alg.pairwise_mul(m_basis, right).reshape(dm * db, -1)
 
     def pairs():
         for sl in slabs(db, dm * max(dm * db, alg.dim)):
-            legs = np.einsum("bpq,pxy->bxyq", hopf.delta[sl], tower.module_tensor,
-                             optimize=True)
-            rhs = legs.reshape(-1, dm * db) @ products
-            yield alg.pairwise_mul(b_basis[sl], m_basis), rhs.reshape(len(legs), dm, -1)
+            ps, = support(delta[sl], 1)
+            legs = np.einsum("bpq,pxy->bxyq", delta[sl][:, ps], mt[ps], optimize=True)
+            legs = legs.reshape(-1, dm * db)
+            rows, cols = support(legs, 0, 1)
+            ys, qs = np.divmod(cols, db)
+            rhs = np.zeros((len(legs), alg.dim), dtype=complex)
+            rhs[rows] = legs[np.ix_(rows, cols)] @ alg.mul_vecs(m_basis[ys], right[qs])
+            yield alg.pairwise_mul(b_basis[sl], m_basis), rhs.reshape(-1, dm, alg.dim)
     return streamed_residual(pairs())
 
 

@@ -7,9 +7,22 @@ linear maps between algebras are ordinary matrices.
 Products of elements have one home, the block kernels of
 :class:`MultiMatrixAlgebra`: ``mul_vecs`` (broadcast products),
 ``matmul_vecs`` (matrices of elements, with ``pairwise_mul`` as its all-pairs
-case) and the left/right multiplication matrices.  They multiply block by
-block, one batched matmul per run of equal blocks, and every module
-multiplies through them.  Two helpers hide the formats built on them:
+case, and ``matmuls``/``pairwise_mul_slabs`` for slabs against one fixed
+right factor) and the left/right multiplication matrices.  They multiply
+block by block, one batched matmul per run of equal blocks, and every module
+multiplies through them.  Runs of 1 x 1 blocks with one inner index multiply
+elementwise.
+
+Support rule: ``matmul_vecs`` contracts only over the support of its left
+factor (``_linalg.support_matmul``).  Data built from matrix units (unit
+images, commutants, coproducts, module maps) is almost all exact zeros, so
+per run it reads only the contracted columns of the laid-out left factor
+that hold a nonzero and computes only its nonzero rows; every other row is
+an exact zero.  There is no threshold and no second path: a left factor
+with full support takes the plain product, and so does a right factor
+holding an inf or NaN, which therefore propagates as before.
+
+Two helpers hide the formats built on the kernels:
 ``product_form(f)``, the matrix of (x, y) -> f(x y) (the trace form for
 f = tau), and ``tensor_square``, the algebra tensored with itself, in which
 coproducts multiply.  A map applied to products of basis units is a gather
@@ -50,6 +63,7 @@ from ._linalg import (
     residual_outside,
     slabs,
     streamed_residual,
+    support_matmul,
 )
 from .errors import InvariantViolation
 
@@ -194,29 +208,48 @@ class MultiMatrixAlgebra:
         ``u`` is (a, k, dim), ``v`` is (k, c, dim) and the result (a, c, dim)
         holds sum_l u[i, l] v[l, j].  In each block the entries of u lie side
         by side in one (a m, k m) matrix and those of v in one (k m, c m)
-        matrix, so the sum over l is one matmul per run of equal blocks."""
-        return next(self._matmuls([u], v))
+        matrix, so the sum over l is one matmul per run of equal blocks,
+        taken over the support of u (:func:`~weakhopf._linalg.support_matmul`)."""
+        return next(self.matmuls([u], v))
 
-    def _matmuls(self, us, v: np.ndarray):
+    def matmuls(self, us, v: np.ndarray):
         """``matmul_vecs(u, v)`` for each u of the iterable ``us``, as a
-        generator; the per-run layout of the fixed right factor ``v`` is
-        made once."""
+        generator; the per-run layout of the fixed right factor ``v`` and
+        its finiteness are worked out once.  A run whose contracted length
+        k m is 1 (1 x 1 blocks, one inner index) is a broadcast product."""
         v = np.asarray(v, dtype=complex)
         k, c = v.shape[:2]
-        laid = [v[:, :, sl].reshape(k, c, r, m, m).transpose(2, 0, 3, 1, 4)
-                .reshape(r, k * m, c * m) for sl, m, r in self._runs]
-        for u in us:
-            u = np.asarray(u, dtype=complex)
-            a = u.shape[0]
-            out = np.empty((a, c, self.dim), dtype=complex)
-            for (sl, m, r), vb in zip(self._runs, laid):
-                ub = u[:, :, sl].reshape(a, k, r, m, m).transpose(2, 0, 3, 1, 4)
-                prod = ub.reshape(r, a * m, k * m) @ vb
-                # written through a view of out, so the transposed product
-                # is not copied first
-                out[:, :, sl].reshape(a, c, r, m, m)[...] = \
-                    prod.reshape(r, a, m, c, m).transpose(1, 3, 0, 2, 4)
-            yield out
+        laid = []
+        for sl, m, r in self._runs:
+            if k * m == 1:
+                laid.append((v[0, :, sl], True))
+                continue
+            vb = v[:, :, sl].reshape(k, c, r, m, m).transpose(2, 0, 3, 1, 4) \
+                .reshape(r, k * m, c * m)
+            laid.append((vb, bool(np.isfinite(vb).all())))
+        return (self._matmul_laid(np.asarray(u, dtype=complex), laid, k, c) for u in us)
+
+    def _matmul_laid(self, u: np.ndarray, laid, k: int, c: int) -> np.ndarray:
+        """One product of :meth:`matmuls` against its laid-out right factor;
+        its temporaries go when it returns."""
+        a = u.shape[0]
+        out = np.empty((a, c, self.dim), dtype=complex)
+        for (sl, m, r), (vb, finite) in zip(self._runs, laid):
+            if k * m == 1:
+                out[:, :, sl] = u[:, 0, None, sl] * vb
+                continue
+            ub = u[:, :, sl].reshape(a, k, r, m, m).transpose(2, 0, 3, 1, 4)
+            rows, prod = support_matmul(ub.reshape(r, a * m, k * m), vb, finite)
+            # written through a view of out, so the transposed product is
+            # not copied first; rows off the support are exact zeros
+            view = out[:, :, sl].reshape(a, c, r, m, m)
+            if len(rows) == a * m:
+                view[...] = prod.reshape(r, a, m, c, m).transpose(1, 3, 0, 2, 4)
+                continue
+            view[...] = 0
+            i, p = np.divmod(rows, m)
+            view[i, :, :, p] = prod.reshape(r, len(rows), c, m).transpose(1, 2, 0, 3)
+        return out
 
     def pairwise_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """All-pairs products of two stacks of coefficient vectors.
@@ -233,7 +266,7 @@ class MultiMatrixAlgebra:
         generator: the fixed right factor is laid out once, not per slab."""
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
-        return self._matmuls((u[sl, None, :] for sl in rows), v[None, :, :])
+        return self.matmuls((u[sl, None, :] for sl in rows), v[None, :, :])
 
     def adjoint_vecs(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -292,17 +325,16 @@ class MultiMatrixAlgebra:
         ``vec[..., index] = legs`` and come back as ``vec[..., index]``.  The
         tensor of e_ij in block a and e_kl in block b is the matrix unit
         ((i, k), (j, l)) of block (a, b)."""
-        pairs = [(a, b) for a in range(len(self.blocks)) for b in range(len(self.blocks))]
-        square = MultiMatrixAlgebra([self.blocks[a] * self.blocks[b] for a, b in pairs])
-        index = np.empty((self.dim, self.dim), dtype=int)
-        for s, (a, b) in enumerate(pairs):
-            m, n = self.blocks[a], self.blocks[b]
-            i, j = np.divmod(np.arange(m * m), m)
-            k, l = np.divmod(np.arange(n * n), n)
-            rows = i[:, None] * n + k[None, :]
-            cols = j[:, None] * n + l[None, :]
-            index[self.block_slice(a), self.block_slice(b)] = \
-                square._offsets[s] + rows * (m * n) + cols
+        sizes = np.asarray(self.blocks)
+        square = MultiMatrixAlgebra(np.outer(sizes, sizes).reshape(-1))
+        # u_p = e_ij of block a of size m down the rows of the index, and
+        # u_q = e_kl of block b of size n along its columns
+        a = self.block_index
+        m = sizes[a]
+        i, j = np.divmod(np.arange(self.dim) - self._offsets[a], m)
+        b, n, k, l = a[None], m[None], i[None], j[None]
+        a, m, i, j = a[:, None], m[:, None], i[:, None], j[:, None]
+        index = square._offsets[a * len(sizes) + b] + (i * n + k) * (m * n) + j * n + l
         return square, index
 
     @cached_property
@@ -624,10 +656,12 @@ class SubalgebraEmbedding:
         w = img[cols]
         w_star = self.ambient.adjoint_vecs(w)
 
+        rows = slabs(k, k * self.ambient.dim)
+
         def pairs(left, right, expected_at):
-            for sl in slabs(k, k * self.ambient.dim):
-                yield (self.ambient.pairwise_mul(left[sl], right),
-                       take_units(img, expected_at[sl]))
+            products = self.ambient.pairwise_mul_slabs(left, right, rows)
+            return ((prod, take_units(img, expected_at[sl]))
+                    for sl, prod in zip(rows, products))
 
         res = max(streamed_residual(pairs(w_star, w, grams_at)),
                   streamed_residual(pairs(w, w_star, outer_at)))

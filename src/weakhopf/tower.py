@@ -206,8 +206,7 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
             ref="commuting square")
 
     a_img, b_img = tower.rel_a.images, tower.rel_b.images
-    prods = alg.mul_vecs(a_img.T[:, None, :], b_img.T[None, :, :])
-    prods = prods.reshape(-1, alg.dim)
+    prods = alg.pairwise_mul(a_img.T, b_img.T).reshape(-1, alg.dim)
     span_dim = numeric_rank(prods.T, 1e-9)
     rep.add_flag("products of the commutants span N'",
                  span_dim == tower.start_commutant_full.sub.dim,
@@ -227,11 +226,11 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
             ref="Lemma 3.1")
 
     # spanning: M e1 M = M1 and M1 e2 M1 = ambient
-    me1m = alg.mul_vecs(mid[:, None, :], alg.mul_vecs(e1, mid[None, :, :]))
+    me1m = alg.pairwise_mul(mid, alg.mul_vecs(e1, mid))
     rank1 = numeric_rank(me1m.reshape(-1, alg.dim).T, 1e-9)
     rep.add_flag("M e1 M spans M1", rank1 == tower.sub_top.sub.dim,
                  ref="Remark 4.4", note=f"rank {rank1} of {tower.sub_top.sub.dim}")
-    m1e2m1 = alg.mul_vecs(top[:, None, :], alg.mul_vecs(e2, top[None, :, :]))
+    m1e2m1 = alg.pairwise_mul(top, alg.mul_vecs(e2, top))
     rank2 = numeric_rank(m1e2m1.reshape(-1, alg.dim).T, 1e-9)
     rep.add_flag("M1 e2 M1 spans the ambient", rank2 == alg.dim,
                  ref="Remark 4.4", note=f"rank {rank2} of {alg.dim}")
