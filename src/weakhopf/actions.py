@@ -323,6 +323,16 @@ def crossed_product(action: ActionData, *, rng=None,
     the tower actions it is, and nothing is split at random beyond the small
     B_t and M.  A kernel (non-Galois actions such as the counit action) is
     an ideal whose blocks are split from its algebraic structure constants.
+    The complementary ideal (1 - e) X, e the kernel's unit, maps onto the
+    commutant, and the units of that commutant are lifted into it: the
+    least-norm preimages lie orthogonal to the kernel in class coordinates,
+    which is (1 - e) X only when left multiplication by e is self-adjoint
+    for the Euclidean metric of the matrix-unit coefficients.  It is for a
+    group algebra whose matrix units are orthonormal for its involution and
+    which acts unitarily on L2(M1) (the counit actions, permutations of
+    points): then every left multiplication is.  It need not be once the
+    units are skewed against a supplied involution (C[S3] permuting three
+    points is then 0.5 off), so the preimages are multiplied by 1 - e.
     Random probes compare the algebraic product and involution with the
     block product and adjoint.
     """
@@ -366,7 +376,7 @@ def crossed_product(action: ActionData, *, rng=None,
         kernel = vh[rank:].conj().T
         preimages = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
         ideal, ideal_units, ideal_unit = _kernel_ideal(action, classes, kernel, rng, tol)
-        # the complementary ideal is (1 - e) times the crossed product
+        # into the complementary ideal (1 - e) X; see the docstring
         preimages -= classes.quot(
             classes.lift(preimages.T) @ _left_products(action, ideal_unit)).T
         algebra = MultiMatrixAlgebra(image.sub.blocks + ideal.blocks)

@@ -25,12 +25,12 @@ two memoised rows.
 
 Rows multiply through the algebra's block kernels (``mul_vecs``,
 ``pairwise_mul``, ``matmul_vecs``): a sum over coproduct legs such as
-b_(1) S(b_(2)) is one broadcast product of the leg rows, summed.  Counit
-values of products come from ``product_form``, and products of coproducts
-from the tensor square.  A map applied to products of basis units
-(Delta(u_b u_c), mat(u_i u_j), also for the basis change of ``intertwines``,
-and b |> (u_x u_y)) is a gather through the algebra's ``product_index``
-(``unit_products``): u_i u_j is one unit or zero, so nothing is multiplied.
+b_(1) S(b_(2)) is one broadcast product of the leg rows, summed.  Products
+of coproducts come from the tensor square.  A map applied to products of
+basis units (Delta(u_b u_c), mat(u_i u_j), also for the basis change of
+``intertwines``, b |> (u_x u_y), and the counit values eps(u_p u_c)) is a
+gather through the algebra's ``product_index`` (``unit_products``):
+u_i u_j is one unit or zero, so nothing is multiplied.
 
 The rows whose two sides have d**4 entries (``coassociativity``,
 ``multiplicativity``, ``module_multiplicativity``, ``product_decomposition``)

@@ -22,11 +22,12 @@ an exact zero.  There is no threshold and no second path: a left factor
 with full support takes the plain product, and so does a right factor
 holding an inf or NaN, which therefore propagates as before.
 
-Two helpers hide the formats built on the kernels:
-``product_form(f)``, the matrix of (x, y) -> f(x y) (the trace form for
-f = tau), and ``tensor_square``, the algebra tensored with itself, in which
-coproducts multiply.  A map applied to products of basis units is a gather
-through ``product_index`` (u_i u_j is one unit or zero); the dense table
+One helper hides a format built on the kernels: ``tensor_square``, the
+algebra tensored with itself, in which coproducts multiply.  A map applied to
+products of basis units is a gather through ``product_index`` (u_i u_j is one
+unit or zero), so a functional of products, f(u_p u_c), is
+``unit_products(f)`` and tau(x y) is ``TraceState.product_values``, a gather
+through ``adjoint_index``; no dense (dim, dim) form is built.  The dense table
 ``mult_tensor`` is never contracted against an element, and its docstring
 lists what reads it.  How unit labels transpose and multiply is read from
 ``adjoint_index`` and ``product_index``, never rebuilt from labels.
@@ -305,17 +306,6 @@ class MultiMatrixAlgebra:
             * vec[sl].reshape(r, m, m).transpose(0, 2, 1).reshape(r, 1, m, 1, m)
         ).reshape(r, m * m, m * m))
 
-    def product_form(self, f: np.ndarray) -> np.ndarray:
-        """Matrix F[p, c] = f(u_p u_c) of a functional given by its values
-        f(u_k), so that f(x y) = x @ F @ y.  Since e_ij e_kl = [j = k] e_il
-        inside a block and 0 across blocks, F is block diagonal with entries
-        [j = k] f(e_il)."""
-        form = np.zeros((self.dim, self.dim), dtype=complex)
-        for alpha, (m, view) in enumerate(zip(self.blocks, self.block_views(f))):
-            sl = self.block_slice(alpha)
-            form[sl, sl] = np.einsum("il,jk->ijkl", view, np.eye(m)).reshape(m * m, m * m)
-        return form
-
     @cached_property
     def tensor_square(self) -> tuple["MultiMatrixAlgebra", np.ndarray]:
         """``(square, index)``: this algebra tensored with itself, with one
@@ -501,10 +491,12 @@ class TraceState:
         return np.tensordot(np.asarray(vecs, dtype=complex),
                             self.coefficient_weights, axes=([-1], [0]))
 
-    @cached_property
-    def trace_form(self) -> np.ndarray:
-        """The trace form T with tau(x y) = x @ T @ y on coefficient vectors."""
-        return self.algebra.product_form(self.coefficient_weights)
+    def product_values(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """tau(x y) for every row x of ``xs`` and row y of ``ys``, shape
+        (len(xs), len(ys)).  Since tau(e_ij e_kl) = [j = k][i = l] w, the
+        trace of x y is sum_p w_p x_p y_(p*) over the units u_p: a gather
+        through ``adjoint_index``, with no product and no (dim, dim) form."""
+        return (xs * self.metric_weights) @ ys[..., self.algebra.adjoint_index].T
 
 
 class SubalgebraEmbedding:
@@ -925,6 +917,15 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
     onto each L2(M) f_cc by right multiplication with the matrix unit f_0c of
     N, so :func:`_commutant_from_units` reads the matrix units off directly
     (no span growth, no random splitting) in the block order of N.
+
+    The extended trace is lam Lambda tau (Jones 1983; Goodman-de la Harpe-
+    Jones 1989), read off, not solved for.  e commutes with N and
+    e x e = E_N(x) e, so e f^alpha_00 is a minimal projection of block alpha,
+    and tau_ext(e f^alpha_00) = lam tau(f^alpha_00) = lam (Lambda tau)_alpha.
+    ``_verify_jones`` pins every weight through tau_ext(x e) = lam tau(x).
+    On M it gives back tau: a minimal projection of M block j lies Lambda_aj
+    times in block a, so tau_ext restricts to lam Lambda^T Lambda tau = tau,
+    the Markov condition checked first.
     """
     ambient = sub.ambient
     if trace.algebra != ambient:
@@ -969,34 +970,11 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
     inclusion.require_valid(tol)
     sub_in_new = sub.compose(inclusion)
 
-    ext_trace = _solve_extended_trace(algebra, incl_images, e_coords, trace, lam)
+    ext_trace = TraceState(algebra, lam * (lam_mat.entries @ trace.weights))
     ext = JonesExtension(algebra, algebra.element(e_coords), ext_trace, float(lam),
                          inclusion, sub_in_new, new_emb)
     _verify_jones(ext, trace, lam_mat, tol)
     return ext
-
-
-def _solve_extended_trace(algebra, incl_images, e_coords, trace, lam):
-    """Block weights with tau_ext . incl = tau and tau_ext(x e) = lam tau(x)."""
-    n = incl_images.shape[0]
-    nblocks = len(algebra.blocks)
-    e_mult = algebra.mul_vecs(incl_images, e_coords)
-    block_traces = np.zeros((2 * n, nblocks), dtype=complex)
-    for alpha in range(nblocks):
-        sl = algebra.block_slice(alpha)
-        m = algebra.blocks[alpha]
-        idx = np.arange(m) * m + np.arange(m)
-        block_traces[:n, alpha] = incl_images[:, sl][:, idx].sum(axis=1)
-        block_traces[n:, alpha] = e_mult[:, sl][:, idx].sum(axis=1)
-    rhs = np.concatenate([trace.coefficient_weights,
-                          lam * trace.coefficient_weights]).astype(complex)
-    rows = np.vstack([np.real(block_traces), np.imag(block_traces)])
-    target = np.concatenate([np.real(rhs), np.imag(rhs)])
-    sol, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    res = rel_residual(rows @ sol, target)
-    if res > 1e-8 or np.any(sol <= 0):
-        raise InvariantViolation(f"extended trace inconsistent (max residual {res:.3e})")
-    return TraceState(algebra, sol)
 
 
 def _verify_jones(ext: JonesExtension, old_trace, lam_mat, tol):

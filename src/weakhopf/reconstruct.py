@@ -117,11 +117,11 @@ class DualBases:
 
 def pairing_values(tower: TowerData, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Duality form d lam^-2 tau(x e2 e1 y) for every column pair of the two
-    ambient coordinate stacks, through the trace form tau(x m) = x @ T @ m
+    ambient coordinate stacks, through ``TraceState.product_values``
     (no product x m is formed)."""
     alg = tower.ambient
     mids = alg.mul_vecs(tower.e2.vec, alg.mul_vecs(tower.e1.vec, right.T))
-    return tower.d / tower.lam ** 2 * (left.T @ tower.tau.trace_form @ mids.T)
+    return tower.d / tower.lam ** 2 * tower.tau.product_values(left.T, mids)
 
 
 def pairing(tower: TowerData) -> PairingForm:
@@ -352,7 +352,7 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     # 17 b. <a, eps_t(b)> = d lam^-2 tau(a e1 b e2)
     lhs = gram @ et
     mids = alg.mul_vecs(e1, alg.mul_vecs(b_basis, e2))
-    rhs = (d / lam ** 2) * (a_basis @ tau.trace_form @ mids.T)
+    rhs = (d / lam ** 2) * tau.product_values(a_basis, mids)
     rep.add("counital pairing formula", rel_residual(lhs, rhs), ref="Prop 4.2")
 
     # 2. b_(1) (x) eps_t(b_(2)) = 1_(1) b (x) 1_(2)

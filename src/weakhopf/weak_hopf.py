@@ -9,11 +9,11 @@ it reports.
 
 The algebra itself is the :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`
 and every product goes through its block kernels.  Counit and Haar values of
-products are ``product_form`` matrices: eps(u_p u_c) gives the counital maps,
-phi(u_i u_j) the positivity gram and the traciality test.  Only the dual
-(whose product is the transposed coproduct, not a multimatrix product) and
-subalgebras given by a spanning set go through
-:class:`~weakhopf.decompose.StructureAlgebra`.
+products are gathers through ``product_index`` (``unit_products``):
+eps(u_p u_c) gives the counital maps, phi(u_i u_j) the positivity gram and
+the traciality test.  Only the dual (whose product is the transposed
+coproduct, not a multimatrix product) and subalgebras given by a spanning set
+go through :class:`~weakhopf.decompose.StructureAlgebra`.
 """
 
 from dataclasses import dataclass
@@ -121,8 +121,8 @@ class WeakHopfData:
 
     @cached_property
     def counit_form(self) -> np.ndarray:
-        """eps(u_p u_c) as a (p, c) matrix: the ``product_form`` of eps."""
-        return self.algebra.product_form(self.epsilon)
+        """eps(u_p u_c) as a (p, c) matrix, gathered by ``unit_products``."""
+        return self.algebra.unit_products(self.epsilon)
 
     @cached_property
     def target_counital(self) -> np.ndarray:
@@ -317,7 +317,7 @@ def haar_functional(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> np.ndarray:
     ])
     rhs = np.concatenate([np.zeros(d * d + d, dtype=complex), hopf.epsilon])
     sol = _solve_unique(mat, rhs, tol, "Haar functional system degenerate")
-    gram = hopf.star_matrix.T @ hopf.algebra.product_form(sol)  # phi(u_i* u_j)
+    gram = hopf.star_matrix.T @ hopf.algebra.unit_products(sol)  # phi(u_i* u_j)
     herm = rel_residual(gram, gram.conj().T)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     if herm > 1e-6 or eigs[0] < -1e-7 * max(eigs[-1], 1.0):
@@ -326,7 +326,7 @@ def haar_functional(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def haar_traciality_residual(hopf: WeakHopfData, phi: np.ndarray) -> float:
-    values = hopf.algebra.product_form(phi)  # phi(u_i u_j)
+    values = hopf.algebra.unit_products(phi)  # phi(u_i u_j)
     return rel_residual(values, values.T)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ from weakhopf.actions import (
     verify_action,
 )
 from weakhopf.errors import InvariantViolation
-from weakhopf.groups import cyclic
+from weakhopf.groups import cyclic, symmetric
 from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
-from weakhopf.weak_hopf import cartan_subalgebras, group_algebra, pair_groupoid
+from weakhopf.weak_hopf import (
+    WeakHopfData,
+    cartan_subalgebras,
+    group_algebra,
+    pair_groupoid,
+    verify_axioms,
+)
 
 TOL = 1e-9
 
@@ -213,6 +220,42 @@ def test_trivial_group_action_is_not_minimal():
     # dimension count tells them apart
     assert rep["commutant equals the source Cartan image"].residual <= TOL
     assert rep["commutant dimension matches the source Cartan"].residual == 1.0
+
+
+def skewed_permutation_action(skew):
+    """C[S3] permuting three points, with the structure carried through
+    x -> s x s^-1, s = [[1, skew], [0, 1]] on its 2 x 2 block: still a
+    C*-structure (its involution is supplied), but its matrix units are not
+    orthonormal for that involution when skew is nonzero."""
+    hopf = group_algebra(symmetric(3))
+    alg = hopf.algebra
+    assert alg.blocks == (2, 1, 1)
+    s = alg.from_blocks([np.array([[1.0, skew], [0.0, 1.0]]), np.eye(1), np.eye(1)]).vec
+    phi = alg.left_mult_matrix(s) @ alg.right_mult_matrix(alg.inverse_vec(s))
+    phi_inv = np.linalg.inv(phi)
+    skewed = WeakHopfData(
+        alg, np.einsum("bpq,Pp,Qq,bB->BPQ", hopf.delta, phi, phi, phi_inv, optimize=True),
+        hopf.epsilon @ phi_inv, phi @ hopf.antipode @ phi_inv,
+        phi @ hopf.star_matrix @ np.conj(phi_inv))
+    points = np.zeros((6, 3, 3), dtype=complex)  # [g, x, y]: delta_x -> delta_g(x)
+    for g, perm in enumerate(itertools.permutations(range(3))):
+        points[g, np.arange(3), perm] = 1.0
+    tensor = np.einsum("gb,gxy->bxy", np.linalg.inv(hopf.group_basis) @ phi_inv, points)
+    return ActionData(skewed, MultiMatrixAlgebra([1, 1, 1]), tensor)
+
+
+@pytest.mark.parametrize("skew", [0.0, 0.5])
+def test_non_galois_crossed_product_in_skewed_units(skew):
+    # C^3 # C[S3] (dim 18) acts on L2(C^3) through M_3, so pi has a 9-dim
+    # kernel ideal.  At skew 0.5 the least-norm preimages of the M_3 units
+    # lie 0.5 (max abs) outside the complementary ideal, and without the
+    # (1 - e) correction the product probes fail
+    action = skewed_permutation_action(skew)
+    assert verify_axioms(action.hopf).passed
+    assert verify_action(action).passed
+    crossed = crossed_product(action)
+    assert crossed.algebra.blocks == (3, 3)
+    assert crossed.carrier_embedding.verify() < 1e-12
 
 
 def test_minimality_catches_a_source_image_outside_the_commutant(get_pipeline):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from weakhopf.multimatrix import (
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
     TraceState,
+    _verify_jones,
     basic_construction,
     center,
     inclusion_matrix,
@@ -570,6 +573,43 @@ def test_basic_construction_identity_inclusion():
                              TraceState(m2, [0.5]), 1.0)
     assert (ext.e - ext.algebra.unit()).norm() < 1e-12
     assert ext.algebra.blocks == (2,)
+
+
+def c2_in_m3():
+    # (a, b) -> diag(a, b, b): Lambda = [[1], [2]]
+    m3 = MultiMatrixAlgebra([3])
+    images = np.zeros((9, 2), dtype=complex)
+    images[0, 0] = 1.0
+    images[[4, 8], 1] = 1.0
+    return SubalgebraEmbedding(MultiMatrixAlgebra([1, 1]), m3, images)
+
+
+def test_extended_trace_is_lam_lambda_tau():
+    # tau = 1/3 on M_3 is Markov for Lambda = [[1], [2]] at lam = 1/5
+    # (Lambda^T Lambda tau = 5 tau), and the extension's weights are
+    # lam Lambda tau = (1/15, 2/15) on its blocks (3, 6)
+    sub = c2_in_m3()
+    tr = TraceState(sub.ambient, [1 / 3])
+    ext = basic_construction(sub, tr, 0.2)
+    assert ext.algebra.blocks == (3, 6)
+    np.testing.assert_allclose(ext.extended_trace.weights, [1 / 15, 2 / 15], rtol=1e-15)
+    assert abs(ext.extended_trace.value(ext.algebra.unit()) - 1.0) < 1e-15
+    assert rel_residual(ext.extended_trace.values(ext.inclusion.images.T),
+                        tr.coefficient_weights) < 1e-15
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_jones_check_rejects_a_scaled_extended_weight(block):
+    # the check that pins every weight through tau_ext(x e) = lam tau(x)
+    # catches one weight off by 1 %
+    sub = c2_in_m3()
+    tr = TraceState(sub.ambient, [1 / 3])
+    ext = basic_construction(sub, tr, 0.2)
+    weights = ext.extended_trace.weights.copy()
+    weights[block] *= 1.01
+    bent = dataclasses.replace(ext, extended_trace=TraceState(ext.algebra, weights))
+    with pytest.raises(InvariantViolation, match="extended trace inconsistent"):
+        _verify_jones(bent, tr, inclusion_matrix(sub), TOL)
 
 
 def test_basic_construction_rejects_wrong_modulus():

@@ -1,12 +1,13 @@
-"""Properties of the product kernel and of the two formats built on it,
-over random block shapes (one to three blocks of sizes one to three)."""
+"""Properties of the product kernel, of the tensor square built on it and
+of the gathers that read functionals of products, over random block shapes
+(one to three blocks of sizes one to three)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakhopf._linalg import rel_residual
-from weakhopf.multimatrix import MultiMatrixAlgebra
+from weakhopf.multimatrix import MultiMatrixAlgebra, TraceState
 
 SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=3)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -22,8 +23,24 @@ def _elements(rng, count, dim):
 def test_product_form_evaluates_the_product(blocks, seed):
     alg = MultiMatrixAlgebra(blocks)
     f, x, y = _elements(np.random.default_rng(seed), 3, alg.dim)
-    assert np.isclose(x @ alg.product_form(f) @ y, f @ alg.mul_vecs(x, y),
+    assert np.isclose(x @ alg.unit_products(f) @ y, f @ alg.mul_vecs(x, y),
                       rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(SHAPES, SEEDS)
+def test_trace_product_values_evaluate_the_product(blocks, seed):
+    # tau(x y) over row stacks, read through adjoint_index, against the
+    # products themselves and against the dense trace form tau(u_p u_c)
+    alg = MultiMatrixAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    trace = TraceState(alg, rng.uniform(0.1, 1.0, len(blocks)))
+    xs, ys = _elements(rng, 3, alg.dim), _elements(rng, 2, alg.dim)
+    values = trace.product_values(xs, ys)
+    assert values.shape == (3, 2)
+    assert rel_residual(values, trace.values(alg.mul_vecs(xs[:, None], ys[None]))) < 1e-12
+    dense = alg.unit_products(trace.coefficient_weights)
+    assert rel_residual(values, xs @ dense @ ys.T) < 1e-14
 
 
 @PROPERTY

@@ -230,16 +230,29 @@ def test_index_element_commutes_with_its_antipode_image(get_tower, get_reconstru
 
 
 def test_reconstruction_stable_under_reseeding():
-    # a different seed changes the random block splits but not the structure
+    # the tower build is not random (the seed is only recorded on the
+    # tower), so reseeding leaves every reconstructed tensor and every suite
+    # residual exactly as it was
     from weakhopf.tower import build_tower_from_group, verify_tower_premises
     from weakhopf.groups import cyclic
     from weakhopf.reconstruct import reconstruct as run_reconstruct
 
-    tower = build_tower_from_group(cyclic(3), seed=12345)
-    assert verify_tower_premises(tower).passed
-    rec = run_reconstruct(tower)
-    suite = identity_suite(tower, rec)
-    assert suite.passed and suite.max_residual <= TOL
+    runs = []
+    for seed in (0, 12345):
+        tower = build_tower_from_group(cyclic(3), seed=seed)
+        assert verify_tower_premises(tower).passed
+        rec = run_reconstruct(tower)
+        suite = identity_suite(tower, rec)
+        assert suite.passed and suite.max_residual <= TOL
+        runs.append((rec, [(c.name, c.residual) for c in suite.checks]))
+    (first, first_rows), (second, second_rows) = runs
+    assert second_rows == first_rows
+    assert np.array_equal(second.pairing.gram, first.pairing.gram)
+    for side in ("on_b", "on_a"):
+        one, two = getattr(first, side), getattr(second, side)
+        assert np.array_equal(two.index_element, one.index_element)
+        for name in ("delta", "epsilon", "antipode", "star_matrix"):
+            assert np.array_equal(getattr(two.hopf, name), getattr(one.hopf, name)), (side, name)
 
 
 def _suite_with(tower, rec, hopf=None, index_element=None):

@@ -87,7 +87,7 @@ def test_every_parameter_is_read():
 # Subspace membership is read from a subalgebra embedding's closed-form
 # back-substitution or from a counital map; least squares is left only where
 # the system is not a membership test.
-LSTSQ_HOMES = {("multimatrix.py", "_solve_extended_trace"), ("actions.py", "_kernel_ideal")}
+LSTSQ_HOMES = {("actions.py", "_kernel_ideal")}
 RETIRED = {"subspace_residual", "projector", "intersection_dim"}
 
 
