@@ -45,11 +45,17 @@ class ActionData:
     read-only (the array itself when it already is, as the tower's module
     tensor), since the structure's row memo keys it by identity; a changed
     action is a new ``ActionData`` over a new array.
+
+    ``cartan`` (B_t in B) and ``fixed`` (the fixed points in the carrier)
+    are matrix units known in closed form, as the tower's; without them the
+    crossed product splits their spans at random.
     """
 
     hopf: WeakHopfData
     carrier: MultiMatrixAlgebra
     tensor: np.ndarray
+    cartan: SubalgebraEmbedding | None = None
+    fixed: SubalgebraEmbedding | None = None
 
     def __post_init__(self):
         self.tensor = _read_only(self.tensor)
@@ -270,7 +276,8 @@ def canonical_action(tower: TowerData, deformed: DeformedStructure,
     and the suite reads both rows untwisted on the same module tensor,
     carrier and tower, so after the suite both are memo hits here."""
     hopf = deformed.hopf
-    action = ActionData(hopf, tower.sub_top.sub, tower.module_tensor)
+    action = ActionData(hopf, tower.sub_top.sub, tower.module_tensor,
+                        tower.cartan_in_b, tower.sub_mid.restrict_to(tower.sub_top))
 
     verify_action(action, tol).require_passed("canonical action invalid")
     if hopf.row(axioms.product_decomposition, tower) > 100 * tol:
@@ -287,11 +294,21 @@ def fixed_points(action: ActionData, *, rng=None,
     act_mats = act.transpose(0, 2, 1)  # [b] : matrix of x -> b |> x
     et_mats = np.einsum("kb,kxy->byx", hopf.target_counital, act, optimize=True)
     rows = (act_mats - et_mats).reshape(-1, action.carrier.dim)
-    span = null_space(rows, 1e-10)
+    return _spanned(action.carrier, null_space(rows, 1e-10), action.fixed,
+                    "fixed-point set", rng, tol)
+
+
+def _spanned(host: MultiMatrixAlgebra, span, given, name: str, rng, tol):
+    """The subalgebra spanned by the columns of ``span``: ``given`` once its
+    image holds the span and has its rank, else split from the span."""
+    if given is not None:
+        if given.outside(span.T) > 100 * tol or given.sub.dim != numeric_rank(span, 1e-10):
+            raise InvariantViolation(f"{name} differs from its given matrix units")
+        return given
     try:
-        return subalgebra_from_basis(action.carrier, span, rng=rng, tol=tol)
+        return subalgebra_from_basis(host, span, rng=rng, tol=tol)
     except InvariantViolation as exc:
-        raise InvariantViolation(f"fixed-point set is not a subalgebra: {exc}")
+        raise InvariantViolation(f"{name} is not a subalgebra: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +337,9 @@ def crossed_product(action: ActionData, *, rng=None,
     by the fixed points M, and when pi is a *-map its image is exactly their
     commutant, whose matrix units come from those of M in closed form.  So
     classes map to block coordinates, and pi must be injective there; for
-    the tower actions it is, and nothing is split at random beyond the small
-    B_t and M.  A kernel (non-Galois actions such as the counit action) is
-    an ideal whose blocks are split from its algebraic structure constants.
+    the tower actions it is, and as they carry B_t and M as matrix units,
+    nothing is split at random.  A kernel (of a non-Galois action) is an
+    ideal whose blocks are split from its algebraic structure constants.
     The complementary ideal (1 - e) X, e the kernel's unit, maps onto the
     commutant, and the units of that commutant are lifted into it: the
     least-norm preimages lie orthogonal to the kernel in class coordinates,
@@ -341,7 +358,8 @@ def crossed_product(action: ActionData, *, rng=None,
     hopf, car = action.hopf, action.carrier
     dm = car.dim
 
-    cartan = subalgebra_from_basis(hopf.algebra, hopf.target_counital, rng=rng, tol=tol)
+    cartan = _spanned(hopf.algebra, hopf.target_counital, action.cartan,
+                      "target Cartan", rng, tol)
     classes = _class_basis(action, cartan)
     _check_relators(action, cartan, classes, tol)
 

@@ -9,11 +9,11 @@ only block-splitting engine.
 :class:`StructureAlgebra` is the type of abstract algebras only, those not
 yet known as a multimatrix algebra.  There are three:
 :func:`weakhopf.multimatrix.subalgebra_from_basis` passes the structure
-constants of a span (fixed points, Cartan subalgebras, group algebras),
+constants of a span (abstract fixed points and Cartans, group algebras),
 :func:`weakhopf.weak_hopf.dual_algebra` the raw dual (product = transposed
 coproduct), and :func:`weakhopf.actions.crossed_product` the kernel ideal of
-a non-Galois action; crossed products of tower actions take their blocks in
-closed form and never reach it.  Once an algebra is a
+a non-Galois action; crossed products of tower actions take B_t, M and their
+blocks in closed form and never reach it.  Once an algebra is a
 :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`, its products go through
 the block kernels there, never through a structure tensor here.
 
@@ -78,15 +78,6 @@ class StructureAlgebra:
 
     def right_matrix(self, vec: np.ndarray) -> np.ndarray:
         return self.right_matrices(np.asarray(vec)[None, :])[0]
-
-    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        if u.ndim == 1:
-            return v @ self.left_matrix(u).T
-        if v.ndim == 1:
-            return u @ self.right_matrix(v).T
-        return np.einsum("...a,...b,abk->...k", u, v, self.mult, optimize=True)
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """All-pairs products of two stacks (a, dim), (b, dim) -> (a, b, dim)."""
@@ -241,7 +232,7 @@ def _matrix_units(on, diag, rng):
         for _ in range(8):
             y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             u = lefts[k - 1] @ (right0 @ y)  # diag_k y diag_0
-            gram = on.mul(on.star(u), u)
+            gram = u @ on.left_matrix(on.star(u)).T  # u* u
             c = float(np.real(np.vdot(diag[0], gram) / np.vdot(diag[0], diag[0])))
             if c > 1e-10 and rel_residual(gram, c * diag[0]) < 1e-6:
                 isometries.append(u / np.sqrt(c))

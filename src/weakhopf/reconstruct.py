@@ -416,7 +416,7 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
             hopf.row(axioms.antipode_counital, twist_b), ref="Prop 4.15")
 
     # 15. eps_t(z b) = z eps_t(b) for z in the target Cartan
-    zs = tower.cartan_target.restrict_to(tower.rel_b).images.T
+    zs = tower.cartan_in_b.images.T
     lhs = hopf.algebra.pairwise_mul(zs, np.eye(db)) @ et.T
     rhs = hopf.algebra.pairwise_mul(zs, et.T)
     rep.add("counital map is Cartan-linear", rel_residual(lhs, rhs),
@@ -459,7 +459,7 @@ def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float
     hopf = rec.on_b.hopf
     d = tower.d
     source = tower.cartan_source.restrict_to(tower.rel_b)
-    target = tower.cartan_target.restrict_to(tower.rel_b)
+    target = tower.cartan_in_b
     bt_in_b = target.images
     weights = rec.cartan_weights
     sub = target.sub
@@ -582,7 +582,7 @@ def classify(tower: TowerData, rec: ReconstructedStructure,
         rep.classification = "weak C*-Hopf (deformation required)"
 
     # Perron-Frobenius consistency of the Cartan inclusion
-    lam_mat = inclusion_matrix(tower.cartan_target.restrict_to(tower.rel_b), tol)
+    lam_mat = inclusion_matrix(tower.cartan_in_b, tol)
     tvec = rec.cartan_weights
     rep.add("Markov eigenvector consistency",
             rel_residual(lam_mat.product_with_transpose @ tvec, tvec / tower.lam),

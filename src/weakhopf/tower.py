@@ -66,6 +66,11 @@ class TowerData:
         return relative_commutant(self.sub_mid, within=self.sub_top)
 
     @cached_property
+    def cartan_in_b(self) -> SubalgebraEmbedding:
+        """M' in M1 as a subalgebra of B: the target Cartan B_t of B."""
+        return self.cartan_target.restrict_to(self.rel_b)
+
+    @cached_property
     def cartan_source(self) -> SubalgebraEmbedding:
         """M1' in the ambient."""
         return relative_commutant(self.sub_top)

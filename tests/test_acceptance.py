@@ -9,7 +9,7 @@ import pytest
 
 from weakhopf import serialize
 from weakhopf._linalg import rel_residual
-from weakhopf.actions import fixed_points, verify_action
+from weakhopf.actions import ActionData, fixed_points, verify_action
 from weakhopf.axioms import multiplicativity
 from weakhopf.cli import main as cli_main
 from weakhopf.deform import deform, undeform
@@ -210,7 +210,7 @@ def test_acceptance_09_actions_and_crossed_products(name, get_tower, get_pipelin
     action = pipe["action"]
     rep = verify_action(action, TOL)
     assert rep.passed and rep.max_residual <= TOL
-    fixed = fixed_points(action)
+    fixed = fixed_points(ActionData(action.hopf, action.carrier, action.tensor))
     mid = tower.sub_mid.restrict_to(tower.sub_top)
     assert fixed.sub.dim == mid.sub.dim
     assert mid.outside(fixed.images.T) <= 100 * TOL

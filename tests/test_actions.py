@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from weakhopf import _linalg, actions, axioms
+from weakhopf import _linalg, actions, axioms, decompose
 from weakhopf._linalg import rel_residual
 from weakhopf.actions import (
     ActionData,
@@ -93,8 +93,10 @@ def test_canonical_action_oracles(name, get_tower, get_pipeline):
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3"])
 def test_fixed_points_recover_middle_algebra(name, get_tower, get_pipeline):
+    # without the tower's units the fixed points are split from their span
     tower = get_tower(name)
-    fixed = fixed_points(get_pipeline(name)["action"])
+    action = get_pipeline(name)["action"]
+    fixed = fixed_points(ActionData(action.hopf, action.carrier, action.tensor))
     mid_in_top = tower.sub_mid.restrict_to(tower.sub_top)
     assert fixed.sub.dim == tower.sub_mid.sub.dim
     assert mid_in_top.outside(fixed.images.T) <= 100 * TOL
@@ -298,14 +300,45 @@ def test_twisted_action_fails_star_axiom(get_pipeline):
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "s3"])
 def test_tower_crossed_product_splits_nothing_at_random(name, get_pipeline, monkeypatch):
-    # the representation on L2(M1) is injective on the classes of a tower
-    # action, so the block split of a kernel ideal never runs
+    # a tower action carries B_t and the fixed points M as matrix units, so
+    # subalgebra_from_basis never splits them, and the representation on
+    # L2(M1) is injective on its classes, so no kernel ideal is split either
     def forbidden(*args, **kwargs):
         raise AssertionError("decompose_structure_algebra called")
 
     monkeypatch.setattr(actions, "decompose_structure_algebra", forbidden)
+    monkeypatch.setattr(decompose, "decompose_structure_algebra", forbidden)
     crossed = crossed_product(get_pipeline(name)["action"])
     assert crossed.dim == get_pipeline(name)["crossed"].dim
+
+
+def fourier_conjugate(embedding):
+    """The embedding into one n x n block conjugated by the Fourier matrix."""
+    car = embedding.ambient
+    n, = car.blocks
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    u = fourier.reshape(-1)  # the units of one block are e_ij, row-major
+    images = car.mul_vecs(car.mul_vecs(u, embedding.images.T), car.adjoint_vecs(u))
+    return SubalgebraEmbedding(embedding.sub, car, images.T)
+
+
+@pytest.mark.parametrize("field, wrong, name", [
+    ("fixed", lambda action: SubalgebraEmbedding.identity(action.carrier),
+     "fixed-point set"),
+    ("fixed", lambda action: fourier_conjugate(action.fixed), "fixed-point set"),
+    ("cartan", lambda action: SubalgebraEmbedding.identity(action.hopf.algebra),
+     "target Cartan"),
+])
+def test_crossed_product_rejects_wrong_given_units(field, wrong, name, get_pipeline):
+    # all of M1 as M and all of B as B_t hold the span with the wrong
+    # dimension; M conjugated by the Fourier matrix has the right dimension
+    # and misses the span
+    action = get_pipeline("z3")["action"]
+    broken = dataclasses.replace(action, **{field: wrong(action)})
+    assert getattr(broken, field).verify() < 1e-12  # a subalgebra, just not this one
+    with pytest.raises(InvariantViolation,
+                       match=f"^{name} differs from its given matrix units$"):
+        crossed_product(broken)
 
 
 def test_crossed_product_rejects_an_action_breaking_the_relators(get_pipeline):

@@ -485,7 +485,8 @@ def test_delta_unit_formula_reads_the_adjoint_gather():
     hopf = SimpleNamespace(dim=cartan.dim,
                            antipode=np.eye(cartan.dim)[:, cartan.adjoint_index],
                            delta_unit=np.diag(1 / (2 * weights[cartan.block_index])))
-    tower = SimpleNamespace(d=2, cartan_target=ident, cartan_source=ident, rel_b=ident)
+    tower = SimpleNamespace(d=2, cartan_target=ident, cartan_source=ident, rel_b=ident,
+                            cartan_in_b=ident)
     rec = SimpleNamespace(on_b=SimpleNamespace(hopf=hopf), cartan_weights=weights)
     assert _delta_unit_residual(tower, rec) <= 1e-15
     assert loop_delta_unit_residual(tower, rec) <= 1e-15

@@ -157,8 +157,8 @@ def test_cli_tower_reconstruct(tmp_path, capsys):
 
 
 def test_cli_tower_outputs_do_not_depend_on_seed(tmp_path, capsys):
-    # the tower commutants come from matrix units, not random splits, so the
-    # seed only labels the files it is written into
+    # the tower commutants, B_t and the fixed points come from matrix units,
+    # not random splits, so the seed only labels the files it is written into
     def without_seed(text):
         return re.sub(r'\n *"seed": \d+,?', "", text)
 
@@ -166,6 +166,7 @@ def test_cli_tower_outputs_do_not_depend_on_seed(tmp_path, capsys):
     for seed in ("0", "7"):
         tower_path = tmp_path / f"t{seed}.json"
         rec_path = tmp_path / f"rec{seed}.json"
+        cp_path = tmp_path / f"cp{seed}.json"
         code, _, _ = run_cli(capsys, "tower", "from-group", "cyclic", "4",
                              "--seed", seed, "-o", str(tower_path))
         assert code == 0
@@ -173,7 +174,12 @@ def test_cli_tower_outputs_do_not_depend_on_seed(tmp_path, capsys):
                                "--seed", seed, "-o", str(rec_path))
         assert code == 0
         assert f'"seed": {seed}' in out
-        outputs.append((without_seed(out), without_seed(rec_path.read_text())))
+        code, cp_out, _ = run_cli(capsys, "crossed-product", str(tower_path), "--json",
+                                  "--seed", seed, "-o", str(cp_path))
+        assert code == 0
+        assert f'"seed": {seed}' in cp_out
+        outputs.append((without_seed(out), without_seed(rec_path.read_text()),
+                        without_seed(cp_out), without_seed(cp_path.read_text())))
     assert outputs[0] == outputs[1]
 
 
