@@ -15,7 +15,11 @@ yet a subalgebra (the closure checks of ``subalgebra_from_basis``).
 
 ``support`` and ``support_matmul`` let a contraction skip the exact zeros of
 an operand, which data built from matrix units is mostly made of; no
-threshold decides what counts as zero.
+threshold decides what counts as zero.  Comparisons skip them too: an entry
+that is an exact zero on both sides of a residual adds 0 to each of the
+three maxima |lhs|, |rhs| and |lhs - rhs| the residual keeps, so
+``streamed_residuals`` compares only the entries where either side is
+nonzero, with a result bit-identical to a sweep over every entry.
 """
 
 import numpy as np
@@ -38,6 +42,21 @@ def slabs(n: int, per_row: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
+def pair_slabs(formed: np.ndarray, per_pair: int):
+    """Blocks ``(rows, cols)`` covering the True entries of the bool matrix
+    ``formed``: a slice of consecutive rows and the union of their True
+    columns, holding about ``_SLAB`` entries for pairs of ``per_pair``
+    entries (at least one row per block), as a generator."""
+    start, k = 0, len(formed)
+    while start < k:
+        window = formed[start:start + max(1, _SLAB // max(per_pair, 1))]
+        unions = np.logical_or.accumulate(window, axis=0)
+        sizes = np.arange(1, len(window) + 1) * unions.sum(axis=1) * per_pair
+        stop = start + max(1, int(np.searchsorted(sizes, _SLAB, side="right")))
+        yield slice(start, stop), unions[stop - start - 1].nonzero()[0]
+        start = stop
+
+
 def streamed_residual(pairs) -> float:
     """Max-abs deviation between two arrays given as ``(lhs, rhs)`` slab
     pairs, relative to the largest operand entry (floored at 1 so near-zero
@@ -54,13 +73,31 @@ def streamed_residuals(groups, rows: int) -> list[float]:
     """:func:`streamed_residual` of ``rows`` comparisons swept together:
     each item of ``groups`` holds one ``(lhs, rhs)`` slab pair per row, in
     row order, so slabs that share their inputs are built once.  A group may
-    be a generator; its pairs are folded one at a time."""
+    be a generator; its pairs are folded one at a time.
+
+    Only the entries where ``lhs`` or ``rhs`` is nonzero are compared, and a
+    slab without one is skipped: where both sides are exact zeros, |lhs|,
+    |rhs| and |lhs - rhs| are all 0, which no maximum (each starts at 0)
+    can take from.  So the result is bit-identical to comparing every
+    entry.  An inf or NaN counts as nonzero and propagates; a -0.0 counts
+    as zero and adds 0 either way.  A slab with every entry nonzero is
+    compared as it is."""
     peaks = [[(0.0, 0.0, 0.0)] for _ in range(rows)]
+    top = np.maximum.reduce
     for group in groups:
         for row, (lhs, rhs) in zip(peaks, group):
-            diff = np.abs(lhs - rhs)
-            if diff.size:
-                row.append((np.abs(lhs).max(), np.abs(rhs).max(), diff.max()))
+            lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+            if lhs.shape != rhs.shape:
+                lhs, rhs = np.broadcast_arrays(lhs, rhs)
+            live = lhs.astype(bool) | rhs.astype(bool)
+            count = np.count_nonzero(live)
+            if not count:
+                continue
+            if count < live.size:
+                at = live.ravel().nonzero()[0]
+                lhs, rhs = lhs.take(at), rhs.take(at)
+            row.append((top(np.abs(lhs), axis=None), top(np.abs(rhs), axis=None),
+                        top(np.abs(lhs - rhs), axis=None)))
     out = []
     for row in peaks:
         top_lhs, top_rhs, top_diff = np.max(row, axis=0)

@@ -20,7 +20,10 @@ per run it reads only the contracted columns of the laid-out left factor
 that hold a nonzero and computes only its nonzero rows; every other row is
 an exact zero.  There is no threshold and no second path: a left factor
 with full support takes the plain product, and so does a right factor
-holding an inf or NaN, which therefore propagates as before.
+holding an inf or NaN, which therefore propagates as before.  The embedding
+check (``SubalgebraEmbedding.residuals``) likewise multiplies only the unit
+pairs whose supports meet (``support_lines``) or whose product is expected
+to be a unit; every other pair is an exact zero.
 
 One helper hides a format built on the kernels: ``tensor_square``, the
 algebra tensored with itself, in which coproducts multiply.  A map applied to
@@ -60,6 +63,7 @@ import numpy as np
 from ._linalg import (
     max_abs,
     orthonormal_columns,
+    pair_slabs,
     rel_residual,
     residual_outside,
     slabs,
@@ -268,6 +272,21 @@ class MultiMatrixAlgebra:
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
         return self.matmuls((u[sl, None, :] for sl in rows), v[None, :, :])
+
+    def support_lines(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)``, each (len(u), sum of the block sizes): 1.0 where
+        a row, or a column, of a block of u[i] holds a nonzero (an inf or
+        NaN counts as nonzero), else 0.0.  A product x y can be nonzero only
+        if ``cols(x) @ rows(y)`` is: where no nonzero column of x meets a
+        nonzero row of y in any block, every term of x y has an exact zero
+        factor."""
+        nz = np.asarray(u).astype(bool)
+        lines = ([], [])
+        for sl, m, r in self._runs:
+            run = nz[:, sl].reshape(len(nz), r, m, m)
+            for out, axis in zip(lines, (3, 2)):
+                out.append(np.logical_or.reduce(run, axis=axis).reshape(len(nz), r * m))
+        return tuple(np.concatenate(out, axis=1).astype(float) for out in lines)
 
     def adjoint_vecs(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -619,6 +638,16 @@ class SubalgebraEmbedding:
         w_j w_l*, and absorption of f_00 into the w_l*.  Together with the
         ambient's associativity and the adjoint requirement this implies the
         full product table.
+
+        Of the k² gram and outer pairs, only two kinds are formed: pairs
+        whose expected unit exists (among them every diagonal pair), and
+        pairs where, in some ambient block, a column of the left factor
+        holding a nonzero meets a row of the right factor holding one
+        (:meth:`MultiMatrixAlgebra.support_lines`).  Every other pair is an
+        exact zero on both sides, so it would add nothing to the residual.
+        The supports are read from ``images`` on every call, so a fault off
+        the support of a valid embedding still meets what it touches, and
+        an inf or NaN lies on the support of its own diagonal pair.
         """
         img = self.images.T  # (sub.dim, ambient.dim)
         unital = rel_residual(self.embed_vec(self.sub.unit().vec), self.ambient.unit().vec)
@@ -648,15 +677,17 @@ class SubalgebraEmbedding:
         w = img[cols]
         w_star = self.ambient.adjoint_vecs(w)
 
-        rows = slabs(k, k * self.ambient.dim)
+        def pairs(left, right, expected_at, meet):
+            formed = (expected_at >= 0) | (meet > 0)
+            for lefts, rights in pair_slabs(formed, self.ambient.dim):
+                yield (self.ambient.pairwise_mul(left[lefts], right[rights]),
+                       take_units(img, expected_at[lefts][:, rights]))
 
-        def pairs(left, right, expected_at):
-            products = self.ambient.pairwise_mul_slabs(left, right, rows)
-            return ((prod, take_units(img, expected_at[sl]))
-                    for sl, prod in zip(rows, products))
-
-        res = max(streamed_residual(pairs(w_star, w, grams_at)),
-                  streamed_residual(pairs(w, w_star, outer_at)))
+        # the columns of w_j* are the rows of w_j, so w_j* w_l can be nonzero
+        # only where rows of w_j and w_l meet, and w_j w_l* where columns do
+        w_rows, w_cols = self.ambient.support_lines(w)
+        res = max(streamed_residual(pairs(w_star, w, grams_at, w_rows @ w_rows.T)),
+                  streamed_residual(pairs(w, w_star, outer_at, w_cols @ w_cols.T)))
         absorbed = self.ambient.mul_vecs(img[corners], w_star)
         res = max(res, rel_residual(absorbed, w_star))
         return {"unital": unital, "adjoint": adjoint, "multiplicative": res}

@@ -365,7 +365,7 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
 
     # 4. S maps the source Cartan onto the target Cartan: S is invertible,
     # so S(B_s) inside B_t with equal dimensions is S(B_s) = B_t
-    source_in_b = tower.cartan_source.restrict_to(tower.rel_b)
+    source_in_b = tower.cartan_source_in_b
     mapped = b_img @ (anti @ source_in_b.images)
     rep.add("antipode exchanges the Cartan subalgebras",
             max(tower.cartan_target.outside(mapped.T),
@@ -458,7 +458,7 @@ def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float
     an element of (source Cartan) (x) (target Cartan)."""
     hopf = rec.on_b.hopf
     d = tower.d
-    source = tower.cartan_source.restrict_to(tower.rel_b)
+    source = tower.cartan_source_in_b
     target = tower.cartan_in_b
     bt_in_b = target.images
     weights = rec.cartan_weights

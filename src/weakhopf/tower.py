@@ -76,6 +76,12 @@ class TowerData:
         return relative_commutant(self.sub_top)
 
     @cached_property
+    def cartan_source_in_b(self) -> SubalgebraEmbedding:
+        """M1' in the ambient as a subalgebra of B: the source Cartan B_s
+        of B."""
+        return self.cartan_source.restrict_to(self.rel_b)
+
+    @cached_property
     def start_commutant_full(self) -> SubalgebraEmbedding:
         """N' in the full ambient."""
         return relative_commutant(self.sub_start)

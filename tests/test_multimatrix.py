@@ -105,14 +105,14 @@ def test_pairwise_and_contract_helpers():
 # -- embeddings ------------------------------------------------------------------
 
 
-def dense_verify(emb):
-    """Reference for ``SubalgebraEmbedding.verify``: the same residuals, with
-    the expected products built as dense (k, k, ambient.dim) arrays."""
+def dense_residuals(emb):
+    """Reference for ``SubalgebraEmbedding.residuals``: the same residuals,
+    with every gram and outer pair multiplied and the expected products
+    built as dense (k, k, ambient.dim) arrays."""
     sub, amb = emb.sub, emb.ambient
     img = emb.images.T
-    res = rel_residual(emb.embed_vec(sub.unit().vec), amb.unit().vec)
-    res = max(res, rel_residual(sub.adjoint_vecs(np.eye(sub.dim)) @ img,
-                                amb.adjoint_vecs(img)))
+    unital = rel_residual(emb.embed_vec(sub.unit().vec), amb.unit().vec)
+    adjoint = rel_residual(sub.adjoint_vecs(np.eye(sub.dim)) @ img, amb.adjoint_vecs(img))
     labels = [(alpha, j) for alpha, m in enumerate(sub.blocks) for j in range(m)]
     w = img[[sub.basis_index(alpha, j, 0) for alpha, j in labels]]
     w_star = amb.adjoint_vecs(w)
@@ -126,9 +126,14 @@ def dense_verify(emb):
             if alpha == beta:
                 expected_outer[a, b] = img[sub.basis_index(alpha, j, l)]
     corners = np.stack([img[sub.basis_index(alpha, 0, 0)] for alpha, _ in labels])
-    return max(res, rel_residual(grams, expected_grams),
-               rel_residual(outer, expected_outer),
-               rel_residual(amb.mul_vecs(corners, w_star), w_star))
+    multiplicative = max(rel_residual(grams, expected_grams),
+                         rel_residual(outer, expected_outer),
+                         rel_residual(amb.mul_vecs(corners, w_star), w_star))
+    return {"unital": unital, "adjoint": adjoint, "multiplicative": multiplicative}
+
+
+def dense_verify(emb):
+    return max(dense_residuals(emb).values())
 
 
 def non_orthogonal_m2():

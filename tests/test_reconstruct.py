@@ -486,7 +486,7 @@ def test_delta_unit_formula_reads_the_adjoint_gather():
                            antipode=np.eye(cartan.dim)[:, cartan.adjoint_index],
                            delta_unit=np.diag(1 / (2 * weights[cartan.block_index])))
     tower = SimpleNamespace(d=2, cartan_target=ident, cartan_source=ident, rel_b=ident,
-                            cartan_in_b=ident)
+                            cartan_in_b=ident, cartan_source_in_b=ident)
     rec = SimpleNamespace(on_b=SimpleNamespace(hopf=hopf), cartan_weights=weights)
     assert _delta_unit_residual(tower, rec) <= 1e-15
     assert loop_delta_unit_residual(tower, rec) <= 1e-15

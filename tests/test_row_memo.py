@@ -20,7 +20,7 @@ from weakhopf.actions import ActionData, canonical_action, verify_action
 from weakhopf.deform import check_bundle, deform, undeform
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic, symmetric
-from weakhopf.multimatrix import MultiMatrixAlgebra
+from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
 from weakhopf.reconstruct import (
     StructureBundle,
     classify,
@@ -92,6 +92,32 @@ def test_the_cyclic3_chain_evaluates_each_row_once(get_tower):
     # untwisted, as verify_axioms does, and the suite's rows 11 and 12 are
     # the product check and axiom (1) of the canonical action
     assert count_row_calls(chain) == {name: 1 for name in COUNTED}
+
+
+def test_each_cartan_is_restricted_into_b_once_per_tower():
+    """B_t and B_s in B are cached on the tower: the identity suite (rows 4
+    and 15), ``classify`` and ``canonical_action`` share one restriction
+    of each, on a fresh tower."""
+    tower = build_tower_from_group(cyclic(3))
+    code = SubalgebraEmbedding.restrict_to.__code__
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[id(frame.f_locals["self"]), id(frame.f_locals["other"])] += 1
+
+    sys.setprofile(profile)
+    try:
+        rec = reconstruct(tower, TOL)
+        assert identity_suite(tower, rec, TOL).passed
+        assert classify(tower, rec, TOL).passed
+        deformed, _ = deform(rec.on_b, TOL, tower=tower)
+        canonical_action(tower, deformed, TOL)
+    finally:
+        sys.setprofile(None)
+    assert calls[id(tower.cartan_source), id(tower.rel_b)] == 1
+    assert calls[id(tower.cartan_target), id(tower.rel_b)] == 1
+    assert set(calls.values()) == {1}
 
 
 def test_a_twist_operation_evaluates_each_row_three_times():

@@ -93,6 +93,22 @@ def test_tower_invariant_failure_names_markov(get_tower):
         serialize.parse_tower(payload)
 
 
+@pytest.mark.parametrize("key", ["start", "mid", "top"])
+def test_a_corrupted_tower_embedding_is_rejected(get_tower, tmp_path, capsys, key):
+    # parse_tower checks every embedding of the chain with verify(); a
+    # shifted entry of one image fails it, and the CLI exits 1 on the file
+    payload = serialize.tower_payload(get_tower("z2"))
+    payload["embeddings"][key]["images"][0][0][0] += 0.5
+    message = f"embedding '{key}' is not a subalgebra"
+    with pytest.raises(InvariantViolation, match=message):
+        serialize.parse_tower(payload)
+    path = tmp_path / "tower.json"
+    path.write_text(serialize.dumps("tower", payload))
+    code, _, err = run_cli(capsys, "reconstruct", str(path))
+    assert code == 1
+    assert message in err
+
+
 # -- CLI ------------------------------------------------------------------------
 
 

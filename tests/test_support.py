@@ -2,7 +2,12 @@
 the rank test skip the exact zeros of their operands.  The kernel must equal
 a dense per-block product on every zero pattern, an inf or NaN must still
 propagate, and the support must come from the data, so a fault outside the
-support of the unperturbed structure still fails every row that reads it."""
+support of the unperturbed structure still fails every row that reads it.
+
+Comparisons over the support: the residual fold skips entries that are
+exact zeros on both sides, and the embedding check forms only the unit
+pairs whose product or expected value can be nonzero.  Both must equal
+their dense references bit for bit."""
 
 import dataclasses
 import math
@@ -12,11 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhopf import axioms
-from weakhopf._linalg import numeric_rank, rel_residual
+import weakhopf.tower
+from weakhopf import _linalg, axioms
+from weakhopf._linalg import numeric_rank, pair_slabs, rel_residual, streamed_residual
 from weakhopf.actions import ActionData, verify_action
-from weakhopf.multimatrix import MultiMatrixAlgebra
+from weakhopf.errors import InvariantViolation
+from weakhopf.groups import cyclic
+from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
 from weakhopf.reconstruct import StructureBundle, identity_suite
+
+from test_multimatrix import (
+    dense_residuals,
+    dense_verify,
+    m2_c_in_m3_m2,
+    m2_in_m4_m2,
+    rotated,
+)
 
 # many 1 x 1 blocks as well as larger ones, so runs of both kinds occur
 SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=5)
@@ -141,3 +157,231 @@ def test_nan_off_the_module_support_gives_nan_rows(get_tower, get_reconstruction
     rep = identity_suite(broken, rec)
     for row in ("expectation comultiplicativity", "product against module elements"):
         assert math.isnan(rep[row].residual) and not rep[row].passed
+
+
+# -- the residual fold --------------------------------------------------------
+
+
+def dense_fold(pairs):
+    """The three maxima |lhs|, |rhs| and |lhs - rhs| over every entry of
+    every pair, zeros included, and the relative residual they give."""
+    peaks = [(0.0, 0.0, 0.0)]
+    for lhs, rhs in pairs:
+        diff = np.abs(lhs - rhs)
+        if diff.size:
+            peaks.append((np.abs(lhs).max(), np.abs(rhs).max(), diff.max()))
+    top_lhs, top_rhs, top_diff = np.max(peaks, axis=0)
+    return float(top_diff / max(top_lhs, top_rhs, 1.0))
+
+
+def _signed_sparse(rng, shape):
+    """About 70 % exact zeros, a third of them -0.0 in one or both parts."""
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zeros = np.zeros(shape, dtype=complex)
+    zeros.real[rng.random(shape) < 1 / 3] = -0.0
+    zeros.imag[rng.random(shape) < 1 / 3] = -0.0
+    return np.where(rng.random(shape) < 0.3, vals, zeros)
+
+
+@st.composite
+def fold_operands(draw):
+    """``lhs`` of rank one to three (sizes 0-5) and an ``rhs`` of lower or
+    equal rank that broadcasts against it, possibly with a NaN or inf placed
+    where the other side is exactly zero; and a slab height."""
+    shape = tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=3)))
+    rank = draw(st.integers(0, len(shape)))
+    rhs_shape = tuple(draw(st.sampled_from([1, n])) for n in shape[len(shape) - rank:])
+    rng = np.random.default_rng(draw(SEEDS))
+    lhs, rhs = _signed_sparse(rng, shape), _signed_sparse(rng, rhs_shape)
+    poison = draw(st.sampled_from([None, np.nan, np.inf, complex(0, -np.inf)]))
+    if poison is not None and lhs.size and rhs.size:
+        at = tuple(int(rng.integers(n)) for n in rhs_shape)
+        hit = np.zeros(rhs_shape, dtype=bool)
+        hit[at] = True
+        hit = np.broadcast_to(hit, shape)
+        if draw(st.booleans()):
+            rhs[at] = 0.0
+            lhs[hit] = poison
+        else:
+            lhs[hit] = 0.0
+            rhs[at] = poison
+    else:
+        poison = None
+    return lhs, rhs, poison, draw(st.integers(1, 4))
+
+
+@PROPERTY
+@given(fold_operands())
+def test_the_fold_equals_the_dense_three_maxima(operands):
+    lhs, rhs, poison, rows = operands
+    same_rank = rhs.ndim == lhs.ndim and rhs.shape[:1] != (1,)
+    pairs = [(lhs[i:i + rows], rhs[i:i + rows] if same_rank else rhs)
+             for i in range(0, len(lhs), rows)]
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+        got, expected = streamed_residual(pairs), dense_fold(pairs)
+        whole = rel_residual(lhs, rhs), dense_fold([(lhs, rhs)])
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(*whole, equal_nan=True)
+    if poison is not None:
+        assert math.isnan(got)
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), SEEDS)
+def test_pair_slabs_cover_every_formed_pair_once(k, c, per_pair, seed):
+    formed = np.random.default_rng(seed).random((k, c)) < 0.3
+    covered = np.zeros_like(formed)
+    start = 0
+    for rows, cols in pair_slabs(formed, per_pair):
+        assert rows.start == start
+        start = rows.stop
+        assert not formed[rows][:, np.setdiff1d(np.arange(c), cols)].any()
+        covered[rows, cols[:, None]] = True
+        size = (rows.stop - rows.start) * len(cols) * per_pair
+        assert size <= _linalg._SLAB or rows.stop - rows.start == 1
+    assert start == k
+    assert not (formed & ~covered).any()
+
+
+# -- the embedding check over meeting supports ---------------------------------
+
+
+def supports_meet(alg, u, v):
+    """Whether a nonzero column of u[i] meets a nonzero row of v[j] in
+    some block, read from ``support_lines``."""
+    return alg.support_lines(u)[1] @ alg.support_lines(v)[0].T > 0
+
+
+@PROPERTY
+@given(SHAPES, SEEDS, PATTERNS, PATTERNS, st.integers(1, 4), st.integers(1, 4))
+def test_products_of_pairs_whose_supports_never_meet_are_zero(blocks, seed, left,
+                                                             right, a, c):
+    alg = MultiMatrixAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    u, v = _operand(rng, (a, alg.dim), left), _operand(rng, (c, alg.dim), right)
+    meet = supports_meet(alg, u, v)
+    assert meet.shape == (a, c)
+    products = dense_block_product(alg, u[:, None], v[None])
+    assert not products[~meet].any()
+    # the rows and columns of an adjoint are the columns and rows
+    rows, cols = alg.support_lines(u)
+    star_rows, star_cols = alg.support_lines(alg.adjoint_vecs(u))
+    assert np.array_equal(rows, star_cols) and np.array_equal(cols, star_rows)
+
+
+def test_verify_equals_the_dense_reference_on_tower_and_dense_embeddings(monkeypatch):
+    # the realizations of both basic constructions are read while the
+    # towers of cyclic(2-4) are built
+    realizations = []
+    build = weakhopf.tower.basic_construction
+
+    def recording(*args, **kwargs):
+        ext = build(*args, **kwargs)
+        realizations.append(ext.realization)
+        return ext
+
+    monkeypatch.setattr(weakhopf.tower, "basic_construction", recording)
+    towers = [weakhopf.tower.build_tower_from_group(cyclic(n)) for n in (2, 3, 4)]
+    assert len(realizations) == 2 * len(towers)
+    embeddings = [getattr(tower, name) for tower in towers
+                  for name in ("rel_a", "rel_b", "start_commutant_full")]
+    embeddings += realizations
+    embeddings += [rotated(m2_in_m4_m2()), rotated(m2_c_in_m3_m2())]
+    for emb in embeddings:
+        assert emb.residuals() == dense_residuals(emb), emb
+        assert emb.verify() < 1e-12
+
+
+def _two_disjoint_projections(emb):
+    """Ambient block and rows ``(beta, (a, i), (b, j))``: columns a and b of
+    two 1 x 1 sub blocks whose images are the diagonal units E_ii and E_jj
+    of ambient block beta, i != j, so that their supports do not meet."""
+    img, amb = emb.images, emb.ambient
+    spots = {}
+    for alpha, m in enumerate(emb.sub.blocks):
+        col = emb.sub.basis_index(alpha, 0, 0)
+        (at,) = np.flatnonzero(img[:, col])
+        beta = int(amb.block_index[at])
+        row = (at - amb.block_slice(beta).start) // amb.blocks[beta]
+        spots.setdefault(beta, []).append((col, row))
+    beta, found = next((beta, found) for beta, found in spots.items() if len(found) > 1)
+    return beta, found[0], found[1]
+
+
+def test_a_fault_where_two_first_column_images_did_not_meet_fails_verify(get_tower):
+    # h = t (E_ij + E_ji) added to image(f_a) = E_ii and taken from
+    # image(f_b) = E_jj: the unit and the adjoints still hold, but
+    # (E_ii + h)^2 - (E_ii + h) = t^2 (E_ii + E_jj) and
+    # (E_ii + h)(E_jj - h) = -t^2 (E_ii + E_jj), against a scale of 1 + t^2
+    emb = get_tower("z3").rel_b
+    assert emb.sub.blocks == (1,) * emb.sub.dim and emb.verify() == 0.0
+    beta, (a, i), (b, j) = _two_disjoint_projections(emb)
+    amb = emb.ambient
+    assert not supports_meet(amb, emb.images[:, [a]].T, emb.images[:, [b]].T).any()
+    t = 0.5
+    h = np.zeros(amb.dim, dtype=complex)
+    h[amb.basis_index(beta, i, j)] = h[amb.basis_index(beta, j, i)] = t
+    images = emb.images.copy()
+    images[:, a] += h
+    images[:, b] -= h
+    bent = SubalgebraEmbedding(emb.sub, amb, images)
+    assert supports_meet(amb, images[:, [a]].T, images[:, [b]].T).all()
+    res = bent.residuals()
+    assert res == dense_residuals(bent)
+    assert res["unital"] == res["adjoint"] == 0.0
+    assert res["multiplicative"] == pytest.approx(t ** 2 / (1 + t ** 2), rel=1e-15)
+    with pytest.raises(InvariantViolation, match="not a subalgebra"):
+        bent.require_valid()
+
+
+@pytest.mark.parametrize("slab", [None, 1], ids=["one_block", "row_blocks"])
+def test_a_fault_only_a_newly_meeting_pair_shows_at_full_size(get_tower, monkeypatch,
+                                                              slab):
+    # h = t (E_ij + E_ji) added to both E_ii and E_jj: each diagonal pair
+    # is off by t^2 only, but (E_ii + h)(E_jj + h) = 2t E_ij + t^2 (E_ii + E_jj)
+    # against an expected zero, so the residual is 2t / (1 + t^2) only if
+    # the pair whose supports now meet is formed.  With slabs of one entry
+    # each row multiplies only the partners formed for it.
+    if slab is not None:
+        monkeypatch.setattr(_linalg, "_SLAB", slab)
+    emb = get_tower("z3").rel_b
+    beta, (a, i), (b, j) = _two_disjoint_projections(emb)
+    amb = emb.ambient
+    t = 0.25
+    images = emb.images.copy()
+    for col in (a, b):
+        images[amb.basis_index(beta, i, j), col] = images[amb.basis_index(beta, j, i), col] = t
+    bent = SubalgebraEmbedding(emb.sub, amb, images)
+    res = bent.residuals()
+    assert res == dense_residuals(bent)
+    assert res["multiplicative"] == pytest.approx(2 * t / (1 + t ** 2), rel=1e-15)
+
+
+@pytest.mark.parametrize("slab", [None, 1], ids=["one_block", "row_blocks"])
+def test_a_zero_partial_isometry_fails_its_expected_pairs(get_tower, monkeypatch, slab):
+    # image(f_10) = image(f_01) = 0 keeps the unit and the adjoints, and
+    # its products meet nothing; only the pairs whose expected unit exists,
+    # w_1* w_1 = image(f_00) and w_1 w_1* = image(f_11), show the fault
+    if slab is not None:
+        monkeypatch.setattr(_linalg, "_SLAB", slab)
+    emb = get_tower("z3").start_commutant_full
+    images = emb.images.copy()
+    images[:, [emb.sub.basis_index(0, 1, 0), emb.sub.basis_index(0, 0, 1)]] = 0
+    bent = SubalgebraEmbedding(emb.sub, emb.ambient, images)
+    res = bent.residuals()
+    assert res == dense_residuals(bent)
+    assert res["unital"] == res["adjoint"] == 0.0 and res["multiplicative"] == 1.0
+
+
+@pytest.mark.parametrize("unit", [(0, 0, 0), (1, 2, 0), (2, 1, 2)],
+                         ids=["corner", "first_column", "off_column"])
+@pytest.mark.parametrize("on_support", [True, False], ids=["on", "off"])
+def test_a_nan_in_one_image_makes_verify_nan(get_tower, unit, on_support):
+    emb = get_tower("z3").start_commutant_full
+    col = emb.sub.basis_index(*unit)
+    images = emb.images.copy()
+    at = np.flatnonzero((images[:, col] != 0) == on_support)[0]
+    images[at, col] = np.nan
+    bent = SubalgebraEmbedding(emb.sub, emb.ambient, images)
+    assert math.isnan(bent.verify())
+    assert math.isnan(dense_verify(bent))
