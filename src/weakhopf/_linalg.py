@@ -162,9 +162,10 @@ def null_space(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def support(a: np.ndarray, *axes: int) -> list[np.ndarray]:
     """For each of ``axes``, the indices along it at which ``a`` holds a
-    nonzero entry (an inf or NaN counts as nonzero).  Dropping the other
-    indices drops only exact zeros."""
-    nz = np.asarray(a) != 0
+    nonzero entry (an inf, a NaN or an imaginary-only entry counts as
+    nonzero, a -0.0 does not).  Dropping the other indices drops only exact
+    zeros."""
+    nz = np.asarray(a).astype(bool)
     return [np.flatnonzero(nz.any(axis=tuple(i for i in range(nz.ndim)
                                              if i != axis % nz.ndim)))
             for axis in axes]

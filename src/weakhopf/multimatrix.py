@@ -37,8 +37,8 @@ lists what reads it.  How unit labels transpose and multiply is read from
 
 Projections onto the image of a subalgebra have one home as well.  Images of
 distinct matrix units are orthogonal for Tr(x* y) and for tau(x* y), so
-coordinates, the membership residual ``outside``, conditional expectations
-and the Jones projection all read one closed-form left inverse
+coordinates, the membership residual ``outside`` and conditional
+expectations all read one closed-form left inverse
 (``SubalgebraEmbedding._left_inverse``); no Gram system is solved.  Every
 comparison of a span with a subalgebra image is ``outside`` (containment)
 plus a dimension count; no projector, intersection or least-squares solve
@@ -46,12 +46,12 @@ stands in for it.  The Cartan subalgebras of an abstract structure are the
 ranges of its counital maps (idempotents, so z lies in B_t iff
 eps_t z = z), handed to :func:`subalgebra_from_basis` as they are.
 
-Commutants need no splitting: relative commutants, centers and the Jones basic
-construction (the commutant of the right action of the subalgebra) all take
-their matrix units from those of the subalgebra, through one closed form.
-Only subalgebras given by a bare spanning set are recognized by handing their
-structure constants to :mod:`weakhopf.decompose`, the one block-splitting
-engine.
+Commutants need no splitting: relative commutants and centers take their
+matrix units from those of the subalgebra in closed form, and so does the
+Jones basic construction, read off the inclusion matrix (Goodman-de la
+Harpe-Jones 1989).  Only subalgebras given by a bare spanning set are
+recognized by handing their structure constants to :mod:`weakhopf.decompose`,
+the one block-splitting engine.
 """
 
 import itertools
@@ -729,7 +729,6 @@ class JonesExtension:
     lam: float
     inclusion: SubalgebraEmbedding      # old ambient into the new algebra
     sub_projection: SubalgebraEmbedding  # original subalgebra into the new algebra
-    realization: SubalgebraEmbedding     # new algebra inside operators on the GNS space
 
 
 class ConditionalExpectation:
@@ -812,25 +811,33 @@ def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
 # ---------------------------------------------------------------------------
 
 
+def _corner_ranges(host: MultiMatrixAlgebra, corner: np.ndarray) -> list[np.ndarray]:
+    """Per block of ``host``, orthonormal columns spanning the range of the
+    projection ``corner``, the image of some f^alpha_00: as many as alpha
+    has copies there.  Its singular values are 0 or 1, so the absolute cut
+    ignores rounding noise in the blocks it misses."""
+    ranges = []
+    for mat in host.block_views(corner):
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        ranges.append(u[:, s > 0.5])
+    return ranges
+
+
 def _commutant_from_units(host: MultiMatrixAlgebra, firsts) -> SubalgebraEmbedding:
     """Commutant in ``host`` of a subalgebra given by the images of its
     first-column matrix units: ``firsts[alpha]`` stacks the images of
     f^alpha_c0 as rows (k_alpha, host.dim).
 
     In host block beta, let V be an orthonormal basis of the range of
-    f^alpha_00 (its dimension is the multiplicity of alpha in beta).  Block
-    (alpha, beta) of the commutant has the units
-    E_ij = sum_c (f_c0 v_i)(f_c0 v_j)^*, which copy v_i v_j^* onto the range of
-    every f_cc and so commute with every f_ab.  Blocks come alpha by alpha,
-    then beta; nothing is split at random.
+    f^alpha_00 (:func:`_corner_ranges`).  Block (alpha, beta) of the
+    commutant has the units E_ij = sum_c (f_c0 v_i)(f_c0 v_j)^*, which copy
+    v_i v_j^* onto the range of every f_cc and so commute with every f_ab.
+    Blocks come alpha by alpha, then beta; nothing is split at random.
     """
     parts = []
     for stack in firsts:
-        for beta, mats in enumerate(host.block_views(stack)):
-            # f_00 is a projection, so its singular values are 0 or 1; the
-            # absolute cut ignores rounding noise in blocks alpha misses
-            u, s, _ = np.linalg.svd(mats[0], full_matrices=False)
-            basis = u[:, s > 0.5]
+        for beta, (mats, basis) in enumerate(zip(host.block_views(stack),
+                                                 _corner_ranges(host, stack[0]))):
             if basis.shape[1]:
                 parts.append((beta, mats @ basis))  # copies, (k, n_beta, size)
     sizes = [copies.shape[2] for _, copies in parts]
@@ -938,72 +945,60 @@ def watatani_index(trace: TraceState) -> AlgebraElement:
 
 def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
                        *, tol: float = DEFAULT_TOL) -> JonesExtension:
-    """Jones basic construction for ``sub`` inside its ambient, for a Markov
-    trace of modulus ``lam``.
+    """Jones basic construction M1 = <M, e> = End_N(L2(M)) for ``sub``, N
+    inside its ambient M, for a Markov trace of modulus ``lam``, in the closed
+    form of Goodman-de la Harpe-Jones ("Coxeter graphs and towers of
+    algebras", 1989): block alpha of M1 acts on L2(M) f^alpha_00, of size
+    (Lambda n)_alpha, and M sits in M1 by the reflected inclusion Lambda^T.
 
-    The extension is realized on the trace-GNS space L2(M) of the ambient
-    algebra M as the commutant of the right action of the subalgebra N, which
-    equals the algebra generated by M and the projection e onto L2(N).  Its
-    blocks follow those of N: block alpha acts on L2(M) f_00 and is copied
-    onto each L2(M) f_cc by right multiplication with the matrix unit f_0c of
-    N, so :func:`_commutant_from_units` reads the matrix units off directly
-    (no span growth, no random splitting) in the block order of N.
+    Block alpha has the orthonormal basis (j, r, t): in M block j, e_r v_t*
+    / sqrt(tau_j) for r < n_j and v_t over an orthonormal basis V_aj of the
+    range of [f^alpha_00]_j (:func:`_corner_ranges`).  x_j acts there as
+    x_j (x) 1 in slot j, so the inclusion copies units, reading neither the
+    trace nor V.  e projects onto L2(N), which block alpha meets in the span
+    of the orthogonal u_i = sqrt(tau_j) [f^alpha_i0]_j V_aj (slot by slot),
+    so block alpha of e is sum_i u_i u_i* / |u_i|^2.
 
-    The extended trace is lam Lambda tau (Jones 1983; Goodman-de la Harpe-
-    Jones 1989), read off, not solved for.  e commutes with N and
-    e x e = E_N(x) e, so e f^alpha_00 is a minimal projection of block alpha,
-    and tau_ext(e f^alpha_00) = lam tau(f^alpha_00) = lam (Lambda tau)_alpha.
-    ``_verify_jones`` pins every weight through tau_ext(x e) = lam tau(x).
-    On M it gives back tau: a minimal projection of M block j lies Lambda_aj
-    times in block a, so tau_ext restricts to lam Lambda^T Lambda tau = tau,
-    the Markov condition checked first.
+    The extended trace lam Lambda tau (Jones 1983) gives e f^alpha_00, a
+    minimal projection of block alpha, the trace lam tau(f^alpha_00); on M
+    it is lam Lambda^T Lambda tau = tau, the Markov condition checked first.
+    ``sub`` and the inclusion are checked as *-homomorphisms, and
+    ``_verify_jones`` checks e = e^2 = e*, e x e = E_N(x) e, the blocks and
+    tau_ext(x e) = lam tau(x), which pins every weight.
     """
     ambient = sub.ambient
     if trace.algebra != ambient:
         raise InvariantViolation("trace lives on a different algebra")
+    sub.require_valid(tol)
     lam_mat = inclusion_matrix(sub, tol)
-    ent = lam_mat.entries.astype(float)
-    if rel_residual(ent.T @ (ent @ trace.weights), trace.weights / lam) > 1e-8:
+    mult = lam_mat.entries
+    if rel_residual(mult.T @ (mult @ trace.weights), trace.weights / lam) > 1e-8:
         raise InvariantViolation("trace not Markov")
 
-    n = ambient.dim
-    gns = MultiMatrixAlgebra([n])
-    root = np.sqrt(trace.metric_weights)
-    inv_root = 1.0 / root
+    algebra = MultiMatrixAlgebra(mult @ np.asarray(ambient.blocks))
+    incl = np.zeros((algebra.dim, ambient.dim), dtype=complex)
+    e = np.zeros(algebra.dim, dtype=complex)
+    for alpha, k in enumerate(sub.sub.blocks):
+        firsts = sub.images[:, [sub.sub.basis_index(alpha, i, 0) for i in range(k)]].T
+        m, slot, u = algebra.blocks[alpha], 0, []
+        for j, (f, basis) in enumerate(zip(ambient.block_views(firsts),
+                                           _corner_ranges(ambient, firsts[0]))):
+            n, c = ambient.blocks[j], mult[alpha, j]
+            # unit (a, b) of M block j goes to ((a, t), (b, t)) in slot j
+            a, b, t = np.ix_(range(n), range(n), range(c))
+            incl[algebra.basis_index(alpha, 0, 0) + (slot + a * c + t) * m + slot + b * c + t,
+                 ambient.basis_index(j, 0, 0) + a * n + b] = 1.0
+            slot += n * c
+            u.append(np.sqrt(trace.weights[j]) * (f @ basis).reshape(k, n * c))
+        u = np.concatenate(u, axis=1)
+        norms = np.einsum("ip,ip->i", u, u.conj()).real
+        e[algebra.block_slice(alpha)] = (u.T @ (u.conj() / norms[:, None])).reshape(-1)
 
-    def as_operator(mat: np.ndarray) -> np.ndarray:
-        # conjugate into the orthonormal GNS coordinates
-        return root[:, None] * mat * inv_root[None, :]
-
-    eye = np.eye(n, dtype=complex)
-    left_ops = np.stack([as_operator(ambient.left_mult_matrix(eye[j])).reshape(-1)
-                         for j in range(n)])
-
-    # e projects onto L2(N): sum_j w_j w_j* / |w_j|^2 over the orthogonal
-    # w_j = root v_j, which is the expectation onto N in GNS coordinates
-    rows, _ = sub._left_inverse(trace.metric_weights)
-    e_vec = as_operator(sub.images @ rows).reshape(-1)
-
-    # right multiplication is an anti-homomorphism, so R(f_0c) plays the part
-    # of the image of f_c0; it maps L2(M) f_00 isometrically onto L2(M) f_cc,
-    # since tau(f_c0 x* x f_0c) = tau(x* x f_00)
-    rights = [np.stack([
-        as_operator(ambient.right_mult_matrix(
-            sub.images[:, sub.sub.basis_index(alpha, 0, c)])).reshape(-1)
-        for c in range(k)]) for alpha, k in enumerate(sub.sub.blocks)]
-    new_emb = _commutant_from_units(gns, rights)
-    new_emb.require_valid(tol)
-    algebra = new_emb.sub
-
-    incl_images = new_emb.coords_vec(left_ops)  # (n, algebra.dim)
-    e_coords = new_emb.coords_vec(e_vec[None, :])[0]
-    inclusion = SubalgebraEmbedding(ambient, algebra, incl_images.T)
+    inclusion = SubalgebraEmbedding(ambient, algebra, incl)
     inclusion.require_valid(tol)
-    sub_in_new = sub.compose(inclusion)
-
-    ext_trace = TraceState(algebra, lam * (lam_mat.entries @ trace.weights))
-    ext = JonesExtension(algebra, algebra.element(e_coords), ext_trace, float(lam),
-                         inclusion, sub_in_new, new_emb)
+    ext_trace = TraceState(algebra, lam * (mult @ trace.weights))
+    ext = JonesExtension(algebra, algebra.element(e), ext_trace, float(lam),
+                         inclusion, sub.compose(inclusion))
     _verify_jones(ext, trace, lam_mat, tol)
     return ext
 

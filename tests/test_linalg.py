@@ -11,6 +11,8 @@ from weakhopf._linalg import (
     slabs,
     streamed_residual,
     streamed_residuals,
+    support,
+    support_matmul,
 )
 
 
@@ -137,3 +139,27 @@ def test_streamed_residuals_fold_each_row_on_its_own():
     for step in (1, 7, 40):
         assert streamed_residuals(groups(step), 3) == expected
     assert streamed_residuals(iter(()), 2) == [0.0, 0.0]
+
+
+# one entry per row: which of them hold a nonzero
+ENTRIES = [(0.0, False), (-0.0, False), (complex(-0.0, -0.0), False),
+           (np.nan, True), (np.inf, True), (-np.inf, True),
+           (complex(0, np.nan), True), (complex(0, -np.inf), True),
+           (1j, True), (-1e-300j, True), (5e-324, True), (-2.0, True)]
+
+
+def test_support_counts_every_entry_but_a_signed_zero_as_nonzero():
+    column = np.array([[value] for value, _ in ENTRIES], dtype=complex)
+    held = [i for i, (_, nonzero) in enumerate(ENTRIES) if nonzero]
+    rows, cols = support(column, 0, 1)
+    assert rows.tolist() == held and cols.tolist() == [0]
+    real = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.0])
+    assert support(real, 0)[0].tolist() == [2, 3, 4, 5]
+    # the row set of a product contracted over the support
+    a = np.zeros((len(ENTRIES), 3), dtype=complex)
+    a[:, 1] = column[:, 0]
+    with np.errstate(invalid="ignore"):
+        rows, prod = support_matmul(a, np.ones((3, 2)), finite=True)
+        plain = a @ np.ones((3, 2))
+    assert rows.tolist() == held
+    assert np.array_equal(prod, plain[held], equal_nan=True)

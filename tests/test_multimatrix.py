@@ -12,6 +12,7 @@ from weakhopf.multimatrix import (
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
     TraceState,
+    _commutant_from_units,
     _verify_jones,
     basic_construction,
     center,
@@ -553,14 +554,45 @@ def test_watatani_uniform_weights_give_unit():
 # -- basic construction --------------------------------------------------------
 
 
+def gns_basic_construction(sub, trace):
+    """Reference basic construction on the trace-GNS space L2(M): the
+    commutant of the right action of N, as ``(realization, inclusion, e)``.
+    ``realization`` embeds the extension in the operators on L2(M);
+    ``inclusion`` holds the coordinates of every L_x (rows, x over the
+    units of M) and ``e`` those of the projection onto L2(N), each
+    back-substituted into the realization, which checks that they lie in
+    it."""
+    amb = sub.ambient
+    root = np.sqrt(trace.metric_weights)
+
+    def as_operator(mat):
+        # conjugate into the orthonormal GNS coordinates
+        return (root[:, None] * mat / root[None, :]).reshape(-1)
+
+    # R(f_0c) maps L2(M) f_00 isometrically onto L2(M) f_cc, in the part of
+    # the image of f_c0 (right multiplication reverses products)
+    rights = [np.stack([as_operator(amb.right_mult_matrix(
+        sub.images[:, sub.sub.basis_index(alpha, 0, c)])) for c in range(k)])
+        for alpha, k in enumerate(sub.sub.blocks)]
+    realization = _commutant_from_units(MultiMatrixAlgebra([amb.dim]), rights)
+    lefts = np.stack([as_operator(amb.left_mult_matrix(x)) for x in np.eye(amb.dim)])
+    q = np.linalg.qr(sub.images * root[:, None])[0]
+    proj = (q @ q.conj().T).reshape(-1)
+    assert realization.outside(np.vstack([lefts, proj])) < 1e-12
+    return realization, realization.coords_vec(lefts), realization.coords_vec(proj)
+
+
 def test_basic_construction_scalars_in_c2():
     c2 = MultiMatrixAlgebra([1, 1])
     sub = scalars_in(c2)
     tr = TraceState(c2, [0.5, 0.5])
     ext = basic_construction(sub, tr, 0.5)
     assert ext.algebra.blocks == (2,)
-    realized = ext.realization.embed(ext.e)
-    assert rel_residual(realized.vec, 0.5 * np.ones(4)) < 1e-12
+    # L2(C^2) = C^2 in the basis (j, r, t) = (0, 0, 0), (1, 0, 0), and e
+    # projects onto the constants
+    assert rel_residual(ext.e.vec, 0.5 * np.ones(4)) < 1e-12
+    realization, _, e = gns_basic_construction(sub, tr)
+    assert rel_residual(realization.embed_vec(e), 0.5 * np.ones(4)) < 1e-12
     assert abs(ext.extended_trace.value(ext.e) - 0.5) < 1e-12
 
 
@@ -623,32 +655,84 @@ def test_basic_construction_rejects_wrong_modulus():
         basic_construction(scalars_in(c2), TraceState(c2, [0.5, 0.5]), 0.25)
 
 
-def test_jones_extension_invariants():
-    for sub, weights, lam, blocks in (
-            (diag_in_m2(), [0.5], 0.5, [2, 2]),
-            (m2_in_m4_m2(), [0.2, 0.1], 0.2, [10])):
-        tr = TraceState(sub.ambient, weights)
-        ext = basic_construction(sub, tr, lam)
-        assert sorted(ext.algebra.blocks) == blocks
-        alg = ext.algebra
-        e = ext.e.vec
-        imgs = ext.inclusion.images.T
-        expect = ConditionalExpectation(ext.sub_projection, ext.extended_trace)
-        exe = alg.mul_vecs(e, alg.mul_vecs(imgs, e))
-        assert rel_residual(exe, alg.mul_vecs(expect.apply_vec(imgs), e)) < TOL
-        assert rel_residual(ext.extended_trace.values(alg.mul_vecs(imgs, e)),
-                            lam * tr.values(np.eye(sub.ambient.dim))) < TOL
-        assert abs(ext.extended_trace.value(ext.e) - lam) < 1e-12
-        # e and every L_x, built here on the GNS space, lie in the realization
-        root = np.sqrt(tr.metric_weights)
-        amb = sub.ambient
-        lefts = np.stack([(root[:, None] * amb.left_mult_matrix(x) / root[None, :])
-                          .reshape(-1) for x in np.eye(amb.dim)])
-        q = np.linalg.qr(sub.images * root[:, None])[0]
-        proj = (q @ q.conj().T).reshape(-1)
-        assert ext.realization.outside(np.vstack([lefts, proj])) < 1e-12
-        assert rel_residual(ext.realization.embed_vec(imgs), lefts) < 1e-12
-        assert rel_residual(ext.realization.embed_vec(e), proj) < 1e-12
+def test_basic_construction_rejects_a_sub_that_is_not_a_homomorphism():
+    # the image of f_10 doubled: the ranges of f_00 and the copy map are
+    # unchanged, so only the check of ``sub`` itself sees it
+    sub = m2_in_m4_m2()
+    images = sub.images.copy()
+    images[:, sub.sub.basis_index(0, 1, 0)] *= 2.0
+    bent = SubalgebraEmbedding(sub.sub, sub.ambient, images)
+    with pytest.raises(InvariantViolation, match="not a subalgebra"):
+        basic_construction(bent, TraceState(sub.ambient, [0.2, 0.1]), 0.2)
+
+
+# inclusions with a Markov trace and its modulus, and the extension's blocks
+JONES_FIXTURES = [(diag_in_m2, [0.5], 0.5, [2, 2]),
+                  (c2_in_m3, [1 / 3], 0.2, [3, 6]),
+                  (m2_in_m4_m2, [0.2, 0.1], 0.2, [10])]
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["units", "rotated"])
+@pytest.mark.parametrize("fixture, weights, lam, blocks", JONES_FIXTURES,
+                         ids=["diag_in_m2", "c2_in_m3", "m2_in_m4_m2"])
+def test_jones_extension_invariants(fixture, weights, lam, blocks, rotate):
+    sub = rotated(fixture()) if rotate else fixture()
+    tr = TraceState(sub.ambient, weights)
+    ext = basic_construction(sub, tr, lam)
+    assert sorted(ext.algebra.blocks) == blocks
+    alg = ext.algebra
+    e = ext.e.vec
+    imgs = ext.inclusion.images.T
+    expect = ConditionalExpectation(ext.sub_projection, ext.extended_trace)
+    exe = alg.mul_vecs(e, alg.mul_vecs(imgs, e))
+    assert rel_residual(exe, alg.mul_vecs(expect.apply_vec(imgs), e)) < TOL
+    assert rel_residual(ext.extended_trace.values(alg.mul_vecs(imgs, e)),
+                        lam * tr.values(np.eye(sub.ambient.dim))) < TOL
+    assert abs(ext.extended_trace.value(ext.e) - lam) < 1e-12
+
+    # the same extension as the GNS reference builds it, compared by what no
+    # choice of basis changes: the blocks with their weights lam tau(f_00),
+    # and tau_ext(x e y) over every pair of units x, y of M
+    realization, ref_imgs, ref_e = gns_basic_construction(sub, tr)
+    ref_alg = realization.sub
+    ref_trace = TraceState(ref_alg, lam * sub.restrict(tr).weights)
+    ref = sorted(zip(ref_alg.blocks, ref_trace.weights))
+    got = sorted(zip(alg.blocks, ext.extended_trace.weights))
+    assert [m for m, _ in got] == [m for m, _ in ref]
+    np.testing.assert_allclose([w for _, w in got], [w for _, w in ref], rtol=1e-14)
+    xey = ext.extended_trace.product_values(alg.mul_vecs(imgs, e), imgs)
+    ref_xey = ref_trace.product_values(ref_alg.mul_vecs(ref_imgs, ref_e), ref_imgs)
+    assert rel_residual(xey, ref_xey) < 1e-12
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["units", "rotated"])
+def test_jones_checks_reject_a_moved_copy_and_a_turned_projection(rotate):
+    # c2 in m3 has Lambda = [[1], [2]], so block 1 of the extension holds two
+    # copies of M_3, in the slots t = 0, 1 of the basis (r, t)
+    sub = rotated(c2_in_m3()) if rotate else c2_in_m3()
+    tr = TraceState(sub.ambient, [1 / 3])
+    ext = basic_construction(sub, tr, 0.2)
+    alg, lam_mat = ext.algebra, inclusion_matrix(sub)
+    ext.inclusion.require_valid(TOL)
+    _verify_jones(ext, tr, lam_mat, TOL)
+
+    # the copy t = 0 of E_00 moves from ((0, 0), (0, 0)) to ((0, 0), (0, 1))
+    images = ext.inclusion.images.copy()
+    unit = sub.ambient.basis_index(0, 0, 0)
+    images[alg.basis_index(1, 0, 0), unit] = 0.0
+    images[alg.basis_index(1, 0, 1), unit] = 1.0
+    moved = SubalgebraEmbedding(sub.ambient, alg, images)
+    with pytest.raises(InvariantViolation, match="not a subalgebra"):
+        moved.require_valid(TOL)
+
+    # e conjugated by a unitary of block 1 is still a projection, but no
+    # longer implements the expectation onto N
+    rng = np.random.default_rng(3)
+    turn = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    blocks = alg.block_views(ext.e.vec)
+    turned = alg.from_blocks([blocks[0], turn @ blocks[1] @ turn.conj().T])
+    with pytest.raises(InvariantViolation, match="extended trace inconsistent"):
+        _verify_jones(dataclasses.replace(ext, e=turned), tr, lam_mat, TOL)
 
 
 @pytest.mark.parametrize("blocks, weights, lam, first_blocks, second_blocks", [

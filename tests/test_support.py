@@ -29,6 +29,7 @@ from weakhopf.reconstruct import StructureBundle, identity_suite
 from test_multimatrix import (
     dense_residuals,
     dense_verify,
+    gns_basic_construction,
     m2_c_in_m3_m2,
     m2_in_m4_m2,
     rotated,
@@ -270,22 +271,24 @@ def test_products_of_pairs_whose_supports_never_meet_are_zero(blocks, seed, left
 
 
 def test_verify_equals_the_dense_reference_on_tower_and_dense_embeddings(monkeypatch):
-    # the realizations of both basic constructions are read while the
-    # towers of cyclic(2-4) are built
-    realizations = []
+    # both basic constructions of the towers of cyclic(2-4) are recorded:
+    # their inclusions, and the GNS realizations the reference builds from
+    # their inputs, are large copy maps
+    calls = []
     build = weakhopf.tower.basic_construction
 
-    def recording(*args, **kwargs):
-        ext = build(*args, **kwargs)
-        realizations.append(ext.realization)
+    def recording(sub, trace, *args, **kwargs):
+        ext = build(sub, trace, *args, **kwargs)
+        calls.append((sub, trace, ext))
         return ext
 
     monkeypatch.setattr(weakhopf.tower, "basic_construction", recording)
     towers = [weakhopf.tower.build_tower_from_group(cyclic(n)) for n in (2, 3, 4)]
-    assert len(realizations) == 2 * len(towers)
+    assert len(calls) == 2 * len(towers)
     embeddings = [getattr(tower, name) for tower in towers
                   for name in ("rel_a", "rel_b", "start_commutant_full")]
-    embeddings += realizations
+    embeddings += [ext.inclusion for _, _, ext in calls]
+    embeddings += [gns_basic_construction(sub, trace)[0] for sub, trace, _ in calls]
     embeddings += [rotated(m2_in_m4_m2()), rotated(m2_c_in_m3_m2())]
     for emb in embeddings:
         assert emb.residuals() == dense_residuals(emb), emb
