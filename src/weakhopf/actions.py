@@ -335,10 +335,15 @@ def crossed_product(action: ActionData, *, rng=None,
     = pi(x (b_(1) |> y) (x) b_(2) c); ``verify_action`` checks both laws on
     every basis pair.  Every pi(x (x) b) commutes with right multiplication
     by the fixed points M, and when pi is a *-map its image is exactly their
-    commutant, whose matrix units come from those of M in closed form.  So
-    classes map to block coordinates, and pi must be injective there; for
-    the tower actions it is, and as they carry B_t and M as matrix units,
-    nothing is split at random.  A kernel (of a non-Galois action) is an
+    commutant, whose matrix units come from those of M in closed form.
+    Only the generators are read there: the L_x and A_b of the units x of
+    M1 and b of B are back-substituted once each, and a class v (x) w gets
+    the block product of the coordinates of L_v and A_w.  The commutant is
+    checked as a *-subalgebra, so it holds every product of the L_x and A_b,
+    with the block product of their coordinates, and no class needs its own
+    membership test.  pi must be injective on the classes; for the tower
+    actions it is, and as they carry B_t and M as matrix units, nothing is
+    split at random.  A kernel (of a non-Galois action) is an
     ideal whose blocks are split from its algebraic structure constants.
     The complementary ideal (1 - e) X, e the kernel's unit, maps onto the
     commutant, and the units of that commutant are lifted into it: the
@@ -355,40 +360,20 @@ def crossed_product(action: ActionData, *, rng=None,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    hopf, car = action.hopf, action.carrier
-    dm = car.dim
-
+    hopf = action.hopf
     cartan = _spanned(hopf.algebra, hopf.target_counital, action.cartan,
                       "target Cartan", rng, tol)
     classes = _class_basis(action, cartan)
     _check_relators(action, cartan, classes, tol)
 
-    fixed = fixed_points(action, rng=rng, tol=tol)
-    rights = [np.stack([
-        car.right_mult_matrix(fixed.images[:, fixed.sub.basis_index(alpha, 0, c)]).reshape(-1)
-        for c in range(k)]) for alpha, k in enumerate(fixed.sub.blocks)]
-    image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
-    image.require_valid(tol)
-
-    def class_images():
-        # pi(v (x) w) = L_v A_w over the factors of each class block
-        for vs, ws, _, _ in classes.blocks:
-            lefts = np.stack([car.left_mult_matrix(v) for v in vs.T])
-            acts = (action.tensor.reshape(len(ws), -1).T @ ws).reshape(dm, dm, -1) \
-                .transpose(2, 1, 0)
-            yield (lefts[:, None] @ acts[None]).reshape(-1, dm * dm)
-    try:
-        coords = np.concatenate(image.coords_chunks(class_images()))  # (classes, image.dim)
-    except InvariantViolation as exc:
-        raise InvariantViolation(
-            "classes do not act in the commutant of the fixed points") from exc
+    commutant, coords = _commutant_coords(action, classes, rng, tol)
     u, sv, vh = np.linalg.svd(coords.T)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
-    if rank < image.sub.dim:
+    if rank < commutant.dim:
         raise InvariantViolation("crossed product does not fill the commutant "
                                  "of the fixed points")
     if rank == classes.dim:
-        algebra, block_coords = image.sub, coords.T
+        algebra, block_coords = commutant, coords.T
         unit_classes = np.linalg.inv(block_coords)
     else:
         kernel = vh[rank:].conj().T
@@ -397,7 +382,7 @@ def crossed_product(action: ActionData, *, rng=None,
         # into the complementary ideal (1 - e) X; see the docstring
         preimages -= classes.quot(
             classes.lift(preimages.T) @ _left_products(action, ideal_unit)).T
-        algebra = MultiMatrixAlgebra(image.sub.blocks + ideal.blocks)
+        algebra = MultiMatrixAlgebra(commutant.blocks + ideal.blocks)
         unit_classes = np.hstack([preimages, ideal_units])
         block_coords = np.linalg.inv(unit_classes)
 
@@ -406,6 +391,31 @@ def crossed_product(action: ActionData, *, rng=None,
         raise InvariantViolation("carrier embedding is not a *-homomorphism")
     _verify_products(crossed, rng, tol)
     return crossed
+
+
+def _commutant_coords(action: ActionData, classes: ClassMap, rng, tol):
+    """The commutant of the right action of the fixed points on L2(M1) and
+    the (classes, commutant dim) coordinates of the class basis in it; its
+    dense (dm**2, commutant dim) images and their left inverse are freed
+    when this returns (see :func:`crossed_product`)."""
+    car = action.carrier
+    dm = car.dim
+    fixed = fixed_points(action, rng=rng, tol=tol)
+    rights = [np.stack([
+        car.right_mult_matrix(fixed.images[:, fixed.sub.basis_index(alpha, 0, c)]).reshape(-1)
+        for c in range(k)]) for alpha, k in enumerate(fixed.sub.blocks)]
+    image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
+    image.require_valid(tol)
+    try:
+        lefts = image.coords_vec(
+            np.stack([car.left_mult_matrix(x) for x in np.eye(dm)]).reshape(dm, -1))
+        acts = image.coords_vec(action.tensor.transpose(0, 2, 1).reshape(-1, dm * dm))
+    except InvariantViolation as exc:
+        raise InvariantViolation(
+            "classes do not act in the commutant of the fixed points") from exc
+    comm = image.sub
+    return comm, np.concatenate([comm.pairwise_mul(vs.T @ lefts, ws.T @ acts)
+                                 .reshape(-1, comm.dim) for vs, ws, _, _ in classes.blocks])
 
 
 def _class_basis(action: ActionData, cartan: SubalgebraEmbedding) -> ClassMap:

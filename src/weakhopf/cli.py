@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or I/O error
-(including a stored report whose pass flags contradict its residuals).
+(including a stored report whose pass flags contradict its residuals) or an
+input too large to allocate (``error: out of memory: ...``, no traceback).
 Files named ``-`` read stdin; generated objects go to stdout so commands
 compose with pipes.
 """
@@ -352,6 +353,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

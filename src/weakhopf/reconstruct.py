@@ -472,8 +472,8 @@ def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float
 
     # positivity inside the Cartan tensor square: the first legs in source
     # coordinates, then the second legs in target coordinates
-    (legs,), first = source._back_substitute([hopf.delta_unit.T])  # (q, s)
-    (second,), other = target._back_substitute([legs.T])  # (s, t)
+    legs, first = source._back_substitute(hopf.delta_unit.T)  # (q, s)
+    second, other = target._back_substitute(legs.T)  # (s, t)
     res = max(res, first, other)
     res = max(res, _tensor_positive_residual(source.sub, sub, second))
     return res

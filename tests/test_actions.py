@@ -18,7 +18,11 @@ from weakhopf.actions import (
 )
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic, symmetric
-from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
+from weakhopf.multimatrix import (
+    MultiMatrixAlgebra,
+    SubalgebraEmbedding,
+    _commutant_from_units,
+)
 from weakhopf.weak_hopf import (
     WeakHopfData,
     cartan_subalgebras,
@@ -415,6 +419,64 @@ def test_crossed_product_rejects_classes_outside_the_commutant(get_pipeline, mon
     with pytest.raises(InvariantViolation,
                        match="^classes do not act in the commutant of the fixed points$"):
         crossed_product(action)
+
+
+def per_class_commutant_coords(action, classes, rng, tol):
+    """Reference for ``actions._commutant_coords``: every class operator
+    pi(v (x) w) = L_v A_w is formed on L2(M1) and back-substituted into the
+    dense commutant image one class block at a time."""
+    car = action.carrier
+    dm = car.dim
+    fixed = actions.fixed_points(action, rng=rng, tol=tol)
+    rights = [np.stack([
+        car.right_mult_matrix(fixed.images[:, fixed.sub.basis_index(alpha, 0, c)]).reshape(-1)
+        for c in range(k)]) for alpha, k in enumerate(fixed.sub.blocks)]
+    image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
+    image.require_valid(tol)
+    ops = []
+    for vs, ws, _, _ in classes.blocks:
+        lefts = np.stack([car.left_mult_matrix(v) for v in vs.T])
+        acts = (action.tensor.reshape(len(ws), -1).T @ ws).reshape(dm, dm, -1) \
+            .transpose(2, 1, 0)
+        ops.append((lefts[:, None] @ acts[None]).reshape(-1, dm * dm))
+    return image.sub, image.coords_vec(np.concatenate(ops))
+
+
+def per_class_crossed_product(action, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(actions, "_commutant_coords", per_class_commutant_coords)
+        return crossed_product(action, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "s3"])
+def test_generator_coordinates_match_the_per_class_reference(name, get_pipeline,
+                                                             monkeypatch):
+    # classes as block products of the coordinates of L_x and A_b give the
+    # same coordinates as back-substituting every class operator
+    pipe = get_pipeline(name)
+    reference = per_class_crossed_product(pipe["action"], monkeypatch)
+    assert np.array_equal(pipe["crossed"].block_coords, reference.block_coords)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: counit_action(group_algebra(cyclic(3)), MultiMatrixAlgebra([2])),
+    lambda: skewed_permutation_action(0.5)], ids=["counit", "skewed"])
+def test_non_galois_generator_coordinates_match_the_per_class_reference(make, monkeypatch):
+    # pi has a kernel.  The rows of the commutant's units are fixed by the
+    # class coordinates; the units of the kernel ideal only up to a unitary
+    # of each of its blocks (a rounding change of the coordinates turns the
+    # null-space basis its split starts from), so that part is compared by
+    # the projection onto the ideal along the lifted preimages
+    action = make()
+    built = crossed_product(action, rng=np.random.default_rng(0))
+    reference = per_class_crossed_product(action, monkeypatch)
+    k = actions._commutant_coords(action, built.classes, np.random.default_rng(0), TOL)[0].dim
+    assert k < built.dim and built.algebra.blocks == reference.algebra.blocks
+    assert rel_residual(built.block_coords[:k], reference.block_coords[:k]) < 1e-12
+
+    def onto_ideal(crossed):
+        return crossed.unit_classes[:, k:] @ crossed.block_coords[k:]
+    assert rel_residual(onto_ideal(built), onto_ideal(reference)) < 1e-12
 
 
 @pytest.mark.parametrize("slab", [None, 7])

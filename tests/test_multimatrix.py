@@ -169,11 +169,24 @@ def test_verify_matches_dense_reference(make):
 @pytest.mark.parametrize("make", [diag_in_m2, m2_in_m4_m2,
                                   lambda: rotated(m2_in_m4_m2())],
                          ids=["diag_in_m2", "m2_in_m4_m2", "rotated"])
-def test_coords_match_pseudo_inverse(make):
+def test_coords_match_pseudo_inverse(make, monkeypatch):
     emb = make()
     vecs = RNG.standard_normal((3, emb.sub.dim)) @ emb.images.T
     reference = vecs @ np.linalg.pinv(emb.images, rcond=1e-12).T
     assert rel_residual(emb.coords_vec(vecs), reference) < 1e-13
+
+    # one membership test over the whole stack, also swept row by row: the
+    # deviation of the last row is large against its own entries and small
+    # against the stack's largest
+    outside = null_space(emb.images.conj().T)[:, 0]
+    stack = np.concatenate([1e4 * vecs[:2], vecs[2:] + 1e-3 * outside])
+    with pytest.raises(InvariantViolation, match="vector does not lie"):
+        emb.coords_vec(stack[2:])
+    whole = emb.coords_vec(stack)
+    monkeypatch.setattr(_linalg, "_SLAB", 1)
+    assert np.array_equal(emb.coords_vec(stack), whole)
+    with pytest.raises(InvariantViolation, match="vector does not lie"):
+        emb.coords_vec(vecs + outside)
 
 
 def m2_c_in_m3_m2():
@@ -265,23 +278,6 @@ def test_adjoint_residual_is_the_dense_permutation_product(make, slab, monkeypat
     assert emb.residuals()["adjoint"] == dense
     if make is star_broken_m2:
         assert dense > 0.5
-
-
-def test_coords_chunks_fold_one_membership_test():
-    emb = m2_in_m4_m2()
-    inside = RNG.standard_normal((5, emb.sub.dim)) @ emb.images.T
-    outside = null_space(emb.images.conj().T)[:, 0]
-    chunks = [1e4 * inside[:3], inside[3:] + 1e-3 * outside]
-    # the deviation of the second chunk is large against its own entries
-    # and small against the first chunk's, as in one call on both
-    with pytest.raises(InvariantViolation, match="vector does not lie"):
-        emb.coords_vec(chunks[1])
-    whole = emb.coords_vec(np.concatenate(chunks))
-    parts = emb.coords_chunks(iter(chunks))
-    assert [len(part) for part in parts] == [3, 2]
-    assert np.array_equal(np.concatenate(parts), whole)
-    with pytest.raises(InvariantViolation, match="vector does not lie"):
-        emb.coords_chunks(iter([inside[:3], inside[3:] + outside]))
 
 
 def test_coords_reject_non_homomorphic_images():
@@ -646,7 +642,7 @@ def test_jones_check_rejects_a_scaled_extended_weight(block):
     weights[block] *= 1.01
     bent = dataclasses.replace(ext, extended_trace=TraceState(ext.algebra, weights))
     with pytest.raises(InvariantViolation, match="extended trace inconsistent"):
-        _verify_jones(bent, tr, inclusion_matrix(sub), TOL)
+        _verify_jones(bent, tr, TOL)
 
 
 def test_basic_construction_rejects_wrong_modulus():
@@ -712,9 +708,9 @@ def test_jones_checks_reject_a_moved_copy_and_a_turned_projection(rotate):
     sub = rotated(c2_in_m3()) if rotate else c2_in_m3()
     tr = TraceState(sub.ambient, [1 / 3])
     ext = basic_construction(sub, tr, 0.2)
-    alg, lam_mat = ext.algebra, inclusion_matrix(sub)
+    alg = ext.algebra
     ext.inclusion.require_valid(TOL)
-    _verify_jones(ext, tr, lam_mat, TOL)
+    _verify_jones(ext, tr, TOL)
 
     # the copy t = 0 of E_00 moves from ((0, 0), (0, 0)) to ((0, 0), (0, 1))
     images = ext.inclusion.images.copy()
@@ -732,7 +728,7 @@ def test_jones_checks_reject_a_moved_copy_and_a_turned_projection(rotate):
     blocks = alg.block_views(ext.e.vec)
     turned = alg.from_blocks([blocks[0], turn @ blocks[1] @ turn.conj().T])
     with pytest.raises(InvariantViolation, match="extended trace inconsistent"):
-        _verify_jones(dataclasses.replace(ext, e=turned), tr, lam_mat, TOL)
+        _verify_jones(dataclasses.replace(ext, e=turned), tr, TOL)
 
 
 @pytest.mark.parametrize("blocks, weights, lam, first_blocks, second_blocks", [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import weakhopf
+import weakhopf.cli
 from weakhopf import serialize
 from weakhopf._linalg import rel_residual
 from weakhopf.cli import build_parser, main
@@ -492,6 +493,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
     # unknown command -> 2
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_out_of_memory_is_exit_2(monkeypatch, capsys):
+    # an input too large to allocate (cyclic 100000 asks numpy for a
+    # 74.5 GiB group table) ends with one error line, not a traceback; the
+    # failed allocation is simulated, nothing is allocated
+    def too_large(n):
+        raise MemoryError(f"Unable to allocate the table of cyclic({n})")
+
+    monkeypatch.setattr(weakhopf.cli, "cyclic", too_large)
+    code, out, err = run_cli(capsys, "tower", "from-group", "cyclic", "100000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["tower", "reconstruct"])

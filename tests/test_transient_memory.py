@@ -6,9 +6,12 @@ entries (27 MB), and on the cyclic(5) canonical action 25**4 (6.25 MB).
 The crossed product keeps its class map factored and streams its checks, so
 on the cyclic(6) tower (216 classes, raw tensors of 36 * 36 entries) it holds
 no (classes, raw) or (raw, raw) array; its largest is the (1296, 216) images
-of the commutant of the fixed points, and its transient is about 17 MiB,
-where dense class maps and whole probe checks take about 54 MiB.  The
-comparison map holds one (raw, ambient) array of images, about 10 MiB at the
+of the commutant of the fixed points with their left inverse (4.3 MiB each).
+Only the 36 + 36 generators L_x and A_b are back-substituted into them, and
+they are freed before the probes run, so its transient is about 11 MiB,
+where the per-class back-substitution with the images held through the
+probes takes about 17 MiB, and dense class maps and whole probe checks
+about 54 MiB.  The comparison map holds one (raw, ambient) array of images, about 10 MiB at the
 peak, where two more for the well-definedness check take about 17 MiB.
 
 A conditional expectation holds its (sub, ambient) closed-form left inverse,
@@ -27,7 +30,7 @@ from weakhopf.tower import build_tower_from_group
 from weakhopf.weak_hopf import pair_groupoid
 
 BOUND_MIB = 16
-CROSSED_BOUND_MIB = 27
+CROSSED_BOUND_MIB = 15
 THETA_BOUND_MIB = 13.5
 RECONSTRUCT_BOUND_MIB = 10
 
