@@ -7,13 +7,16 @@ faithful, so it provides a Hilbert metric in which left multiplication is a
 only block-splitting engine.
 
 :class:`StructureAlgebra` is the type of abstract algebras only, those not
-yet known as a multimatrix algebra.  There are three:
+yet known as a multimatrix algebra.  There are four:
 :func:`weakhopf.multimatrix.subalgebra_from_basis` passes the structure
-constants of a span (abstract fixed points and Cartans, group algebras),
-:func:`weakhopf.weak_hopf.dual_algebra` the raw dual (product = transposed
-coproduct), and :func:`weakhopf.actions.crossed_product` the kernel ideal of
-a non-Galois action; crossed products of tower actions take B_t, M and their
-blocks in closed form and never reach it.  Once an algebra is a
+constants of a span (abstract fixed points and Cartans),
+:func:`weakhopf.weak_hopf.group_algebra` those of its group table
+(u_g u_h = u_gh), :func:`weakhopf.weak_hopf.dual_algebra` the raw dual
+(product = transposed coproduct), and :func:`weakhopf.actions.crossed_product`
+the kernel ideal of a non-Galois action; crossed products of tower actions
+take B_t, M and their blocks in closed form and never reach it.  A block's
+size m is read off the regular trace of its central projection (m**2), so
+a 1 x 1 block takes no corner and no random draw.  Once an algebra is a
 :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`, its products go through
 the block kernels there, never through a structure tensor here.
 
@@ -191,23 +194,28 @@ def _split(on: StructureAlgebra, center: np.ndarray, rng):
     if rel_residual(np.sum(projs, axis=0), on.unit) > 1e-6:
         raise _Retry
 
+    trace = on.regular_trace_vector()
     units, sizes = [], []
     for p in projs:
+        # p is minimal central in an m x m block, so tr(L_p) = dim(pA) = m**2
+        msq = complex(trace @ p)
+        m = int(round(np.sqrt(max(msq.real, 0.0))))
+        if m == 0 or abs(msq - m * m) > 1e-6 * m * m:
+            raise _Retry
+        sizes.append(m)
+        if m == 1:
+            units.append(p)
+            continue
         # columns p u_i p for every basis vector u_i
         corner = orthonormal_columns(on.right_matrix(p) @ on.left_matrix(p), 1e-8)
-        msq = corner.shape[1]
-        m = int(round(np.sqrt(msq)))
-        if m * m != msq:
+        if corner.shape[1] != m * m:
             raise _Retry
         diag = _minimal_projections(on, corner, p, m, rng)
         units.extend(_matrix_units(on, diag, rng))
-        sizes.append(m)
     return units, sizes
 
 
 def _minimal_projections(on, corner, p, m, rng):
-    if m == 1:
-        return [p]
     h = _random_self_adjoint(on, corner, rng)
     vals, projs = _spectral_projections(on, h)
     scale = max(max_abs(vals), 1.0)
@@ -220,10 +228,8 @@ def _minimal_projections(on, corner, p, m, rng):
 
 
 def _matrix_units(on, diag, rng):
-    """Matrix units of one block as rows (m*m, dim), ordered e_00, e_01, ..."""
+    """Matrix units of a block of size m >= 2 as rows (m*m, dim): e_00, e_01, ..."""
     m = len(diag)
-    if m == 1:
-        return diag[0][None, :]
     d = on.dim
     lefts = on.left_matrices(np.stack(diag[1:]))
     right0 = on.right_matrix(diag[0])

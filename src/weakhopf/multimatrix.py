@@ -756,7 +756,8 @@ class ConditionalExpectation:
 def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
                           rng=None, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
     """Recognize a *-closed unital subspace of ``ambient`` as a multimatrix
-    algebra and return the embedding carrying its canonical matrix units.
+    algebra and return the embedding carrying its canonical matrix units
+    (a group algebra has no ambient and splits straight from its table).
 
     The span is checked for closure under adjoints, the unit and all pairwise
     products; its structure constants in an orthonormal basis of the span then

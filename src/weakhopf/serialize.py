@@ -47,16 +47,12 @@ def make_meta(tolerance: float = 1e-9, seed: int = 0) -> dict:
 # -- complex encoding --------------------------------------------------------
 
 
-def _enc_c(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _enc_vec(vec) -> list:
-    return [_enc_c(z) for z in np.asarray(vec, dtype=complex)]
+    vec = np.asarray(vec, dtype=complex)
+    return np.stack([vec.real, vec.imag], -1).tolist()
 
 
-def _enc_mat(mat) -> list:
-    return [_enc_vec(row) for row in np.asarray(mat, dtype=complex)]
+_enc_mat = _enc_vec  # one list of [re, im] pairs per row
 
 
 def number(value, what: str, kind=float):
@@ -106,11 +102,10 @@ def _dec_mat(data, shape=None) -> np.ndarray:
 
 
 def _sparse_tensor(tensor: np.ndarray, tol: float = 1e-14) -> list:
-    entries = []
-    for idx in np.argwhere(np.abs(tensor) > tol):
-        z = tensor[tuple(idx)]
-        entries.append([int(i) for i in idx] + [float(z.real), float(z.imag)])
-    return entries
+    idx = np.argwhere(np.abs(tensor) > tol)
+    values = tensor[tuple(idx.T)]
+    return [i + [re, im] for i, re, im in
+            zip(idx.tolist(), values.real.tolist(), values.imag.tolist())]
 
 
 def _dense_tensor(entries, shape) -> np.ndarray:

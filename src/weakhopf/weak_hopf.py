@@ -12,8 +12,9 @@ and every product goes through its block kernels.  Counit and Haar values of
 products are gathers through ``product_index`` (``unit_products``):
 eps(u_p u_c) gives the counital maps, phi(u_i u_j) the positivity gram and
 the traciality test.  Only the dual (whose product is the transposed
-coproduct, not a multimatrix product) and subalgebras given by a spanning set
-go through :class:`~weakhopf.decompose.StructureAlgebra`.
+coproduct, not a multimatrix product), group algebras (whose table is their
+structure tensor) and subalgebras given by a spanning set go through
+:class:`~weakhopf.decompose.StructureAlgebra`.
 """
 
 from dataclasses import dataclass
@@ -432,38 +433,32 @@ def pair_groupoid(n: int) -> WeakHopfData:
 
 def group_algebra(group: FiniteGroup, tol: float = DEFAULT_TOL,
                   seed: int = 0) -> WeakHopfData:
-    """Group algebra with Delta(g) = g (x) g, realized on its matrix blocks
-    via the left regular representation."""
+    """Group algebra with Delta(g) = g (x) g, realized on its matrix blocks.
+
+    The group table is the structure tensor (u_g u_h = u_gh) and the regular
+    trace |G| delta_{g,e} is positive, so the blocks split straight from it."""
     rng = np.random.default_rng(seed)
     n = group.order
-    ambient = MultiMatrixAlgebra([n])
-    perms = np.zeros((n, ambient.dim), dtype=complex)
-    for g in range(n):
-        mat = np.zeros((n, n), dtype=complex)
-        mat[group.table[g, :], np.arange(n)] = 1.0
-        perms[g] = mat.reshape(-1)
-    emb = subalgebra_from_basis(ambient, perms.T, rng=rng, tol=tol)
-    if emb.sub.dim != n:
-        raise InvariantViolation("regular representation span has wrong dimension")
-
-    # the group elements in the new matrix units (the spans have equal
-    # dimension, so containment is equality) and back
-    if emb.outside(perms) > 1e-8:
-        raise InvariantViolation("matrix units do not lie in the group span")
-    to_units = emb.coords_vec(perms).T
-    from_units = np.linalg.inv(to_units)
+    idx = np.arange(n)
+    mult = np.zeros((n, n, n), dtype=complex)
+    mult[idx[:, None], idx, group.table] = 1.0
+    unit = np.zeros(n, dtype=complex)
+    unit[group.identity] = 1.0
+    s_group = np.zeros((n, n), dtype=complex)
+    s_group[group.inverse, idx] = 1.0
+    j_group = s_group  # (sum c_g g)* = sum conj(c_g) g^{-1}
+    # the units come as combinations of group elements: change is from_units
+    algebra, from_units = decompose_structure_algebra(
+        StructureAlgebra(mult, unit, j_group), rng=rng, tol=tol)
+    to_units = np.linalg.inv(from_units)
 
     delta = np.einsum("ij,pi,qi->jpq", from_units, to_units, to_units, optimize=True)
     eps = from_units.sum(axis=0)
-    s_group = np.zeros((n, n), dtype=complex)
-    s_group[group.inverse, np.arange(n)] = 1.0
     antipode = to_units @ s_group @ from_units
-
-    j_group = s_group  # (sum c_g g)* = sum conj(c_g) g^{-1}
     j_new = to_units @ j_group @ np.conj(from_units)
-    canonical = canonical_involution_matrix(emb.sub)
+    canonical = canonical_involution_matrix(algebra)
     involution = None if rel_residual(j_new, canonical) <= 1e-9 else j_new
-    hopf = WeakHopfData(emb.sub, delta, eps, antipode, involution)
+    hopf = WeakHopfData(algebra, delta, eps, antipode, involution)
     hopf.group_basis = to_units  # column g = that group element in unit coords
     return hopf
 

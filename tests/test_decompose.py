@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weakhopf import decompose
 from weakhopf._linalg import rel_residual
 from weakhopf.decompose import (
     StructureAlgebra,
+    _Retry,
+    _split,
     _verify_units,
     decompose_structure_algebra,
 )
@@ -55,18 +60,24 @@ def test_star_of_a_stack_is_rowwise():
     assert rel_residual(algebra.star(vecs[1]), multi.adjoint_vecs(vecs[1])) < 1e-15
 
 
-def test_decompose_recovers_blocks_under_a_basis_change():
-    multi, _ = canonical_structure([1, 2, 3])
-    rng = np.random.default_rng(10)
-    d = multi.dim
-    change = random_complex(rng, d, d)  # columns: new basis in canonical coordinates
+def presented(multi, change):
+    """``multi`` as a StructureAlgebra over the basis whose elements are the
+    columns of ``change`` (canonical coordinates)."""
     inv = np.linalg.inv(change)
     mult = np.einsum("ia,jb,ijl,kl->abk", change, change, multi.mult_tensor, inv,
                      optimize=True)
     involution = inv @ canonical_involution_matrix(multi) @ np.conj(change)
-    presented = StructureAlgebra(mult, inv @ multi.unit().vec, involution)
+    return StructureAlgebra(mult, inv @ multi.unit().vec, involution)
 
-    found, units = decompose_structure_algebra(presented,
+
+def test_decompose_recovers_blocks_under_a_basis_change():
+    multi, _ = canonical_structure([1, 2, 3])
+    rng = np.random.default_rng(10)
+    d = multi.dim
+    presentation = presented(multi, random_complex(rng, d, d))
+    mult = presentation.mult
+
+    found, units = decompose_structure_algebra(presentation,
                                                rng=np.random.default_rng(0))
     assert sorted(found.blocks) == [1, 2, 3]
     # the returned matrix units carry the canonical structure constants
@@ -74,8 +85,55 @@ def test_decompose_recovers_blocks_under_a_basis_change():
     recovered = np.einsum("ai,bj,abl,kl->ijk", units, units, mult, units_inv,
                           optimize=True)
     assert rel_residual(recovered, found.mult_tensor) < 1e-8
-    assert rel_residual(presented.star(units.T),
+    assert rel_residual(presentation.star(units.T),
                         found.adjoint_vecs(np.eye(d)) @ units.T) < 1e-8
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(2, 3), min_size=1, max_size=2),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_sizes_read_off_the_regular_trace(ones, larger, seed):
+    # a shuffled mix of 1x1 and larger blocks in a random unitary basis
+    rng = np.random.default_rng(seed)
+    blocks = list(rng.permutation([1] * ones + larger))
+    multi = MultiMatrixAlgebra(blocks)
+    unitary, _ = np.linalg.qr(random_complex(rng, multi.dim, multi.dim))
+    found, _ = decompose_structure_algebra(presented(multi, unitary), rng=rng)
+    assert sorted(found.blocks) == sorted(blocks)
+
+
+def test_one_by_one_blocks_take_no_corner(monkeypatch):
+    def no_corner(*args, **kwargs):
+        raise AssertionError("corner of a 1x1 block")
+
+    monkeypatch.setattr(decompose, "orthonormal_columns", no_corner)
+    found, _ = decompose_structure_algebra(canonical_structure([1, 1, 1])[1])
+    assert found.blocks == (1, 1, 1)
+
+
+def test_a_non_square_block_trace_is_retried(monkeypatch):
+    # the central projections of blocks 1 and 2 merged into one of regular
+    # trace 1 + 4 = 5, the other left zero so that count and sum still hold
+    spectral = decompose._spectral_projections
+
+    def merged(on, h, gap=1e-6):
+        reps, projs = spectral(on, h, gap)
+        if len(projs) != 2:
+            return reps, projs
+        return reps, [projs[0] + projs[1], np.zeros_like(projs[1])]
+
+    def no_corner(*args, **kwargs):
+        raise AssertionError("corner of a projection with a non-square trace")
+
+    multi, algebra = canonical_structure([1, 2])
+    center = np.stack([multi.block_identity(a).vec for a in range(2)], axis=1)
+    monkeypatch.setattr(decompose, "_spectral_projections", merged)
+    monkeypatch.setattr(decompose, "orthonormal_columns", no_corner)
+    with pytest.raises(_Retry):
+        _split(algebra, center, np.random.default_rng(0))
+    with pytest.raises(InvariantViolation,
+                       match="failed to split algebra into matrix blocks"):
+        decompose_structure_algebra(algebra)
 
 
 def test_verify_units_accepts_the_canonical_units():

@@ -58,6 +58,43 @@ def test_element_roundtrip():
     assert rel_residual(parsed, vec) == 0
 
 
+def _reference_enc_vec(vec):
+    return [[float(np.real(z)), float(np.imag(z))] for z in np.asarray(vec, dtype=complex)]
+
+
+def _reference_enc_mat(mat):
+    return [_reference_enc_vec(row) for row in np.asarray(mat, dtype=complex)]
+
+
+def _reference_sparse_tensor(tensor, tol=1e-14):
+    entries = []
+    for idx in np.argwhere(np.abs(tensor) > tol):
+        z = tensor[tuple(idx)]
+        entries.append([int(i) for i in idx] + [float(z.real), float(z.imag)])
+    return entries
+
+
+def test_array_encoders_write_the_bytes_of_the_per_element_encoders(get_pipeline,
+                                                                   monkeypatch):
+    pipeline = get_pipeline("z2")
+    deformed = pipeline["deformed"]
+    vec = np.array([1 + 2j, -0.0, complex(0.0, -0.0), -3.25j, 1e-300])
+    documents = [
+        ("weak-hopf", lambda: serialize.weak_hopf_payload(group_algebra(cyclic(3)))),
+        ("weak-hopf", lambda: serialize.weak_hopf_payload(deformed.hopf,
+                                                          deformed.index_element)),
+        ("tower", lambda: serialize.tower_payload(pipeline["tower"])),
+        ("crossed-product", lambda: serialize.crossed_product_payload(pipeline["crossed"])),
+        ("element", lambda: serialize.element_payload(vec)),
+    ]
+    fast = [serialize.dumps(kind, build()) for kind, build in documents]
+    monkeypatch.setattr(serialize, "_enc_vec", _reference_enc_vec)
+    monkeypatch.setattr(serialize, "_enc_mat", _reference_enc_mat)
+    monkeypatch.setattr(serialize, "_sparse_tensor", _reference_sparse_tensor)
+    assert fast == [serialize.dumps(kind, build()) for kind, build in documents]
+    assert '-0.0' in fast[-1]
+
+
 def test_schema_violations():
     with pytest.raises(SchemaError):
         serialize.loads("not json at all")

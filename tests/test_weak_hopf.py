@@ -5,7 +5,6 @@ from weakhopf import weak_hopf
 from weakhopf._linalg import rel_residual
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic, symmetric
-from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
 from weakhopf.weak_hopf import (
     cartan_subalgebras,
     connectedness,
@@ -227,14 +226,49 @@ def test_connectedness_triples():
     assert connectedness(dual_algebra(pair_groupoid(3)).hopf) == (False, True, False)
 
 
-def test_group_algebra_rejects_units_outside_the_group_span(monkeypatch):
-    # the diagonal of M_2 in place of the span of the permutations of Z2
-    diag = SubalgebraEmbedding(MultiMatrixAlgebra([1, 1]), MultiMatrixAlgebra([2]),
-                               np.eye(4)[:, [0, 3]])
-    monkeypatch.setattr(weak_hopf, "subalgebra_from_basis", lambda *args, **kw: diag)
-    with pytest.raises(InvariantViolation,
-                       match="matrix units do not lie in the group span"):
-        group_algebra(cyclic(2))
+def table_law_residual(hopf, group, elements=None):
+    """Worst residual of the group law read off the columns of
+    ``group_basis`` (u_g for the listed elements g): u_g u_h = u_gh for every
+    h, u_e = 1, u_g* = u_{g^-1} and Delta(u_g) = u_g (x) u_g."""
+    basis = hopf.group_basis.T  # row g = u_g in matrix-unit coordinates
+    g = np.arange(group.order) if elements is None else np.asarray(elements)
+    products = hopf.algebra.mul_vecs(basis[g][:, None], basis[None, :])
+    coproducts = np.tensordot(basis[g], hopf.delta, axes=([1], [0]))
+    return max(rel_residual(products, basis[group.table[g]]),
+               rel_residual(basis[group.identity], hopf.unit_vec),
+               rel_residual(hopf.star(basis[g]), basis[group.inverse[g]]),
+               rel_residual(coproducts, np.einsum("gp,gq->gpq", basis[g], basis[g])))
+
+
+@pytest.mark.parametrize("group", [cyclic(12), symmetric(3), symmetric(4)],
+                         ids=["cyclic12", "sym3", "sym4"])
+def test_group_basis_obeys_the_table(group):
+    assert table_law_residual(group_algebra(group), group) < 1e-12
+
+
+@pytest.mark.parametrize("swap", [(1, 4), (0, 1)], ids=["across-blocks", "in-block"])
+def test_swapped_matrix_units_break_the_table_law(monkeypatch, swap):
+    # S3 splits into blocks 2, 1, 1: columns 0 and 1 are e_00 and e_01 of the
+    # 2x2 block, column 4 the unit of a 1x1 block
+    decompose = weak_hopf.decompose_structure_algebra
+
+    def swapped(*args, **kwargs):
+        multi, change = decompose(*args, **kwargs)
+        assert multi.blocks == (2, 1, 1)
+        order = np.arange(change.shape[1])
+        order[list(swap)] = swap[::-1]
+        return multi, change[:, order]
+
+    monkeypatch.setattr(weak_hopf, "decompose_structure_algebra", swapped)
+    group = symmetric(3)
+    assert table_law_residual(group_algebra(group), group) > 0.1
+
+
+def test_group_algebra_of_s5_fits_its_blocks():
+    group = symmetric(5)
+    hopf = group_algebra(group)
+    assert sorted(hopf.algebra.blocks) == [1, 1, 4, 4, 5, 5, 6]
+    assert table_law_residual(hopf, group, [group.identity, 1, 7, 119]) < 1e-12
 
 
 def test_broken_counit_fails_loudly():
