@@ -139,22 +139,16 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def null_space(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``mat``.
+    """Orthonormal basis (columns) of the kernel of ``mat``: the right
+    singular vectors past the numerical rank, from the full right factor
+    when ``mat`` is wide.
 
     The cutoff is floored at ``tol`` itself so an (almost) zero matrix has a
     full kernel; callers build these matrices from O(1)-normalized data.
     """
     mat = _finite(np.asarray(mat, dtype=complex))
     m, n = mat.shape
-    if m == 0:
-        return np.eye(n, dtype=complex)
-    if m < n:
-        # kernel of the Gram matrix; avoids the huge left factor of a wide SVD
-        gram = mat.conj().T @ mat
-        vals, vecs = np.linalg.eigh(gram)
-        cutoff = (tol * max(np.sqrt(max(float(vals[-1]), 0.0)), 1.0)) ** 2
-        return vecs[:, vals <= cutoff]
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
     cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:, :].conj().T

@@ -277,7 +277,7 @@ def canonical_action(tower: TowerData, deformed: DeformedStructure,
     carrier and tower, so after the suite both are memo hits here."""
     hopf = deformed.hopf
     action = ActionData(hopf, tower.sub_top.sub, tower.module_tensor,
-                        tower.cartan_in_b, tower.sub_mid.restrict_to(tower.sub_top))
+                        tower.cartan_in_b, tower.mid_in_top)
 
     verify_action(action, tol).require_passed("canonical action invalid")
     if hopf.row(axioms.product_decomposition, tower) > 100 * tol:
@@ -299,9 +299,10 @@ def fixed_points(action: ActionData, *, rng=None,
 
 
 def _spanned(host: MultiMatrixAlgebra, span, given, name: str, rng, tol):
-    """The subalgebra spanned by the columns of ``span``: ``given`` once its
-    image holds the span and has its rank, else split from the span."""
+    """The subalgebra spanned by the columns of ``span``: ``given`` once it
+    is a *-homomorphism holding the span at its rank, else split from it."""
     if given is not None:
+        given.require_valid(tol)
         if given.outside(span.T) > 100 * tol or given.sub.dim != numeric_rank(span, 1e-10):
             raise InvariantViolation(f"{name} differs from its given matrix units")
         return given
@@ -338,13 +339,14 @@ def crossed_product(action: ActionData, *, rng=None,
     commutant, whose matrix units come from those of M in closed form.
     Only the generators are read there: the L_x and A_b of the units x of
     M1 and b of B are back-substituted once each, and a class v (x) w gets
-    the block product of the coordinates of L_v and A_w.  The commutant is
-    checked as a *-subalgebra, so it holds every product of the L_x and A_b,
-    with the block product of their coordinates, and no class needs its own
-    membership test.  pi must be injective on the classes; for the tower
-    actions it is, and as they carry B_t and M as matrix units, nothing is
-    split at random.  A kernel (of a non-Galois action) is an
-    ideal whose blocks are split from its algebraic structure constants.
+    the block product of the coordinates of L_v and A_w.  The commutant is a
+    *-subalgebra since M is checked as one (:func:`_commutant_coords`), so it
+    holds every product of the L_x and A_b, with the block product of their
+    coordinates, and no class needs its own membership test.  pi must be
+    injective on the classes; for the tower actions it is, and as they carry
+    B_t and M as matrix units, nothing is split at random.  A kernel (of a
+    non-Galois action) is an ideal whose blocks are split from its algebraic
+    structure constants.
     The complementary ideal (1 - e) X, e the kernel's unit, maps onto the
     commutant, and the units of that commutant are lifted into it: the
     least-norm preimages lie orthogonal to the kernel in class coordinates,
@@ -397,7 +399,11 @@ def _commutant_coords(action: ActionData, classes: ClassMap, rng, tol):
     """The commutant of the right action of the fixed points on L2(M1) and
     the (classes, commutant dim) coordinates of the class basis in it; its
     dense (dm**2, commutant dim) images and their left inverse are freed
-    when this returns (see :func:`crossed_product`)."""
+    when this returns (see :func:`crossed_product`).  Only M is checked, by
+    :func:`_spanned`: on L2(M1) with the Hilbert-Schmidt metric of the
+    coefficients, x -> R_x is an anti-*-homomorphism, so f_ab -> R_(f_ba) is
+    a *-homomorphism of M with first-column units the R(f_0c) read here,
+    and the closed form gives a valid commutant (:func:`relative_commutant`)."""
     car = action.carrier
     dm = car.dim
     fixed = fixed_points(action, rng=rng, tol=tol)
@@ -405,7 +411,6 @@ def _commutant_coords(action: ActionData, classes: ClassMap, rng, tol):
         car.right_mult_matrix(fixed.images[:, fixed.sub.basis_index(alpha, 0, c)]).reshape(-1)
         for c in range(k)]) for alpha, k in enumerate(fixed.sub.blocks)]
     image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
-    image.require_valid(tol)
     try:
         lefts = image.coords_vec(
             np.stack([car.left_mult_matrix(x) for x in np.eye(dm)]).reshape(dm, -1))

@@ -38,6 +38,8 @@ from .errors import InvariantViolation
 from .multimatrix import MultiMatrixAlgebra
 
 __all__ = ["StructureAlgebra", "decompose_structure_algebra"]
+# relative gap that separates eigenvalue clusters in ``_spectral_projections``
+SPECTRAL_GAP = 1e-6
 
 
 class StructureAlgebra:
@@ -172,12 +174,12 @@ def _center_span(on: StructureAlgebra, rng, tol: float) -> np.ndarray:
     raise InvariantViolation("center computation did not stabilize")
 
 
-def _spectral_projections(on: StructureAlgebra, h: np.ndarray, gap=1e-6):
+def _spectral_projections(on: StructureAlgebra, h: np.ndarray):
     lmat = on.left_matrix(h)
     lmat = 0.5 * (lmat + lmat.conj().T)  # Hermitian in the regular metric
     vals, vecs = np.linalg.eigh(lmat)
     scale = max(max_abs(vals), 1.0)
-    clusters = cluster_values(vals, gap * scale)
+    clusters = cluster_values(vals, SPECTRAL_GAP * scale)
     reps, projections = [], []
     for cluster in clusters:
         sel = vecs[:, cluster]

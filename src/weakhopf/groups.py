@@ -10,7 +10,7 @@ from .errors import InvariantViolation
 class FiniteGroup:
     """Group on indices 0..n-1 with table[i][j] = index of the product."""
 
-    def __init__(self, table, name: str = "group"):
+    def __init__(self, table):
         table = np.asarray(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n) or n == 0:
@@ -19,7 +19,6 @@ class FiniteGroup:
             raise InvariantViolation("invalid multiplication table")
         self.table = table
         self.order = n
-        self.name = name
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
         self._check_associativity()
@@ -45,15 +44,12 @@ class FiniteGroup:
         if not np.array_equal(t[t, :], t[:, t]):  # (g h) k == g (h k)
             raise InvariantViolation("invalid multiplication table")
 
-    def mul(self, g: int, h: int) -> int:
-        return int(self.table[g, h])
-
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvariantViolation("cyclic group order must be positive")
     idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"cyclic-{n}")
+    return FiniteGroup((idx[:, None] + idx[None, :]) % n)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -67,4 +63,4 @@ def symmetric(n: int) -> FiniteGroup:
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             table[i, j] = index[tuple(p[q[k]] for k in range(n))]
-    return FiniteGroup(table, name=f"sym-{n}")
+    return FiniteGroup(table)

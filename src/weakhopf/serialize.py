@@ -26,6 +26,7 @@ from .weak_hopf import WeakHopfData
 
 FORMAT = "weakhopf/1"
 KINDS = ("weak-hopf", "tower", "crossed-product", "report", "element", "group")
+SPARSE_TOL = 1e-14  # entries at or below it are left out of a sparse listing
 
 
 @dataclass
@@ -101,8 +102,8 @@ def _dec_mat(data, shape=None) -> np.ndarray:
     return mat
 
 
-def _sparse_tensor(tensor: np.ndarray, tol: float = 1e-14) -> list:
-    idx = np.argwhere(np.abs(tensor) > tol)
+def _sparse_tensor(tensor: np.ndarray) -> list:
+    idx = np.argwhere(np.abs(tensor) > SPARSE_TOL)
     values = tensor[tuple(idx.T)]
     return [i + [re, im] for i, re, im in
             zip(idx.tolist(), values.real.tolist(), values.imag.tolist())]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weakhopf import _linalg, actions, axioms, decompose
-from weakhopf._linalg import rel_residual
+from weakhopf._linalg import null_space, rel_residual
 from weakhopf.actions import (
     ActionData,
     _left_products,
@@ -262,6 +262,35 @@ def test_non_galois_crossed_product_in_skewed_units(skew):
     crossed = crossed_product(action)
     assert crossed.algebra.blocks == (3, 3)
     assert crossed.carrier_embedding.verify() < 1e-12
+
+
+def doubled_unit(emb):
+    """``emb`` with the image of its first unit doubled: the same span at the
+    same rank, but no longer a *-homomorphism."""
+    images = emb.images.copy()
+    images[:, 0] *= 2.0
+    return SubalgebraEmbedding(emb.sub, emb.ambient, images)
+
+
+@pytest.mark.parametrize("field", ["fixed", "cartan"])
+def test_crossed_product_refuses_given_units_that_are_not_a_homomorphism(field,
+                                                                         get_pipeline):
+    # the commutant of the fixed points and the classes are read off these
+    # units unchecked, so the units themselves are checked where they enter
+    action = get_pipeline("z3")["action"]
+    given = getattr(action, field)
+    bent = dataclasses.replace(action, **{field: doubled_unit(given)})
+    assert given.outside(getattr(bent, field).images.T) < TOL
+    with pytest.raises(InvariantViolation, match="not a subalgebra"):
+        crossed_product(bent)
+
+
+def test_unit_image_kernel_of_a_skewed_action_is_whole():
+    # b -> b |> 1 is a (3, 6) matrix of rank 1 at skew 2.0: the kernel row of
+    # verify_action must see all five kernel directions
+    on_unit = skewed_permutation_action(2.0).on_unit
+    assert on_unit.shape == (3, 6) and np.linalg.matrix_rank(on_unit) == 1
+    assert null_space(on_unit).shape == (6, 5)
 
 
 def test_minimality_catches_a_source_image_outside_the_commutant(get_pipeline):

@@ -116,8 +116,8 @@ def test_a_non_square_block_trace_is_retried(monkeypatch):
     # trace 1 + 4 = 5, the other left zero so that count and sum still hold
     spectral = decompose._spectral_projections
 
-    def merged(on, h, gap=1e-6):
-        reps, projs = spectral(on, h, gap)
+    def merged(on, h):
+        reps, projs = spectral(on, h)
         if len(projs) != 2:
             return reps, projs
         return reps, [projs[0] + projs[1], np.zeros_like(projs[1])]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhopf import _linalg
 from weakhopf._linalg import (
@@ -27,8 +29,8 @@ def with_entry(shape, value):
     (orthonormal_columns, (5, 3)),
     (numeric_rank, (5, 3)),
     (condition_number, (4, 4)),
-    (null_space, (3, 5)),  # wide: kernel of the Gram matrix through eigh
-    (null_space, (5, 3)),  # tall: SVD
+    (null_space, (3, 5)),  # wide: full right factor
+    (null_space, (5, 3)),  # tall: thin right factor
 ])
 def test_non_finite_input_raises_linalg_error(helper, shape, value):
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
@@ -163,3 +165,22 @@ def test_support_counts_every_entry_but_a_signed_zero_as_nonzero():
         plain = a @ np.ones((3, 2))
     assert rows.tolist() == held
     assert np.array_equal(prod, plain[held], equal_nan=True)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 8), st.integers(0, 8),
+       st.sampled_from(["complex", "binary"]), st.integers(0, 2 ** 32 - 1))
+def test_null_space_has_the_kernel_dimension_of_matrix_rank(m, n, r, kind, seed):
+    # wide, square and tall, of full or lower rank: the kernel has
+    # n - rank orthonormal columns that the matrix kills
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        mat = rng.integers(0, 2, (m, n)).astype(complex)
+    else:
+        def draw(rows, cols):
+            return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        mat = draw(m, r) @ draw(r, n)
+    ker = null_space(mat)
+    assert ker.shape == (n, n - np.linalg.matrix_rank(mat))
+    assert np.allclose(ker.conj().T @ ker, np.eye(ker.shape[1]), atol=1e-12)
+    assert np.abs(mat @ ker).max(initial=0.0) < 1e-10 * max(np.abs(mat).max(initial=0.0), 1.0)

@@ -481,14 +481,15 @@ def test_tower_commutants_match_null_space_reference(attr, sub, within, get_towe
 
 def test_commutant_rejects_non_homomorphism():
     # f_ab -> f_ab (x) 1 in M_2 (x) M_2, except f_11 -> f_11 (x) f_00: the
-    # first column is intact, so the commutant units are valid matrix units,
-    # but they fail to commute with the broken image
+    # first column is intact, so the commutant units would be valid matrix
+    # units that fail to commute with the broken image; the input is
+    # checked, so it is refused before they are built
     m2, m4 = MultiMatrixAlgebra([2]), MultiMatrixAlgebra([4])
     images = np.stack([m4.from_blocks([np.kron(u.reshape(2, 2), np.eye(2))]).vec
                        for u in np.eye(4)], axis=1)
     f00, f11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     images[:, m2.basis_index(0, 1, 1)] = m4.from_blocks([np.kron(f11, f00)]).vec
-    with pytest.raises(InvariantViolation, match="does not commute"):
+    with pytest.raises(InvariantViolation, match="not a subalgebra"):
         relative_commutant(SubalgebraEmbedding(m2, m4, images))
 
 
@@ -699,6 +700,19 @@ def test_jones_extension_invariants(fixture, weights, lam, blocks, rotate):
     xey = ext.extended_trace.product_values(alg.mul_vecs(imgs, e), imgs)
     ref_xey = ref_trace.product_values(ref_alg.mul_vecs(ref_imgs, ref_e), ref_imgs)
     assert rel_residual(xey, ref_xey) < 1e-12
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["units", "rotated"])
+@pytest.mark.parametrize("fixture, weights, lam, blocks", JONES_FIXTURES,
+                         ids=["diag_in_m2", "c2_in_m3", "m2_in_m4_m2"])
+def test_jones_inclusion_is_an_exact_homomorphism(fixture, weights, lam, blocks, rotate):
+    # the copy map x_j -> x_j (x) 1 reads no number of sub (rotated or not)
+    # or of the trace, so its residuals are exact zeros; this is why
+    # basic_construction checks only its input
+    sub = rotated(fixture()) if rotate else fixture()
+    ext = basic_construction(sub, TraceState(sub.ambient, weights), lam)
+    assert sorted(ext.algebra.blocks) == blocks
+    assert ext.inclusion.verify() == 0.0
 
 
 @pytest.mark.parametrize("rotate", [False, True], ids=["units", "rotated"])

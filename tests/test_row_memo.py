@@ -97,8 +97,9 @@ def test_the_cyclic3_chain_evaluates_each_row_once(get_tower):
 def test_each_cartan_is_restricted_into_b_once_per_tower():
     """B_t and B_s in B are cached on the tower: the identity suite (rows 4
     and 15), ``classify`` and ``canonical_action`` share one restriction
-    of each, on a fresh tower."""
-    tower = build_tower_from_group(cyclic(3))
+    of each, on a fresh tower.  So is M in M1, which B_t and the fixed
+    points of the canonical action share; the count starts before the
+    tower is built, which restricts nothing."""
     code = SubalgebraEmbedding.restrict_to.__code__
     calls = Counter()
 
@@ -108,6 +109,7 @@ def test_each_cartan_is_restricted_into_b_once_per_tower():
 
     sys.setprofile(profile)
     try:
+        tower = build_tower_from_group(cyclic(3))
         rec = reconstruct(tower, TOL)
         assert identity_suite(tower, rec, TOL).passed
         assert classify(tower, rec, TOL).passed
@@ -117,6 +119,7 @@ def test_each_cartan_is_restricted_into_b_once_per_tower():
         sys.setprofile(None)
     assert calls[id(tower.cartan_source), id(tower.rel_b)] == 1
     assert calls[id(tower.cartan_target), id(tower.rel_b)] == 1
+    assert calls[id(tower.sub_mid), id(tower.sub_top)] == 1
     assert set(calls.values()) == {1}
 
 

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from weakhopf import multimatrix, tower as tower_module
 from weakhopf._linalg import rel_residual
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic
+from weakhopf.multimatrix import (
+    MultiMatrixAlgebra,
+    SubalgebraEmbedding,
+    TraceState,
+    basic_construction,
+)
 from weakhopf.tower import TowerData, build_tower_from_group, verify_tower_premises
 
 from conftest import TOWER_NAMES
@@ -36,6 +43,33 @@ def test_tower_premises(name, get_tower):
     rep = verify_tower_premises(get_tower(name))
     assert rep.passed, rep.render_table()
     assert rep.max_residual <= TOL
+
+
+def test_building_a_tower_computes_no_commutant_and_no_markov_index(monkeypatch):
+    # basic_construction checks the uniform trace is Markov for 1/n, and M
+    # is the diagonal of M1 = M_n, so d = n needs no commutant at build time
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed while building the tower")
+
+    monkeypatch.setattr(tower_module, "relative_commutant", refuse)
+    monkeypatch.setattr(tower_module, "markov_trace", refuse, raising=False)
+    monkeypatch.setattr(multimatrix, "markov_trace", refuse)
+    tower = build_tower_from_group(cyclic(4))
+    monkeypatch.undo()
+    assert tower.d == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_tower_jones_inclusions_are_exact_homomorphisms(n):
+    # the two basic constructions of build_tower_from_group: each inclusion
+    # is a copy map of 0/1 entries, so its residuals are exact zeros; this
+    # is why basic_construction checks only its input
+    diag = MultiMatrixAlgebra([1] * n)
+    start = SubalgebraEmbedding(MultiMatrixAlgebra([1]), diag, diag.unit().vec[:, None])
+    first = basic_construction(start, TraceState(diag, np.full(n, 1.0 / n)), 1.0 / n)
+    second = basic_construction(first.inclusion, first.extended_trace, 1.0 / n)
+    assert first.inclusion.verify() == 0.0
+    assert second.inclusion.verify() == 0.0
 
 
 def test_trivial_group_rejected():
