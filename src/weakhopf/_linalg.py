@@ -20,7 +20,12 @@ that is an exact zero on both sides of a residual adds 0 to each of the
 three maxima |lhs|, |rhs| and |lhs - rhs| the residual keeps, so
 ``streamed_residuals`` compares only the entries where either side is
 nonzero, with a result bit-identical to a sweep over every entry.
+``box_slabs`` carries this from the contracted index to the output axes: a
+sweep whose rows mark where each output axis can be nonzero builds both
+sides only on boxes of those marks.
 """
+
+import math
 
 import numpy as np
 
@@ -42,19 +47,52 @@ def slabs(n: int, per_row: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
-def pair_slabs(formed: np.ndarray, per_pair: int):
-    """Blocks ``(rows, cols)`` covering the True entries of the bool matrix
-    ``formed``: a slice of consecutive rows and the union of their True
-    columns, holding about ``_SLAB`` entries for pairs of ``per_pair``
-    entries (at least one row per block), as a generator."""
-    start, k = 0, len(formed)
-    while start < k:
-        window = formed[start:start + max(1, _SLAB // max(per_pair, 1))]
-        unions = np.logical_or.accumulate(window, axis=0)
-        sizes = np.arange(1, len(window) + 1) * unions.sum(axis=1) * per_pair
+def box_slabs(masks, *operands, width: int = 1):
+    """Boxes ``(rows, axes)`` covering the True entries of ``masks``: one
+    bool (n, length) matrix per output axis of a sweep over n leading
+    indices, row i marking the indices at which the i-th can be nonzero.  A
+    box is a slice of consecutive rows and, per axis, the union of their
+    marked indices, holding about ``_SLAB`` entries of ``width`` each (at
+    least one row), as a generator.  An axis whose union is every index
+    gives ``slice(None)``, so a full box is a plain slice and gathers
+    nothing; a box with an empty axis holds only exact zeros and is not
+    yielded.  If one of ``operands`` holds an inf or NaN, every box is
+    full, so it propagates as in a sweep over every entry."""
+    masks = [np.asarray(m, dtype=bool) for m in masks]
+    if not all(np.isfinite(a).all() for a in operands):
+        masks = [np.ones_like(m) for m in masks]
+    n = len(masks[0])
+    unions = [m.any(axis=0) for m in masks]
+    # a sweep whose marks all fit in one slab is one box, read off at once
+    boxes = ([(slice(0, n), unions)]
+             if n * width * math.prod(int(u.sum()) for u in unions) <= _SLAB
+             else _grown_boxes(masks, width))
+    for rows, marks in boxes:
+        if all(u.any() for u in marks):
+            yield rows, [slice(None) if u.all() else u.nonzero()[0] for u in marks]
+
+
+def _grown_boxes(masks, width: int):
+    """``(rows, unions)`` for :func:`box_slabs`: from each start row, the
+    longest run of rows whose box stays within ``_SLAB`` entries (at least
+    one row), with the union of its marks per axis."""
+    n, start = len(masks[0]), 0
+    while start < n:
+        volume = width * math.prod(int(m[start].sum()) for m in masks)
+        grown = [np.logical_or.accumulate(m[start:start + max(1, _SLAB // max(volume, 1))],
+                                          axis=0) for m in masks]
+        sizes = np.arange(1, len(grown[0]) + 1) * width
+        for u in grown:
+            sizes = sizes * u.sum(axis=1)
         stop = start + max(1, int(np.searchsorted(sizes, _SLAB, side="right")))
-        yield slice(start, stop), unions[stop - start - 1].nonzero()[0]
+        yield slice(start, stop), [u[stop - start - 1] for u in grown]
         start = stop
+
+
+def reach(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The bool matrix product of ``f`` and ``g``: i reaches k when f[i, j]
+    and g[j, k] for some j (the terms are counted in floats)."""
+    return (np.asarray(f, dtype=float) @ np.asarray(g, dtype=float)) > 0
 
 
 def streamed_residual(pairs) -> float:

@@ -10,9 +10,11 @@ import numpy as np
 
 from . import axioms
 from ._linalg import (
+    box_slabs,
     null_space,
     numeric_rank,
     orthonormal_columns,
+    reach,
     rel_residual,
     slabs,
     streamed_residual,
@@ -230,13 +232,7 @@ def verify_action(action: ActionData, tol: float = DEFAULT_TOL) -> Report:
     hopf, car, act = action.hopf, action.carrier, action.tensor
     db, dm = hopf.dim, car.dim
 
-    # (u_b u_c) |> x = u_b |> (u_c |> x), slab by slab over b: the left
-    # side gathers act over the product index, the right side is the matrix
-    # product act[c] @ act[b]
-    def module_law():
-        for sl in slabs(db, db * dm * dm):
-            yield hopf.algebra.unit_products(act, sl), act[None] @ act[sl, None]
-    rep.add("module law", streamed_residual(module_law()), ref="action")
+    rep.add("module law", hopf.row(axioms.module_law, act), ref="action")
     rep.add("unit acts trivially",
             rel_residual(np.einsum("b,bxy->xy", hopf.unit_vec, act), np.eye(dm)),
             ref="action")
@@ -374,12 +370,13 @@ def crossed_product(action: ActionData, *, rng=None,
     if rank < commutant.dim:
         raise InvariantViolation("crossed product does not fill the commutant "
                                  "of the fixed points")
+    # least-norm preimages of the block units, from the factors of the SVD;
+    # at full rank they are the inverse of the coordinates
+    preimages = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
     if rank == classes.dim:
-        algebra, block_coords = commutant, coords.T
-        unit_classes = np.linalg.inv(block_coords)
+        algebra, block_coords, unit_classes = commutant, coords.T, preimages
     else:
         kernel = vh[rank:].conj().T
-        preimages = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
         ideal, ideal_units, ideal_unit = _kernel_ideal(action, classes, kernel, rng, tol)
         # into the complementary ideal (1 - e) X; see the docstring
         preimages -= classes.quot(
@@ -446,21 +443,14 @@ def _check_relators(action: ActionData, cartan: SubalgebraEmbedding,
     A_z equal L_(z |> 1), for every matrix unit z of B_t.
 
     In block a the class map is sum_i P_i (x) Q_i, so the relator of z is
-    killed when sum_i P_i R_(z |> 1) (x) Q_i = sum_i P_i (x) Q_i L_z.  Both
-    sides are compared over slabs of the rows of P, for all z at once."""
+    killed when sum_i P_i R_(z |> 1) (x) Q_i = sum_i P_i (x) Q_i L_z
+    (:func:`_relator_residuals`)."""
     hopf, car = action.hopf, action.carrier
     zs = cartan.images.T
     on_unit = action.on_unit @ cartan.images
     moves = [(car.right_mult_matrix(z1), hopf.algebra.left_mult_matrix(z))
              for z, z1 in zip(zs, on_unit.T)]
-
-    def groups():
-        for vs, ws, ps, qs in classes.blocks:
-            for sl in slabs(vs.shape[1], ws.shape[1] * car.dim * hopf.dim):
-                yield ((np.einsum("iay,icb->acyb", ps[:, sl] @ right, qs),
-                        np.einsum("iax,icb->acxb", ps[:, sl], qs @ left))
-                       for right, left in moves)
-    if max(streamed_residuals(groups(), len(moves))) > 1e-6:
+    if max(_relator_residuals(classes.blocks, moves)) > 1e-6:
         raise InvariantViolation("quotient map does not kill the relators")
 
     acts = np.einsum("bk,bxy->kyx", cartan.images, action.tensor)
@@ -469,6 +459,31 @@ def _check_relators(action: ActionData, cartan: SubalgebraEmbedding,
         raise InvariantViolation(
             "representation on L2(M1) does not kill the relators: "
             "A_z differs from L_(z |> 1) on the target Cartan")
+
+
+def _relator_residuals(blocks, moves) -> list[float]:
+    """Per move (R, L), the residual of sum_i P_i R (x) Q_i = sum_i P_i (x)
+    Q_i L, indexed (a, c, y, b), over the class blocks (V, W, P, Q).  Both
+    sides are compared over boxes of the rows a of P, for all moves at once:
+    row a of a box holds the carrier indices y where some P_i[a] or
+    P_i[a] R is nonzero, and the B indices where some Q_i or Q_i L is
+    (``_linalg.box_slabs``); the rows c of Q are whole."""
+    rights, lefts = (np.logical_or.reduce([m.astype(bool) for m in side])
+                     for side in zip(*moves))
+    operands = [m for move in moves for m in move]
+
+    def groups():
+        for _, ws, ps, qs in blocks:
+            on_p = ps.astype(bool).any(axis=0)
+            on_q = qs.astype(bool).any(axis=(0, 1))
+            on_q = np.broadcast_to(on_q | reach(on_q[None], lefts)[0], (len(on_p), len(on_q)))
+            for rows, (ys, bs) in box_slabs((on_p | reach(on_p, rights), on_q),
+                                            ps, qs, *operands, width=ws.shape[1]):
+                part = ps[:, rows]
+                yield ((np.einsum("iay,icb->acyb", part @ right[:, ys], qs[:, :, bs]),
+                        np.einsum("iax,icb->acxb", part[:, :, ys], qs @ left[:, bs]))
+                       for right, left in moves)
+    return streamed_residuals(groups(), len(moves))
 
 
 def _kernel_ideal(action: ActionData, classes: ClassMap, kernel, rng, tol):

@@ -7,10 +7,11 @@ structure on the relative commutant B = M' cap M2 satisfies these identities
 twisted by its index element H (Cor 4.16, Prop 4.14-4.15).  The twisted rows
 take the inverse ``hinv`` of H in carrier coordinates and default to H = 1,
 where they are the untwisted weak C*-Hopf axioms of Boehm-Nill-Szlachanyi.
-``module_multiplicativity`` takes an action tensor on a carrier and
-``product_decomposition`` a tower; both take H^-1 too.  At H = 1 they are
-axiom (1) of an action and the product check of ``canonical_action``; at
-the tower's H^-1 they are Prop 4.13 and Cor 4.12 of ``identity_suite``.
+``module_law`` takes an action tensor, ``module_multiplicativity`` an action
+tensor on a carrier and ``product_decomposition`` a tower; the last two take
+H^-1 too.  At H = 1 they are axiom (1) of an action and the product check
+of ``canonical_action``; at the tower's H^-1 they are Prop 4.13 and Cor 4.12
+of ``identity_suite``.
 Callers (``verify_axioms``, ``check_bundle``, ``identity_suite``,
 ``classify``, ``verify_action``, ``canonical_action``) pick rows under their
 own check names and refs.  They read every row that takes a structure
@@ -33,35 +34,84 @@ gather through the algebra's ``product_index`` (``unit_products``):
 u_i u_j is one unit or zero, so nothing is multiplied.
 
 The rows whose two sides have d**4 entries (``coassociativity``,
-``multiplicativity``, ``module_multiplicativity``, ``product_decomposition``)
-build them slab by slab over their leading index and fold them with
-``streamed_residual``, so no operand-sized array is ever held.
+``multiplicativity``, ``module_law``, ``module_multiplicativity``,
+``product_decomposition``, and the relator check of the crossed product in
+:mod:`weakhopf.actions`) build them on boxes and fold them with ``streamed_residual``, so no
+operand-sized array is ever held.  For each leading index (a row of the
+sweep) a few bool matrix products of the operands' supports mark, per output
+axis, the indices at which either side can be nonzero; ``_linalg.box_slabs``
+groups consecutive rows into boxes of about one slab and gathers the
+operands at the union of their marks.  Outside its box both sides are exact
+zeros, which the fold skips anyway (``_linalg.streamed_residuals``), so every
+residual is bit-identical to a sweep over every entry.  An axis marked
+everywhere is taken as a plain slice, so dense data builds today's slabs with
+no gather; an operand holding an inf or NaN makes every box full, so it
+propagates.  ``multiplicativity`` and ``product_decomposition`` box their
+tensor-square and ambient axes by whole blocks and multiply in the summand
+of those blocks (``MultiMatrixAlgebra.summand``); the carrier axis of
+``module_multiplicativity`` is whole.
 
-Support rule: a contraction skips exact zeros only.  Each slab of Delta is
-contracted over the leg indices where that slab is nonzero
-(``delta[sl][:, ps]`` against ``delta[ps]`` or ``act[ps]``, the indices from
-``_linalg.support``), ``product_decomposition`` forms only the M1 x B
-products that its legs use, and products of elements go through the
-block kernels, which contract over the support of their left factor.  The
-support is read from the operands on every call, never from the structure
+Support rule: a contraction skips exact zeros only, and so does a box.  Each
+box of Delta is contracted over the leg indices where its rows are nonzero
+(``_linalg.support``), ``product_decomposition`` forms only the M1 x B
+products that its legs use, and products of elements go through the block
+kernels, which contract over the support of their left factor.  Supports and
+boxes are read from the operands on every call, never from the structure
 they were built from, so a fault off the old support still shows in full,
 and a NaN or inf still propagates.
 """
 
 import numpy as np
 
-from ._linalg import rel_residual, slabs, streamed_residual, support
+from ._linalg import box_slabs, reach, rel_residual, streamed_residual, support
+from .multimatrix import take_units
+
+
+def _lines(a: np.ndarray, axis: int) -> np.ndarray:
+    """(len(a), a.shape[axis]) bool: whether a[i] holds a nonzero (an inf or
+    NaN counts) at each index of ``axis``."""
+    nz = np.asarray(a).astype(bool)
+    return nz.any(axis=tuple(k for k in range(1, nz.ndim) if k != axis))
+
+
+def _products_held(index: np.ndarray, held: np.ndarray):
+    """``(used, reached)`` from a ``product_index`` and a bool per unit:
+    used[i, j] when u_i u_j is a unit u_k with held[k], and then
+    reached[i, k]."""
+    used = (index >= 0) & held[index]
+    reached = np.zeros(index.shape, dtype=bool)
+    reached[used.nonzero()[0], index[used]] = True
+    return used, reached
+
+
+def _box(a: np.ndarray, *axes) -> np.ndarray:
+    """``a`` gathered along its leading axes at the index arrays ``axes``;
+    a slice or None takes an axis whole (a view, no gather)."""
+    for axis, at in enumerate(axes):
+        if isinstance(at, np.ndarray):
+            a = a.take(at, axis=axis)
+    return a
 
 
 def coassociativity(hopf) -> float:
-    """(Delta (x) id) Delta = (id (x) Delta) Delta."""
+    """(Delta (x) id) Delta = (id (x) Delta) Delta.  Entry (i, a, b, c) of
+    the left side is a sum of Delta[i, p, c] Delta[p, a, b], of the right
+    side a sum of Delta[i, a, q] Delta[q, b, c]; each axis of the box of
+    row i collects the indices either can use."""
     delta = hopf.delta
+    first, second = _lines(delta, 1), _lines(delta, 2)
+    masks = (first | reach(first, first),
+             reach(first, second) | reach(second, first),
+             second | reach(second, second))
 
     def pairs():
-        for sl in slabs(hopf.dim, hopf.dim ** 3):
-            ps, qs = support(delta[sl], 1, 2)
-            yield (np.einsum("ipc,pab->iabc", delta[sl][:, ps], delta[ps], optimize=True),
-                   np.einsum("iaq,qbc->iabc", delta[sl][:, :, qs], delta[qs], optimize=True))
+        for rows, (a, b, c) in box_slabs(masks, delta):
+            part = delta[rows]
+            ps, qs = support(part, 1, 2)
+            yield (np.einsum("ipc,pab->iabc", _box(part[:, ps], None, None, c),
+                             _box(delta[ps], None, a, b), optimize=True),
+                   np.einsum("iaq,qbc->iabc", _box(part[:, :, qs], None, a),
+                             _box(delta[qs], None, b, c), optimize=True))
     return streamed_residual(pairs())
 
 
@@ -79,7 +129,11 @@ def counit_right(hopf) -> float:
 
 def multiplicativity(hopf, hinv=None) -> float:
     """Delta(b c) = Delta(b) (1 (x) H^-1) Delta(c), all products taken in the
-    tensor square."""
+    tensor square.  Row b of the box holds the c with b c a unit whose
+    coproduct is nonzero or with a nonzero row of the twisted Delta(c)
+    meeting a nonzero column of Delta(b) in a block of the square, and the
+    whole blocks of the square either side can reach; the right side is a
+    product in the summand of those blocks."""
     alg, d = hopf.algebra, hopf.dim
     square, index = alg.tensor_square
     coproducts = np.empty((d, square.dim), dtype=complex)
@@ -88,10 +142,19 @@ def multiplicativity(hopf, hinv=None) -> float:
     twist[index] = np.outer(hopf.unit_vec, hopf.unit_vec if hinv is None else hinv)
     twisted = square.mul_vecs(twist, coproducts)
 
-    rows = slabs(d, d * square.dim)
-    products = square.pairwise_mul_slabs(coproducts, twisted, rows)
-    return streamed_residual((alg.unit_products(coproducts, sl), rhs)
-                             for sl, rhs in zip(rows, products))
+    products = alg.product_index
+    in_delta, in_twisted = square.block_support(coproducts), square.block_support(twisted)
+    used, reached = _products_held(products, in_delta.any(axis=1))
+    meets = reach(square.support_lines(coproducts)[1], square.support_lines(twisted)[0].T)
+    blocks = reach(reached, in_delta) | (in_delta & reach(meets, in_twisted))
+    masks = (used | meets, blocks[:, square.block_index])
+
+    def pairs():
+        for rows, (cs, ss) in box_slabs(masks, coproducts, twisted):
+            yield (take_units(_box(coproducts, None, ss), _box(products[rows], None, cs)),
+                   square.summand(ss).pairwise_mul(_box(coproducts[rows], None, ss),
+                                                   _box(twisted, cs, ss)))
+    return streamed_residual(pairs())
 
 
 def star_preserving(hopf) -> float:
@@ -230,6 +293,28 @@ def index_from_counital_legs(hopf, h: np.ndarray) -> float:
     return rel_residual(lhs, alg.mul_vecs(h, np.eye(hopf.dim)))
 
 
+def module_law(hopf, act: np.ndarray) -> float:
+    """(u_b u_c) |> x = u_b |> (u_c |> x), with ``act[b, x]`` the carrier
+    coordinates of b |> x.  The left side gathers ``act`` at the product
+    index, the right side is the matrix product act[c] @ act[b].  Row b of
+    the box holds the c with b c a unit acting nonzero or with act[c] @
+    act[b] nonzero, and the x and y those reach."""
+    products = hopf.algebra.product_index
+    on_x, on_y = _lines(act, 1), _lines(act, 2)
+    used, reached = _products_held(products, on_x.any(axis=1))
+    meets = reach(on_x, on_y.T)  # some z with act[b, z] and act[c, :, z] nonzero
+    masks = (used | meets, reach(reached, on_x) | reach(meets, on_x),
+             reach(reached, on_y) | on_y)
+
+    def pairs():
+        for rows, (cs, xs, ys) in box_slabs(masks, act):
+            zs, = support(act[rows], 1)
+            acted = _box(act[rows][:, zs], None, None, ys)
+            rhs = _box(act, cs, xs)[:, :, zs][None] @ acted[:, None]
+            yield take_units(_box(act, None, xs, ys), _box(products[rows], None, cs)), rhs
+    return streamed_residual(pairs())
+
+
 def module_multiplicativity(hopf, act: np.ndarray, carrier, hinv=None) -> float:
     """b |> (x y) = (b_(1) |> x) H^-1 (b_(2) |> y), with ``act[b, x]`` the
     carrier coordinates of b |> x over the units of ``hopf`` and ``carrier``
@@ -237,23 +322,30 @@ def module_multiplicativity(hopf, act: np.ndarray, carrier, hinv=None) -> float:
     (1) of an action; with the tower's H^-1 it is the twisted
     comultiplicativity of the tower expectation (Prop 4.13).  The right side
     is a matrix product over the carrier: the row of legs b_(1) |> x paired
-    with u_q, times the column H^-1 (u_q |> y).  Both sides have db * dm**3
-    entries and are built slab by slab over b."""
-    db, dm = act.shape[:2]
+    with u_q, times the column H^-1 (u_q |> y).  Row b of the box holds the
+    x and y whose product u_x u_y is a unit on which b acts nonzero, and
+    the x its first legs act on and the y its second legs reach; the
+    carrier axis is whole, as the carrier product forms every coordinate."""
+    dm = act.shape[1]
+    products = carrier.product_index
     right = act if hinv is None else carrier.mul_vecs(hinv, act)
-    rows = slabs(db, dm * dm * max(db, dm))
-
-    def legs():
-        for sl in rows:
-            ps, = support(hopf.delta[sl], 1)
-            yield np.einsum("bpq,pxz->bxqz", hopf.delta[sl][:, ps], act[ps],
-                            optimize=True).reshape(-1, db, dm)
+    on_x, every = _lines(act, 1), np.ones(dm, dtype=bool)
+    # x reaches k when u_x u_y = u_k for some y, and y when u_x u_y = u_k
+    left_of, right_of = (_products_held(index, every)[1] for index in (products, products.T))
+    masks = (reach(on_x, left_of.T) | reach(_lines(hopf.delta, 1), on_x),
+             reach(on_x, right_of.T) | reach(_lines(hopf.delta, 2), _lines(right, 1)))
 
     def pairs():
-        for sl, rhs in zip(rows, carrier.matmuls(legs(), right)):
+        for rows, (xs, ys) in box_slabs(masks, hopf.delta, act, right, width=dm):
+            part = hopf.delta[rows]
+            ps, qs = support(part, 1, 2)
+            legs = np.einsum("bpq,pxz->bxqz", part[:, ps][:, :, qs], _box(act[ps], None, xs),
+                             optimize=True)
             # b |> (u_x u_y), gathered as (x, y, b, z)
-            lhs = carrier.unit_products(act[sl].transpose(1, 0, 2))
-            yield lhs.transpose(2, 0, 1, 3), rhs.reshape(-1, dm, dm, dm)
+            lhs = take_units(act[rows].transpose(1, 0, 2), _box(products, xs, ys))
+            rhs = carrier.matmul_vecs(legs.reshape(legs.shape[0] * legs.shape[1], *legs.shape[2:]),
+                                      _box(right[qs], None, ys))
+            yield lhs.transpose(2, 0, 1, 3), rhs.reshape(lhs.shape[2:3] + lhs.shape[:2] + (dm,))
     return streamed_residual(pairs())
 
 
@@ -265,24 +357,39 @@ def product_decomposition(hopf, tower, hinv=None) -> float:
     decomposition b x = (b_(1) |> x) b_(2) of the canonical action.  The
     legs, indexed by (x, y, q) for the M1 units x and y = b_(1) |> x and the
     B leg q, are contracted with the products u_y H^-1 u_q in one GEMM per
-    slab of b.  Only the (y, q) columns the slab's legs use are formed, so
-    the (dm * db, ambient) product map is never held."""
+    box.  Row b of the box holds the x with a nonzero row meeting a nonzero
+    column of b in an ambient block or reached by its first legs, and the
+    whole ambient blocks of b and of the products its legs use; both sides
+    are products in the summand of those blocks, and only the (y, q) columns
+    the legs use are formed.  The legs of a pair (b, x) have up to
+    dim M1 * dim B entries against the ambient's, which sizes the boxes."""
     alg, mt, delta = tower.ambient, tower.module_tensor, hopf.delta
     b_img = tower.rel_b.images
     b_basis, m_basis = b_img.T, tower.sub_top.images.T
-    db, dm = len(b_basis), len(m_basis)
+    dm = len(m_basis)
     right = b_basis if hinv is None else alg.mul_vecs(b_img @ hinv, b_basis)
+    in_b, in_m = alg.block_support(b_basis), alg.block_support(m_basis)
+    first = _lines(delta, 1)
+    blocks = in_b | (reach(reach(first, _lines(mt, 2)), in_m)
+                     & reach(_lines(delta, 2), alg.block_support(right)))
+    masks = (reach(alg.support_lines(b_basis)[1], alg.support_lines(m_basis)[0].T)
+             | reach(first, _lines(mt, 1)), blocks[:, alg.block_index])
 
     def pairs():
-        for sl in slabs(db, dm * max(dm * db, alg.dim)):
-            ps, = support(delta[sl], 1)
-            legs = np.einsum("bpq,pxy->bxyq", delta[sl][:, ps], mt[ps], optimize=True)
-            legs = legs.reshape(-1, dm * db)
-            rows, cols = support(legs, 0, 1)
-            ys, qs = np.divmod(cols, db)
-            rhs = np.zeros((len(legs), alg.dim), dtype=complex)
-            rhs[rows] = legs[np.ix_(rows, cols)] @ alg.mul_vecs(m_basis[ys], right[qs])
-            yield alg.pairwise_mul(b_basis[sl], m_basis), rhs.reshape(-1, dm, alg.dim)
+        for rows, (xs, amb) in box_slabs(masks, delta, mt, b_basis, m_basis, right,
+                                         width=max(1, len(mt) * dm // alg.dim)):
+            part, summand = delta[rows], alg.summand(amb)
+            ps, qs = support(part, 1, 2)
+            legs = np.einsum("bpq,pxy->bxyq", part[:, ps][:, :, qs], _box(mt[ps], None, xs),
+                             optimize=True)
+            legs = legs.reshape(legs.shape[0] * legs.shape[1], -1)
+            at, cols = support(legs, 0, 1)
+            ys, q_at = np.divmod(cols, len(qs))
+            lhs = summand.pairwise_mul(_box(b_basis[rows], None, amb), _box(m_basis, xs, amb))
+            rhs = np.zeros((len(legs), lhs.shape[-1]), dtype=complex)
+            rhs[at] = legs[np.ix_(at, cols)] @ summand.mul_vecs(
+                _box(m_basis, ys, amb), _box(right, qs[q_at], amb))
+            yield lhs, rhs.reshape(lhs.shape)
     return streamed_residual(pairs())
 
 

@@ -33,7 +33,14 @@ structure tensor.
 
 import numpy as np
 
-from ._linalg import cluster_values, max_abs, null_space, orthonormal_columns, rel_residual
+from ._linalg import (
+    cluster_values,
+    max_abs,
+    null_space,
+    orthonormal_columns,
+    rel_residual,
+    slabs,
+)
 from .errors import InvariantViolation
 from .multimatrix import MultiMatrixAlgebra
 
@@ -127,10 +134,13 @@ def decompose_structure_algebra(algebra: StructureAlgebra, *, rng=None,
         rng = np.random.default_rng(0)
     t, t_inv = _orthonormalize(algebra, tol)
     d = algebra.dim
-    mult_on = np.tensordot(algebra.mult, t_inv, axes=([2], [1]))   # (a, b, k)
-    mult_on = np.tensordot(t, mult_on, axes=([0], [0]))            # (i, b, k)
-    mult_on = np.tensordot(t, mult_on, axes=([0], [1]))            # (j, i, k)
-    mult_on = mult_on.transpose(1, 0, 2)
+    # slab by slab over k, so one slab's temporaries sit beside the output
+    mult_on = np.empty((d, d, d), dtype=complex)
+    for ks in slabs(d, d * d):
+        part = np.tensordot(algebra.mult, t_inv[ks], axes=([2], [1]))   # (a, b, k)
+        part = np.tensordot(t, part, axes=([0], [0]))                    # (i, b, k)
+        part = np.tensordot(t, part, axes=([0], [1]))                    # (j, i, k)
+        mult_on[:, :, ks] = part.transpose(1, 0, 2)
     unit_on = t_inv @ algebra.unit
     inv_on = t_inv @ algebra.involution @ np.conj(t)
     on = StructureAlgebra(mult_on, unit_on, inv_on)

@@ -62,9 +62,9 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (
+    box_slabs,
     max_abs,
     orthonormal_columns,
-    pair_slabs,
     rel_residual,
     residual_outside,
     slabs,
@@ -288,6 +288,23 @@ class MultiMatrixAlgebra:
             for out, axis in zip(lines, (3, 2)):
                 out.append(np.logical_or.reduce(run, axis=axis).reshape(len(nz), r * m))
         return tuple(np.concatenate(out, axis=1).astype(float) for out in lines)
+
+    def block_support(self, u: np.ndarray) -> np.ndarray:
+        """(len(u), number of blocks) bool: whether block alpha of u[i] holds
+        a nonzero (an inf or NaN counts as nonzero)."""
+        return np.logical_or.reduceat(np.asarray(u).astype(bool), self._offsets[:-1],
+                                      axis=1)
+
+    def summand(self, coords) -> "MultiMatrixAlgebra":
+        """The direct sum of the blocks whose coordinates are ``coords``
+        (whole blocks, ascending), this algebra for ``slice(None)``: products
+        of elements restricted to those coordinates are taken in it, and
+        equal the products here restricted to them."""
+        if isinstance(coords, slice):
+            return self
+        held = np.zeros(len(self.blocks), dtype=bool)
+        held[self.block_index[coords]] = True
+        return MultiMatrixAlgebra(np.asarray(self.blocks)[held])
 
     def adjoint_vecs(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -666,7 +683,7 @@ class SubalgebraEmbedding:
 
         def pairs(left, right, expected_at, meet):
             formed = (expected_at >= 0) | (meet > 0)
-            for lefts, rights in pair_slabs(formed, self.ambient.dim):
+            for lefts, (rights,) in box_slabs([formed], width=self.ambient.dim):
                 yield (self.ambient.pairwise_mul(left[lefts], right[rights]),
                        take_units(img, expected_at[lefts][:, rights]))
 

@@ -4,6 +4,11 @@ a dense per-block product on every zero pattern, an inf or NaN must still
 propagate, and the support must come from the data, so a fault outside the
 support of the unperturbed structure still fails every row that reads it.
 
+Boxes over the support: the d**4 rows and the relator check build both
+sides only on boxes of the output entries that can be nonzero.  They must
+equal a dense reference exactly, fold few boxes on tower data, and still
+propagate an inf or NaN.
+
 Comparisons over the support: the residual fold skips entries that are
 exact zeros on both sides, and the embedding check forms only the unit
 pairs whose product or expected value can be nonzero.  Both must equal
@@ -11,6 +16,7 @@ their dense references bit for bit."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,13 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakhopf.tower
-from weakhopf import _linalg, axioms
-from weakhopf._linalg import numeric_rank, pair_slabs, rel_residual, streamed_residual
-from weakhopf.actions import ActionData, verify_action
+from weakhopf import _linalg, actions, axioms
+from weakhopf._linalg import box_slabs, numeric_rank, rel_residual, streamed_residual
+from weakhopf.actions import ActionData, _class_basis, _relator_residuals, verify_action
 from weakhopf.errors import InvariantViolation
 from weakhopf.groups import cyclic
 from weakhopf.multimatrix import MultiMatrixAlgebra, SubalgebraEmbedding
-from weakhopf.reconstruct import StructureBundle, identity_suite
+from weakhopf.reconstruct import StructureBundle, identity_suite, reconstruct
 
 from test_multimatrix import (
     dense_residuals,
@@ -136,17 +142,42 @@ def _bent_off_the_support(hopf, eps=1e-3):
     return hopf.copy_with(delta=bent)
 
 
+def _off_the_support(a, eps=1e-3):
+    """``a`` with eps written at its first exact zero."""
+    bent = a.copy()
+    bent[tuple(np.argwhere(a == 0)[0])] = eps
+    return bent
+
+
 def test_a_fault_off_the_coproduct_support_fails_every_row(get_tower, get_reconstruction):
+    # the module law and the relator check do not read the coproduct: they
+    # get eps written off the support of the module tensor and of the
+    # first class factor P_0
     tower, rec = get_tower("z3"), get_reconstruction("z3")
     bent = _bent_off_the_support(rec.on_b.hopf)
     rep = identity_suite(tower, dataclasses.replace(
         rec, on_b=StructureBundle(bent, rec.on_b.index_element)))
     action = ActionData(bent, tower.sub_top.sub, tower.module_tensor)
+    acted = ActionData(rec.on_b.hopf.copy_with(), tower.sub_top.sub,
+                       _off_the_support(tower.module_tensor))
+    clean = ActionData(rec.on_b.hopf, tower.sub_top.sub, tower.module_tensor)
+    blocks = _class_basis(clean, tower.cartan_in_b).blocks
+    assert max(_relator_residuals(blocks, _moves(clean, tower.cartan_in_b))) < 1e-12
+    blocks[0] = blocks[0][:2] + (_off_the_support(blocks[0][2]), blocks[0][3])
     residuals = [axioms.coassociativity(bent), axioms.multiplicativity(bent),
                  rep["product against module elements"].residual,
                  rep["expectation comultiplicativity"].residual,
-                 verify_action(action)["action multiplicative on products"].residual]
+                 verify_action(action)["action multiplicative on products"].residual,
+                 verify_action(acted)["module law"].residual,
+                 max(_relator_residuals(blocks, _moves(clean, tower.cartan_in_b)))]
     assert all(1e-4 < r <= 2e-3 for r in residuals), residuals
+
+
+def _moves(action, cartan):
+    """The (R_(z |> 1), L_z) of the relator check, per matrix unit z of B_t."""
+    on_unit = action.on_unit @ cartan.images
+    return [(action.carrier.right_mult_matrix(z1), action.hopf.algebra.left_mult_matrix(z))
+            for z, z1 in zip(cartan.images.T, on_unit.T)]
 
 
 def test_nan_off_the_module_support_gives_nan_rows(get_tower, get_reconstruction):
@@ -158,6 +189,189 @@ def test_nan_off_the_module_support_gives_nan_rows(get_tower, get_reconstruction
     rep = identity_suite(broken, rec)
     for row in ("expectation comultiplicativity", "product against module elements"):
         assert math.isnan(rep[row].residual) and not rep[row].passed
+
+
+# -- the d**4 rows over their boxes ---------------------------------------------
+
+SMALL_SHAPES = st.lists(st.integers(1, 2), min_size=1, max_size=4)
+
+
+def _integral(rng, shape, pattern):
+    """Gaussian integers in [-2, 2] in the zero pattern of :func:`_operand`,
+    so every product and sum, in any order, is exact."""
+    vals = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+    return np.where(_operand(rng, shape, pattern) != 0, vals, 0)
+
+
+@st.composite
+def boxed_rows_input(draw):
+    """A random structure for every boxed row: B and a carrier M (their
+    tensors need not satisfy any axiom), an ambient holding images of both,
+    class factors and relator moves, each in a drawn zero pattern; a twist
+    or none; a slab size; and possibly an inf or NaN written at an exact
+    zero of Delta, of the action tensor or of the first class factor."""
+    b = MultiMatrixAlgebra(draw(SMALL_SHAPES))
+    m = MultiMatrixAlgebra(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    amb = MultiMatrixAlgebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(SEEDS))
+    k, r, s = (draw(st.integers(1, 3)) for _ in range(3))
+    data = dict(
+        delta=_integral(rng, (b.dim,) * 3, draw(PATTERNS)),
+        act=_integral(rng, (b.dim, m.dim, m.dim), draw(PATTERNS)),
+        b_img=_integral(rng, (amb.dim, b.dim), draw(PATTERNS)),
+        m_img=_integral(rng, (amb.dim, m.dim), draw(PATTERNS)),
+        ps=_integral(rng, (k, r, m.dim), draw(PATTERNS)),
+        qs=_integral(rng, (k, s, b.dim), draw(PATTERNS)),
+        moves=[(_integral(rng, (m.dim, m.dim), draw(PATTERNS)),
+                _integral(rng, (b.dim, b.dim), draw(PATTERNS)))
+               for _ in range(draw(st.integers(1, 3)))])
+    twisted = draw(st.booleans())
+    hinv_b = _integral(rng, (b.dim,), "full") if twisted else None
+    hinv_m = _integral(rng, (m.dim,), "full") if twisted else None
+    poisoned = draw(st.sampled_from([None, "delta", "act", "ps"]))
+    if poisoned is not None and (data[poisoned] == 0).any():
+        data[poisoned][tuple(np.argwhere(data[poisoned] == 0)[0])] = \
+            draw(st.sampled_from([np.nan, np.inf]))
+    else:
+        poisoned = None
+    slab = draw(st.sampled_from([1, 7, 64, _linalg._SLAB]))
+    return b, m, amb, data, hinv_b, hinv_m, poisoned, slab
+
+
+def dense_boxed_rows(b, m, amb, data, hinv_b, hinv_m):
+    """Each boxed row and the relator check with both sides formed over
+    every entry, one leading index at a time, and compared by
+    :func:`dense_fold`.  As in the rows, a sum over the legs of Delta(i)
+    runs over the legs where Delta(i) is nonzero (an inf or NaN counts), so
+    an inf or NaN that only an exact zero of Delta(i) would meet is not
+    read; every other contraction runs over every index."""
+    delta, act = data["delta"], data["act"]
+    mult_b, mult_m, mult_a = b.mult_tensor, m.mult_tensor, amb.mult_tensor
+    hb = b.unit().vec if hinv_b is None else hinv_b
+    hm = m.unit().vec if hinv_m is None else hinv_m
+
+    def ein(spec, *ops):
+        return np.einsum(spec, *ops, optimize=True)
+    twisted = ein("crs,t,tsS->crS", delta, hb, mult_b)  # (1 (x) H^-1) Delta(c)
+    right = ein("t,qyv,tvV->qyV", hm, act, mult_m)     # H^-1 (u_q |> y)
+    b_basis, m_basis = data["b_img"].T, data["m_img"].T
+    b_right = b_basis if hinv_b is None else ein("a,qb,abr->qr", data["b_img"] @ hinv_b,
+                                                b_basis, mult_a)
+    products = ein("yk,ql,klr->yqr", m_basis, b_right, mult_a)
+    legs = [(np.flatnonzero(d.astype(bool).any(axis=1)),
+             np.flatnonzero(d.astype(bool).any(axis=0))) for d in delta]
+    rows = {
+        "coassociativity": [(ein("pc,pab->abc", d[ps], delta[ps]),
+                             ein("aq,qbc->abc", d[:, qs], delta[qs]))
+                            for d, (ps, qs) in zip(delta, legs)],
+        "multiplicativity": [(ein("bck,kPQ->bcPQ", mult_b, delta),
+                              ein("bpq,crs,prP,qsQ->bcPQ", delta, twisted, mult_b, mult_b))],
+        "module law": [(ein("bck,kxy->bcxy", mult_b, act), ein("cxz,bzy->bcxy", act, act))],
+        "module multiplicativity": [
+            (ein("xyk,kz->xyz", mult_m, a), ein("pq,pxu,qyv,uvz->xyz", d[ps], act[ps], right,
+                                                mult_m))
+            for a, d, (ps, _) in zip(act, delta, legs)],
+        "product decomposition": [
+            (ein("k,xl,klr->xr", bk, m_basis, mult_a), ein("pq,pxy,yqr->xr", d[ps], act[ps],
+                                                           products))
+            for bk, d, (ps, _) in zip(b_basis, delta, legs)],
+    }
+    out = {name: dense_fold(pairs) for name, pairs in rows.items()}
+    out["relators"] = [dense_fold([(ein("iay,icb->acyb", data["ps"] @ r, data["qs"]),
+                                    ein("iax,icb->acxb", data["ps"], data["qs"] @ l))])
+                       for r, l in data["moves"]]
+    return out
+
+
+def boxed_rows(b, m, amb, data, hinv_b, hinv_m):
+    """The same rows as the library computes them."""
+    hopf = SimpleNamespace(algebra=b, dim=b.dim, delta=data["delta"], unit_vec=b.unit().vec)
+    tower = SimpleNamespace(ambient=amb, module_tensor=data["act"],
+                            rel_b=SimpleNamespace(images=data["b_img"]),
+                            sub_top=SimpleNamespace(images=data["m_img"]))
+    blocks = [(None, np.zeros((b.dim, data["qs"].shape[1])), data["ps"], data["qs"])]
+    return {
+        "coassociativity": axioms.coassociativity(hopf),
+        "multiplicativity": axioms.multiplicativity(hopf, hinv_b),
+        "module law": axioms.module_law(hopf, data["act"]),
+        "module multiplicativity": axioms.module_multiplicativity(hopf, data["act"], m, hinv_m),
+        "product decomposition": axioms.product_decomposition(hopf, tower, hinv_b),
+        "relators": _relator_residuals(blocks, data["moves"]),
+    }
+
+
+# rows that read every entry of an operand, so that an inf or NaN in it
+# always shows; the others read it through a sum over the legs of Delta
+READS = {"delta": ("coassociativity", "multiplicativity"),
+         "act": ("module law", "module multiplicativity"),
+         "ps": ("relators",)}
+
+
+@PROPERTY
+@given(boxed_rows_input())
+def test_boxed_rows_equal_their_dense_full_slab_reference(case):
+    # Gaussian-integer operands make every sum exact, so the boxed rows and
+    # the dense reference agree as floats; an inf or NaN written where the
+    # operand was an exact zero, outside every box it had, still propagates
+    b, m, amb, data, hinv_b, hinv_m, poisoned, slab = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = dense_boxed_rows(b, m, amb, data, hinv_b, hinv_m)
+        default, _linalg._SLAB = _linalg._SLAB, slab
+        try:
+            got = boxed_rows(b, m, amb, data, hinv_b, hinv_m)
+        finally:
+            _linalg._SLAB = default
+    for name, value in got.items():
+        assert np.array_equal(value, expected[name], equal_nan=True), (name, value,
+                                                                      expected[name])
+    for name in READS.get(poisoned, ()):
+        assert np.isnan(got[name]).all(), name
+
+
+BOX_FOLDS = 16
+
+
+@pytest.fixture(scope="module")
+def cyclic8_rows():
+    tower = weakhopf.tower.build_tower_from_group(cyclic(8))
+    hopf = reconstruct(tower).on_b.hopf
+    action = ActionData(hopf, tower.sub_top.sub, tower.module_tensor)
+    classes = _class_basis(action, tower.cartan_in_b)
+    return {
+        "coassociativity": lambda: axioms.coassociativity(hopf),
+        "multiplicativity": lambda: axioms.multiplicativity(hopf),
+        "module law": lambda: axioms.module_law(hopf, action.tensor),
+        "module multiplicativity": lambda: axioms.module_multiplicativity(
+            hopf, action.tensor, action.carrier),
+        "product decomposition": lambda: axioms.product_decomposition(hopf, tower),
+        "relators": lambda: _relator_residuals(classes.blocks,
+                                               _moves(action, tower.cartan_in_b)),
+    }
+
+
+@pytest.mark.parametrize("row", ["coassociativity", "multiplicativity", "module law",
+                                 "module multiplicativity", "product decomposition",
+                                 "relators"])
+def test_rows_on_the_cyclic8_tower_fold_few_boxes(cyclic8_rows, monkeypatch, row):
+    # B and M1 have 64 units, and a sweep one leading index at a time folds
+    # 64 slabs (the relator check 32); a box holds every leading index whose
+    # output entries can be nonzero within the slab size
+    fold = _linalg.streamed_residuals
+    folds = []
+
+    def counting(groups, rows):
+        folds.append(0)
+
+        def tally():
+            for group in groups:
+                folds[-1] += 1
+                yield group
+        return fold(tally(), rows)
+
+    for module in (_linalg, actions):
+        monkeypatch.setattr(module, "streamed_residuals", counting)
+    cyclic8_rows[row]()
+    assert len(folds) == 1 and 1 <= folds[0] <= BOX_FOLDS, folds
 
 
 # -- the residual fold --------------------------------------------------------
@@ -228,20 +442,34 @@ def test_the_fold_equals_the_dense_three_maxima(operands):
 
 
 @PROPERTY
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40), SEEDS)
-def test_pair_slabs_cover_every_formed_pair_once(k, c, per_pair, seed):
-    formed = np.random.default_rng(seed).random((k, c)) < 0.3
-    covered = np.zeros_like(formed)
-    start = 0
-    for rows, cols in pair_slabs(formed, per_pair):
-        assert rows.start == start
-        start = rows.stop
-        assert not formed[rows][:, np.setdiff1d(np.arange(c), cols)].any()
-        covered[rows, cols[:, None]] = True
-        size = (rows.stop - rows.start) * len(cols) * per_pair
-        assert size <= _linalg._SLAB or rows.stop - rows.start == 1
-    assert start == k
-    assert not (formed & ~covered).any()
+@given(st.integers(0, 8), st.lists(st.integers(1, 8), min_size=1, max_size=3),
+       st.integers(1, 40), st.floats(0.0, 1.0), st.sampled_from([1, 7, 64, _linalg._SLAB]),
+       SEEDS)
+def test_box_slabs_cover_every_marked_entry_once(n, lengths, width, density, slab, seed):
+    rng = np.random.default_rng(seed)
+    masks = [rng.random((n, length)) < density for length in lengths]
+    live = np.logical_and.reduce([m.any(axis=1) for m in masks])  # rows with entries
+    covered = np.zeros(n, dtype=int)
+    stop = 0
+    default, _linalg._SLAB = _linalg._SLAB, slab
+    try:
+        boxes = list(box_slabs(masks, width=width))
+    finally:
+        _linalg._SLAB = default
+    for rows, axes in boxes:
+        assert rows.start >= stop
+        stop = rows.stop
+        covered[rows] += 1
+        volume = rows.stop - rows.start
+        for mask, at in zip(masks, axes):
+            union = mask[rows].any(axis=0)
+            if isinstance(at, slice):
+                assert union.all()
+            else:
+                assert np.array_equal(at, union.nonzero()[0]) and len(at)
+            volume *= union.sum()
+        assert volume * width <= slab or rows.stop - rows.start == 1
+    assert not live[covered == 0].any() and covered.max(initial=0) <= 1
 
 
 # -- the embedding check over meeting supports ---------------------------------
