@@ -35,8 +35,6 @@ from .report import Report
 from .tower import TowerData
 from .weak_hopf import WeakHopfData, _read_only, canonical_involution_matrix
 
-_PROBES = 8
-
 
 @dataclass
 class ActionData:
@@ -100,14 +98,6 @@ class ClassMap:
     def dim(self) -> int:
         return sum(vs.shape[1] * ws.shape[1] for vs, ws, _, _ in self.blocks)
 
-    def _split(self, cls):
-        """The per-block (n, r, s) views of class coordinates (n, dim)."""
-        start = 0
-        for vs, ws, ps, qs in self.blocks:
-            r, s = vs.shape[1], ws.shape[1]
-            yield cls[:, start:start + r * s].reshape(-1, r, s), (vs, ws, ps, qs)
-            start += r * s
-
     def quot(self, raw: np.ndarray) -> np.ndarray:
         """Class coordinates of raw tensors (trailing axis).  Per block,
         sum_i P[i] T Q[i]^T is two matrix products: the stacked P[i] times
@@ -129,36 +119,12 @@ class ClassMap:
         """Representatives of class coordinates (n, dim) as raw tensors."""
         cls = np.asarray(cls, dtype=complex)
         out = np.zeros((len(cls),) + self.raw_shape, dtype=complex)
-        for mats, (vs, ws, _, _) in self._split(cls):
-            out += vs @ mats @ ws.T
+        start = 0
+        for vs, ws, _, _ in self.blocks:
+            r, s = vs.shape[1], ws.shape[1]
+            out += vs @ cls[:, start:start + r * s].reshape(-1, r, s) @ ws.T
+            start += r * s
         return out.reshape(len(cls), -1)
-
-    def lift_t(self, raw: np.ndarray) -> np.ndarray:
-        """``lift.T @ raw`` for a stack of raw-tensor columns (raw dim, n),
-        (classes, n): functionals on raw tensors read on the representatives.
-        Per block, V^T T_n W is two matrix products: V^T times the raw
-        tensors side by side, then W^T times each (B index, n) slice."""
-        width, n = self.raw_shape[1], np.shape(raw)[-1]
-        mats = np.asarray(raw, dtype=complex).reshape(self.raw_shape[0], width * n)
-        return np.concatenate([(ws.T @ (vs.T @ mats).reshape(-1, width, n)).reshape(-1, n)
-                               for vs, ws, _, _ in self.blocks])
-
-    def quot_t(self, cls: np.ndarray) -> np.ndarray:
-        """``quot.T @ cls`` for a stack of class columns (classes, n),
-        (raw dim, n): functionals on classes read on raw tensors.  Per block,
-        sum_i P[i]^T C_n Q[i] is two matrix products, as in :meth:`quot`:
-        each C_n times the stacked Q[i], then, with i moved next to the class
-        row index, the stacked P[i]^T times the result."""
-        cls = np.asarray(cls, dtype=complex)
-        height, width = self.raw_shape
-        n = cls.shape[1]
-        out = np.zeros((height, n * width), dtype=complex)
-        for mats, (_, _, ps, qs) in self._split(cls.T):
-            k, r, _ = ps.shape
-            right = mats.reshape(n * r, -1) @ qs.transpose(1, 0, 2).reshape(-1, k * width)
-            right = right.reshape(n, r, k, width).transpose(2, 1, 0, 3).reshape(k * r, -1)
-            out += ps.reshape(k * r, height).T @ right
-        return out.reshape(height, n, width).transpose(0, 2, 1).reshape(-1, n)
 
 
 @dataclass
@@ -353,8 +319,28 @@ def crossed_product(action: ActionData, *, rng=None,
     points): then every left multiplication is.  It need not be once the
     units are skewed against a supplied involution (C[S3] permuting three
     points is then 0.5 off), so the preimages are multiplied by 1 - e.
-    Random probes compare the algebraic product and involution with the
-    block product and adjoint.
+
+    Checks on the generators x (x) 1 and 1 (x) b, never on raw tensors.  The
+    block product and adjoint are the algebraic product and the involution
+    (x (x) b)* = (b*_(1) |> x*) (x) b*_(2), which is (1 (x) b*)(x* (x) 1)
+    by the product formula, an exact identity.  pi is multiplicative by the
+    module law, axiom (1) and the relator check, so its coordinates in the
+    commutant, a *-subalgebra, multiply as the classes do; the two laws are
+    read through ``hopf.row`` (memo hits on the canonical action).  On
+    L2(M1), L_(x*) = L_x^dagger: each L of a matrix unit is a 0/1 partial
+    permutation, and the carrier-embedding check reads it again.  So
+    pi((x (x) b)*) = A_(b*) L_(x*) equals pi(x (x) b)^dagger = A_b^dagger
+    L_x^dagger for every x (x) b iff A_(b*) = A_b^dagger for every unit b
+    (both sides are antilinear in b, and x = 1 gives the converse), which is
+    checked; then pi(c*) = pi(c)^dagger for every class c.  A kernel K of pi
+    is then a *-closed two-sided ideal, its unit e is central, and
+    X = (1 - e) X + K with pi injective on (1 - e) X.  A class c has block
+    coordinates [pi(c), e c] and c* has [pi(c*), e c*], while the block
+    adjoint of c is [pi(c)^dagger, (e c)*], since the units of K are split
+    against its own algebraic involution (``_verify_units`` checks them).
+    So the block adjoint is the involution iff also e c* = (e c)* for every
+    c.  Anti-multiplicativity of the involution on X would give it, but no
+    row read here covers it, so it is checked on the elementary tensors.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -373,14 +359,16 @@ def crossed_product(action: ActionData, *, rng=None,
     # least-norm preimages of the block units, from the factors of the SVD;
     # at full rank they are the inverse of the coordinates
     preimages = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
+    ideal_star = 0.0
     if rank == classes.dim:
         algebra, block_coords, unit_classes = commutant, coords.T, preimages
     else:
         kernel = vh[rank:].conj().T
         ideal, ideal_units, ideal_unit = _kernel_ideal(action, classes, kernel, rng, tol)
+        by_unit = _left_products(action, ideal_unit)
         # into the complementary ideal (1 - e) X; see the docstring
-        preimages -= classes.quot(
-            classes.lift(preimages.T) @ _left_products(action, ideal_unit)).T
+        preimages -= classes.quot(classes.lift(preimages.T) @ by_unit).T
+        ideal_star = _ideal_star_residual(action, classes, by_unit)
         algebra = MultiMatrixAlgebra(commutant.blocks + ideal.blocks)
         unit_classes = np.hstack([preimages, ideal_units])
         block_coords = np.linalg.inv(unit_classes)
@@ -388,7 +376,7 @@ def crossed_product(action: ActionData, *, rng=None,
     crossed = CrossedProduct(action, algebra, classes, block_coords, unit_classes)
     if crossed.carrier_embedding.verify() > 100 * tol:
         raise InvariantViolation("carrier embedding is not a *-homomorphism")
-    _verify_products(crossed, rng, tol)
+    _verify_products(action, tol, ideal_star)
     return crossed
 
 
@@ -516,7 +504,7 @@ def _left_products(action: ActionData, raw: np.ndarray) -> np.ndarray:
     labels = np.array([(x, b) for x in range(dm) for b in range(db)])
     return np.concatenate([
         _relator_products(action, np.broadcast_to(raw, (len(labels[sl]), raw.size)),
-                          labels[sl])[0]
+                          labels[sl])
         for sl in slabs(len(labels), dm * db * max(dm, db))])
 
 
@@ -533,65 +521,58 @@ def _raw_star(action: ActionData, raw: np.ndarray) -> np.ndarray:
     return out.reshape(len(raw), dm * db)
 
 
-def _verify_products(crossed: CrossedProduct, rng, tol):
-    """Random probes: the algebraic product and involution of raw tensors
-    agree with the block product and adjoint of their classes.  The probes
-    go through in slabs; each residual folds their maxima."""
-    action = crossed.action
-    db, dm = action.hopf.dim, action.carrier.dim
-    alg = crossed.algebra
-    draws = rng.standard_normal((_PROBES, dm * db)) \
-        + 1j * rng.standard_normal((_PROBES, dm * db))
-    labels = np.stack([rng.integers(0, dm, _PROBES), rng.integers(0, db, _PROBES)],
-                      axis=1)
-    elementary = np.zeros((_PROBES, dm * db))
-    elementary[np.arange(_PROBES), labels[:, 0] * db + labels[:, 1]] = 1.0
+def _ideal_star_residual(action: ActionData, classes: ClassMap, by_unit) -> float:
+    """Residual of e c* = (e c)* over the elementary tensors c, as classes,
+    with ``by_unit`` the rows e (x (x) b) of :func:`_left_products`: the
+    kernel-ideal half of the involution check (see :func:`crossed_product`)."""
+    starred = _raw_star(action, np.eye(len(by_unit)))  # rows (x (x) b)*
+    return rel_residual(classes.quot(_raw_star(action, by_unit)),
+                        classes.quot(starred @ by_unit))
 
-    def groups():
-        for sl in slabs(_PROBES, dm * db * max(dm, db)):
-            left, right = _relator_products(action, draws[sl], labels[sl])
-            probes, units = crossed.coords(draws[sl]), crossed.coords(elementary[sl])
-            yield ((crossed.coords(left), alg.mul_vecs(probes, units)),
-                   (crossed.coords(right), alg.mul_vecs(units, probes)),
-                   (crossed.coords(_raw_star(action, draws[sl])), alg.adjoint_vecs(probes)))
-    left_res, right_res, star_res = streamed_residuals(groups(), 3)
-    if max(left_res, right_res) > 100 * tol:
+
+def _involution_residual(action: ActionData) -> float:
+    """Residual of A_(b*) = A_b^dagger over the units b of B.  A_b is
+    act[b]^T on L2(M1), so A_(b*)^T is the action tensor contracted with
+    the rows b*, and (A_b^dagger)^T is conj(act[b])^T."""
+    hopf, act = action.hopf, action.tensor
+    return rel_residual(np.tensordot(hopf.star(np.eye(hopf.dim)), act, axes=1),
+                        np.conj(act.transpose(0, 2, 1)))
+
+
+def _verify_products(action: ActionData, tol, ideal_star: float = 0.0):
+    """The block product and adjoint are the algebraic product and
+    involution, checked on the generators (see :func:`crossed_product`):
+    the module law and axiom (1) for the product, A_(b*) = A_b^dagger and,
+    on a kernel ideal, ``ideal_star`` for the involution."""
+    hopf, act = action.hopf, action.tensor
+    if max(hopf.row(axioms.module_law, act),
+           hopf.row(axioms.module_multiplicativity, act, action.carrier)) > 100 * tol:
         raise InvariantViolation("algebraic product differs from the block product")
-    if star_res > 100 * tol:
+    if max(_involution_residual(action), ideal_star) > 100 * tol:
         raise InvariantViolation("algebraic involution differs from the block adjoint")
 
 
 def _relator_products(action: ActionData, probes: np.ndarray, labels: np.ndarray):
-    """Raw products of carrier (x) structure tensors before quotienting,
-    ``probe * (x (x) b)`` and ``(x (x) b) * probe``, for a stack of probes
-    (n, carrier.dim * hopf.dim) and elementary labels (n, 2) of (x, b).
+    """Raw products ``probe * (x (x) b)`` of carrier (x) structure tensors
+    before quotienting, for a stack of probes (n, carrier.dim * hopf.dim)
+    and elementary labels (n, 2) of (x, b).
 
-    With (y (x) c)(x (x) b) = y (c_(1) |> x) (x) c_(2) b, one elementary
+    With (y (x) c)(x (x) b) = y (c_(1) |> x) (x) c_(2) b, the elementary
     factor keeps every intermediate at n * dim**3 entries.  Products in M1
     and in B go through their block kernels.
     """
     hopf, car, act = action.hopf, action.carrier, action.tensor
     db, dm = hopf.dim, car.dim
-    units_m, units_b = np.eye(dm), np.eye(db)
     xs, bs = labels[:, 0], labels[:, 1]
     n = len(labels)
-    probes = probes.reshape(n, dm, db)
 
     # sum over y of u_y (c_(1) |> x): the row of M1 units times the column of
     # acted legs, then the B coefficients over q times u_b
-    legs = np.einsum("nyc,cpq->nypq", probes, hopf.delta, optimize=True)
+    legs = np.einsum("nyc,cpq->nypq", probes.reshape(n, dm, db), hopf.delta, optimize=True)
     acted = np.einsum("nypq,pnz->ynqz", legs, act[:, xs, :], optimize=True)
-    carried = car.matmul_vecs(units_m[None], acted.reshape(dm, n * db, dm))
+    carried = car.matmul_vecs(np.eye(dm)[None], acted.reshape(dm, n * db, dm))
     carried = carried.reshape(n, db, dm).transpose(0, 2, 1)
-    left = hopf.algebra.mul_vecs(carried, units_b[bs][:, None, :])
-
-    # u_x (b_(1) |> y) against u_q P_y, with P_y the B element of probe row y
-    acted = np.einsum("npq,pyz->nqyz", hopf.delta[bs], act, optimize=True)
-    carried = car.mul_vecs(units_m[xs][:, None, None, :], acted)
-    tails = hopf.algebra.pairwise_mul(units_b, probes.reshape(n * dm, db))
-    right = np.einsum("nqym,qnyk->nmk", carried, tails.reshape(db, n, dm, db),
-                      optimize=True)
-    return left.reshape(n, dm * db), right.reshape(n, dm * db)
+    return hopf.algebra.mul_vecs(carried, np.eye(db)[bs][:, None, :]).reshape(n, dm * db)
 
 
 def minimality(crossed: CrossedProduct, tol: float = DEFAULT_TOL) -> Report:
@@ -615,30 +596,38 @@ def theta_iso(tower: TowerData, deformed: DeformedStructure,
               crossed: CrossedProduct, tol: float = DEFAULT_TOL) -> ThetaMap:
     """Comparison map sending a class of x (x) b to x s b s^-1 in the tower
     ambient, where s is the positive square root of the antipode image of the
-    index element.  Verified well defined on the classes and, on the block
-    matrix units, bijective and a unital *-homomorphism (the first-column
-    argument of :meth:`SubalgebraEmbedding.residuals`)."""
+    index element.  It is read off the generator images x and s b s^-1, as
+    the crossed product reads its classes off L_x and A_b: the class
+    V_i (x) W_j of a block (V, W, P, Q) of the class map goes to the product
+    of (V^T x)_i and (W^T s b s^-1)_j.  theta(x (x) b) = x theta(1 (x) b) is
+    left M1-linear, so it kills the relators x (z |> 1) (x) b - x (x) z b,
+    that is, factors through M1 (x)_{B_t} B, iff
+    (z |> 1) theta(1 (x) b) = theta(1 (x) z b) for the units z of B_t and b
+    of B: the well-definedness row.  Verified, on the block matrix units,
+    bijective and a unital *-homomorphism (the first-column argument of
+    :meth:`SubalgebraEmbedding.residuals`)."""
     alg = tower.ambient
     hopf = deformed.hopf
-    db, dm = hopf.dim, crossed.action.carrier.dim
 
     sh_amb = tower.rel_b.images @ deformed.antipode_of_index
     root = alg.sqrt_posdef_vec(sh_amb, tol)
     root_inv = alg.inverse_vec(root)
 
     top_basis = tower.sub_top.images.T
+    # row b: theta(1 (x) u_b) = s u_b s^-1
     mid = alg.mul_vecs(root, alg.mul_vecs(tower.rel_b.images.T, root_inv))
-    # row x * db + b: theta of x (x) b; the transpose of the raw map's matrix
-    raw_images = alg.pairwise_mul(top_basis, mid).reshape(dm * db, alg.dim)
 
     rep = Report(tolerance=tol, seed=tower.seed, title="comparison map check")
-    # well definedness: the raw map factors through the balanced classes,
-    # quot.T lift.T raw_images = raw_images, compared over ambient columns
-    on_classes = crossed.classes.lift_t(raw_images)  # (classes, ambient)
+    zs = tower.cartan_in_b.images.T
+    on_one = zs @ crossed.action.on_unit.T @ top_basis  # z |> 1 in the ambient
+    units_b = np.eye(hopf.dim)
     rep.add("well defined on balanced classes", streamed_residual(
-        (raw_images[:, sl], crossed.classes.quot_t(on_classes[:, sl]))
-        for sl in slabs(alg.dim, dm * db)), ref="Prop 6.3")
+        (alg.mul_vecs(z1, mid), hopf.algebra.mul_vecs(z, units_b) @ mid)
+        for z, z1 in zip(zs, on_one)), ref="Prop 6.3")
 
+    on_classes = np.concatenate([
+        alg.pairwise_mul(vs.T @ top_basis, ws.T @ mid).reshape(-1, alg.dim)
+        for vs, ws, _, _ in crossed.classes.blocks])  # (classes, ambient)
     matrix = on_classes.T @ crossed.unit_classes
     sv = np.linalg.svd(matrix, compute_uv=False)
     bij = sv[-1] > 1e-8 * sv[0] and matrix.shape[0] == matrix.shape[1]

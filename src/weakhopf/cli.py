@@ -266,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=finite_positive, **kwargs,
                        help="residual tolerance, a finite real > 0 (default 1e-9)")
         p.add_argument("--seed", type=nonnegative_int, **kwargs,
-                       help="seed for the splits of abstract algebras and the "
-                            "crossed product's probes; tower-chain outputs do not "
-                            "depend on it; an integer >= 0 (default 0)")
+                       help="seed for the splits of abstract algebras; "
+                            "tower-chain outputs do not depend on it; an "
+                            "integer >= 0 (default 0)")
         p.add_argument("--json", action="store_true", **kwargs,
                        help="emit reports as JSON")
 

@@ -175,12 +175,15 @@ def _center_span(on: StructureAlgebra, rng, tol: float) -> np.ndarray:
             for _ in range(min(d, 3))]
     for _ in range(6):
         cand = null_space(on.commutator_matrices(np.stack(gens)).reshape(-1, d), 1e-10)
-        comm = on.commutator_matrices(cand.T)  # [c, k, i]: (cand_c u_i - u_i cand_c)_k
-        worst = max_abs(comm) / max(max_abs(cand), 1.0)
-        if worst <= 100 * tol:
+        # per unit u_i, the largest |(cand_c u_i - u_i cand_c)_k| over c and
+        # k, folded over slabs of the candidates
+        peaks = np.zeros(d)
+        for sl in slabs(cand.shape[1], d * d):
+            comm = on.commutator_matrices(cand[:, sl].T)  # [c, k, i]
+            peaks = np.maximum(peaks, np.abs(comm).max(axis=(0, 1)))
+        if peaks.max() / max(max_abs(cand), 1.0) <= 100 * tol:
             return cand
-        j = int(np.argmax(np.abs(comm).max(axis=(0, 1))))
-        gens.append(np.eye(d, dtype=complex)[j])
+        gens.append(np.eye(d, dtype=complex)[int(np.argmax(peaks))])
     raise InvariantViolation("center computation did not stabilize")
 
 

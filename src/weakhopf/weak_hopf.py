@@ -355,8 +355,9 @@ def dual_algebra(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
     multi, change = decompose_structure_algebra(raw, rng=rng, tol=tol)
     inv = np.linalg.inv(change)
 
-    delta_new = np.einsum("iI,Pp,Qq,ipq->IPQ", change, inv, inv, delta_dual,
-                          optimize=True)
+    # one index at a time: each step holds its input and output, two
+    # (d, d, d) arrays, and no third one beside them
+    delta_new = inv @ np.tensordot(change, delta_dual, axes=([0], [0])) @ inv.T
     eps_new = eps_dual @ change
     s_new = inv @ s_dual @ change
     j_new = inv @ j_dual @ np.conj(change)

@@ -8,11 +8,14 @@ on the cyclic(6) tower (216 classes, raw tensors of 36 * 36 entries) it holds
 no (classes, raw) or (raw, raw) array; its largest is the (1296, 216) images
 of the commutant of the fixed points with their left inverse (4.3 MiB each).
 Only the 36 + 36 generators L_x and A_b are back-substituted into them, and
-they are freed before the probes run, so its transient is about 11 MiB,
-where the per-class back-substitution with the images held through the
-probes takes about 17 MiB, and dense class maps and whole probe checks
-about 54 MiB.  The comparison map holds one (raw, ambient) array of images, about 10 MiB at the
-peak, where two more for the well-definedness check take about 17 MiB.
+they are freed before the checks run, so its transient is about 11 MiB,
+where the per-class back-substitution with the images held through random
+probes took about 17 MiB, and dense class maps and whole probe checks
+about 54 MiB.  The comparison map reads its classes off the generator
+images x and s b s^-1, one class block at a time, and checks the balancing
+on the units of B_t, so it holds about 6 MiB at the peak, where the
+(raw, ambient) images of every raw tensor took about 10 MiB, and two more
+arrays as large for the well-definedness check about 17 MiB.
 
 A conditional expectation holds its (sub, ambient) closed-form left inverse,
 never an (ambient, ambient) matrix: on cyclic(6), E_M1 is (36, 216).
@@ -61,7 +64,7 @@ from weakhopf.weak_hopf import group_algebra, pair_groupoid
 
 BOUND_MIB = 16
 CROSSED_BOUND_MIB = 15
-THETA_BOUND_MIB = 13.5
+THETA_BOUND_MIB = 8
 RECONSTRUCT_BOUND_MIB = 10
 GROUP_ALGEBRA_BOUND_MIB = 6
 COMMUTANT_MARGIN_MIB = 2
