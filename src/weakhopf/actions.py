@@ -25,9 +25,10 @@ from .deform import DeformedStructure
 from .errors import InvariantViolation
 from .multimatrix import (
     DEFAULT_TOL,
+    MEMBERSHIP_TOL,
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
-    _commutant_from_units,
+    _corner_ranges,
     relative_commutant,
     subalgebra_from_basis,
 )
@@ -298,13 +299,10 @@ def crossed_product(action: ActionData, *, rng=None,
     = pi(x (b_(1) |> y) (x) b_(2) c); ``verify_action`` checks both laws on
     every basis pair.  Every pi(x (x) b) commutes with right multiplication
     by the fixed points M, and when pi is a *-map its image is exactly their
-    commutant, whose matrix units come from those of M in closed form.
-    Only the generators are read there: the L_x and A_b of the units x of
-    M1 and b of B are back-substituted once each, and a class v (x) w gets
-    the block product of the coordinates of L_v and A_w.  The commutant is a
-    *-subalgebra since M is checked as one (:func:`_commutant_coords`), so it
-    holds every product of the L_x and A_b, with the block product of their
-    coordinates, and no class needs its own membership test.  pi must be
+    commutant, whose matrix units come from those of M in closed form.  Only
+    the generators L_x and A_b (x, b units) meet it, read off its corners
+    (:func:`_commutant_coords`); a class v (x) w gets the block product of
+    the coordinates of L_v and A_w, so no class needs its own test.  pi must be
     injective on the classes; for the tower actions it is, and as they carry
     B_t and M as matrix units, nothing is split at random.  A kernel (of a
     non-Galois action) is an ideal whose blocks are split from its algebraic
@@ -382,28 +380,33 @@ def crossed_product(action: ActionData, *, rng=None,
 
 def _commutant_coords(action: ActionData, classes: ClassMap, rng, tol):
     """The commutant of the right action of the fixed points on L2(M1) and
-    the (classes, commutant dim) coordinates of the class basis in it; its
-    dense (dm**2, commutant dim) images and their left inverse are freed
-    when this returns (see :func:`crossed_product`).  Only M is checked, by
-    :func:`_spanned`: on L2(M1) with the Hilbert-Schmidt metric of the
-    coefficients, x -> R_x is an anti-*-homomorphism, so f_ab -> R_(f_ba) is
-    a *-homomorphism of M with first-column units the R(f_0c) read here,
-    and the closed form gives a valid commutant (:func:`relative_commutant`)."""
+    the (classes, commutant dim) coordinates of the class basis in it.  Only
+    M is checked, by :func:`_spanned`: x -> R_x is an anti-*-homomorphism on
+    L2(M1) (Hilbert-Schmidt metric), so F_ab = R(f_ba) is a *-homomorphism
+    with first-column units F_c0 = R(f_c0)^dagger, whose commutant has the
+    units E^a_ij = sum_c F_c0 v_i v_j* F_0c (:func:`relative_commutant`), V_a
+    an orthonormal basis of the range of F^a_00.  V_a* E^b_ij V_a =
+    [a = b] e_i e_j*, so T lies in the commutant iff it equals
+    sum_a sum_c F_c0 V_a (V_a* T V_a) V_a* F_0c, with coordinates V_a* T V_a."""
     car = action.carrier
-    dm = car.dim
     fixed = fixed_points(action, rng=rng, tol=tol)
-    rights = [np.stack([
-        car.right_mult_matrix(fixed.images[:, fixed.sub.basis_index(alpha, 0, c)]).reshape(-1)
-        for c in range(k)]) for alpha, k in enumerate(fixed.sub.blocks)]
-    image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
-    try:
-        lefts = image.coords_vec(
-            np.stack([car.left_mult_matrix(x) for x in np.eye(dm)]).reshape(dm, -1))
-        acts = image.coords_vec(action.tensor.transpose(0, 2, 1).reshape(-1, dm * dm))
-    except InvariantViolation as exc:
-        raise InvariantViolation(
-            "classes do not act in the commutant of the fixed points") from exc
-    comm = image.sub
+    corners = []
+    for firsts in fixed.first_columns():
+        units = np.stack([car.right_mult_matrix(f).conj().T for f in firsts])  # F_c0
+        (basis,) = _corner_ranges(MultiMatrixAlgebra([car.dim]), units[0].reshape(-1))
+        corners.append((basis, units @ basis))
+
+    def coords(ops):
+        parts = [basis.conj().T @ ops @ basis for basis, _ in corners]
+        expansion = sum(copy @ part @ copy.conj().T
+                        for (_, copies), part in zip(corners, parts) for copy in copies)
+        if rel_residual(ops, expansion) > MEMBERSHIP_TOL:
+            raise InvariantViolation("classes do not act in the commutant of the fixed points")
+        return np.concatenate([part.reshape(len(ops), -1) for part in parts], axis=1)
+
+    lefts = coords(np.stack([car.left_mult_matrix(x) for x in np.eye(car.dim)]))
+    acts = coords(action.tensor.transpose(0, 2, 1))
+    comm = MultiMatrixAlgebra([basis.shape[1] for basis, _ in corners])
     return comm, np.concatenate([comm.pairwise_mul(vs.T @ lefts, ws.T @ acts)
                                  .reshape(-1, comm.dim) for vs, ws, _, _ in classes.blocks])
 
@@ -603,9 +606,10 @@ def theta_iso(tower: TowerData, deformed: DeformedStructure,
     left M1-linear, so it kills the relators x (z |> 1) (x) b - x (x) z b,
     that is, factors through M1 (x)_{B_t} B, iff
     (z |> 1) theta(1 (x) b) = theta(1 (x) z b) for the units z of B_t and b
-    of B: the well-definedness row.  Verified, on the block matrix units,
-    bijective and a unital *-homomorphism (the first-column argument of
-    :meth:`SubalgebraEmbedding.residuals`)."""
+    of B: the well-definedness row.  Verified, on the block matrix units, a
+    unital *-homomorphism (:meth:`SubalgebraEmbedding.residuals`), so its
+    kernel is a sum of blocks; a nonzero projection has an integer trace, so
+    at equal dimensions it is bijective iff every Tr theta(f^k_00) > 1/2."""
     alg = tower.ambient
     hopf = deformed.hopf
 
@@ -629,14 +633,14 @@ def theta_iso(tower: TowerData, deformed: DeformedStructure,
         alg.pairwise_mul(vs.T @ top_basis, ws.T @ mid).reshape(-1, alg.dim)
         for vs, ws, _, _ in crossed.classes.blocks])  # (classes, ambient)
     matrix = on_classes.T @ crossed.unit_classes
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    bij = sv[-1] > 1e-8 * sv[0] and matrix.shape[0] == matrix.shape[1]
+    theta = SubalgebraEmbedding(crossed.algebra, alg, matrix)
+    parts = theta.residuals()
+    traces = np.real([alg.unit().vec @ f[0] for f in theta.first_columns()])  # Tr theta(f_00)
+    bij = matrix.shape[0] == matrix.shape[1] and traces.min() > 0.5
     rep.add_flag("bijective", bij, ref="Prop 6.3",
-                 note=f"singular value ratio {sv[-1] / sv[0]:.3e}")
+                 note=f"smallest block trace {traces.min():.3g}")
     if not bij:
         raise InvariantViolation("theta not bijective")
-
-    parts = SubalgebraEmbedding(crossed.algebra, alg, matrix).residuals()
     rep.add("multiplicative", parts["multiplicative"], ref="Prop 6.3")
     rep.add("involution-preserving", parts["adjoint"], ref="Prop 6.3")
     rep.add("unital", parts["unital"], ref="Prop 6.3")

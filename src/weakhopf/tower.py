@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import max_abs, numeric_rank, rel_residual
+from ._linalg import max_abs, rel_residual
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .multimatrix import (
@@ -21,6 +21,7 @@ from .multimatrix import (
     SubalgebraEmbedding,
     TraceState,
     basic_construction,
+    product_span_dim,
     relative_commutant,
 )
 from .report import Report
@@ -214,9 +215,7 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
     rep.add("commuting square", rel_residual(e_top(e_bcomm(npb)), e_bcomm(e_top(npb))),
             ref="commuting square")
 
-    a_img, b_img = tower.rel_a.images, tower.rel_b.images
-    prods = alg.pairwise_mul(a_img.T, b_img.T).reshape(-1, alg.dim)
-    span_dim = numeric_rank(prods.T, 1e-9)
+    span_dim = product_span_dim(tower.rel_a, alg.unit().vec, tower.rel_b)
     rep.add_flag("products of the commutants span N'",
                  span_dim == tower.start_commutant_full.sub.dim,
                  ref="non-degenerate square",
@@ -235,12 +234,10 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
             ref="Lemma 3.1")
 
     # spanning: M e1 M = M1 and M1 e2 M1 = ambient
-    me1m = alg.pairwise_mul(mid, alg.mul_vecs(e1, mid))
-    rank1 = numeric_rank(me1m.reshape(-1, alg.dim).T, 1e-9)
+    rank1 = product_span_dim(tower.sub_mid, e1, tower.sub_mid)
     rep.add_flag("M e1 M spans M1", rank1 == tower.sub_top.sub.dim,
                  ref="Remark 4.4", note=f"rank {rank1} of {tower.sub_top.sub.dim}")
-    m1e2m1 = alg.pairwise_mul(top, alg.mul_vecs(e2, top))
-    rank2 = numeric_rank(m1e2m1.reshape(-1, alg.dim).T, 1e-9)
+    rank2 = product_span_dim(tower.sub_top, e2, tower.sub_top)
     rep.add_flag("M1 e2 M1 spans the ambient", rank2 == alg.dim,
                  ref="Remark 4.4", note=f"rank {rank2} of {alg.dim}")
 

@@ -23,12 +23,9 @@ from weakhopf.groups import cyclic, symmetric
 from weakhopf.multimatrix import (
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
-    TraceState,
     _commutant_from_units,
-    basic_construction,
 )
 from weakhopf.reconstruct import reconstruct
-from weakhopf.tower import TowerData
 from weakhopf.weak_hopf import (
     WeakHopfData,
     cartan_subalgebras,
@@ -36,6 +33,8 @@ from weakhopf.weak_hopf import (
     pair_groupoid,
     verify_axioms,
 )
+
+from conftest import inclusion_tower
 
 TOL = 1e-9
 
@@ -626,6 +625,18 @@ def test_theta_rejects_a_wrong_twist_root(get_pipeline, monkeypatch):
         theta_iso(tower, pipe["deformed"], pipe["crossed"])
 
 
+def test_theta_refuses_a_map_killing_a_block(get_pipeline):
+    # theta(f^0_ij) = 0 on the units of block 0: a square map whose only
+    # trace of the kernel is Tr theta(f^0_00) = 0
+    pipe = get_pipeline("z2")
+    crossed = pipe["crossed"]
+    units = crossed.unit_classes.copy()
+    units[:, crossed.algebra.block_slice(0)] = 0.0
+    killed = dataclasses.replace(crossed, unit_classes=units)
+    with pytest.raises(InvariantViolation, match="^theta not bijective$"):
+        theta_iso(pipe["tower"], pipe["deformed"], killed)
+
+
 @pytest.mark.parametrize("name", ["z2", "z3"])
 def test_module_tensor_is_the_compressed_product(name, get_tower, get_pipeline):
     # b |> x = lam^-1 E_M1(b x e2), one pair at a time, in M1 coordinates
@@ -671,30 +682,6 @@ def test_tower_crossed_product_and_theta_draw_nothing(name, get_pipeline):
     theta = theta_iso(pipe["tower"], pipe["deformed"], crossed)
     assert np.array_equal(crossed.block_coords, pipe["crossed"].block_coords)
     assert np.array_equal(theta.matrix, pipe["theta"].matrix)
-
-
-def inclusion_tower(sub_blocks, inclusion, weights, lam):
-    """The tower N < M < M1 < M2 of an inclusion matrix: N block i sits
-    inclusion[i][j] times down the diagonal of M block j, M carries the
-    trace weights ``weights``, and two basic constructions of modulus
-    ``lam`` give M1 and M2, filled in as ``build_tower_from_group`` does."""
-    inclusion = np.asarray(inclusion)
-    sub = MultiMatrixAlgebra(sub_blocks)
-    mid = MultiMatrixAlgebra(inclusion.T @ np.asarray(sub_blocks))
-    images = np.zeros((mid.dim, sub.dim), dtype=complex)
-    for j in range(len(mid.blocks)):
-        slot = 0
-        for i, n in enumerate(sub_blocks):
-            for _ in range(inclusion[i, j]):
-                for a, b in itertools.product(range(n), repeat=2):
-                    images[mid.basis_index(j, slot + a, slot + b), sub.basis_index(i, a, b)] = 1
-                slot += n
-    start = SubalgebraEmbedding(sub, mid, images)
-    first = basic_construction(start, TraceState(mid, weights), lam)
-    second = basic_construction(first.inclusion, first.extended_trace, lam)
-    sub_mid = first.inclusion.compose(second.inclusion)
-    return TowerData(second.algebra, start.compose(sub_mid), sub_mid, second.inclusion,
-                     second.inclusion.embed(first.e), second.e, second.extended_trace, lam)
 
 
 def test_crossed_product_at_a_twisted_index_element_refuses_its_involution():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,16 +11,18 @@ from weakhopf.multimatrix import (
     SubalgebraEmbedding,
     TraceState,
     _commutant_from_units,
-    _verify_jones,
     basic_construction,
     center,
     inclusion_matrix,
     markov_trace,
+    product_span_dim,
     relative_commutant,
     subalgebra_from_basis,
     take_units,
     watatani_index,
 )
+
+from conftest import dense_span_dim
 
 RNG = np.random.default_rng(7)
 TOL = 1e-9
@@ -493,6 +493,26 @@ def test_commutant_rejects_non_homomorphism():
         relative_commutant(SubalgebraEmbedding(m2, m4, images))
 
 
+# -- spans of products over two subalgebras ------------------------------------
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["units", "rotated"])
+@pytest.mark.parametrize("make", [diag_in_m2, lambda: c2_in_m3(), m2_in_m4_m2],
+                         ids=["diag_in_m2", "c2_in_m3", "m2_in_m4_m2"])
+def test_product_span_matches_the_all_pairs_rank(make, rotate):
+    # X the subalgebra, Y itself or its commutant: blocks of size 1 and 2
+    # give corners of weights 1, 2 and 4, and the rotated units are dense.
+    # w is the unit, a minimal projection of the ambient (partial ranks) or
+    # a random element
+    sub = rotated(make()) if rotate else make()
+    amb = sub.ambient
+    w_values = [amb.unit().vec, amb.basis_unit(0, 0, 0).vec,
+                random_element(amb, np.random.default_rng(2)).vec]
+    for right in (sub, relative_commutant(sub)):
+        for w in w_values:
+            assert product_span_dim(sub, w, right) == dense_span_dim(sub, w, right)
+
+
 # -- inclusion matrices and Markov data ----------------------------------------
 
 
@@ -632,20 +652,6 @@ def test_extended_trace_is_lam_lambda_tau():
                         tr.coefficient_weights) < 1e-15
 
 
-@pytest.mark.parametrize("block", [0, 1])
-def test_jones_check_rejects_a_scaled_extended_weight(block):
-    # the check that pins every weight through tau_ext(x e) = lam tau(x)
-    # catches one weight off by 1 %
-    sub = c2_in_m3()
-    tr = TraceState(sub.ambient, [1 / 3])
-    ext = basic_construction(sub, tr, 0.2)
-    weights = ext.extended_trace.weights.copy()
-    weights[block] *= 1.01
-    bent = dataclasses.replace(ext, extended_trace=TraceState(ext.algebra, weights))
-    with pytest.raises(InvariantViolation, match="extended trace inconsistent"):
-        _verify_jones(bent, tr, TOL)
-
-
 def test_basic_construction_rejects_wrong_modulus():
     c2 = MultiMatrixAlgebra([1, 1])
     with pytest.raises(InvariantViolation, match="trace not Markov"):
@@ -716,15 +722,14 @@ def test_jones_inclusion_is_an_exact_homomorphism(fixture, weights, lam, blocks,
 
 
 @pytest.mark.parametrize("rotate", [False, True], ids=["units", "rotated"])
-def test_jones_checks_reject_a_moved_copy_and_a_turned_projection(rotate):
+def test_jones_inclusion_check_rejects_a_moved_copy(rotate):
     # c2 in m3 has Lambda = [[1], [2]], so block 1 of the extension holds two
-    # copies of M_3, in the slots t = 0, 1 of the basis (r, t)
+    # copies of M_3, in the slots t = 0, 1 of the basis (r, t).  A turned e
+    # is left to the tower premises ("e2 implements expectation onto M")
     sub = rotated(c2_in_m3()) if rotate else c2_in_m3()
-    tr = TraceState(sub.ambient, [1 / 3])
-    ext = basic_construction(sub, tr, 0.2)
+    ext = basic_construction(sub, TraceState(sub.ambient, [1 / 3]), 0.2)
     alg = ext.algebra
     ext.inclusion.require_valid(TOL)
-    _verify_jones(ext, tr, TOL)
 
     # the copy t = 0 of E_00 moves from ((0, 0), (0, 0)) to ((0, 0), (0, 1))
     images = ext.inclusion.images.copy()
@@ -734,15 +739,6 @@ def test_jones_checks_reject_a_moved_copy_and_a_turned_projection(rotate):
     moved = SubalgebraEmbedding(sub.ambient, alg, images)
     with pytest.raises(InvariantViolation, match="not a subalgebra"):
         moved.require_valid(TOL)
-
-    # e conjugated by a unitary of block 1 is still a projection, but no
-    # longer implements the expectation onto N
-    rng = np.random.default_rng(3)
-    turn = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
-    blocks = alg.block_views(ext.e.vec)
-    turned = alg.from_blocks([blocks[0], turn @ blocks[1] @ turn.conj().T])
-    with pytest.raises(InvariantViolation, match="extended trace inconsistent"):
-        _verify_jones(dataclasses.replace(ext, e=turned), tr, TOL)
 
 
 @pytest.mark.parametrize("blocks, weights, lam, first_blocks, second_blocks", [

@@ -10,10 +10,11 @@ from weakhopf.multimatrix import (
     SubalgebraEmbedding,
     TraceState,
     basic_construction,
+    product_span_dim,
 )
 from weakhopf.tower import TowerData, build_tower_from_group, verify_tower_premises
 
-from conftest import TOWER_NAMES
+from conftest import INCLUSIONS, TOWER_NAMES, dense_span_dim, inclusion_tower
 
 TOL = 1e-9
 
@@ -43,6 +44,32 @@ def test_tower_premises(name, get_tower):
     rep = verify_tower_premises(get_tower(name))
     assert rep.passed, rep.render_table()
     assert rep.max_residual <= TOL
+
+
+@pytest.mark.parametrize("name", ["a3_in_s3", "c2_in_m3_m3", "c2_in_m2"])
+def test_inclusion_tower_premises(name):
+    # N != C, so the commutants are not the cyclic towers' diagonal ones;
+    # C^2 < M_3 + M_3 (ambient 1458, dim A = dim B = 82) ranks its spans on
+    # corners, where the all-pairs (82, 82, 1458) stack took 150 MiB
+    rep = verify_tower_premises(inclusion_tower(*INCLUSIONS[name]))
+    assert rep.passed, rep.render_table()
+
+
+def test_depth_three_inclusion_fails_only_the_commutant_span():
+    # C[Z2] < C[S3] has depth 3: the products of the commutants miss 2 of
+    # the 28 dimensions of N', and every other premise holds
+    rep = verify_tower_premises(inclusion_tower(*INCLUSIONS["z2_in_s3"]))
+    assert [row.name for row in rep.failures()] == ["products of the commutants span N'"]
+    assert rep["products of the commutants span N'"].note == "rank 26 of 28"
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES + ["a3_in_s3", "z2_in_s3", "c2_in_m2"])
+def test_premise_spans_match_the_all_pairs_rank(name, get_tower):
+    tower = get_tower(name) if name in TOWER_NAMES else inclusion_tower(*INCLUSIONS[name])
+    for left, w, right in [(tower.rel_a, tower.ambient.unit().vec, tower.rel_b),
+                           (tower.sub_mid, tower.e1.vec, tower.sub_mid),
+                           (tower.sub_top, tower.e2.vec, tower.sub_top)]:
+        assert product_span_dim(left, w, right) == dense_span_dim(left, w, right)
 
 
 def test_building_a_tower_computes_no_commutant_and_no_markov_index(monkeypatch):

@@ -5,17 +5,22 @@ entries (27 MB), and on the cyclic(5) canonical action 25**4 (6.25 MB).
 
 The crossed product keeps its class map factored and streams its checks, so
 on the cyclic(6) tower (216 classes, raw tensors of 36 * 36 entries) it holds
-no (classes, raw) or (raw, raw) array; its largest is the (1296, 216) images
-of the commutant of the fixed points with their left inverse (4.3 MiB each).
-Only the 36 + 36 generators L_x and A_b are back-substituted into them, and
-they are freed before the checks run, so its transient is about 11 MiB,
-where the per-class back-substitution with the images held through random
-probes took about 17 MiB, and dense class maps and whole probe checks
-about 54 MiB.  The comparison map reads its classes off the generator
+no (classes, raw) or (raw, raw) array.  The 36 + 36 generators L_x and A_b
+read their coordinates in the commutant of the fixed points off corners
+V* T V, so no image of that commutant is formed, and its transient is about
+5.4 MiB, where the dense (1296, 216) commutant image and its left inverse
+took about 11 MiB, the per-class back-substitution with the images held
+through random probes about 17 MiB, and dense class maps and whole probe
+checks about 54 MiB.  The comparison map reads its classes off the generator
 images x and s b s^-1, one class block at a time, and checks the balancing
 on the units of B_t, so it holds about 6 MiB at the peak, where the
 (raw, ambient) images of every raw tensor took about 10 MiB, and two more
 arrays as large for the well-definedness check about 17 MiB.
+
+The tower premises rank their spans x w y on the corners f_0j w g_k0 of
+the units, one stack per weight, so on a warm cyclic(6) tower they hold
+about 3.7 MiB, where the all-pairs stacks of M1 e2 M1 (36 * 36 products of
+216 entries) and of the two commutants took about 11.4 MiB.
 
 A conditional expectation holds its (sub, ambient) closed-form left inverse,
 never an (ambient, ambient) matrix: on cyclic(6), E_M1 is (36, 216).
@@ -59,11 +64,12 @@ from weakhopf.deform import deform
 from weakhopf.groups import cyclic, symmetric
 from weakhopf.multimatrix import relative_commutant
 from weakhopf.reconstruct import reconstruct
-from weakhopf.tower import build_tower_from_group
+from weakhopf.tower import build_tower_from_group, verify_tower_premises
 from weakhopf.weak_hopf import group_algebra, pair_groupoid
 
 BOUND_MIB = 16
-CROSSED_BOUND_MIB = 15
+CROSSED_BOUND_MIB = 9
+PREMISES_BOUND_MIB = 8
 THETA_BOUND_MIB = 8
 RECONSTRUCT_BOUND_MIB = 10
 GROUP_ALGEBRA_BOUND_MIB = 6
@@ -114,6 +120,12 @@ def test_crossed_product_and_theta_hold_no_class_matrix(cyclic6_chain):
     built = []
     assert transient_mib(lambda: built.append(crossed_product(action))) < CROSSED_BOUND_MIB
     assert transient_mib(lambda: theta_iso(tower, deformed, built[0])) < THETA_BOUND_MIB
+
+
+def test_premises_hold_no_all_pairs_stack(cyclic6_chain):
+    tower = cyclic6_chain[0]
+    verify_tower_premises(tower)  # warms the commutants and expectations of the tower
+    assert transient_mib(lambda: verify_tower_premises(tower)) < PREMISES_BOUND_MIB
 
 
 def test_reconstruct_reads_pairings_from_the_gram(cyclic6_chain):
