@@ -245,17 +245,16 @@ def residual_outside(vectors: np.ndarray, q: np.ndarray) -> float:
 def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
     """Group sorted real values into clusters separated by more than ``gap``.
 
-    Returns index arrays into the original ``values``.
+    Returns index arrays into the original ``values``, in ascending order:
+    a new cluster starts wherever a sorted value does not lie within ``gap``
+    of the one before it (so a NaN, sorted last, stands alone).
     """
     values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return []
     order = np.argsort(values)
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return [np.array(c, dtype=int) for c in clusters]
+    breaks = np.flatnonzero(~(np.diff(values[order]) <= gap)) + 1
+    return np.split(order, breaks)
 
 
 def condition_number(mat: np.ndarray) -> float:

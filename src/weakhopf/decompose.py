@@ -14,11 +14,13 @@ constants of a span (abstract fixed points and Cartans),
 (u_g u_h = u_gh), :func:`weakhopf.weak_hopf.dual_algebra` the raw dual
 (product = transposed coproduct), and :func:`weakhopf.actions.crossed_product`
 the kernel ideal of a non-Galois action; crossed products of tower actions
-take B_t, M and their blocks in closed form and never reach it.  A block's
-size m is read off the regular trace of its central projection (m**2), so
-a 1 x 1 block takes no corner and no random draw.  Once an algebra is a
-:class:`~weakhopf.multimatrix.MultiMatrixAlgebra`, its products go through
-the block kernels there, never through a structure tensor here.
+take B_t, M and their blocks in closed form and never reach it.
+:func:`weakhopf.weak_hopf.connectedness` reads the raw dual without a split:
+only its centre (:func:`center_span`, the split's own first step).  A
+block's size m is read off the regular trace of its central projection
+(m**2), so a 1 x 1 block takes no corner and no random draw.  Once an
+algebra is a :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`, its products
+go through the block kernels there, never through a structure tensor here.
 
 The dense structure tensor is the large operand (d**3 entries), so every
 product goes through batched operator kernels that read it once per batch of
@@ -26,9 +28,10 @@ elements: :meth:`StructureAlgebra.left_matrices` is one matrix product with
 the ``(d, d**2)`` flattening of the tensor and
 :meth:`StructureAlgebra.right_matrices` one stacked matrix product over its
 leading index.  Products, all-pairs products and commutators are thin layers
-over these two, and the matrix-unit relations are checked block by block
-against ``e_ij e_kl = delta_jk e_il`` rather than against a canonical
-structure tensor.
+over these two, and the matrix-unit relations ``e_ij e_kl = delta_jk e_il``
+are checked one slab of left factors at a time against a gather through the
+split's ``product_index``, and the adjoints against one through its
+``adjoint_index``, rather than against a canonical structure tensor.
 """
 
 import numpy as np
@@ -42,9 +45,9 @@ from ._linalg import (
     slabs,
 )
 from .errors import InvariantViolation
-from .multimatrix import MultiMatrixAlgebra
+from .multimatrix import MultiMatrixAlgebra, take_units
 
-__all__ = ["StructureAlgebra", "decompose_structure_algebra"]
+__all__ = ["StructureAlgebra", "center_span", "decompose_structure_algebra"]
 # relative gap that separates eigenvalue clusters in ``_spectral_projections``
 SPECTRAL_GAP = 1e-6
 
@@ -145,7 +148,7 @@ def decompose_structure_algebra(algebra: StructureAlgebra, *, rng=None,
     inv_on = t_inv @ algebra.involution @ np.conj(t)
     on = StructureAlgebra(mult_on, unit_on, inv_on)
 
-    center = _center_span(on, rng, tol)
+    center = center_span(on, rng, tol)
     for _ in range(8):
         try:
             units, sizes = _split(on, center, rng)
@@ -169,7 +172,11 @@ def _random_self_adjoint(on: StructureAlgebra, span: np.ndarray, rng):
     return 0.5 * (x + on.star(x))
 
 
-def _center_span(on: StructureAlgebra, rng, tol: float) -> np.ndarray:
+def center_span(on: StructureAlgebra, rng, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the centre of ``on``: the common kernel
+    of the commutators with a few random elements, grown by the basis unit
+    that commutes worst until every basis unit commutes with every column.
+    It needs no C* structure and reads no unit or involution."""
     d = on.dim
     gens = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
             for _ in range(min(d, 3))]
@@ -267,23 +274,20 @@ def _matrix_units(on, diag, rng):
 def _verify_units(on: StructureAlgebra, multi: MultiMatrixAlgebra,
                   change: np.ndarray):
     cols = change.T  # (multi.dim, on.dim), one row per canonical matrix unit
-    # e_ij e_kl = delta_jk e_il inside a block and 0 across blocks, checked one
-    # block of left factors at a time; worst and scale are those of the
+    d = on.dim
+    # u_i u_j is the unit product_index[i, j] (e_rc e_cl = e_rl) or 0, checked
+    # one slab of left factors at a time; worst and scale are those of the
     # relative residual over all pairs at once
     worst, scale = 0.0, 1.0
-    for alpha, m in enumerate(multi.blocks):
-        sl = multi.block_slice(alpha)
-        block = cols[sl]
-        prods = on.pairwise(block, cols)
-        expected = np.einsum("jk,ilx->ijklx", np.eye(m), block.reshape(m, m, -1))
-        expected = expected.reshape(m * m, m * m, -1)
+    for sl in slabs(d, d * d):
+        prods = on.pairwise(cols[sl], cols)
+        expected = take_units(cols, multi.product_index[sl])
         scale = max(scale, max_abs(prods), max_abs(expected))
-        prods[:, sl] -= expected
+        prods -= expected
         worst = max(worst, max_abs(prods))
     if worst / scale > 1e-6:
         raise InvariantViolation("matrix-unit relations failed")
-    eye = np.eye(multi.dim, dtype=complex)
-    if rel_residual(on.star(cols), multi.adjoint_vecs(eye) @ cols) > 1e-6:
+    if rel_residual(on.star(cols), cols[multi.adjoint_index]) > 1e-6:
         raise InvariantViolation("matrix units are not adjoint-compatible")
     if rel_residual(np.tensordot(multi.unit().vec, cols, axes=([0], [0])), on.unit) > 1e-6:
         raise InvariantViolation("matrix units do not sum to the unit")

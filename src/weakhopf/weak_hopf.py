@@ -14,7 +14,9 @@ eps(u_p u_c) gives the counital maps, phi(u_i u_j) the positivity gram and
 the traciality test.  Only the dual (whose product is the transposed
 coproduct, not a multimatrix product), group algebras (whose table is their
 structure tensor) and subalgebras given by a spanning set go through
-:class:`~weakhopf.decompose.StructureAlgebra`.
+:class:`~weakhopf.decompose.StructureAlgebra`.  The raw dual (``_raw_dual``)
+is split by ``dual_algebra``; ``connectedness`` reads only its centre and
+splits nothing but the two Cartans.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import axioms
 from ._linalg import max_abs, null_space, rel_residual
-from .decompose import StructureAlgebra, decompose_structure_algebra
+from .decompose import StructureAlgebra, center_span, decompose_structure_algebra
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .multimatrix import (
@@ -335,6 +337,15 @@ def haar_data(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> HaarData:
     return HaarData(haar_projection(hopf, tol), haar_functional(hopf, tol))
 
 
+def _raw_dual(hopf: WeakHopfData) -> StructureAlgebra:
+    """The dual algebra over the dual basis u^p (u^p(u_q) = delta_pq), not
+    yet split: the product is the transposed coproduct, (u^p u^q)(u_i) =
+    delta[i, p, q], the unit is the counit, and the involution is
+    phi*(b) = conj(phi(S(b)*))."""
+    return StructureAlgebra(hopf.delta.transpose(1, 2, 0), hopf.epsilon,
+                            (np.conj(hopf.star_matrix) @ hopf.antipode).T)
+
+
 def dual_algebra(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
                  seed: int = 0) -> DualAlgebra:
     """Dual weak Hopf structure on the dual space, block-decomposed.
@@ -343,24 +354,18 @@ def dual_algebra(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
     product, unit the counit, counit evaluation at the unit, antipode the
     transpose, and involution phi* (b) = conj(phi(S(b)*)).
     """
-    rng = np.random.default_rng(seed)
-    mult_dual = hopf.delta.transpose(1, 2, 0)
-    delta_dual = hopf.algebra.mult_tensor.transpose(2, 0, 1)
-    unit_dual = hopf.epsilon.copy()
-    eps_dual = hopf.unit_vec.copy()
-    s_dual = hopf.antipode.T
-    j_dual = (np.conj(hopf.star_matrix) @ hopf.antipode).T
-
-    raw = StructureAlgebra(mult_dual, unit_dual, j_dual)
-    multi, change = decompose_structure_algebra(raw, rng=rng, tol=tol)
+    raw = _raw_dual(hopf)
+    multi, change = decompose_structure_algebra(raw, rng=np.random.default_rng(seed),
+                                                tol=tol)
     inv = np.linalg.inv(change)
+    delta_dual = hopf.algebra.mult_tensor.transpose(2, 0, 1)
 
     # one index at a time: each step holds its input and output, two
     # (d, d, d) arrays, and no third one beside them
     delta_new = inv @ np.tensordot(change, delta_dual, axes=([0], [0])) @ inv.T
-    eps_new = eps_dual @ change
-    s_new = inv @ s_dual @ change
-    j_new = inv @ j_dual @ np.conj(change)
+    eps_new = hopf.unit_vec @ change
+    s_new = inv @ hopf.antipode.T @ change
+    j_new = inv @ raw.involution @ np.conj(change)
 
     canonical = canonical_involution_matrix(multi)
     involution = None if rel_residual(j_new, canonical) <= 1e-9 else j_new
@@ -396,13 +401,27 @@ def connectedness(hopf: WeakHopfData, tol: float = DEFAULT_TOL, seed: int = 0):
     two available criteria for dual connectedness agree: B_t meets the
     center of B in the scalars only (connected), B_t meets B_s in the
     scalars only, and the dual's B_t meets its center in the scalars only
-    (dual connected)."""
+    (dual connected).
+
+    The dual is read off the raw coproduct, with no block split.  Over the
+    dual basis u^p its product is the transposed coproduct (``_raw_dual``),
+    so its centre is the commutant span ``center_span`` of that structure.
+    Its unit is eps and its coproduct the transposed product, so
+    Delta^(1^) = sum_ij eps(u_i u_j) u^i (x) u^j, and its counit is
+    evaluation at 1, so eps^(u^i phi) = (u^i (x) phi)Delta(1).  Hence
+    eps^_t(phi) = eps^(1^_(1) phi) 1^_(2) sends b to
+    phi(eps(1_(1) b) 1_(2)) = phi(eps_t(b)): eps^_t(phi) = phi . eps_t,
+    whose matrix over the dual basis is the transpose of ``target_counital``.
+    A block split is an algebra isomorphism, so it maps the centre onto the
+    centre and conjugates eps^_t; the dimension of the fixed points of
+    eps^_t in the centre is the one the split dual gives.
+    """
     pair = cartan_subalgebras(hopf, tol, seed)
     connected = _fixed_dim(hopf.target_counital, _center_span_of(hopf.algebra)) == 1
     primal_criterion = _fixed_dim(hopf.source_counital, pair.target.images) == 1
 
-    dual = dual_algebra(hopf, tol, seed).hopf
-    dual_connected = _fixed_dim(dual.target_counital, _center_span_of(dual.algebra)) == 1
+    dual_center = center_span(_raw_dual(hopf), np.random.default_rng(seed), tol)
+    dual_connected = _fixed_dim(hopf.target_counital.T, dual_center) == 1
     if dual_connected != primal_criterion:
         raise InvariantViolation(
             "connectedness criteria disagree between dual and primal")

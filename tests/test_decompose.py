@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakhopf import decompose
-from weakhopf._linalg import rel_residual
+from weakhopf._linalg import cluster_values, rel_residual
 from weakhopf.decompose import (
     StructureAlgebra,
     _Retry,
@@ -148,3 +150,72 @@ def test_verify_units_rejects_a_corrupted_unit(column):
     change[(column + 1) % multi.dim, column] = 0.5
     with pytest.raises(InvariantViolation, match="matrix-unit relations"):
         _verify_units(algebra, multi, change)
+
+
+def scaled(multi, change):
+    change[:, 0] *= 1.5
+
+
+def swapped_across_blocks(multi, change):
+    # the unit of the 1 x 1 block and e_00 of a 2 x 2 block
+    one, two = multi.basis_index(multi.blocks.index(1), 0, 0), \
+        multi.basis_index(multi.blocks.index(2), 0, 0)
+    change[:, [one, two]] = change[:, [two, one]]
+
+
+def conjugated(multi, change):
+    # the units of a 2 x 2 block conjugated by diag(1, 2), which is not
+    # unitary: e_ij -> (d_i / d_j) e_ij keeps every product
+    alpha, d = multi.blocks.index(2), (1.0, 2.0)
+    for i, j in itertools.product(range(2), repeat=2):
+        change[:, multi.basis_index(alpha, i, j)] *= d[i] / d[j]
+
+
+def dropped(multi, change):
+    # a block's units set to zero: products and adjoints still hold
+    change[:, multi.block_slice(multi.blocks.index(2))] = 0
+
+
+@pytest.mark.parametrize("fault,message", [
+    (None, None),
+    (scaled, "matrix-unit relations failed"),
+    (swapped_across_blocks, "matrix-unit relations failed"),
+    (conjugated, "matrix units are not adjoint-compatible"),
+    (dropped, "matrix units do not sum to the unit"),
+], ids=["clean", "scaled", "swapped", "conjugated", "dropped"])
+def test_verify_units_refuses_each_fault_of_a_fresh_split(fault, message):
+    multi, _ = canonical_structure([2, 1, 2])
+    rng = np.random.default_rng(11)
+    unitary, _ = np.linalg.qr(random_complex(rng, multi.dim, multi.dim))
+    presentation = presented(multi, unitary)
+    found, change = decompose_structure_algebra(presentation, rng=rng)
+    if fault is None:
+        _verify_units(presentation, found, change)
+        return
+    fault(found, change)
+    with pytest.raises(InvariantViolation, match=message):
+        _verify_units(presentation, found, change)
+
+
+def loop_clusters(values, gap):
+    """Reference for ``cluster_values``: each sorted value joins the cluster
+    of the one before it when it lies within ``gap`` of it."""
+    values = np.asarray(values, dtype=float)
+    clusters = []
+    for idx in np.argsort(values):
+        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    return [np.array(c, dtype=int) for c in clusters]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 1e-7, -1e-7]),
+                          st.floats(allow_nan=True, allow_infinity=True)), max_size=12),
+       st.one_of(st.just(0.0), st.floats(0, 2)))
+def test_cluster_values_splits_where_the_loop_does(values, gap):
+    got, want = cluster_values(values, gap), loop_clusters(values, gap)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)

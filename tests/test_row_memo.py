@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from weakhopf import axioms
+from weakhopf import axioms, decompose
 from weakhopf._linalg import rel_residual
 from weakhopf.actions import ActionData, canonical_action, verify_action
 from weakhopf.deform import check_bundle, deform, undeform
@@ -53,11 +53,10 @@ MODULE_ROWS = ("module_multiplicativity", "product_decomposition")
 COUNTED = STRUCTURE_ROWS + MODULE_ROWS
 
 
-def count_row_calls(run):
-    """Run ``run()`` and count the evaluations of the ``COUNTED`` rows of
-    :mod:`weakhopf.axioms`, whoever holds a reference to them: every call
-    of a row's code object is one evaluation."""
-    codes = {getattr(axioms, name).__code__: name for name in COUNTED}
+def count_calls(run, *functions):
+    """Run ``run()`` and count the calls of each of ``functions`` by name,
+    whoever holds a reference to them."""
+    codes = {fn.__code__: fn.__name__ for fn in functions}
     counts = Counter()
 
     def profile(frame, event, arg):
@@ -70,6 +69,13 @@ def count_row_calls(run):
     finally:
         sys.setprofile(None)
     return counts
+
+
+def count_row_calls(run):
+    """Run ``run()`` and count the evaluations of the ``COUNTED`` rows of
+    :mod:`weakhopf.axioms`: every call of a row's code object is one
+    evaluation."""
+    return count_calls(run, *(getattr(axioms, name) for name in COUNTED))
 
 
 def central_twist(hopf, values):
@@ -141,6 +147,30 @@ def test_a_twist_operation_evaluates_each_row_three_times():
         assert rep.passed
 
     assert count_row_calls(operation) == {name: 3 for name in STRUCTURE_ROWS}
+
+
+def test_a_twist_operation_splits_seven_algebras():
+    """The hopf_twist operation on a fresh pair groupoid splits the two
+    Cartans of ``cartan_subalgebras``, the dual, the dual and double dual of
+    ``double_dual_residual`` and the two Cartans of ``connectedness``, which
+    reads the dual off its raw coproduct and splits no dual."""
+    hopf = pair_groupoid(3)
+
+    def operation():
+        verify_axioms(hopf, TOL)
+        cartan_subalgebras(hopf, TOL)
+        haar_projection(hopf, TOL)
+        haar_functional(hopf, TOL)
+        dual_algebra(hopf, TOL)
+        double_dual_residual(hopf, TOL)
+        connectedness(hopf, TOL)
+        bundle, _ = undeform(hopf, central_twist(hopf, (1.5, 0.75, 1.2)), TOL)
+        deform(bundle, TOL)
+
+    split = decompose.decompose_structure_algebra
+    assert count_calls(operation, split)[split.__name__] == 7
+    assert count_calls(lambda: connectedness(hopf, TOL), split, dual_algebra) \
+        == {split.__name__: 2}
 
 
 # -- the memo cannot hide a fault ---------------------------------------------------

@@ -4,7 +4,10 @@ import pytest
 from weakhopf import weak_hopf
 from weakhopf._linalg import rel_residual
 from weakhopf.errors import InvariantViolation
+from weakhopf.deform import deform, undeform
 from weakhopf.groups import cyclic, symmetric
+from weakhopf.reconstruct import reconstruct
+from weakhopf.tower import build_tower_from_group
 from weakhopf.weak_hopf import (
     cartan_subalgebras,
     connectedness,
@@ -224,6 +227,87 @@ def test_connectedness_triples():
     assert connectedness(pair_groupoid(1)) == (True, True, True)
     # B_t and B_s of the dual of M_3 are distinct copies of C^3
     assert connectedness(dual_algebra(pair_groupoid(3)).hopf) == (False, True, False)
+
+
+def split_connectedness(hopf, tol=TOL, seed=0):
+    """Reference for ``connectedness``: dual connectedness read off the
+    block-split dual, its centre the block identities and its target
+    counital map that of the split structure."""
+    pair = cartan_subalgebras(hopf, tol, seed)
+    connected = weak_hopf._fixed_dim(hopf.target_counital,
+                                     weak_hopf._center_span_of(hopf.algebra)) == 1
+    primal_criterion = weak_hopf._fixed_dim(hopf.source_counital, pair.target.images) == 1
+    dual = dual_algebra(hopf, tol, seed).hopf
+    dual_connected = weak_hopf._fixed_dim(dual.target_counital,
+                                          weak_hopf._center_span_of(dual.algebra)) == 1
+    if dual_connected != primal_criterion:
+        raise InvariantViolation("connectedness criteria disagree between dual and primal")
+    return connected, dual_connected, connected and dual_connected
+
+
+def connectedness_structures():
+    """Pair groupoids 1-6, group and function algebras of C12, S3 and S4, B
+    of the cyclic(2-6) towers and their duals, and a twisted pair_groupoid(3)
+    bundle with its deformation."""
+    out = [(f"pg{n}", pair_groupoid(n)) for n in range(1, 7)]
+    for name, group in (("c12", cyclic(12)), ("s3", symmetric(3)), ("s4", symmetric(4))):
+        out += [(f"group_{name}", group_algebra(group)),
+                (f"function_{name}", function_algebra(group))]
+    for n in range(2, 7):
+        hopf = reconstruct(build_tower_from_group(cyclic(n))).on_b.hopf
+        out += [(f"b_c{n}", hopf), (f"dual_b_c{n}", dual_algebra(hopf).hopf)]
+    hopf = pair_groupoid(3)
+    h = sum(v * hopf.algebra.basis_unit(0, i, i).vec for i, v in enumerate((1.5, 0.75, 1.2)))
+    bundle, _ = undeform(hopf, h, TOL)
+    return out + [("twisted_pg3", bundle.hopf), ("deformed_pg3", deform(bundle, TOL)[0].hopf)]
+
+
+STRUCTURES = dict(connectedness_structures())
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", list(STRUCTURES))
+def test_connectedness_matches_the_split_dual(name, seed):
+    hopf = STRUCTURES[name]
+    assert connectedness(hopf, TOL, seed) == split_connectedness(hopf, TOL, seed)
+
+
+@pytest.mark.parametrize("name", ["group_s3", "function_s4", "b_c3", "dual_b_c4",
+                                  "twisted_pg3"])
+def test_dual_counital_maps_are_the_transposed_ones(name):
+    # phi . eps_t and phi . eps_s over the dual basis, conjugated into the
+    # split dual's matrix units, are the split dual's counital maps
+    hopf = STRUCTURES[name]
+    dual = dual_algebra(hopf)
+    change = dual.evaluation.T
+    inv = np.linalg.inv(change)
+    assert rel_residual(inv @ hopf.target_counital.T @ change,
+                        dual.hopf.target_counital) < 1e-12
+    assert rel_residual(inv @ hopf.source_counital.T @ change,
+                        dual.hopf.source_counital) < 1e-12
+
+
+def test_connectedness_criteria_disagree_on_a_non_cocommutative_fake():
+    """M_2 with the grouplike coproduct of its diagonal units, so Delta(1),
+    both counital maps and both Cartans (the diagonal, B_t = B_s, not
+    connected in the primal criterion) are those of the pair groupoid, but
+    the off-diagonal units carry antisymmetric coproducts a (x) b - b (x) a
+    with a, b orthogonal to the counit.  The commutators of the dual then
+    vanish only on the counit, so its centre is the scalars and the dual
+    criterion says connected.  The fake is neither coassociative nor
+    multiplicative: a weak Hopf algebra cannot reach this raise."""
+    hopf = pair_groupoid(2)
+    a, b, c = np.array([[1, -1, 0, 0], [0, 0, 1, -1], [1, 1, -1, -1]], dtype=complex)
+    delta = np.array(hopf.delta)
+    delta[1] = np.outer(a, b) - np.outer(b, a)
+    delta[2] = np.outer(b, c) - np.outer(c, b)
+    fake = hopf.copy_with(delta=delta)
+    assert rel_residual(fake.delta_unit, hopf.delta_unit) == 0.0
+    cartan_subalgebras(fake)
+    assert not verify_axioms(fake, TOL).passed
+    with pytest.raises(InvariantViolation,
+                       match="connectedness criteria disagree between dual and primal"):
+        connectedness(fake)
 
 
 def table_law_residual(hopf, group, elements=None):
