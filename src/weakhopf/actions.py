@@ -13,7 +13,6 @@ from ._linalg import (
     box_slabs,
     null_space,
     numeric_rank,
-    orthonormal_columns,
     reach,
     rel_residual,
     slabs,
@@ -29,6 +28,8 @@ from .multimatrix import (
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
     _corner_ranges,
+    corner_frame,
+    module_endomorphisms,
     relative_commutant,
     subalgebra_from_basis,
 )
@@ -299,10 +300,10 @@ def crossed_product(action: ActionData, *, rng=None,
     = pi(x (b_(1) |> y) (x) b_(2) c); ``verify_action`` checks both laws on
     every basis pair.  Every pi(x (x) b) commutes with right multiplication
     by the fixed points M, and when pi is a *-map its image is exactly their
-    commutant, whose matrix units come from those of M in closed form.  Only
-    the generators L_x and A_b (x, b units) meet it, read off its corners
-    (:func:`_commutant_coords`); a class v (x) w gets the block product of
-    the coordinates of L_v and A_w, so no class needs its own test.  pi must be
+    commutant End_M(L2(M1)), the basic construction of M in M1.  Only the
+    generators meet it (:func:`_commutant_coords`): the L_x by its copy map,
+    the A_b by its corners.  A class v (x) w gets the block product of the
+    coordinates of L_v and A_w, so no class needs its own test.  pi must be
     injective on the classes; for the tower actions it is, and as they carry
     B_t and M as matrix units, nothing is split at random.  A kernel (of a
     non-Galois action) is an ideal whose blocks are split from its algebraic
@@ -379,53 +380,48 @@ def crossed_product(action: ActionData, *, rng=None,
 
 
 def _commutant_coords(action: ActionData, classes: ClassMap, rng, tol):
-    """The commutant of the right action of the fixed points on L2(M1) and
-    the (classes, commutant dim) coordinates of the class basis in it.  Only
-    M is checked, by :func:`_spanned`: x -> R_x is an anti-*-homomorphism on
-    L2(M1) (Hilbert-Schmidt metric), so F_ab = R(f_ba) is a *-homomorphism
-    with first-column units F_c0 = R(f_c0)^dagger, whose commutant has the
-    units E^a_ij = sum_c F_c0 v_i v_j* F_0c (:func:`relative_commutant`), V_a
-    an orthonormal basis of the range of F^a_00.  V_a* E^b_ij V_a =
-    [a = b] e_i e_j*, so T lies in the commutant iff it equals
-    sum_a sum_c F_c0 V_a (V_a* T V_a) V_a* F_0c, with coordinates V_a* T V_a."""
+    """The commutant End_M(L2(M1)) of the right action of the fixed points M
+    (Hilbert-Schmidt metric; :func:`module_endomorphisms`) and the (classes,
+    commutant dim) coordinates of the class basis in it.  With V_a the basis
+    of M1 f^a_00 and F_c0 = R(f^a_c0)^dagger, a *-homomorphism as x -> R_x is
+    an anti-*-homomorphism, its units are E^a_ij = sum_c F_c0 v_i v_j* F_0c,
+    and V_a* E^b_ij V_a = [a = b] e_i e_j*.  So T lies in it iff T equals
+    sum_a sum_c F_c0 V_a (V_a* T V_a) V_a* F_0c, with coordinates V_a* T V_a,
+    checked slab by slab for the A_b.  L_x (x in M1) lies in it by
+    associativity, (x y) z = x (y z), and V_a* L_x V_a is x_j (x) 1 in slot
+    j: the copy map, with no operator formed and no test.  M is checked by
+    :func:`_spanned`."""
     car = action.carrier
     fixed = fixed_points(action, rng=rng, tol=tol)
-    corners = []
-    for firsts in fixed.first_columns():
-        units = np.stack([car.right_mult_matrix(f).conj().T for f in firsts])  # F_c0
-        (basis,) = _corner_ranges(MultiMatrixAlgebra([car.dim]), units[0].reshape(-1))
-        corners.append((basis, units @ basis))
-
-    def coords(ops):
-        parts = [basis.conj().T @ ops @ basis for basis, _ in corners]
-        expansion = sum(copy @ part @ copy.conj().T
-                        for (_, copies), part in zip(corners, parts) for copy in copies)
-        if rel_residual(ops, expansion) > MEMBERSHIP_TOL:
-            raise InvariantViolation("classes do not act in the commutant of the fixed points")
-        return np.concatenate([part.reshape(len(ops), -1) for part in parts], axis=1)
-
-    lefts = coords(np.stack([car.left_mult_matrix(x) for x in np.eye(car.dim)]))
-    acts = coords(action.tensor.transpose(0, 2, 1))
-    comm = MultiMatrixAlgebra([basis.shape[1] for basis, _ in corners])
-    return comm, np.concatenate([comm.pairwise_mul(vs.T @ lefts, ws.T @ acts)
+    comm, copies, ranges = module_endomorphisms(fixed, tol)[1:]
+    frames = [corner_frame(car, firsts, bases)
+              for firsts, bases in zip(fixed.first_columns(), ranges)]
+    ops = action.tensor.transpose(0, 2, 1)  # A_b: y -> b |> y
+    parts = [basis.conj().T @ ops @ basis for basis, _ in frames]
+    if streamed_residual((ops[sl], sum(f @ part[sl] @ f.conj().T
+                                       for (_, fs), part in zip(frames, parts) for f in fs))
+                         for sl in slabs(len(ops), car.dim ** 2)) > MEMBERSHIP_TOL:
+        raise InvariantViolation("classes do not act in the commutant of the fixed points")
+    acts = np.concatenate([part.reshape(len(ops), -1) for part in parts], axis=1)
+    return comm, np.concatenate([comm.pairwise_mul(vs.T @ copies.T, ws.T @ acts)
                                  .reshape(-1, comm.dim) for vs, ws, _, _ in classes.blocks])
 
 
 def _class_basis(action: ActionData, cartan: SubalgebraEmbedding) -> ClassMap:
-    """The class map of M1 (x)_{B_t} B from the matrix units of B_t, with
-    V_a and W_a orthonormal bases of M1 p_a and f^a_00 B."""
-    hopf, car = action.hopf, action.carrier
-    on_unit = action.on_unit
-    blocks = []
-    for alpha, k in enumerate(cartan.sub.blocks):
-        def unit(i, j):
-            return cartan.images[:, cartan.sub.basis_index(alpha, i, j)]
-        rights = np.stack([car.right_mult_matrix(on_unit @ unit(i, 0)) for i in range(k)])
-        lefts = np.stack([hopf.algebra.left_mult_matrix(unit(0, i)) for i in range(k)])
-        vs = orthonormal_columns(rights[0], 1e-10)
-        ws = orthonormal_columns(lefts[0], 1e-10)
-        blocks.append((vs, ws, vs.conj().T @ rights, ws.conj().T @ lefts))
-    return ClassMap((car.dim, hopf.dim), blocks)
+    """The class map of M1 (x)_{B_t} B from the units f^a_ij of B_t, read
+    off corner frames (:func:`corner_frame`): V_a of M1 p_a, p_a = f^a_00 |> 1,
+    with P[i] = F[i]^dagger.  Conjugated gathers through ``adjoint_index``
+    turn the frame of B f^a_00 into W_a of f^a_00 B and L(f^a_i0) W_a, so
+    Q[i] = W_a* L(f^a_0i) is F[i]^T with its columns gathered."""
+    car, alg = action.carrier, action.hopf.algebra
+    blocks, flip = [], alg.adjoint_index
+    for firsts in cartan.first_columns():
+        moved = firsts @ action.on_unit.T  # the f^a_i0 |> 1
+        vs, rights = corner_frame(car, moved, _corner_ranges(car, moved[0]))
+        ws, lefts = corner_frame(alg, firsts, _corner_ranges(alg, firsts[0]))
+        blocks.append((vs, np.conj(ws[flip]), np.conj(rights).transpose(0, 2, 1),
+                       lefts.transpose(0, 2, 1)[..., flip]))
+    return ClassMap((car.dim, action.hopf.dim), blocks)
 
 
 def _check_relators(action: ActionData, cartan: SubalgebraEmbedding,
@@ -444,9 +440,8 @@ def _check_relators(action: ActionData, cartan: SubalgebraEmbedding,
     if max(_relator_residuals(classes.blocks, moves)) > 1e-6:
         raise InvariantViolation("quotient map does not kill the relators")
 
-    acts = np.einsum("bk,bxy->kyx", cartan.images, action.tensor)
-    lefts = np.stack([car.left_mult_matrix(z1) for z1 in on_unit.T])
-    if rel_residual(acts, lefts) > 100 * tol:
+    acts = np.einsum("bk,bxy->kxy", cartan.images, action.tensor)
+    if rel_residual(acts, car.pairwise_mul(on_unit.T, np.eye(car.dim))) > 100 * tol:
         raise InvariantViolation(
             "representation on L2(M1) does not kill the relators: "
             "A_z differs from L_(z |> 1) on the target Cartan")

@@ -165,7 +165,8 @@ class MultiMatrixAlgebra:
         return AlgebraElement(self, vec)
 
     def unit(self) -> "AlgebraElement":
-        return self.from_blocks([np.eye(m) for m in self.blocks])
+        # the diagonal units are the self-adjoint ones
+        return AlgebraElement(self, self.adjoint_index == np.arange(self.dim))
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, np.zeros(self.dim, dtype=complex))
@@ -176,10 +177,7 @@ class MultiMatrixAlgebra:
         return AlgebraElement(self, vec)
 
     def block_identity(self, alpha: int) -> "AlgebraElement":
-        vec = np.zeros(self.dim, dtype=complex)
-        for k in range(self.blocks[alpha]):
-            vec[self.basis_index(alpha, k, k)] = 1.0
-        return AlgebraElement(self, vec)
+        return AlgebraElement(self, (self.block_index == alpha) * self.unit().vec)
 
     # -- batched arithmetic on coefficient arrays --------------------------
 
@@ -309,14 +307,9 @@ class MultiMatrixAlgebra:
         return MultiMatrixAlgebra(np.asarray(self.blocks)[held])
 
     def adjoint_vecs(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        out = np.empty_like(u)
-        for alpha, m in enumerate(self.blocks):
-            sl = self.block_slice(alpha)
-            ub = u[..., sl].reshape(u.shape[:-1] + (m, m))
-            adj = np.conj(np.swapaxes(ub, -1, -2))
-            out[..., sl] = adj.reshape(u.shape[:-1] + (m * m,))
-        return out
+        """Adjoints of coefficient vectors: a conjugated :attr:`adjoint_index` gather."""
+        out = np.asarray(u, dtype=complex)[..., self.adjoint_index]
+        return np.conj(out, out=out)
 
     def _block_diagonal(self, run_blocks) -> np.ndarray:
         """(dim, dim) matrix that is block diagonal over the algebra's blocks;
@@ -369,10 +362,9 @@ class MultiMatrixAlgebra:
     @cached_property
     def adjoint_index(self) -> np.ndarray:
         """``index[i] = j`` when u_i* = u_j: the adjoint of e_rc is e_cr."""
-        index = np.empty(self.dim, dtype=int)
-        for alpha, m in enumerate(self.blocks):
-            sl = self.block_slice(alpha)
-            index[sl] = sl.start + np.arange(m * m).reshape(m, m).T.reshape(-1)
+        index = np.arange(self.dim)
+        for sl, m, r in self._runs:
+            index[sl] = index[sl].reshape(r, m, m).transpose(0, 2, 1).reshape(-1)
         return index
 
     @cached_property
@@ -381,10 +373,10 @@ class MultiMatrixAlgebra:
         e_rc e_cl = e_rl inside a block, and every other product of matrix
         units vanishes."""
         index = np.full((self.dim, self.dim), -1)
-        for alpha, m in enumerate(self.blocks):
-            r, c, l = np.indices((m, m, m))
-            off = int(self._offsets[alpha])
-            index[off + r * m + c, off + c * m + l] = off + r * m + l
+        for sl, m, r in self._runs:
+            q, i, c, l = np.indices((r, m, m, m))
+            off = sl.start + q * m * m  # the offset of block q of the run
+            index[off + i * m + c, off + c * m + l] = off + i * m + l
         return index
 
     def unit_products(self, images: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -511,11 +503,7 @@ class TraceState:
     @cached_property
     def coefficient_weights(self) -> np.ndarray:
         """Vector t with tau(x) = t . x on coefficient vectors."""
-        w = np.zeros(self.algebra.dim)
-        for alpha, m in enumerate(self.algebra.blocks):
-            for k in range(m):
-                w[self.algebra.basis_index(alpha, k, k)] = self.weights[alpha]
-        return w
+        return self.metric_weights * self.algebra.unit().vec.real
 
     @cached_property
     def metric_weights(self) -> np.ndarray:
@@ -569,10 +557,11 @@ class SubalgebraEmbedding:
     def embed(self, x: AlgebraElement) -> AlgebraElement:
         return self.ambient.element(self.embed_vec(x.vec))
 
-    def _left_inverse(self, metric=None) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, norms)``: rows v_j* W / (v_j* W v_j) of the left inverse
+    def _left_inverse(self, metric=None):
+        """``(solve, norms)``: the left inverse x -> (v_j* W x) / (v_j* W v_j)
         of ``images`` for the diagonal metric W = ``metric`` (1 when None),
-        and the squared norms v_j* W v_j; zero columns get zero rows.
+        zero where the squared norm v_j* W v_j is.  Dividing after the
+        contraction keeps a unit's coordinate exactly 1.
 
         Exact for a *-homomorphism: f_kj f_lm = [j = l] f_km, so v_j* v_k
         with j != k is the image of an off-diagonal unit or zero, on which Tr
@@ -582,13 +571,10 @@ class SubalgebraEmbedding:
         if metric is not None:
             rows = rows * metric[None, :]
         norms = np.einsum("ja,aj->j", rows, self.images).real
-        rows *= np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)[:, None]
-        return rows, norms
-
-    @cached_property
-    def _pinv(self) -> np.ndarray:
-        """The unweighted (W = 1) :meth:`_left_inverse`."""
-        return self._left_inverse()[0]
+        def solve(vecs):
+            coords = np.tensordot(vecs, rows, axes=([-1], [1]))
+            return np.divide(coords, norms, out=np.zeros_like(coords), where=norms > 0)
+        return solve, norms
 
     def coords_vec(self, ambient_vecs: np.ndarray) -> np.ndarray:
         """Coordinates of ambient vectors in the sub basis (must lie in the
@@ -610,7 +596,7 @@ class SubalgebraEmbedding:
         (:func:`streamed_residual`), so no embedded copy of a whole stack is
         held."""
         vecs = np.asarray(vecs, dtype=complex)
-        coords = np.tensordot(vecs, self._pinv, axes=([-1], [1]))
+        coords = self._left_inverse()[0](vecs)
         if vecs.ndim == 1:
             return coords, streamed_residual([(self.embed_vec(coords), vecs)])
         return coords, streamed_residual(
@@ -756,14 +742,13 @@ class ConditionalExpectation:
             raise InvariantViolation("trace lives on a different algebra")
         self.sub = sub
         self.trace = trace
-        self._rows, norms = sub._left_inverse(trace.metric_weights)
+        self._solve, norms = sub._left_inverse(trace.metric_weights)
         if not norms.min() > 1e-12 * norms.max():
             raise InvariantViolation("degenerate trace")
 
     def coords(self, vecs: np.ndarray) -> np.ndarray:
         """Coordinates of E(x) in the sub basis, for each x of ``vecs``."""
-        return np.tensordot(np.asarray(vecs, dtype=complex), self._rows,
-                            axes=([-1], [1]))
+        return self._solve(np.asarray(vecs, dtype=complex))
 
     def apply_vec(self, vecs: np.ndarray) -> np.ndarray:
         return self.sub.embed_vec(self.coords(vecs))
@@ -828,10 +813,31 @@ def _corner_ranges(host: MultiMatrixAlgebra, corner: np.ndarray) -> list[np.ndar
     has copies there.  Its singular values are 0 or 1, so the absolute cut
     ignores rounding noise in the blocks it misses."""
     ranges = []
-    for mat in host.block_views(corner):
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        ranges.append(u[:, s > 0.5])
+    for sl, m, r in host._runs:  # one batched SVD per run of equal blocks
+        u, s, _ = np.linalg.svd(np.asarray(corner[sl], dtype=complex).reshape(r, m, m))
+        ranges += [uq[:, sq > 0.5] for uq, sq in zip(u, s)]
     return ranges
+
+
+def corner_frame(host: MultiMatrixAlgebra, firsts: np.ndarray, ranges):
+    """``(V, F)`` for the first-column units f_c0 (rows of ``firsts``) of a
+    subalgebra of ``host`` and the per-block ``ranges`` of f_00
+    (:func:`_corner_ranges`).  V (host.dim, sum_j n_j c_j) holds the e_r v_t*
+    in block j, v_t over the columns of ranges[j], in the order (j, r, t): an
+    orthonormal basis of the left ideal host f_00 for Tr(x* y).  F[c] is
+    R(f_c0*) V, the same columns of the slots [f_c0]_j ranges[j], as
+    e_r v* f_c0* = e_r (f_c0 v)*."""
+    def columns(slots):
+        lead, parts = np.shape(slots[0])[:-2], []
+        for j, (n, w) in enumerate(zip(host.blocks, slots)):
+            if not w.shape[-1]:
+                continue  # a block that f_00 misses
+            part = np.zeros(lead + (host.dim, n * w.shape[-1]), dtype=complex)
+            part[..., host.block_slice(j), :] = np.einsum(
+                "ab,...lt->...albt", np.eye(n), np.conj(w)).reshape(lead + (n * n, -1))
+            parts.append(part)
+        return np.concatenate(parts, axis=-1)
+    return columns(ranges), columns([f @ v for f, v in zip(host.block_views(firsts), ranges)])
 
 
 def _commutant_from_units(host: MultiMatrixAlgebra, firsts) -> SubalgebraEmbedding:
@@ -907,25 +913,20 @@ def center(emb: SubalgebraEmbedding, *, tol: float = DEFAULT_TOL) -> SubalgebraE
 
 
 def inclusion_matrix(sub: SubalgebraEmbedding, tol: float = DEFAULT_TOL) -> InclusionMatrix:
-    """Multiplicities of each sub block inside each ambient block."""
-    unit_res = rel_residual(sub.embed_vec(sub.sub.unit().vec), sub.ambient.unit().vec)
-    if unit_res > 100 * tol:
+    """Multiplicities of each sub block inside each ambient block: the traces
+    of the image of 1_alpha in the ambient blocks, over m_alpha."""
+    alg, amb, sizes = sub.sub, sub.ambient, np.asarray(sub.sub.blocks)
+    if rel_residual(sub.embed_vec(alg.unit().vec), amb.unit().vec) > 100 * tol:
         raise InvariantViolation("embedding is not unital")
-    rows = []
-    for alpha, m in enumerate(sub.sub.blocks):
-        p = sub.embed_vec(sub.sub.block_identity(alpha).vec)
-        row = []
-        for mat in sub.ambient.block_views(p):
-            mult = float(np.real(np.trace(mat))) / m
-            if abs(mult - round(mult)) > 1e-6:
-                raise InvariantViolation("non-integer inclusion multiplicity")
-            row.append(int(round(mult)))
-        rows.append(row)
-    entries = np.asarray(rows, dtype=int)
-    expected = entries.T @ np.asarray(sub.sub.blocks)
-    if not np.array_equal(expected, np.asarray(sub.ambient.blocks)):
+    ones = (alg.block_index == np.arange(len(alg.blocks))[:, None]) * alg.unit().vec
+    diagonals = np.real(sub.embed_vec(ones)) * amb.unit().vec.real
+    mult = np.add.reduceat(diagonals, amb._offsets[:-1], axis=1) / sizes[:, None]
+    if not np.abs(mult - np.round(mult)).max() <= 1e-6:
+        raise InvariantViolation("non-integer inclusion multiplicity")
+    entries = np.round(mult).astype(int)
+    if not np.array_equal(entries.T @ sizes, np.asarray(amb.blocks)):
         raise InvariantViolation("embedding is not unital")
-    return InclusionMatrix(entries, sub.sub.blocks, sub.ambient.blocks)
+    return InclusionMatrix(entries, alg.blocks, amb.blocks)
 
 
 def markov_trace(lam_matrix: InclusionMatrix, tol: float = DEFAULT_TOL):
@@ -956,10 +957,8 @@ def markov_trace(lam_matrix: InclusionMatrix, tol: float = DEFAULT_TOL):
 def watatani_index(trace: TraceState) -> AlgebraElement:
     """Central element sum_a (m_a / tau_a) 1_a attached to a faithful trace."""
     alg = trace.algebra
-    out = alg.zero().vec.copy()
-    for alpha, m in enumerate(alg.blocks):
-        out += (m / trace.weights[alpha]) * alg.block_identity(alpha).vec
-    return alg.element(out)
+    return alg.element((np.asarray(alg.blocks) / trace.weights)[alg.block_index]
+                       * alg.unit().vec)
 
 
 # ---------------------------------------------------------------------------
@@ -967,58 +966,64 @@ def watatani_index(trace: TraceState) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
+def module_endomorphisms(sub: SubalgebraEmbedding, tol: float = DEFAULT_TOL):
+    """End_N(L2(M)), the commutant of the right action of N on L2(M), for
+    ``sub``, N inside its ambient M, in the closed form of Goodman-de la
+    Harpe-Jones ("Coxeter graphs and towers of algebras", 1989), without a
+    trace: ``(Lambda, algebra, copies, ranges)``.  Block alpha acts on
+    M f^alpha_00, of size (Lambda n)_alpha, with the basis (j, r, t) of
+    :func:`corner_frame` over the ranges V_aj of [f^alpha_00]_j.  x in M acts
+    there as x_j (x) 1 in slot j, the 0/1 ``copies`` (algebra.dim, M.dim):
+    a *-homomorphism, as the slots tile the block, that reads neither V nor
+    a trace.  The caller checks ``sub`` as a *-homomorphism."""
+    ambient = sub.ambient
+    mult = inclusion_matrix(sub, tol).entries
+    algebra = MultiMatrixAlgebra(mult @ np.asarray(ambient.blocks))
+    copies = np.zeros((algebra.dim, ambient.dim), dtype=complex)
+    for alpha, m in enumerate(algebra.blocks):
+        slot = 0
+        for j, (n, c) in enumerate(zip(ambient.blocks, mult[alpha])):
+            # unit (a, b) of M block j goes to ((a, t), (b, t)) in slot j
+            a, b, t = np.ix_(range(n), range(n), range(c))
+            copies[algebra.basis_index(alpha, 0, 0) + (slot + a * c + t) * m + slot + b * c + t,
+                   ambient.basis_index(j, 0, 0) + a * n + b] = 1.0
+            slot += n * c
+    corners = sub.images[:, sub.sub._offsets[:-1]].T  # the f^alpha_00
+    return mult, algebra, copies, [_corner_ranges(ambient, p) for p in corners]
+
+
 def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
                        *, tol: float = DEFAULT_TOL) -> JonesExtension:
     """Jones basic construction M1 = <M, e> = End_N(L2(M)) for ``sub``, N
-    inside its ambient M, for a Markov trace of modulus ``lam``, in the closed
-    form of Goodman-de la Harpe-Jones ("Coxeter graphs and towers of
-    algebras", 1989): block alpha of M1 acts on L2(M) f^alpha_00, of size
-    (Lambda n)_alpha, and M sits in M1 by the reflected inclusion Lambda^T.
-
-    Block alpha has the orthonormal basis (j, r, t): in M block j, e_r v_t*
-    / sqrt(tau_j) for r < n_j and v_t over an orthonormal basis V_aj of the
-    range of [f^alpha_00]_j (:func:`_corner_ranges`).  x_j acts there as
-    x_j (x) 1 in slot j, so the inclusion copies units, reading neither the
-    trace nor V.  e projects onto L2(N), which block alpha meets in the span
-    of the u_i = sqrt(tau_j) [f^alpha_i0]_j V_aj (slot by slot); they are
-    orthogonal, <u_i, u_k> = [i = k] sum_j tau_j Lambda_(alpha j), as
+    inside its ambient M, for a Markov trace of modulus ``lam``: the blocks
+    and the inclusion of M are :func:`module_endomorphisms`, whose basis
+    (j, r, t) is e_r v_t* / sqrt(tau_j) in the tau-metric.  e projects onto
+    L2(N), which block alpha meets in the span of the u_i = sqrt(tau_j)
+    [f^alpha_i0]_j V_aj (slot by slot); they are orthogonal,
+    <u_i, u_k> = [i = k] sum_j tau_j Lambda_(alpha j), as
     f_0i f_k0 = [i = k] f_00, so block alpha of e is sum_i u_i u_i* / |u_i|^2.
-
     The extended trace lam Lambda tau (Jones 1983) gives e f^alpha_00, a
     minimal projection of block alpha, the trace lam tau(f^alpha_00); on M
     it is lam Lambda^T Lambda tau = tau exactly when the Markov check passes.
     Only the input is checked, ``sub`` as a *-homomorphism and the trace as
-    Markov: the inclusion is one by construction, as the slots tile block
-    alpha (m_alpha = sum_j Lambda_(alpha j) n_j) and it reads no number of
-    ``sub`` or of the trace, and the blocks are built as Lambda n.
-    """
+    Markov."""
     ambient = sub.ambient
     if trace.algebra != ambient:
         raise InvariantViolation("trace lives on a different algebra")
     sub.require_valid(tol)
-    mult = inclusion_matrix(sub, tol).entries
+    mult, algebra, copies, ranges = module_endomorphisms(sub, tol)
     if rel_residual(mult.T @ (mult @ trace.weights), trace.weights / lam) > 1e-8:
         raise InvariantViolation("trace not Markov")
 
-    algebra = MultiMatrixAlgebra(mult @ np.asarray(ambient.blocks))
-    incl = np.zeros((algebra.dim, ambient.dim), dtype=complex)
     e = np.zeros(algebra.dim, dtype=complex)
-    for alpha, firsts in enumerate(sub.first_columns()):
-        k, m, slot, u = len(firsts), algebra.blocks[alpha], 0, []
-        for j, (f, basis) in enumerate(zip(ambient.block_views(firsts),
-                                           _corner_ranges(ambient, firsts[0]))):
-            n, c = ambient.blocks[j], mult[alpha, j]
-            # unit (a, b) of M block j goes to ((a, t), (b, t)) in slot j
-            a, b, t = np.ix_(range(n), range(n), range(c))
-            incl[algebra.basis_index(alpha, 0, 0) + (slot + a * c + t) * m + slot + b * c + t,
-                 ambient.basis_index(j, 0, 0) + a * n + b] = 1.0
-            slot += n * c
-            u.append(np.sqrt(trace.weights[j]) * (f @ basis).reshape(k, n * c))
-        u = np.concatenate(u, axis=1)
+    for alpha, (firsts, bases) in enumerate(zip(sub.first_columns(), ranges)):
+        u = np.concatenate([np.sqrt(w) * (f @ basis).reshape(len(firsts), -1)
+                            for f, basis, w in zip(ambient.block_views(firsts), bases,
+                                                   trace.weights)], axis=1)
         norms = np.einsum("ip,ip->i", u, u.conj()).real
         e[algebra.block_slice(alpha)] = (u.T @ (u.conj() / norms[:, None])).reshape(-1)
 
-    inclusion = SubalgebraEmbedding(ambient, algebra, incl)
+    inclusion = SubalgebraEmbedding(ambient, algebra, copies)
     ext_trace = TraceState(algebra, lam * (mult @ trace.weights))
     return JonesExtension(algebra, algebra.element(e), ext_trace, float(lam),
                           inclusion, sub.compose(inclusion))

@@ -23,7 +23,8 @@ from weakhopf.groups import cyclic, symmetric
 from weakhopf.multimatrix import (
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
-    _commutant_from_units,
+    corner_frame,
+    module_endomorphisms,
 )
 from weakhopf.reconstruct import reconstruct
 from weakhopf.weak_hopf import (
@@ -34,7 +35,7 @@ from weakhopf.weak_hopf import (
     verify_axioms,
 )
 
-from conftest import inclusion_tower
+from conftest import INCLUSIONS, inclusion_tower
 
 TOL = 1e-9
 
@@ -506,14 +507,19 @@ def test_crossed_product_rejects_classes_outside_the_commutant(get_pipeline, mon
 def per_class_commutant_coords(action, classes, rng, tol):
     """Reference for ``actions._commutant_coords``: every class operator
     pi(v (x) w) = L_v A_w is formed on L2(M1) and back-substituted into the
-    dense commutant image one class block at a time."""
+    dense commutant image one class block at a time.  The image has the units
+    E^a_ij = sum_c F_c0 v_i v_j* F_0c, with the dense F_c0 = R(f^a_c0)^dagger
+    and the bases V_a of the basic construction of the fixed points."""
     car = action.carrier
     dm = car.dim
     fixed = actions.fixed_points(action, rng=rng, tol=tol)
-    rights = [np.stack([
-        car.right_mult_matrix(fixed.images[:, fixed.sub.basis_index(alpha, 0, c)]).reshape(-1)
-        for c in range(k)]) for alpha, k in enumerate(fixed.sub.blocks)]
-    image = _commutant_from_units(MultiMatrixAlgebra([dm]), rights)
+    _, comm, _, all_ranges = module_endomorphisms(fixed, tol)
+    units = []
+    for firsts, ranges in zip(fixed.first_columns(), all_ranges):
+        basis = corner_frame(car, firsts, ranges)[0]
+        copies = np.stack([car.right_mult_matrix(f).conj().T @ basis for f in firsts])
+        units.append(np.einsum("cai,cbj->ijab", copies, copies.conj()).reshape(-1, dm * dm))
+    image = SubalgebraEmbedding(comm, MultiMatrixAlgebra([dm]), np.concatenate(units).T)
     image.require_valid(tol)
     ops = []
     for vs, ws, _, _ in classes.blocks:
@@ -698,3 +704,25 @@ def test_crossed_product_at_a_twisted_index_element_refuses_its_involution():
     with pytest.raises(InvariantViolation,
                        match="algebraic involution differs from the block adjoint"):
         actions._verify_products(action, TOL)
+    # every earlier check of the crossed product passes, so it refuses there
+    with pytest.raises(InvariantViolation,
+                       match="^algebraic involution differs from the block adjoint$"):
+        crossed_product(action)
+
+
+# C^k < M_k: k one-by-one blocks down the diagonal of M_k with its Markov
+# trace, so M1 is k copies of M_k; with a3_in_s3 these are the towers in
+# which M1 has several blocks
+CHAIN_TOWERS = {f"c{k}_in_m{k}": ([1] * k, [[1]] * k, [1 / k], 1 / k) for k in (3, 4, 5)}
+CHAIN_TOWERS.update((name, INCLUSIONS[name]) for name in ("c2_in_m2", "a3_in_s3"))
+
+
+@pytest.mark.parametrize("name", CHAIN_TOWERS)
+def test_crossed_product_chain_on_an_inclusion_tower(name):
+    # the deform report is not asserted: a3_in_s3 fails its Thm 5.7 rows
+    tower = inclusion_tower(*CHAIN_TOWERS[name])
+    deformed, _ = deform(reconstruct(tower).on_b, tower=tower)
+    crossed = crossed_product(canonical_action(tower, deformed), rng=np.random.default_rng(0))
+    assert crossed.dim == tower.ambient.dim
+    assert minimality(crossed).passed
+    assert theta_iso(tower, deformed, crossed).report.passed

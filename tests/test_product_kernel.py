@@ -129,3 +129,34 @@ def test_unit_products_gather_the_product_table(blocks, seed):
     rows = slice(1, None, 2)
     assert np.array_equal(alg.unit_products(images, rows),
                           np.einsum("ijk,kab->ijab", alg.mult_tensor[rows], images))
+
+
+def _per_block_tables(alg, u):
+    """The per-block loops that the run-wise tables replaced: product_index,
+    adjoint_index, the adjoints of the rows of ``u`` and the unit."""
+    products = np.full((alg.dim, alg.dim), -1)
+    adjoints = np.empty(alg.dim, dtype=int)
+    starred = np.empty_like(u)
+    unit = np.zeros(alg.dim, dtype=complex)
+    for alpha, m in enumerate(alg.blocks):
+        sl = alg.block_slice(alpha)
+        r, c, l = np.indices((m, m, m))
+        products[sl.start + r * m + c, sl.start + c * m + l] = sl.start + r * m + l
+        adjoints[sl] = sl.start + np.arange(m * m).reshape(m, m).T.reshape(-1)
+        starred[:, sl] = np.conj(np.swapaxes(u[:, sl].reshape(-1, m, m), -1, -2)) \
+            .reshape(-1, m * m)
+        unit[sl] = np.eye(m).reshape(-1)
+    return products, adjoints, starred, unit
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), SEEDS)
+def test_run_wise_tables_match_the_per_block_loops(blocks, seed):
+    # up to six blocks, so that runs of equal blocks are common
+    alg = MultiMatrixAlgebra(blocks)
+    u = _elements(np.random.default_rng(seed), 3, alg.dim)
+    products, adjoints, starred, unit = _per_block_tables(alg, u)
+    assert np.array_equal(alg.product_index, products)
+    assert np.array_equal(alg.adjoint_index, adjoints)
+    assert np.array_equal(alg.adjoint_vecs(u), starred)
+    assert np.array_equal(alg.unit().vec, unit)

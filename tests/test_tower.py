@@ -129,3 +129,12 @@ def test_trace_restriction_consistency(name, get_tower):
     n = int(round(1.0 / tower.lam))
     diag_units = [i for i, (_, k, l) in enumerate(mid.sub.basis_labels()) if k == l]
     assert rel_residual(values[diag_units], np.full(len(diag_units), 1.0 / n)) < TOL
+
+
+@pytest.mark.parametrize("order", [7, 10])
+def test_mid_in_top_copies_units_exactly(order):
+    # restrict_to divides by v_j* v_j after the contraction, so a copied
+    # unit has the coordinate 1 exactly; with the rows scaled first, these
+    # orders held 0.9999999999999999 in five and three entries
+    images = build_tower_from_group(cyclic(order)).mid_in_top.images
+    assert np.isin(images, [0, 1]).all()

@@ -5,17 +5,23 @@ entries (27 MB), and on the cyclic(5) canonical action 25**4 (6.25 MB).
 
 The crossed product keeps its class map factored and streams its checks, so
 on the cyclic(6) tower (216 classes, raw tensors of 36 * 36 entries) it holds
-no (classes, raw) or (raw, raw) array.  The 36 + 36 generators L_x and A_b
-read their coordinates in the commutant of the fixed points off corners
-V* T V, so no image of that commutant is formed, and its transient is about
-5.4 MiB, where the dense (1296, 216) commutant image and its left inverse
-took about 11 MiB, the per-class back-substitution with the images held
-through random probes about 17 MiB, and dense class maps and whole probe
-checks about 54 MiB.  The comparison map reads its classes off the generator
+no (classes, raw) or (raw, raw) array.  The commutant of the fixed points
+M is the basic construction of M in M1: the 36 generators L_x have its copy
+map as coordinates, and the 36 A_b are read off its corners V* A_b V, so no
+image of that commutant is formed, and the transient is about 5.2 MiB,
+where the dense (1296, 216) commutant image and its left inverse took about
+11 MiB, the per-class back-substitution with the images held through random
+probes about 17 MiB, and dense class maps and whole probe checks about
+54 MiB.  The comparison map reads its classes off the generator
 images x and s b s^-1, one class block at a time, and checks the balancing
 on the units of B_t, so it holds about 6 MiB at the peak, where the
 (raw, ambient) images of every raw tensor took about 10 MiB, and two more
 arrays as large for the well-definedness check about 17 MiB.
+
+On C^5 < M_5, where M1 has five blocks and dimension 125, the crossed
+product holds about 38 MiB, half of it the fixed-point equations and their
+null space; the stack of the 125 dense L_x, 29.8 MiB, and its expansion in
+the commutant's units took 99.6 MiB.
 
 The tower premises rank their spans x w y on the corners f_0j w g_k0 of
 the units, one stack per weight, so on a warm cyclic(6) tower they hold
@@ -67,8 +73,11 @@ from weakhopf.reconstruct import reconstruct
 from weakhopf.tower import build_tower_from_group, verify_tower_premises
 from weakhopf.weak_hopf import group_algebra, pair_groupoid
 
+from conftest import inclusion_tower
+
 BOUND_MIB = 16
 CROSSED_BOUND_MIB = 9
+MATRIX_CROSSED_BOUND_MIB = 48
 PREMISES_BOUND_MIB = 8
 THETA_BOUND_MIB = 8
 RECONSTRUCT_BOUND_MIB = 10
@@ -120,6 +129,14 @@ def test_crossed_product_and_theta_hold_no_class_matrix(cyclic6_chain):
     built = []
     assert transient_mib(lambda: built.append(crossed_product(action))) < CROSSED_BOUND_MIB
     assert transient_mib(lambda: theta_iso(tower, deformed, built[0])) < THETA_BOUND_MIB
+
+
+def test_crossed_product_holds_no_stack_of_left_multiplications():
+    # C^5 < M_5 with its Markov trace
+    tower = inclusion_tower([1] * 5, [[1]] * 5, [1 / 5], 1 / 5)
+    deformed, _ = deform(reconstruct(tower).on_b, tower=tower)
+    action = canonical_action(tower, deformed)
+    assert transient_mib(lambda: crossed_product(action)) < MATRIX_CROSSED_BOUND_MIB
 
 
 def test_premises_hold_no_all_pairs_stack(cyclic6_chain):
