@@ -21,7 +21,6 @@ from .multimatrix import (  # noqa: F401
 from .weak_hopf import (  # noqa: F401
     CartanPair,
     DualAlgebra,
-    HaarData,
     WeakHopfData,
     cartan_subalgebras,
     connectedness,

@@ -7,11 +7,12 @@ structure on the relative commutant B = M' cap M2 satisfies these identities
 twisted by its index element H (Cor 4.16, Prop 4.14-4.15).  The twisted rows
 take the inverse ``hinv`` of H in carrier coordinates and default to H = 1,
 where they are the untwisted weak C*-Hopf axioms of Boehm-Nill-Szlachanyi.
-``module_law`` takes an action tensor, ``module_multiplicativity`` an action
-tensor on a carrier and ``product_decomposition`` a tower; the last two take
-H^-1 too.  At H = 1 they are axiom (1) of an action and the product check
-of ``canonical_action``; at the tower's H^-1 they are Prop 4.13 and Cor 4.12
-of ``identity_suite``.
+``module_law`` takes an action tensor, ``module_multiplicativity`` and
+``action_star_compatible`` (axiom (2)) an action tensor on a carrier, and
+``product_decomposition`` a tower.  ``module_multiplicativity`` and
+``product_decomposition`` take H^-1 too: at H = 1 they are axiom (1) of an
+action and the product check of ``canonical_action``, at the tower's H^-1
+Prop 4.13 and Cor 4.12 of ``identity_suite``.
 Callers (``verify_axioms``, ``check_bundle``, ``identity_suite``,
 ``classify``, ``verify_action``, ``canonical_action``) pick rows under their
 own check names and refs.  They read every row that takes a structure
@@ -63,7 +64,7 @@ and a NaN or inf still propagates.
 
 import numpy as np
 
-from ._linalg import box_slabs, reach, rel_residual, streamed_residual, support
+from ._linalg import box_slabs, reach, rel_residual, slabs, streamed_residual, support
 from .multimatrix import take_units
 
 
@@ -346,6 +347,22 @@ def module_multiplicativity(hopf, act: np.ndarray, carrier, hinv=None) -> float:
             rhs = carrier.matmul_vecs(legs.reshape(legs.shape[0] * legs.shape[1], *legs.shape[2:]),
                                       _box(right[qs], None, ys))
             yield lhs.transpose(2, 0, 1, 3), rhs.reshape(lhs.shape[2:3] + lhs.shape[:2] + (dm,))
+    return streamed_residual(pairs())
+
+
+def action_star_compatible(hopf, act: np.ndarray, carrier) -> float:
+    """(b |> x)* = S(b)* |> x*, axiom (2) of an action, on the units b of
+    ``hopf`` and x of ``carrier``, ``act[b, x]`` holding the carrier
+    coordinates of b |> x; u_x* is the unit u_(x*), so the right side is the
+    row S(u_b)* of ``act`` read at x*.  Built one slab of b at a time.  On
+    the tower's b |> x = lam^-1 E_M1(b x e2) it is identity-suite row 3,
+    E_M1(b x e2) = E_M1(e2 x S(b)): E_M1 is a *-map and (e2 x S(b))* =
+    S(b)* x* e2, so E_M1(e2 x S(b)) = lam (S(b)* |> x*)*."""
+    starred, adjoint = hopf.star(hopf.antipode.T), carrier.adjoint_index  # rows: S(u_b)*
+
+    def pairs():
+        for sl in slabs(len(act), act[0].size):
+            yield carrier.adjoint_vecs(act[sl]), np.tensordot(starred[sl], act, 1)[:, adjoint]
     return streamed_residual(pairs())
 
 

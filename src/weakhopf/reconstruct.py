@@ -308,7 +308,9 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     data to the tower, evaluated over full bases.
 
     The module map b |> x = lam^-1 E_M1(b x e2) is ``tower.module_tensor``
-    (rows 1, 3 and 10-12).  Rows 3 and 12 compare M1 coordinates.  Row 12 is
+    (rows 1, 3 and 10-12).  Row 1 pairs the M1 coordinates of b2 |> a
+    against B; row 3 is axiom (2), ``axioms.action_star_compatible``, proved
+    equal there; rows 3 and 12 compare M1 coordinates.  Row 12 is
     ``axioms.module_multiplicativity`` with right factor H^-1 (b_(2) |> y):
     exact in M1, since the trace-index cross check of ``reconstruct`` puts H
     in B_t = M' cap M1 (an H^-1 outside M1 fails ``coords_vec``).  Row 11 is
@@ -325,8 +327,9 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     (``StructureBundle.twist`` is None) the twist is the identity and
     ``deform`` returns this structure, so the four rows are read untwisted
     through its row memo: each is evaluated once for the suite,
-    ``check_bundle``, ``verify_axioms`` and ``canonical_action`` together.
-    At H != 1 they are read at H^-1."""
+    ``check_bundle``, ``verify_axioms`` and ``canonical_action`` together,
+    and row 3 is the canonical action's axiom (2).  At H != 1 they are read
+    at H^-1."""
     rep = Report(tolerance=tol, seed=tower.seed, title="reconstruction identity suite")
     alg, tau, lam, d = tower.ambient, tower.tau, tower.lam, tower.d
     hopf = rec.on_b.hopf
@@ -359,8 +362,9 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
     rep.add("counital coproduct absorption",
             hopf.row(axioms.target_counital_absorption), ref="Prop 4.3")
 
-    # 3. E_M1(b x e2) = E_M1(e2 x S(b)) for x in M1
-    rep.add("antipode under the expectation", _expectation_antipode_residual(tower, hopf),
+    # 3. E_M1(b x e2) = E_M1(e2 x S(b)) for x in M1: (b |> x)* = S(b)* |> x*
+    rep.add("antipode under the expectation",
+            hopf.row(axioms.action_star_compatible, tower.module_tensor, m1),
             ref="Remark 4.4")
 
     # 4. S maps the source Cartan onto the target Cartan: S is invertible,
@@ -431,26 +435,21 @@ def identity_suite(tower: TowerData, rec: ReconstructedStructure,
 
 
 def _pairing_products_residual(tower: TowerData, rec: ReconstructedStructure) -> float:
-    """Identity-suite row 1: the left side <a, b1 b2> is a read of the
-    pairing matrix, the right side lam^-1 <E_M1(b2 a e2), b1> pairs the
-    module elements b2 |> a in the ambient."""
-    da, db = tower.rel_a.sub.dim, tower.rel_b.sub.dim
-    lhs = take_units(rec.pairing.gram.T, rec.on_b.algebra.product_index)
-    lhs = lhs.transpose(2, 0, 1)
-    acted = tower.act(tower.rel_a.images.T).reshape(da * db, -1)  # b2 |> a
-    rhs = pairing_values(tower, acted.T, tower.rel_b.images).reshape(
-        da, db, db).transpose(0, 2, 1)
-    return rel_residual(lhs, rhs)
+    """Identity-suite row 1, <a, b1 b2> = lam^-1 <E_M1(b2 a e2), b1> =
+    <b2 |> a, b1>.  The left side is a read of the pairing matrix.  The
+    right side is linear in b2 |> a, so it is the M1 coordinates of b2 |> a
+    (those of a against ``tower.module_tensor``, one slab of A units at a
+    time) times the pairing P of the units of M1 against those of B: no
+    b2 |> a is formed in the ambient."""
+    gram, act, products = rec.pairing.gram, tower.module_tensor, rec.on_b.algebra.product_index
+    a_m1 = tower.sub_top.coords_vec(tower.rel_a.images.T)
+    paired = pairing_values(tower, tower.sub_top.images, tower.rel_b.images)  # P: (M1, B)
 
-
-def _expectation_antipode_residual(tower: TowerData, hopf: WeakHopfData) -> float:
-    """Identity-suite row 3 in M1 coordinates: the left side E_M1(b x e2) is
-    lam (b |> x), the right side E_M1(e2 x S(b)) for x over the units of M1."""
-    alg = tower.ambient
-    exs = alg.pairwise_mul(alg.mul_vecs(tower.e2.vec, tower.sub_top.images.T),
-                           (tower.rel_b.images @ hopf.antipode).T)
-    rhs = tower.expect_top.coords(exs)
-    return rel_residual(tower.lam * tower.module_tensor, rhs.transpose(1, 0, 2))
+    def pairs():
+        for sl in slabs(len(a_m1), act.shape[0] * act.shape[2]):
+            rhs = (a_m1[sl] @ act) @ paired  # (b2, a, b1)
+            yield take_units(gram[sl].T, products).transpose(2, 0, 1), rhs.transpose(1, 2, 0)
+    return streamed_residual(pairs())
 
 
 def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float:

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import max_abs, rel_residual
+from ._linalg import max_abs, rel_residual, slabs
 from .errors import InvariantViolation
 from .groups import FiniteGroup
 from .multimatrix import (
@@ -117,21 +117,23 @@ class TowerData:
     @cached_property
     def module_tensor(self) -> np.ndarray:
         """The minimal action b |> x = lam^-1 E_M1(b x e2) of B = M' cap M2 on
-        M1: a read-only (B units, M1 units, M1 coordinates) array.  It does
-        not depend on the coproduct of B."""
-        alg = self.ambient
-        bxe2 = alg.pairwise_mul(self.rel_b.images.T,
-                                alg.mul_vecs(self.sub_top.images.T, self.e2.vec))
-        tensor = self.expect_top.coords(bxe2) / self.lam
+        M1: a read-only (B units, M1 units, M1 coordinates) array, built one
+        slab of B units at a time.  It does not depend on the coproduct of B."""
+        alg, b_basis = self.ambient, self.rel_b.images.T
+        xe2 = alg.mul_vecs(self.sub_top.images.T, self.e2.vec)
+        rows = slabs(len(b_basis), xe2.size)
+        tensor = np.empty((len(b_basis), len(xe2), len(xe2)), dtype=complex)
+        for sl, bxe2 in zip(rows, alg.pairwise_mul_slabs(b_basis, xe2, rows)):
+            tensor[sl] = self.expect_top.coords(bxe2)
+        tensor /= self.lam
         tensor.setflags(write=False)
         return tensor
 
-    def act(self, xs: np.ndarray) -> np.ndarray:
-        """b |> x for every unit b of B and M1 element x of the stack ``xs``,
-        ambient coordinates in and out: shape xs.shape[:-1] + (B units, dim)."""
-        coords = self.sub_top.coords_vec(xs)
-        return self.sub_top.embed_vec(
-            np.einsum("...x,bxy->...by", coords, self.module_tensor, optimize=True))
+    def act(self, x: np.ndarray) -> np.ndarray:
+        """b |> x for every unit b of B and one M1 element x, ambient
+        coordinates in and out, shape (B units, dim): a matrix product per
+        unit b, so the module tensor is not copied."""
+        return self.sub_top.embed_vec(self.sub_top.coords_vec(x) @ self.module_tensor)
 
 
 def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,

@@ -168,12 +168,6 @@ class CartanPair:
 
 
 @dataclass(frozen=True)
-class HaarData:
-    projection: AlgebraElement
-    functional: np.ndarray  # phi(u_i) per basis unit
-
-
-@dataclass(frozen=True)
 class DualAlgebra:
     """Dual weak Hopf structure plus the evaluation pairing against the
     original basis: evaluation[j, i] = (j-th dual basis unit)(u_i)."""
@@ -331,10 +325,6 @@ def haar_functional(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> np.ndarray:
 def haar_traciality_residual(hopf: WeakHopfData, phi: np.ndarray) -> float:
     values = hopf.algebra.unit_products(phi)  # phi(u_i u_j)
     return rel_residual(values, values.T)
-
-
-def haar_data(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> HaarData:
-    return HaarData(haar_projection(hopf, tol), haar_functional(hopf, tol))
 
 
 def _raw_dual(hopf: WeakHopfData) -> StructureAlgebra:

@@ -77,6 +77,11 @@ def test_canonical_action_verifies(name, get_pipeline):
     assert rep.max_residual <= TOL
 
 
+def acting(action, b, x):
+    """b |> x for coefficient vectors b and x, read off the action tensor."""
+    return np.einsum("b,x,bxy->y", b, x, action.tensor)
+
+
 @pytest.mark.parametrize("name", ["z2", "z3"])
 def test_canonical_action_oracles(name, get_tower, get_pipeline):
     tower = get_tower(name)
@@ -85,10 +90,10 @@ def test_canonical_action_oracles(name, get_tower, get_pipeline):
     x = rng.standard_normal(action.carrier.dim) + 1j * rng.standard_normal(
         action.carrier.dim)
     # the unit acts trivially
-    assert rel_residual(action.act(action.hopf.unit_vec, x), x) < TOL
+    assert rel_residual(acting(action, action.hopf.unit_vec, x), x) < TOL
     # the second Jones projection acts as the expectation onto M
     e2_b = tower.rel_b.coords_vec(tower.e2.vec[None, :])[0]
-    lhs = action.act(e2_b, x)
+    lhs = acting(action, e2_b, x)
     ambient_x = tower.sub_top.embed_vec(x)
     rhs = tower.sub_top.coords_vec(tower.expect_mid.apply_vec(ambient_x)[None, :])[0]
     assert rel_residual(lhs, rhs) < TOL
@@ -96,7 +101,7 @@ def test_canonical_action_oracles(name, get_tower, get_pipeline):
     bt_in_b = tower.rel_b.coords_vec(tower.cartan_target.images.T).T
     bt_in_top = tower.sub_top.coords_vec(tower.cartan_target.images.T).T
     for j in range(bt_in_b.shape[1]):
-        lhs = action.act(bt_in_b[:, j], x)
+        lhs = acting(action, bt_in_b[:, j], x)
         rhs = action.carrier.mul_vecs(bt_in_top[:, j], x)
         assert rel_residual(lhs, rhs) < TOL
 

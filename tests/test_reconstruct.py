@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weakhopf._linalg import rel_residual
+from weakhopf.deform import deform
 from weakhopf.errors import InvariantViolation
 from weakhopf.matching import match_pair_groupoid
 from weakhopf.multimatrix import (
@@ -25,10 +26,11 @@ from weakhopf.reconstruct import (
     identity_suite,
     pairing,
     pairing_values,
+    reconstruct,
 )
 from weakhopf.weak_hopf import verify_axioms
 
-from conftest import TOWER_NAMES
+from conftest import INCLUSIONS, TOWER_NAMES, inclusion_tower
 
 TOL = 1e-9
 
@@ -89,6 +91,19 @@ def test_dual_bases_identities(name, get_tower, get_reconstruction):
     bases, rep = dual_bases(get_tower(name), get_reconstruction(name))
     assert rep.passed, rep.render_table()
     assert rep["duality normalization"].residual <= 1e-12
+
+
+def test_c2_in_m3_m3_chain_through_deform():
+    # ambient 1458, dim B = 82, dim M1 = 162, and an index element that is
+    # not the unit; the module tensor is built over slabs of B units, where
+    # the whole (82, 162, 1458) stack of products b x e2 took 296 MiB, and
+    # the suite reads b |> x only in M1 coordinates
+    tower = inclusion_tower(*INCLUSIONS["c2_in_m3_m3"])
+    rec = reconstruct(tower)
+    assert rec.on_b.twist(TOL) is not None
+    assert dual_bases(tower, rec)[1].passed
+    assert identity_suite(tower, rec).passed
+    assert deform(rec.on_b, tower=tower)[1].passed
 
 
 @pytest.mark.parametrize("name", TOWER_NAMES)
@@ -542,7 +557,7 @@ def _bent_pairing(rec, scale=1e-3):
 
 def test_pairing_rows_see_a_gram_that_is_not_the_towers(get_tower, get_reconstruction):
     # rows 1 and 17b read their left sides from the Gram matrix and pair
-    # their right sides in the ambient
+    # their right sides through the tower's trace
     tower, rec = get_tower("z3"), get_reconstruction("z3")
     rows = ["pairing against products", "counital pairing formula"]
     good = identity_suite(tower, rec)

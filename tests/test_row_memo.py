@@ -100,6 +100,26 @@ def test_the_cyclic3_chain_evaluates_each_row_once(get_tower):
     assert count_row_calls(chain) == {name: 1 for name in COUNTED}
 
 
+def test_the_suite_and_the_action_check_share_axiom_2(get_tower):
+    """Suite row 3, E_M1(b x e2) = E_M1(e2 x S(b)), is axiom (2) of the
+    module map; at a trivial index element the canonical action is the
+    reconstructed structure on the same tensor and carrier, so its "action
+    star-compatible" is the same memo entry."""
+    tower = get_tower("z3")
+    reports = {}
+
+    def chain():
+        rec = reconstruct(tower, TOL)
+        reports["suite"] = identity_suite(tower, rec, TOL)
+        deformed, _ = deform(rec.on_b, TOL, tower=tower)
+        reports["action"] = verify_action(canonical_action(tower, deformed, TOL), TOL)
+
+    row = axioms.action_star_compatible
+    assert count_calls(chain, row) == {row.__name__: 1}
+    assert reports["suite"]["antipode under the expectation"].residual \
+        == reports["action"]["action star-compatible"].residual
+
+
 def test_each_cartan_is_restricted_into_b_once_per_tower():
     """B_t and B_s in B are cached on the tower: the identity suite (rows 4
     and 15), ``classify`` and ``canonical_action`` share one restriction
@@ -356,6 +376,8 @@ def test_tower_reports_equal_direct_row_calls(order):
         "coproduct star-preserving": axioms.star_preserving(hopf),
         "product against module elements": axioms.product_decomposition(hopf, tower),
         "expectation comultiplicativity": axioms.module_multiplicativity(
+            hopf, tower.module_tensor, tower.sub_top.sub),
+        "antipode under the expectation": axioms.action_star_compatible(
             hopf, tower.module_tensor, tower.sub_top.sub),
         "twisted multiplicativity of the coproduct": axioms.multiplicativity(hopf),
         "twisted antipode counital identity": axioms.antipode_counital(hopf),

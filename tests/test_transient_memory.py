@@ -50,7 +50,17 @@ the relator check each hold under 10 MiB (6.1, 4.4, 9.4, 1.5 and 2.6 MiB),
 where slabs of one leading index over every entry took 16.8, 24.8 (in the
 action check), 24.8, 9.6 and 5.3 MiB.  Multiplicativity also holds its
 coproducts and their twist, two (64, 4096) arrays of 4 MiB, and a product
-temporary as large: 15.6 MiB, where the slabs took 24.5 MiB."""
+temporary as large: 15.6 MiB, where the slabs took 24.5 MiB.
+
+The module map b |> x = lam^-1 E_M1(b x e2) is read only in M1 coordinates.
+On the cyclic(8) tower (B and M1 of 64 units, ambient 512) the module tensor
+is built over slabs of B units, so it holds about 7 MiB, 4 MiB of it the
+tensor itself, where the (64, 64, 512) products b x e2 took 40 MiB.  Suite
+row 1 pairs b2 |> a through M1 coordinates and row 3 is axiom (2) on the
+tensor, so they hold about 4 and 5 MiB, where forming b2 |> a and
+E_M1(e2 x S(b)) in the ambient took 73 and 41 MiB.  ``TowerData.act`` of one
+element is a matrix product per unit of B, about 0.5 MiB, where an einsum
+copied the 4 MiB tensor."""
 
 import tracemalloc
 
@@ -69,7 +79,7 @@ from weakhopf.actions import (
 from weakhopf.deform import deform
 from weakhopf.groups import cyclic, symmetric
 from weakhopf.multimatrix import relative_commutant
-from weakhopf.reconstruct import reconstruct
+from weakhopf.reconstruct import _pairing_products_residual, reconstruct
 from weakhopf.tower import build_tower_from_group, verify_tower_premises
 from weakhopf.weak_hopf import group_algebra, pair_groupoid
 
@@ -177,7 +187,8 @@ def test_relative_commutant_holds_little_beyond_its_images(name):
 @pytest.fixture(scope="module")
 def cyclic8_rows():
     tower = build_tower_from_group(cyclic(8))
-    hopf = reconstruct(tower).on_b.hopf
+    rec = reconstruct(tower)
+    hopf = rec.on_b.hopf
     action = ActionData(hopf, tower.sub_top.sub, tower.module_tensor)
     cartan = tower.cartan_in_b
     blocks = _class_basis(action, cartan).blocks
@@ -186,6 +197,7 @@ def cyclic8_rows():
              for z, z1 in zip(cartan.images.T, on_unit.T)]
     # the unit tables the rows gather through are cached on the algebras
     hopf.algebra.product_index, hopf.algebra.tensor_square, action.carrier.product_index
+    action.carrier.adjoint_index
     square_mib = hopf.dim * hopf.algebra.tensor_square[0].dim * 16 / 2 ** 20
     return {
         "coassociativity": (lambda: axioms.coassociativity(hopf), 0),
@@ -195,12 +207,27 @@ def cyclic8_rows():
             hopf, action.tensor, action.carrier), 0),
         "product decomposition": (lambda: axioms.product_decomposition(hopf, tower), 0),
         "relators": (lambda: _relator_residuals(blocks, moves), 0),
+        "pairing against products": (lambda: _pairing_products_residual(tower, rec), 0),
+        "action star-compatible": (lambda: axioms.action_star_compatible(
+            hopf, action.tensor, action.carrier), 0),
     }
 
 
 @pytest.mark.parametrize("row", ["coassociativity", "multiplicativity", "module law",
                                  "module multiplicativity", "product decomposition",
-                                 "relators"])
+                                 "relators", "pairing against products",
+                                 "action star-compatible"])
 def test_boxed_rows_hold_only_their_boxes(cyclic8_rows, row):
     fn, inputs_mib = cyclic8_rows[row]
     assert transient_mib(fn) < BOX_BOUND_MIB + inputs_mib
+
+
+def test_module_tensor_is_built_over_slabs_of_b():
+    tower = build_tower_from_group(cyclic(8))
+    tower.rel_b, tower.expect_top  # warms the commutant and E_M1
+    built = []
+    assert transient_mib(lambda: built.append(tower.module_tensor)) < BOX_BOUND_MIB
+    # b |> e1 is one matrix product per unit b, with no copy of the tensor
+    tower.sub_top.coords_vec(tower.e1.vec)
+    tensor_mib = tower.module_tensor.nbytes / 2 ** 20
+    assert transient_mib(lambda: tower.act(tower.e1.vec)) < tensor_mib / 2

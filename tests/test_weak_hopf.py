@@ -384,9 +384,7 @@ def test_invalid_multiplication_table_rejected():
     FiniteGroup([[1, 0], [0, 1]])
 
 
-def test_haar_data_bundle():
-    from weakhopf.weak_hopf import haar_data
-
-    data = haar_data(pair_groupoid(2))
-    assert rel_residual(data.projection.vec, np.full(4, 0.5)) < TOL
-    assert rel_residual(data.functional, [1, 0, 0, 1]) < TOL
+def test_haar_projection_and_functional_of_a_pair_groupoid():
+    hopf = pair_groupoid(2)
+    assert rel_residual(haar_projection(hopf).vec, np.full(4, 0.5)) < TOL
+    assert rel_residual(haar_functional(hopf), [1, 0, 0, 1]) < TOL
