@@ -40,6 +40,17 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+def read_only(a) -> np.ndarray:
+    """A read-only complex view of ``a`` (``a`` itself when it already is
+    one): writing through it raises."""
+    a = np.asarray(a, dtype=complex)
+    if not a.flags.writeable:
+        return a
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def slabs(n: int, per_row: int) -> list[slice]:
     """Slices of ``range(n)`` holding about ``_SLAB`` entries each, for rows
     of ``per_row`` entries (at least one row per slice)."""
@@ -240,21 +251,6 @@ def residual_outside(vectors: np.ndarray, q: np.ndarray) -> float:
         return 0.0
     rest = vectors - q @ (q.conj().T @ vectors)
     return max_abs(rest) / max(max_abs(vectors), 1.0)
-
-
-def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Group sorted real values into clusters separated by more than ``gap``.
-
-    Returns index arrays into the original ``values``, in ascending order:
-    a new cluster starts wherever a sorted value does not lie within ``gap``
-    of the one before it (so a NaN, sorted last, stands alone).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
-    order = np.argsort(values)
-    breaks = np.flatnonzero(~(np.diff(values[order]) <= gap)) + 1
-    return np.split(order, breaks)
 
 
 def condition_number(mat: np.ndarray) -> float:

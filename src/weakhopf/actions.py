@@ -14,6 +14,7 @@ from ._linalg import (
     null_space,
     numeric_rank,
     reach,
+    read_only,
     rel_residual,
     slabs,
     streamed_residual,
@@ -35,7 +36,7 @@ from .multimatrix import (
 )
 from .report import Report
 from .tower import TowerData
-from .weak_hopf import WeakHopfData, _read_only, canonical_involution_matrix
+from .weak_hopf import WeakHopfData, canonical_involution_matrix
 
 
 @dataclass
@@ -60,7 +61,7 @@ class ActionData:
     fixed: SubalgebraEmbedding | None = None
 
     def __post_init__(self):
-        self.tensor = _read_only(self.tensor)
+        self.tensor = read_only(self.tensor)
 
     @property
     def on_unit(self) -> np.ndarray:

@@ -3,12 +3,12 @@
 Input is a multiplication tensor, a unit vector and an antilinear involution
 matrix over some basis.  The regular trace of a C*-algebra is positive and
 faithful, so it provides a Hilbert metric in which left multiplication is a
-*-representation; from there the block split proceeds spectrally.  This is the
-only block-splitting engine.
+*-representation; from there the block split reads every matrix unit off
+one eigendecomposition.  This is the only block-splitting engine.
 
 :class:`StructureAlgebra` is the type of abstract algebras only, those not
 yet known as a multimatrix algebra.  There are four:
-:func:`weakhopf.multimatrix.subalgebra_from_basis` passes the structure
+:func:`weakhopf.multimatrix.subalgebra_span` builds the structure
 constants of a span (abstract fixed points and Cartans),
 :func:`weakhopf.weak_hopf.group_algebra` those of its group table
 (u_g u_h = u_gh), :func:`weakhopf.weak_hopf.dual_algebra` the raw dual
@@ -16,11 +16,34 @@ constants of a span (abstract fixed points and Cartans),
 the kernel ideal of a non-Galois action; crossed products of tower actions
 take B_t, M and their blocks in closed form and never reach it.
 :func:`weakhopf.weak_hopf.connectedness` reads the raw dual without a split:
-only its centre (:func:`center_span`, the split's own first step).  A
-block's size m is read off the regular trace of its central projection
-(m**2), so a 1 x 1 block takes no corner and no random draw.  Once an
-algebra is a :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`, its products
-go through the block kernels there, never through a structure tensor here.
+only its centre, through :func:`center_span`, which the split itself does not
+read.  Once an algebra is a :class:`~weakhopf.multimatrix.MultiMatrixAlgebra`,
+its products go through the block kernels there, never through a structure
+tensor here.
+
+**The split** is the generic-element method of Murota, Kanno, Kojima and
+Kojima (Japan J. Indust. Appl. Math. 27, 2010) on the regular
+representation.  In the coordinates of :func:`_orthonormalize`,
+<x, y> = Tr(x* y) for the regular trace Tr.  For self-adjoint h, L_h
+(x -> h x) is Hermitian, and so is R_h (x -> x h), since
+<x, y h> = Tr(h x* y) = Tr((x h)* y) by traciality; they commute, so
+K = L_h + c R_h is Hermitian for real c.  On a block M_m with
+h = sum_i lambda_i e_ii in its own eigenbasis, K e_ij =
+(lambda_i + c lambda_j) e_ij.  For generic h, pairs (i, j) != (k, l) share
+an eigenvalue only where lambda_i - lambda_k + c (lambda_j - lambda_l)
+vanishes identically: c = 1 with (k, l) = (j, i), c = -1 with i = j and
+k = l, or c = 0.  For any other c each eigenvector is u = s e_ij / sqrt(m)
+with |s| = 1 (Tr(e_ij* e_ij) = Tr(e_jj) = m): its row value <u, L_h u> is
+lambda_i, its column value (eigenvalue - lambda_i) / c is lambda_j, and
+its trace is s sqrt(m) if i = j and 0 otherwise.  So the diagonal units
+are the eigenvectors of trace at least 1 in modulus, with
+e_ii = conj(Tr v) v; every other one sits at the (i, j) of its nearest row
+and column values, the blocks are the classes of i ~ j, each holding m**2
+eigenvectors, and e_k0 = sqrt(m) u_k0 has e_k0* e_k0 = e_00 (the phase s
+picks one of the unit systems), so e_kl = e_k0 e_0l.  A draw with two
+eigenvalues of K within ``SPECTRAL_GAP`` (relative), or with a class that
+is not full, is retried; :func:`_verify_units` checks the result.  Blocks
+come largest first, ties in the order of their smallest lambda_i.
 
 The dense structure tensor is the large operand (d**3 entries), so every
 product goes through batched operator kernels that read it once per batch of
@@ -36,20 +59,17 @@ split's ``product_index``, and the adjoints against one through its
 
 import numpy as np
 
-from ._linalg import (
-    cluster_values,
-    max_abs,
-    null_space,
-    orthonormal_columns,
-    rel_residual,
-    slabs,
-)
+from ._linalg import max_abs, null_space, rel_residual, slabs
 from .errors import InvariantViolation
 from .multimatrix import MultiMatrixAlgebra, take_units
 
 __all__ = ["StructureAlgebra", "center_span", "decompose_structure_algebra"]
-# relative gap that separates eigenvalue clusters in ``_spectral_projections``
+# relative gap below which two eigenvalues of the splitting operator K count
+# as equal, so the draw is retried
 SPECTRAL_GAP = 1e-6
+# weight c of right multiplication in K = L_h + c R_h: any real outside
+# {0, 1, -1} gives every matrix unit a simple eigenvalue
+_RIGHT_WEIGHT = 0.5
 
 
 class StructureAlgebra:
@@ -148,10 +168,9 @@ def decompose_structure_algebra(algebra: StructureAlgebra, *, rng=None,
     inv_on = t_inv @ algebra.involution @ np.conj(t)
     on = StructureAlgebra(mult_on, unit_on, inv_on)
 
-    center = center_span(on, rng, tol)
     for _ in range(8):
         try:
-            units, sizes = _split(on, center, rng)
+            units, sizes = _split(on, rng)
             break
         except _Retry:
             continue
@@ -161,14 +180,13 @@ def decompose_structure_algebra(algebra: StructureAlgebra, *, rng=None,
     multi = MultiMatrixAlgebra(sizes)
     if multi.dim != d:
         raise InvariantViolation("matrix units do not span the algebra")
-    change_on = np.column_stack(units)
+    change_on = np.concatenate(units).T
     _verify_units(on, multi, change_on)
     return multi, t @ change_on
 
 
-def _random_self_adjoint(on: StructureAlgebra, span: np.ndarray, rng):
-    coeff = rng.standard_normal(span.shape[1]) + 1j * rng.standard_normal(span.shape[1])
-    x = span @ coeff
+def _random_self_adjoint(on: StructureAlgebra, rng):
+    x = rng.standard_normal(on.dim) + 1j * rng.standard_normal(on.dim)
     return 0.5 * (x + on.star(x))
 
 
@@ -194,81 +212,46 @@ def center_span(on: StructureAlgebra, rng, tol: float) -> np.ndarray:
     raise InvariantViolation("center computation did not stabilize")
 
 
-def _spectral_projections(on: StructureAlgebra, h: np.ndarray):
-    lmat = on.left_matrix(h)
-    lmat = 0.5 * (lmat + lmat.conj().T)  # Hermitian in the regular metric
-    vals, vecs = np.linalg.eigh(lmat)
-    scale = max(max_abs(vals), 1.0)
-    clusters = cluster_values(vals, SPECTRAL_GAP * scale)
-    reps, projections = [], []
-    for cluster in clusters:
-        sel = vecs[:, cluster]
-        reps.append(float(np.mean(vals[cluster])))
-        projections.append(sel @ (sel.conj().T @ on.unit))
-    return np.asarray(reps), projections
-
-
-def _split(on: StructureAlgebra, center: np.ndarray, rng):
-    z = _random_self_adjoint(on, center, rng)
-    _, projs = _spectral_projections(on, z)
-    if len(projs) != center.shape[1]:
-        raise _Retry
-    if rel_residual(np.sum(projs, axis=0), on.unit) > 1e-6:
-        raise _Retry
-
-    trace = on.regular_trace_vector()
-    units, sizes = [], []
-    for p in projs:
-        # p is minimal central in an m x m block, so tr(L_p) = dim(pA) = m**2
-        msq = complex(trace @ p)
-        m = int(round(np.sqrt(max(msq.real, 0.0))))
-        if m == 0 or abs(msq - m * m) > 1e-6 * m * m:
-            raise _Retry
-        sizes.append(m)
-        if m == 1:
-            units.append(p)
-            continue
-        # columns p u_i p for every basis vector u_i
-        corner = orthonormal_columns(on.right_matrix(p) @ on.left_matrix(p), 1e-8)
-        if corner.shape[1] != m * m:
-            raise _Retry
-        diag = _minimal_projections(on, corner, p, m, rng)
-        units.extend(_matrix_units(on, diag, rng))
-    return units, sizes
-
-
-def _minimal_projections(on, corner, p, m, rng):
-    h = _random_self_adjoint(on, corner, rng)
-    vals, projs = _spectral_projections(on, h)
-    scale = max(max_abs(vals), 1.0)
-    keep = [q for v, q in zip(vals, projs) if abs(v) > 1e-6 * scale]
-    if len(keep) != m:
-        raise _Retry
-    if rel_residual(np.sum(keep, axis=0), p) > 1e-6:
-        raise _Retry
-    return keep
-
-
-def _matrix_units(on, diag, rng):
-    """Matrix units of a block of size m >= 2 as rows (m*m, dim): e_00, e_01, ..."""
-    m = len(diag)
+def _split(on: StructureAlgebra, rng):
+    """One attempt: the matrix units of ``on`` as (m*m, dim) row stacks, one
+    per block, and the block sizes, read off one eigendecomposition of
+    K = L_h + c R_h (module docstring); ``_Retry`` on a bad draw."""
     d = on.dim
-    lefts = on.left_matrices(np.stack(diag[1:]))
-    right0 = on.right_matrix(diag[0])
-    isometries = [diag[0]]
-    for k in range(1, m):
-        for _ in range(8):
-            y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            u = lefts[k - 1] @ (right0 @ y)  # diag_k y diag_0
-            gram = u @ on.left_matrix(on.star(u)).T  # u* u
-            c = float(np.real(np.vdot(diag[0], gram) / np.vdot(diag[0], diag[0])))
-            if c > 1e-10 and rel_residual(gram, c * diag[0]) < 1e-6:
-                isometries.append(u / np.sqrt(c))
-                break
-        else:
-            raise _Retry
-    isometries = np.stack(isometries)
-    return on.pairwise(isometries, on.star(isometries)).reshape(m * m, d)
+    h = _random_self_adjoint(on, rng)
+    left = on.left_matrix(h)
+    k_op = left + _RIGHT_WEIGHT * on.right_matrix(h)
+    vals, vecs = np.linalg.eigh(0.5 * (k_op + k_op.conj().T))
+    if np.any(np.diff(vals) <= SPECTRAL_GAP * max(max_abs(vals), 1.0)):
+        raise _Retry
+    # per eigenvector u = s e_ij / sqrt(m): lambda_i, lambda_j and Tr(u)
+    row_vals = np.einsum("ai,ai->i", vecs.conj(), left @ vecs).real
+    col_vals = (vals - row_vals) / _RIGHT_WEIGHT
+    traces = on.regular_trace_vector() @ vecs
+    diag = np.flatnonzero(np.abs(traces) > 0.5)
+    diag = diag[np.argsort(row_vals[diag])]
+    k = len(diag)
+    # (i, j) of each eigenvector: its nearest sorted lambda_i and lambda_j
+    cuts = 0.5 * (row_vals[diag][1:] + row_vals[diag][:-1])
+    where = np.full(k * k, -1)
+    where[np.searchsorted(cuts, row_vals) * k + np.searchsorted(cuts, col_vals)] = np.arange(d)
+    held = (where >= 0).reshape(k, k)
+    first = held.argmax(axis=1)  # the classes of i ~ j must be full squares
+    if np.count_nonzero(held) != d or \
+            not np.array_equal(held, first[:, None] == first[None, :]):
+        raise _Retry
+
+    firsts, sizes = np.unique(first, return_counts=True)
+    order = np.lexsort((firsts, -sizes))
+    units = []
+    for f, m in zip(firsts[order], sizes[order]):
+        j = where[f * k + f]
+        e00 = np.conj(traces[j]) * vecs[:, j]
+        # e_k0 = sqrt(m) u_k0, then e_kl = e_k0 e_0l
+        below = np.flatnonzero(first == f)[1:] * k + f
+        isometries = np.vstack([e00, np.sqrt(m) * vecs[:, where[below]].T])
+        units.append(isometries if m == 1 else
+                     on.pairwise(isometries, on.star(isometries)).reshape(m * m, d))
+    return units, [int(m) for m in sizes[order]]
 
 
 def _verify_units(on: StructureAlgebra, multi: MultiMatrixAlgebra,

@@ -44,7 +44,7 @@ comparison of a span with a subalgebra image is ``outside`` (containment)
 plus a dimension count; no projector, intersection or least-squares solve
 stands in for it.  The Cartan subalgebras of an abstract structure are the
 ranges of its counital maps (idempotents, so z lies in B_t iff
-eps_t z = z), handed to :func:`subalgebra_from_basis` as they are.
+eps_t z = z), checked by :func:`subalgebra_span` and split by :func:`split_span`.
 
 Commutants need no splitting: relative commutants and centers take their matrix
 units from those of the subalgebra in closed form, and so does the Jones basic
@@ -67,6 +67,7 @@ from ._linalg import (
     max_abs,
     numeric_rank,
     orthonormal_columns,
+    read_only,
     rel_residual,
     residual_outside,
     slabs,
@@ -530,14 +531,15 @@ class SubalgebraEmbedding:
     """Unital *-homomorphism of one multimatrix algebra into another.
 
     ``images`` has shape (ambient.dim, sub.dim); column j is the image of the
-    j-th canonical basis unit of the subalgebra.
+    j-th canonical basis unit of the subalgebra.  It is a read-only view, so
+    :meth:`residuals`, computed once per embedding, cannot go stale.
     """
 
     def __init__(self, sub: MultiMatrixAlgebra, ambient: MultiMatrixAlgebra,
                  images: np.ndarray):
         self.sub = sub
         self.ambient = ambient
-        images = np.asarray(images, dtype=complex)
+        images = read_only(images)
         if images.shape != (ambient.dim, sub.dim):
             raise InvariantViolation("embedding image matrix has wrong shape")
         self.images = images
@@ -628,7 +630,13 @@ class SubalgebraEmbedding:
 
     def residuals(self) -> dict:
         """Residuals of the three *-homomorphism requirements, keyed
-        ``"unital"``, ``"adjoint"`` and ``"multiplicative"``.
+        ``"unital"``, ``"adjoint"`` and ``"multiplicative"``, computed on the
+        first call only (``_residuals``)."""
+        return dict(self._residuals)
+
+    @cached_property
+    def _residuals(self) -> dict:
+        """The values of :meth:`residuals`.
 
         Multiplicativity over all unit pairs reduces to three checks on the
         first-column partial isometries w_j = image(f_j0): their mutual grams
@@ -762,25 +770,20 @@ class ConditionalExpectation:
 # ---------------------------------------------------------------------------
 
 
-def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
-                          rng=None, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
-    """Recognize a *-closed unital subspace of ``ambient`` as a multimatrix
-    algebra and return the embedding carrying its canonical matrix units
-    (a group algebra has no ambient and splits straight from its table).
-
-    The span is checked for closure under adjoints, the unit and all pairwise
-    products; its structure constants in an orthonormal basis of the span then
-    go through :func:`weakhopf.decompose.decompose_structure_algebra`, which
-    splits blocks and builds matrix units (deterministic for a fixed seed).
-    """
-    from .decompose import StructureAlgebra, decompose_structure_algebra
+def subalgebra_span(ambient: MultiMatrixAlgebra, span: np.ndarray,
+                    tol: float = DEFAULT_TOL):
+    """``(span, structure)``: orthonormal columns of ``span`` and the
+    :class:`~weakhopf.decompose.StructureAlgebra` over them, once the span is
+    checked closed under adjoints and products and holding the unit.  A span
+    of the whole of ``ambient`` needs no check and no split: structure None."""
+    from .decompose import StructureAlgebra
 
     span = orthonormal_columns(np.asarray(span, dtype=complex), 1e-10)
     dim = span.shape[1]
     if dim == 0:
         raise InvariantViolation("empty subspace")
     if dim == ambient.dim:
-        return SubalgebraEmbedding.identity(ambient)
+        return span, None
 
     basis = span.T
     adjoints = ambient.adjoint_vecs(basis)
@@ -795,11 +798,29 @@ def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
 
     # coordinates in the orthonormal span basis are inner products with it
     coords = span.conj()
-    structure = StructureAlgebra(prods @ coords, unit @ coords, (adjoints @ coords).T)
+    return span, StructureAlgebra(prods @ coords, unit @ coords, (adjoints @ coords).T)
+
+
+def split_span(ambient: MultiMatrixAlgebra, span: np.ndarray, structure, *,
+               rng=None, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
+    """The embedding carrying the canonical matrix units of a span and its
+    structure from :func:`subalgebra_span`, split by
+    :func:`weakhopf.decompose.decompose_structure_algebra`."""
+    from .decompose import decompose_structure_algebra
+
+    if structure is None:
+        return SubalgebraEmbedding.identity(ambient)
     sub, change = decompose_structure_algebra(structure, rng=rng, tol=tol)
     emb = SubalgebraEmbedding(sub, ambient, span @ change)
     emb.require_valid(tol)
     return emb
+
+
+def subalgebra_from_basis(ambient: MultiMatrixAlgebra, span: np.ndarray, *,
+                          rng=None, tol: float = DEFAULT_TOL) -> SubalgebraEmbedding:
+    """Recognize a *-closed unital subspace of ``ambient`` as a multimatrix
+    algebra: :func:`subalgebra_span`, then :func:`split_span`."""
+    return split_span(ambient, *subalgebra_span(ambient, span, tol), rng=rng, tol=tol)
 
 
 # ---------------------------------------------------------------------------

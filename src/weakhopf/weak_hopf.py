@@ -15,8 +15,8 @@ the traciality test.  Only the dual (whose product is the transposed
 coproduct, not a multimatrix product), group algebras (whose table is their
 structure tensor) and subalgebras given by a spanning set go through
 :class:`~weakhopf.decompose.StructureAlgebra`.  The raw dual (``_raw_dual``)
-is split by ``dual_algebra``; ``connectedness`` reads only its centre and
-splits nothing but the two Cartans.
+is split by ``dual_algebra``; ``connectedness`` splits nothing: it reads
+only its centre and the checked ranges of the counital maps (``_cartan_spans``).
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import axioms
-from ._linalg import max_abs, null_space, rel_residual
+from ._linalg import max_abs, null_space, read_only, rel_residual, residual_outside
 from .decompose import StructureAlgebra, center_span, decompose_structure_algebra
 from .errors import InvariantViolation
 from .groups import FiniteGroup
@@ -34,7 +34,8 @@ from .multimatrix import (
     AlgebraElement,
     MultiMatrixAlgebra,
     SubalgebraEmbedding,
-    subalgebra_from_basis,
+    split_span,
+    subalgebra_span,
 )
 from .report import Report
 
@@ -43,17 +44,6 @@ def canonical_involution_matrix(algebra: MultiMatrixAlgebra) -> np.ndarray:
     """The block adjoint as an antilinear matrix: x* = J conj(x)."""
     eye = np.eye(algebra.dim, dtype=complex)
     return algebra.adjoint_vecs(eye).T
-
-
-def _read_only(a) -> np.ndarray:
-    """A read-only complex view of ``a`` (``a`` itself when it already is
-    one): writing through it raises."""
-    a = np.asarray(a, dtype=complex)
-    if not a.flags.writeable:
-        return a
-    view = a.view()
-    view.flags.writeable = False
-    return view
 
 
 def _memo_key(arg):
@@ -85,16 +75,16 @@ class WeakHopfData:
                  involution=None):
         self.algebra = algebra
         d = algebra.dim
-        self.delta = _read_only(delta)
-        self.epsilon = _read_only(epsilon).reshape(-1)
-        self.antipode = _read_only(antipode)
+        self.delta = read_only(delta)
+        self.epsilon = read_only(epsilon).reshape(-1)
+        self.antipode = read_only(antipode)
         if self.delta.shape != (d, d, d) or self.epsilon.shape != (d,) \
                 or self.antipode.shape != (d, d):
             raise InvariantViolation("structure tensor shapes are inconsistent")
         if involution is None:
             self.involution = None
         else:
-            involution = _read_only(involution)
+            involution = read_only(involution)
             if involution.shape != (d, d):
                 raise InvariantViolation("involution matrix has wrong shape")
             self.involution = involution
@@ -240,31 +230,33 @@ def verify_axioms(hopf: WeakHopfData, tol: float = DEFAULT_TOL, seed: int = 0) -
 # ---------------------------------------------------------------------------
 
 
-def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
-                       seed: int = 0) -> CartanPair:
-    """Fixed-point subalgebras of the counital maps, block-decomposed.
-
-    The counital maps are idempotents, so B_t = eps_t(B) is the range of
-    ``target_counital`` (the span of its columns) and B_s that of
-    ``source_counital``.  The decomposition uses the canonical block
-    adjoint; both Cartan images are adjoint-stable for every structure
-    handled here.
-    """
-    rng = np.random.default_rng(seed)
-    target = subalgebra_from_basis(hopf.algebra, hopf.target_counital, rng=rng, tol=tol)
-    source = subalgebra_from_basis(hopf.algebra, hopf.source_counital, rng=rng, tol=tol)
-
-    comm = hopf.algebra.mul_vecs(target.images.T[:, None, :],
-                                 source.images.T[None, :, :]) \
-        - hopf.algebra.mul_vecs(source.images.T[None, :, :],
-                                target.images.T[:, None, :])
+def _cartan_spans(hopf: WeakHopfData, tol: float):
+    """``[(span, structure)]`` (:func:`subalgebra_span`) of B_t and B_s, the
+    ranges of the idempotents ``target_counital`` and ``source_counital``,
+    refused unless both are unital *-subalgebras for the block adjoint, they
+    commute and the antipode maps B_t onto B_s."""
+    alg = hopf.algebra
+    spans = [subalgebra_span(alg, counital, tol)
+             for counital in (hopf.target_counital, hopf.source_counital)]
+    target, source = spans[0][0].T, spans[1][0].T
+    comm = alg.mul_vecs(target[:, None, :], source[None, :, :]) \
+        - alg.mul_vecs(source[None, :, :], target[:, None, :])
     if max_abs(comm) > 100 * tol:
         raise InvariantViolation("Cartan subalgebras do not commute")
     # S is invertible, so S(B_t) inside B_s with equal dimensions is S(B_t) = B_s
-    mapped = hopf.antipode @ target.images
-    if target.sub.dim != source.sub.dim or source.outside(mapped.T) > 1e-6:
+    if len(target) != len(source) \
+            or residual_outside(hopf.antipode @ target.T, source.T) > 1e-6:
         raise InvariantViolation("antipode does not exchange the Cartan subalgebras")
-    return CartanPair(target, source)
+    return spans
+
+
+def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
+                       seed: int = 0) -> CartanPair:
+    """Fixed-point subalgebras of the counital maps, checked by
+    :func:`_cartan_spans` and block-decomposed."""
+    rng = np.random.default_rng(seed)
+    return CartanPair(*(split_span(hopf.algebra, span, structure, rng=rng, tol=tol)
+                        for span, structure in _cartan_spans(hopf, tol)))
 
 
 def _solve_unique(mat: np.ndarray, rhs: np.ndarray, tol: float,
@@ -393,7 +385,9 @@ def connectedness(hopf: WeakHopfData, tol: float = DEFAULT_TOL, seed: int = 0):
     scalars only, and the dual's B_t meets its center in the scalars only
     (dual connected).
 
-    The dual is read off the raw coproduct, with no block split.  Over the
+    Nothing is split: B_t and B_s are the checked ranges of the counital
+    maps (:func:`_cartan_spans`), and B_t meets B_s in the fixed points of
+    eps_s in any basis of B_t.  The dual is read off the raw coproduct.  Over the
     dual basis u^p its product is the transposed coproduct (``_raw_dual``),
     so its centre is the commutant span ``center_span`` of that structure.
     Its unit is eps and its coproduct the transposed product, so
@@ -406,9 +400,9 @@ def connectedness(hopf: WeakHopfData, tol: float = DEFAULT_TOL, seed: int = 0):
     centre and conjugates eps^_t; the dimension of the fixed points of
     eps^_t in the centre is the one the split dual gives.
     """
-    pair = cartan_subalgebras(hopf, tol, seed)
+    (target, _), _ = _cartan_spans(hopf, tol)
     connected = _fixed_dim(hopf.target_counital, _center_span_of(hopf.algebra)) == 1
-    primal_criterion = _fixed_dim(hopf.source_counital, pair.target.images) == 1
+    primal_criterion = _fixed_dim(hopf.source_counital, target) == 1
 
     dual_center = center_span(_raw_dual(hopf), np.random.default_rng(seed), tol)
     dual_connected = _fixed_dim(hopf.target_counital.T, dual_center) == 1

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakhopf import decompose
-from weakhopf._linalg import cluster_values, rel_residual
+from weakhopf._linalg import rel_residual
 from weakhopf.decompose import (
     StructureAlgebra,
     _Retry,
@@ -15,8 +16,14 @@ from weakhopf.decompose import (
     decompose_structure_algebra,
 )
 from weakhopf.errors import InvariantViolation
+from weakhopf.groups import symmetric
 from weakhopf.multimatrix import MultiMatrixAlgebra
-from weakhopf.weak_hopf import canonical_involution_matrix
+from weakhopf.weak_hopf import (
+    canonical_involution_matrix,
+    dual_algebra,
+    group_algebra,
+    pair_groupoid,
+)
 
 
 def random_complex(rng, *shape):
@@ -104,38 +111,53 @@ def test_block_sizes_read_off_the_regular_trace(ones, larger, seed):
     assert sorted(found.blocks) == sorted(blocks)
 
 
-def test_one_by_one_blocks_take_no_corner(monkeypatch):
-    def no_corner(*args, **kwargs):
-        raise AssertionError("corner of a 1x1 block")
+def test_a_split_takes_one_eigh_and_no_svd(monkeypatch):
+    # beyond the eigh of _orthonormalize, one eigh of K = L_h + c R_h
+    multi, _ = canonical_structure([2, 1, 2])
+    rng = np.random.default_rng(12)
+    unitary, _ = np.linalg.qr(random_complex(rng, multi.dim, multi.dim))
+    presentation = presented(multi, unitary)
+    calls = Counter()
 
-    monkeypatch.setattr(decompose, "orthonormal_columns", no_corner)
-    found, _ = decompose_structure_algebra(canonical_structure([1, 1, 1])[1])
-    assert found.blocks == (1, 1, 1)
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    found, _ = decompose_structure_algebra(presentation, rng=rng)
+    assert found.blocks == (2, 2, 1)  # largest first
+    assert calls == {"eigh": 2}
 
 
-def test_a_non_square_block_trace_is_retried(monkeypatch):
-    # the central projections of blocks 1 and 2 merged into one of regular
-    # trace 1 + 4 = 5, the other left zero so that count and sum still hold
-    spectral = decompose._spectral_projections
-
-    def merged(on, h):
-        reps, projs = spectral(on, h)
-        if len(projs) != 2:
-            return reps, projs
-        return reps, [projs[0] + projs[1], np.zeros_like(projs[1])]
-
-    def no_corner(*args, **kwargs):
-        raise AssertionError("corner of a projection with a non-square trace")
-
+def test_a_degenerate_draw_is_retried(monkeypatch):
+    # over the canonical units of C + M_2, h = f + diag(1, 3) gives K the
+    # eigenvalues (1 + c), (1 + c), 3 (1 + c), 1 + 3 c and 3 + c: two equal
     multi, algebra = canonical_structure([1, 2])
-    center = np.stack([multi.block_identity(a).vec for a in range(2)], axis=1)
-    monkeypatch.setattr(decompose, "_spectral_projections", merged)
-    monkeypatch.setattr(decompose, "orthonormal_columns", no_corner)
+    h = np.array([1, 1, 0, 0, 3], dtype=complex)
+    monkeypatch.setattr(decompose, "_random_self_adjoint", lambda on, rng: h)
     with pytest.raises(_Retry):
-        _split(algebra, center, np.random.default_rng(0))
+        _split(algebra, np.random.default_rng(0))
+    # every draw the unit, on which K is (1 + c) times the identity
+    monkeypatch.setattr(decompose, "_random_self_adjoint", lambda on, rng: on.unit)
     with pytest.raises(InvariantViolation,
                        match="failed to split algebra into matrix blocks"):
         decompose_structure_algebra(algebra)
+
+
+@pytest.mark.parametrize("name", ["group_s4", "dual_s4", "dual_pair_groupoid4"])
+def test_fifty_seeds_split_within_the_retry_budget(name):
+    s4 = group_algebra(symmetric(4))
+    split = {"group_s4": lambda seed: group_algebra(symmetric(4), seed=seed),
+             "dual_s4": lambda seed: dual_algebra(s4, seed=seed).hopf,
+             "dual_pair_groupoid4": lambda seed: dual_algebra(pair_groupoid(4),
+                                                              seed=seed).hopf}[name]
+    blocks = {split(seed).algebra.blocks for seed in range(50)}
+    assert blocks == {split(0).algebra.blocks}
 
 
 def test_verify_units_accepts_the_canonical_units():
@@ -195,27 +217,3 @@ def test_verify_units_refuses_each_fault_of_a_fresh_split(fault, message):
     fault(found, change)
     with pytest.raises(InvariantViolation, match=message):
         _verify_units(presentation, found, change)
-
-
-def loop_clusters(values, gap):
-    """Reference for ``cluster_values``: each sorted value joins the cluster
-    of the one before it when it lies within ``gap`` of it."""
-    values = np.asarray(values, dtype=float)
-    clusters = []
-    for idx in np.argsort(values):
-        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return [np.array(c, dtype=int) for c in clusters]
-
-
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 1e-7, -1e-7]),
-                          st.floats(allow_nan=True, allow_infinity=True)), max_size=12),
-       st.one_of(st.just(0.0), st.floats(0, 2)))
-def test_cluster_values_splits_where_the_loop_does(values, gap):
-    got, want = cluster_values(values, gap), loop_clusters(values, gap)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)

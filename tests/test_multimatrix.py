@@ -788,3 +788,25 @@ def test_recognized_subalgebra_roundtrip(sizes):
 
 def test_null_space_of_zero_matrix_is_full():
     assert null_space(np.zeros((4, 3))).shape[1] == 3
+
+
+def test_an_embedding_is_checked_once(get_tower, monkeypatch):
+    rel_b = get_tower("z3").rel_b
+    emb = SubalgebraEmbedding(rel_b.sub, rel_b.ambient, rel_b.images)
+    first = emb.residuals()
+    with pytest.raises(ValueError, match="read-only"):
+        emb.images[0, 0] += 1.0
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("a product in a second check")
+
+    for kernel in ("mul_vecs", "matmul_vecs", "pairwise_mul"):
+        monkeypatch.setattr(MultiMatrixAlgebra, kernel, no_product)
+    assert emb.residuals() == first and emb.verify() == max(first.values())
+    monkeypatch.undo()
+    images = emb.images.copy()
+    images[:, 1] *= 2.0
+    bent = SubalgebraEmbedding(emb.sub, emb.ambient, images)
+    with pytest.raises(InvariantViolation, match="not a subalgebra"):
+        bent.require_valid()
+    assert emb.verify() < 1e-12

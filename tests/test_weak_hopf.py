@@ -109,6 +109,37 @@ def test_cartan_exchange_fails_when_the_antipode_fixes_them(get_reconstruction):
         cartan_subalgebras(hopf.copy_with(antipode=np.eye(hopf.dim)))
 
 
+def _onto(*vectors):
+    """The orthogonal projection onto the span of ``vectors`` (orthogonal
+    to each other), an idempotent map with that range."""
+    return sum(np.outer(v, v.conj()) / np.vdot(v, v) for v in np.array(vectors, dtype=complex))
+
+
+@pytest.mark.parametrize("counital,range_,message", [
+    # the range of eps_s is span{1, e_01 + e_10}, which the diagonal B_t
+    # does not commute with
+    ("source_counital", [(1, 0, 0, 1), (0, 1, 1, 0)], "Cartan subalgebras do not commute"),
+    ("target_counital", [(1, 0, 0, 1), (0, 1, 0, 0)], "not a subalgebra"),
+    ("target_counital", [(1, 0, 0, 0)], "subspace does not contain the unit"),
+], ids=["commute", "adjoint", "unit"])
+def test_connectedness_and_the_cartans_share_each_refusal(counital, range_, message):
+    # pair_groupoid(2) with one counital map replaced by a projection
+    # onto another range
+    fake = pair_groupoid(2).copy_with()
+    setattr(fake, counital, _onto(*range_))
+    for check in (cartan_subalgebras, connectedness):
+        with pytest.raises(InvariantViolation, match=message):
+            check(fake)
+
+
+def test_connectedness_refuses_a_cartan_exchange_fault(get_reconstruction):
+    hopf = get_reconstruction("z2").on_b.hopf
+    hopf = hopf.copy_with(antipode=np.eye(hopf.dim))
+    with pytest.raises(InvariantViolation,
+                       match="antipode does not exchange the Cartan subalgebras"):
+        connectedness(hopf)
+
+
 @pytest.mark.parametrize("hopf", [pair_groupoid(3), group_algebra(cyclic(3))],
                          ids=["pg3", "cyclic3"])
 def test_cartan_membership_characterization(hopf):
