@@ -23,6 +23,23 @@ nonzero, with a result bit-identical to a sweep over every entry.
 ``box_slabs`` carries this from the contracted index to the output axes: a
 sweep whose rows mark where each output axis can be nonzero builds both
 sides only on boxes of those marks.
+
+Factorizations skip exact zeros too (:class:`SupportSVD`, behind
+``numeric_rank`` and ``null_space``).  Join row i and column j when
+mat[i, j] is nonzero; the connected components of that bipartite graph
+(the coarse Dulmage-Mendelsohn decomposition, Pothen and Fan, ACM TOMS 16,
+1990) split the matrix into blocks, with every other entry an exact zero.
+Proof that each block is factored alone: permuting rows and columns,
+P mat Q = diag(B_1, ..., B_k, 0), where the trailing zero block holds the
+zero rows and columns.  If B_c = U_c S_c V_c* then P mat Q =
+diag(U_c) diag(S_c) diag(V_c)* with diag(U_c) and diag(V_c) unitary, so the
+singular values of mat are the union of those of the B_c, plus zeros; its
+kernel is the direct sum of the kernels of the B_c (on their columns) and
+the unit vectors of the zero columns, as x lies in it iff B_c x_c = 0 for
+every c; and its pseudo-inverse is Q diag(B_c^+, 0) P, whose defining
+Penrose equations hold block by block.  No threshold decides what counts
+as zero, and a rank cutoff stays relative to the largest singular value
+over all blocks, so every rank decision is the dense one.
 """
 
 import math
@@ -175,6 +192,167 @@ def _finite(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _column_roots(rows: np.ndarray, cols: np.ndarray, n: int):
+    """``(col_root, row_root)``: the connected components of the n columns
+    of a nonzero pattern given by its entries ``(rows, cols)`` in row-major
+    order, two columns being joined when a row holds both.  Each column
+    gets the least column of its component (a column with no entry keeps
+    its own index), and each row holding an entry the root of its columns.
+    Every round hooks the root of each column of a row onto the least root
+    in that row and then jumps pointers until every column points at a
+    root: a few whole-array passes per round, and no loop over rows,
+    columns or components."""
+    first = np.ones(len(rows), dtype=bool)  # the first entry of each row
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    starts, of_row = np.flatnonzero(first), np.cumsum(first) - 1
+    label = np.arange(n)
+    while True:
+        at = label[cols]
+        low = np.minimum.reduceat(at, starts)
+        spread = low[of_row]
+        if (at == spread).all():
+            return label, low
+        np.minimum.at(label, at, spread)
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+
+
+def _component_indices(rows: np.ndarray, cols: np.ndarray, shape):
+    """``(groups, zero_cols)`` for :class:`SupportSVD`: the connected
+    components of the nonzero pattern with entries ``(rows, cols)`` (in
+    row-major order) of an array of ``shape``, grouped by shape, each group
+    a pair of index arrays (k, r) and (k, c) holding the ascending rows and
+    columns of its k components of shape (r, c), and the columns that hold
+    no nonzero.  A pattern with a row or column that meets every nonzero
+    column or row is one component and is not labelled."""
+    m, n = shape
+    per_row, per_col = np.bincount(rows, minlength=m), np.bincount(cols, minlength=n)
+    live_rows, live_cols = np.flatnonzero(per_row), np.flatnonzero(per_col)
+    zero_cols = np.flatnonzero(per_col == 0)
+    if not len(live_rows):
+        return [], zero_cols
+    if per_row.max() == len(live_cols) or per_col.max() == len(live_rows):
+        return [(live_rows[None], live_cols[None])], zero_cols
+    col_root, row_root = _column_roots(rows, cols, n)
+    # components numbered by their least column
+    number = np.cumsum((col_root == np.arange(n)) & (per_col > 0)) - 1
+    row_comp, col_comp = number[row_root], number[col_root[live_cols]]
+    heights, widths = np.bincount(row_comp), np.bincount(col_comp)
+    # rows (columns) sorted by component, ascending within each
+    row_order = live_rows[np.argsort(row_comp, kind="stable")]
+    col_order = live_cols[np.argsort(col_comp, kind="stable")]
+    row_start, col_start = np.cumsum(heights) - heights, np.cumsum(widths) - widths
+    shape = heights * (n + 1) + widths
+    by_shape = np.argsort(shape, kind="stable")
+    groups = []
+    for comps in np.split(by_shape, np.flatnonzero(np.diff(shape[by_shape])) + 1):
+        groups.append((row_order[row_start[comps][:, None] + np.arange(heights[comps[0]])],
+                       col_order[col_start[comps][:, None] + np.arange(widths[comps[0]])]))
+    return groups, zero_cols
+
+
+class SupportSVD:
+    """Singular value decomposition of a matrix, one connected component of
+    its nonzero pattern at a time.
+
+    If the rows and columns of ``mat`` can be permuted to make it block
+    diagonal, its singular values are the union of the blocks' singular
+    values, its kernel is the sum of the blocks' kernels plus the unit
+    vectors of its zero columns, and its pseudo-inverse is the block-wise
+    one (module docstring).  The blocks are the components of the bipartite
+    graph whose edges are the nonzero entries (the coarse Dulmage-Mendelsohn
+    decomposition); zero rows belong to none.  Components of one shape are
+    factored in one batched LAPACK call, and a 1 x 1 component a is read in
+    closed form: singular value |a|, phase a/|a|.  A matrix of one component
+    is factored whole, gathered only when it has a zero row or column.
+
+    Every cutoff passed in is absolute; callers take it relative to
+    :attr:`top`, the largest singular value over all components, so a rank
+    decision is the one a dense SVD makes.  ``compute_uv=False`` keeps only
+    the singular values (:meth:`rank` and :attr:`top`).  An inf or NaN
+    raises ``LinAlgError``."""
+
+    def __init__(self, mat: np.ndarray, compute_uv: bool = True):
+        mat = np.asarray(mat, dtype=complex)
+        self.shape = mat.shape
+        # an inf or a NaN is nonzero, so it is among the entries read here
+        rows, cols = np.divmod(np.flatnonzero(mat.astype(bool)), mat.shape[1])
+        _finite(mat[rows, cols])
+        groups, self.zero_cols = _component_indices(rows, cols, mat.shape)
+        self.parts = []  # (rows, cols, u, s, vh), stacked over the group
+        for rows, cols in groups:
+            k, r = rows.shape
+            c = cols.shape[1]
+            if (r, c) == self.shape:
+                blocks = mat[None]
+            else:
+                blocks = mat[rows[:, :, None], cols[:, None, :]]
+            if r == c == 1:
+                s = np.abs(blocks[:, 0])
+                u, vh = blocks / s[:, :, None], np.ones_like(blocks)
+            elif compute_uv:
+                u, s, vh = np.linalg.svd(blocks, full_matrices=r < c)
+            else:
+                u, s, vh = None, np.linalg.svd(blocks, compute_uv=False), None
+            self.parts.append((rows, cols, u, s, vh))
+        self.top = max((float(s[:, 0].max()) for *_, s, _ in self.parts), default=0.0)
+
+    def rank(self, cutoff: float) -> int:
+        """Number of singular values above ``cutoff``."""
+        return sum(int(np.count_nonzero(s > cutoff)) for *_, s, _ in self.parts)
+
+    def kernel(self, cutoff: float) -> np.ndarray:
+        """Orthonormal columns spanning the right singular vectors whose
+        singular value is at most ``cutoff`` (zero past the last one), and
+        the unit vectors of the zero columns: per component, the rows of its
+        full right factor past its rank, conjugated and placed on its
+        columns.  The columns have disjoint supports across components."""
+        n = self.shape[1]
+        pieces = [np.eye(n, dtype=complex)[:, self.zero_cols]]
+        for _, cols, _, s, vh in self.parts:
+            c = cols.shape[1]
+            live = np.zeros((len(cols), c), dtype=bool)
+            live[:, :s.shape[1]] = s > cutoff
+            comp, row = np.nonzero(~live)
+            piece = np.zeros((n, len(comp)), dtype=complex)
+            piece[cols[comp], np.arange(len(comp))[:, None]] = vh[comp, row].conj()
+            pieces.append(piece)
+        return np.concatenate(pieces, axis=1)
+
+    def _inverses(self, cutoff: float):
+        """``(rows, cols, inverse)`` per group: the (k, c, r) pseudo-inverses
+        V S^-1 U* of its components over the singular values above
+        ``cutoff``."""
+        for rows, cols, u, s, vh in self.parts:
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+            yield rows, cols, (vh[:, :s.shape[1]].conj().transpose(0, 2, 1) * inv[:, None, :]) \
+                @ u.conj().transpose(0, 2, 1)
+
+    def pinv(self, cutoff: float) -> np.ndarray:
+        """The (n, m) pseudo-inverse over the singular values above
+        ``cutoff``: each component's on its columns and rows, zero
+        elsewhere."""
+        out = np.zeros(self.shape[::-1], dtype=complex)
+        for rows, cols, inverse in self._inverses(cutoff):
+            out[cols[:, :, None], rows[:, None, :]] = inverse
+        return out
+
+    def solve(self, rhs: np.ndarray, cutoff: float) -> np.ndarray:
+        """The least-norm least-squares solution of ``mat x = rhs`` over the
+        singular values above ``cutoff`` (``rhs`` of shape (m,) or (m, q)):
+        :meth:`pinv` applied component by component, with 0 on the zero
+        columns."""
+        rhs = np.asarray(rhs, dtype=complex)
+        out = np.zeros((self.shape[1],) + rhs.shape[1:], dtype=complex)
+        for rows, cols, inverse in self._inverses(cutoff):
+            out[cols] = (inverse @ rhs[rows].reshape(rows.shape + (-1,))).reshape(
+                cols.shape + rhs.shape[1:])
+        return out
+
+
 def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (as columns) of the column span of ``vectors``."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
@@ -189,18 +367,15 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def null_space(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``mat``: the right
-    singular vectors past the numerical rank, from the full right factor
-    when ``mat`` is wide.
+    singular vectors past the numerical rank, from the full right factor of
+    each support component (:class:`SupportSVD`), and the unit vectors of
+    the zero columns.
 
     The cutoff is floored at ``tol`` itself so an (almost) zero matrix has a
     full kernel; callers build these matrices from O(1)-normalized data.
     """
-    mat = _finite(np.asarray(mat, dtype=complex))
-    m, n = mat.shape
-    _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
-    cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:, :].conj().T
+    svd = SupportSVD(mat)
+    return svd.kernel(tol * max(svd.top, 1.0))
 
 
 def support(a: np.ndarray, *axes: int) -> list[np.ndarray]:
@@ -230,17 +405,10 @@ def support_matmul(a: np.ndarray, b: np.ndarray, finite: bool):
 
 
 def numeric_rank(mat: np.ndarray, tol: float = 1e-10) -> int:
-    """Number of singular values above ``tol`` times the largest.  The SVD
-    sees only the rows and columns holding a nonzero entry: deleting zero
-    rows and columns leaves the nonzero singular values unchanged."""
-    mat = _finite(np.asarray(mat, dtype=complex))
-    if mat.size == 0:
-        return 0
-    mat = mat[np.ix_(*support(mat, 0, 1))]
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(s > tol * s[0]))
+    """Number of singular values above ``tol`` times the largest, read one
+    support component at a time (:class:`SupportSVD`)."""
+    svd = SupportSVD(mat, compute_uv=False)
+    return svd.rank(tol * svd.top)
 
 
 def residual_outside(vectors: np.ndarray, q: np.ndarray) -> float:

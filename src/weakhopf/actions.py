@@ -10,6 +10,7 @@ import numpy as np
 
 from . import axioms
 from ._linalg import (
+    SupportSVD,
     box_slabs,
     null_space,
     numeric_rank,
@@ -342,19 +343,22 @@ def crossed_product(action: ActionData, *, rng=None,
     _check_relators(action, cartan, classes, tol)
 
     commutant, coords = _commutant_coords(action, classes, rng, tol)
-    u, sv, vh = np.linalg.svd(coords.T)
-    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    # the coordinates are monomial on the tower path: one SVD per support
+    # component, most of them 1 x 1
+    svd = SupportSVD(coords.T)
+    cutoff = 1e-8 * svd.top
+    rank = svd.rank(cutoff)
     if rank < commutant.dim:
         raise InvariantViolation("crossed product does not fill the commutant "
                                  "of the fixed points")
-    # least-norm preimages of the block units, from the factors of the SVD;
-    # at full rank they are the inverse of the coordinates
-    preimages = (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
+    # least-norm preimages of the block units, the pseudo-inverse of the
+    # coordinates; at full rank they are their inverse
+    preimages = svd.pinv(cutoff)
     ideal_star = 0.0
     if rank == classes.dim:
         algebra, block_coords, unit_classes = commutant, coords.T, preimages
     else:
-        kernel = vh[rank:].conj().T
+        kernel = svd.kernel(cutoff)
         ideal, ideal_units, ideal_unit = _kernel_ideal(action, classes, kernel, rng, tol)
         by_unit = _left_products(action, ideal_unit)
         # into the complementary ideal (1 - e) X; see the docstring

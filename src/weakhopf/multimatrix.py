@@ -5,7 +5,7 @@ are kept as flat coefficient vectors over the canonical matrix-unit basis, so
 linear maps between algebras are ordinary matrices.
 
 Products of elements have one home, the block kernels of
-:class:`MultiMatrixAlgebra`: ``mul_vecs`` (broadcast products),
+:class:`MultiMatrixAlgebra`: ``mul_vecs`` (elementwise products of stacks),
 ``matmul_vecs`` (matrices of elements, with ``pairwise_mul`` as its all-pairs
 case, and ``matmuls``/``pairwise_mul_slabs`` for slabs against one fixed
 right factor) and the left/right multiplication matrices.  They multiply
@@ -196,7 +196,11 @@ class MultiMatrixAlgebra:
         return runs
 
     def mul_vecs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product of (broadcast) stacks of coefficient vectors."""
+        """Elementwise products of two stacks of coefficient vectors, u[i] v[i]
+        with numpy broadcasting (one element against a stack, say).  All-pairs
+        products u[i] v[j] go through :meth:`pairwise_mul`, which skips the
+        exact zeros of its left factor; a broadcast all-pairs product here
+        would multiply every zero."""
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
         shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
@@ -401,44 +405,61 @@ class MultiMatrixAlgebra:
           ``weak_hopf.haar_projection``.
         """
         eye = np.eye(self.dim, dtype=complex)
-        return self.mul_vecs(eye[:, None, :], eye[None, :, :])
+        return self.pairwise_mul(eye, eye)
 
     # -- spectral helpers (canonical adjoint) -------------------------------
 
     def hermitian_residual(self, vec: np.ndarray) -> float:
         return rel_residual(vec, self.adjoint_vecs(vec))
 
-    def eigh_blocks(self, vec: np.ndarray):
-        return [np.linalg.eigh(mat) for mat in self.block_views(vec)]
+    def eigh_runs(self, vec: np.ndarray):
+        """``(sl, vals, vecs)`` per run of equal blocks: the eigenvalues
+        (r, m) and eigenvectors (r, m, m) of the r blocks of the self-adjoint
+        element ``vec`` in one batched ``eigh``.  A 1 x 1 block a has the
+        eigenvalue Re a and the eigenvector 1, which ``eigh`` also returns
+        (it reads only the real part of the diagonal)."""
+        vec = np.asarray(vec, dtype=complex)
+        for sl, m, r in self._runs:
+            if m == 1:
+                yield sl, vec[sl].real.reshape(r, 1), np.ones((r, 1, 1), dtype=complex)
+            else:
+                yield (sl, *np.linalg.eigh(vec[sl].reshape(r, m, m)))
 
     def apply_spectral(self, vec: np.ndarray, fun) -> np.ndarray:
-        parts = []
-        for vals, vecs in self.eigh_blocks(vec):
-            parts.append((vecs * fun(vals)) @ vecs.conj().T)
-        return self.from_blocks(parts).vec
+        out = np.empty(self.dim, dtype=complex)
+        for sl, vals, vecs in self.eigh_runs(vec):
+            out[sl] = ((vecs * fun(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)).reshape(-1)
+        return out
+
+    def _lowest_eigenvalue(self, vec: np.ndarray) -> float:
+        return min(float(vals.min()) for _, vals, _ in self.eigh_runs(vec))
 
     def positive_residual(self, vec: np.ndarray) -> float:
         """Distance from being a positive semi-definite element (relative)."""
         herm = self.hermitian_residual(vec)
-        worst = 0.0
-        for vals, _ in self.eigh_blocks(vec):
-            if vals.size:
-                worst = max(worst, float(-np.min(vals)))
+        worst = max(0.0, -self._lowest_eigenvalue(vec))
         return max(herm, worst / max(max_abs(vec), 1.0))
 
     def inverse_vec(self, vec: np.ndarray) -> np.ndarray:
-        """Inverse of an element, block by block."""
-        try:
-            return self.from_blocks(
-                [np.linalg.inv(mat) for mat in self.block_views(vec)]).vec
-        except np.linalg.LinAlgError as exc:
-            raise InvariantViolation("element is not invertible") from exc
+        """Inverse of an element: one batched ``inv`` per run of equal
+        blocks, and 1 / a on a run of 1 x 1 blocks."""
+        vec = np.asarray(vec, dtype=complex)
+        out = np.empty(self.dim, dtype=complex)
+        for sl, m, r in self._runs:
+            if m == 1:
+                if not vec[sl].all():
+                    raise InvariantViolation("element is not invertible")
+                out[sl] = 1.0 / vec[sl]
+                continue
+            try:
+                out[sl] = np.linalg.inv(vec[sl].reshape(r, m, m)).reshape(-1)
+            except np.linalg.LinAlgError as exc:
+                raise InvariantViolation("element is not invertible") from exc
+        return out
 
     def sqrt_posdef_vec(self, vec: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        scale = max(max_abs(vec), 1.0)
-        for vals, _ in self.eigh_blocks(vec):
-            if np.min(vals) <= tol * scale:
-                raise InvariantViolation("element is not positive definite")
+        if self._lowest_eigenvalue(vec) <= tol * max(max_abs(vec), 1.0):
+            raise InvariantViolation("element is not positive definite")
         return self.apply_spectral(vec, np.sqrt)
 
 

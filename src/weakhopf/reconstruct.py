@@ -289,8 +289,8 @@ def _mixed_exchange_residual(tower: TowerData, sa_img: np.ndarray,
     gather = a_sub.product_index[a_sub.adjoint_index]
 
     def pairs():
-        for sl in slabs(a_sub.dim, a_sub.dim * alg.dim):
-            sv = alg.mul_vecs(sa_img.T[sl, None, :], ve1[None, :, :])
+        rows = slabs(a_sub.dim, a_sub.dim * alg.dim)
+        for sl, sv in zip(rows, alg.pairwise_mul_slabs(sa_img.T, ve1, rows)):
             lhs = (1 / tower.lam) * tower.expect_mid_commutant.apply_vec(
                 sv.reshape(-1, alg.dim)).reshape(sv.shape)
             yield lhs, take_units(v_amb.T, gather[sl])
@@ -481,18 +481,19 @@ def _delta_unit_residual(tower: TowerData, rec: ReconstructedStructure) -> float
 def _tensor_positive_residual(left: MultiMatrixAlgebra, right: MultiMatrixAlgebra,
                               coeffs: np.ndarray) -> float:
     """Positivity of sum coeffs[i,j] u_i (x) u_j in the tensor-product
-    multimatrix algebra, by block eigenvalues."""
+    multimatrix algebra, by block eigenvalues: one batched ``eigvalsh`` per
+    pair of runs of equal blocks, and the real part on 1 x 1 blocks."""
     worst = 0.0
     scale = max(max_abs(coeffs), 1.0)
-    for a, m in enumerate(left.blocks):
-        for b, n in enumerate(right.blocks):
+    for lsl, m, r in left._runs:
+        for rsl, n, q in right._runs:
             # e_kl (x) e_pq is the matrix unit ((k, p), (l, q)) of block (a, b)
-            block = coeffs[left.block_slice(a), right.block_slice(b)].reshape(
-                m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
-            herm = max_abs(block - block.conj().T) / scale
-            if block.size:
-                low = float(-np.min(np.linalg.eigvalsh(0.5 * (block + block.conj().T))))
-                worst = max(worst, herm, low / scale)
+            blocks = coeffs[lsl, rsl].reshape(r, m, m, q, n, n).transpose(
+                0, 3, 1, 4, 2, 5).reshape(r * q, m * n, m * n)
+            adj = blocks.conj().transpose(0, 2, 1)
+            half = 0.5 * (blocks + adj)
+            low = -(half.real.min() if m * n == 1 else np.linalg.eigvalsh(half).min())
+            worst = max(worst, max_abs(blocks - adj) / scale, float(low) / scale)
     return worst
 
 

@@ -247,7 +247,6 @@ def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:
     cartan, source = tower.cartan_target.images.T, tower.cartan_source.images.T
     rep.add("shared Cartan inside A", tower.rel_a.outside(cartan), ref="chain")
     rep.add("shared Cartan inside B", tower.rel_b.outside(cartan), ref="chain")
-    comm = alg.mul_vecs(cartan[:, None, :], source[None, :, :]) \
-        - alg.mul_vecs(source[None, :, :], cartan[:, None, :])
+    comm = alg.pairwise_mul(cartan, source) - alg.pairwise_mul(source, cartan).transpose(1, 0, 2)
     rep.add("Cartan subalgebras commute", max_abs(comm), ref="chain")
     return rep

@@ -25,7 +25,14 @@ from functools import cached_property
 import numpy as np
 
 from . import axioms
-from ._linalg import max_abs, null_space, read_only, rel_residual, residual_outside
+from ._linalg import (
+    SupportSVD,
+    max_abs,
+    null_space,
+    read_only,
+    rel_residual,
+    residual_outside,
+)
 from .decompose import StructureAlgebra, center_span, decompose_structure_algebra
 from .errors import InvariantViolation
 from .groups import FiniteGroup
@@ -239,8 +246,7 @@ def _cartan_spans(hopf: WeakHopfData, tol: float):
     spans = [subalgebra_span(alg, counital, tol)
              for counital in (hopf.target_counital, hopf.source_counital)]
     target, source = spans[0][0].T, spans[1][0].T
-    comm = alg.mul_vecs(target[:, None, :], source[None, :, :]) \
-        - alg.mul_vecs(source[None, :, :], target[:, None, :])
+    comm = alg.pairwise_mul(target, source) - alg.pairwise_mul(source, target).transpose(1, 0, 2)
     if max_abs(comm) > 100 * tol:
         raise InvariantViolation("Cartan subalgebras do not commute")
     # S is invertible, so S(B_t) inside B_s with equal dimensions is S(B_t) = B_s
@@ -262,13 +268,15 @@ def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
 def _solve_unique(mat: np.ndarray, rhs: np.ndarray, tol: float,
                   message: str) -> np.ndarray:
     """The solution of an overdetermined system that must have exactly one:
-    one SVD gives both the rank test (smallest singular value above 1e-9 of
-    the largest) and the least-squares solution, which must then satisfy the
+    one SVD, taken per support component (:class:`SupportSVD`), gives both
+    the rank test (every singular value above 1e-9 of the largest, one per
+    column) and the least-squares solution, which must then satisfy the
     system.  Either failure raises ``message``."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s[-1] <= 1e-9 * s[0]:
+    svd = SupportSVD(mat)
+    cutoff = 1e-9 * svd.top
+    if svd.rank(cutoff) < mat.shape[1]:
         raise InvariantViolation(message)
-    sol = vh.conj().T @ ((u.conj().T @ rhs) / s)
+    sol = svd.solve(rhs, cutoff)
     if rel_residual(mat @ sol, rhs) > 100 * tol:
         raise InvariantViolation(message)
     return sol

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weakhopf import _linalg, actions, axioms, decompose
-from weakhopf._linalg import null_space, rel_residual
+from weakhopf._linalg import SupportSVD, null_space, orthonormal_columns, rel_residual
 from weakhopf.actions import (
     ActionData,
     _left_products,
@@ -271,6 +271,41 @@ def test_non_galois_crossed_product_in_skewed_units(skew):
     crossed = crossed_product(action)
     assert crossed.algebra.blocks == (3, 3)
     assert crossed.carrier_embedding.verify() < 1e-12
+
+
+def dense_class_factors(coords):
+    """The least-norm preimages of the commutant units and the kernel of
+    the class coordinates from one dense SVD of the whole (commutant,
+    classes) matrix, the reference for the per-component factorization."""
+    u, sv, vh = np.linalg.svd(coords.T)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    return (vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T, vh[rank:].conj().T
+
+
+@pytest.mark.parametrize("skew", [0.0, 0.5])
+def test_skewed_class_coordinates_factor_like_their_dense_svd(skew):
+    # the coordinates of the non-Galois C[S3] action fall into three wide
+    # 3 x 6 support components, each with a kernel; the crossed product
+    # keeps its blocks, and its commutant projection (the preimages) and
+    # ideal projection (the kernel) are the dense ones
+    action = skewed_permutation_action(skew)
+    rng = np.random.default_rng(0)
+    cartan = actions._spanned(action.hopf.algebra, action.hopf.target_counital,
+                              action.cartan, "target Cartan", rng, TOL)
+    classes = actions._class_basis(action, cartan)
+    _, coords = actions._commutant_coords(action, classes, rng, TOL)
+    svd = SupportSVD(coords.T)
+    assert [rows.shape for rows, *_ in svd.parts] == [(3, 3)]
+    cutoff = 1e-8 * svd.top
+    preimages, kernel = dense_class_factors(coords)
+    assert np.abs(svd.pinv(cutoff) - preimages).max() <= 1e-12
+    ideal = svd.kernel(cutoff)
+    assert np.abs(ideal @ ideal.conj().T - kernel @ kernel.conj().T).max() <= 1e-12
+    crossed = crossed_product(action)
+    assert sorted(crossed.algebra.blocks) == [3, 3]
+    # the units of the kernel ideal span the dense kernel
+    units = orthonormal_columns(crossed.unit_classes[:, preimages.shape[1]:])
+    assert np.abs(units @ units.conj().T - kernel @ kernel.conj().T).max() <= 1e-12
 
 
 def star_reference(action, u):

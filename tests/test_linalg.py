@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from weakhopf import _linalg
 from weakhopf._linalg import (
+    SupportSVD,
     condition_number,
     null_space,
     numeric_rank,
@@ -184,3 +185,146 @@ def test_null_space_has_the_kernel_dimension_of_matrix_rank(m, n, r, kind, seed)
     assert ker.shape == (n, n - np.linalg.matrix_rank(mat))
     assert np.allclose(ker.conj().T @ ker, np.eye(ker.shape[1]), atol=1e-12)
     assert np.abs(mat @ ker).max(initial=0.0) < 1e-10 * max(np.abs(mat).max(initial=0.0), 1.0)
+
+
+# -- factorizations over support components ----------------------------------
+
+CUT_TOL = 1e-6  # cutoff relative to the largest singular value
+TOP = 10.0  # the largest singular value when a near-cutoff block is drawn
+
+
+def dense_kernel(mat, cutoff):
+    """The kernel the dense SVD gives (the full right factor of a wide
+    matrix), past the singular values above ``cutoff``."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    return vh[int(np.sum(s > cutoff)):].conj().T
+
+
+def draw_block(rng, r, c, kind):
+    """A dense (r, c) block: random with entries about 0.1, of rank one, or
+    with singular values TOP and CUT_TOL * TOP (1 +- 1e-2), straddling the
+    global cutoff inside one component.  Their gap, 2e-7 of TOP, bounds how
+    well either SVD resolves their singular vectors (to about 5e-9), hence
+    the 1e-7 tolerances of :func:`assert_matches_dense`."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "rank1":
+        return 0.1 * gauss(r, 1) @ gauss(1, c)
+    if kind == "random":
+        return 0.1 * gauss(r, c)
+    if kind == "tiny":
+        # below the global cutoff when a near-cutoff block is drawn, far
+        # above a cutoff taken from this component alone
+        q = np.linalg.qr(gauss(max(r, c), min(r, c)))[0]
+        return 0.5 * CUT_TOL * TOP * (q if r >= c else q.T)
+    k = min(r, c)
+    values = [TOP, CUT_TOL * TOP * (1 + 1e-2), CUT_TOL * TOP * (1 - 1e-2)]
+    values = (values + list(rng.uniform(0.1, 1.0, k)))[:k]
+    u = np.linalg.qr(gauss(r, r))[0][:, :k]
+    v = np.linalg.qr(gauss(c, c))[0][:, :k]
+    return (u * values) @ v.conj().T
+
+
+def permuted_blocks(rng, specs, zero_rows, zero_cols):
+    """The blocks of ``specs`` down the diagonal, then zero rows and
+    columns, with rows and columns shuffled."""
+    blocks = [draw_block(rng, r, c, kind) for r, c, kind in specs]
+    m = sum(b.shape[0] for b in blocks) + zero_rows
+    n = sum(b.shape[1] for b in blocks) + zero_cols
+    mat = np.zeros((m, n), dtype=complex)
+    i = j = 0
+    for b in blocks:
+        mat[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return mat[rng.permutation(m)][:, rng.permutation(n)]
+
+
+def assert_matches_dense(mat, rng):
+    """Rank, kernel, pseudo-inverse and least-squares solution of
+    :class:`SupportSVD` against one dense SVD, at the cutoff CUT_TOL of the
+    largest singular value, and the two public wrappers likewise."""
+    m, n = mat.shape
+    s = np.linalg.svd(mat, compute_uv=False)
+    top = float(s[0]) if s.size else 0.0
+    cutoff = CUT_TOL * top
+    rank = int(np.sum(s > cutoff))
+    svd = SupportSVD(mat)
+    assert abs(svd.top - top) <= 1e-12 * max(top, 1.0)
+    assert svd.rank(cutoff) == rank == SupportSVD(mat, compute_uv=False).rank(cutoff)
+    assert numeric_rank(mat, CUT_TOL) == rank
+    ker = svd.kernel(cutoff)
+    assert ker.shape == (n, n - rank)
+    assert np.allclose(ker.conj().T @ ker, np.eye(n - rank), atol=1e-12)
+    ref = dense_kernel(mat, cutoff)
+    assert np.allclose(ker @ ker.conj().T, ref @ ref.conj().T, atol=1e-7)
+    floored = null_space(mat, CUT_TOL)
+    assert floored.shape[1] == n - int(np.sum(s > CUT_TOL * max(top, 1.0)))
+    pinv = np.linalg.pinv(mat, rcond=CUT_TOL) if mat.size else np.zeros((n, m))
+    scale = max(np.abs(pinv).max(initial=0.0), 1.0)
+    assert np.abs(svd.pinv(cutoff) - pinv).max(initial=0.0) <= 1e-7 * scale
+    rhs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    assert np.abs(svd.solve(rhs, cutoff) - pinv @ rhs).max(initial=0.0) <= 1e-7 * scale
+    assert np.abs(svd.solve(rhs[:, 0], cutoff) - pinv @ rhs[:, 0]).max(initial=0.0) \
+        <= 1e-7 * scale
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4),
+                          st.sampled_from(["random", "rank1", "near", "tiny"])), max_size=5),
+       st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_support_svd_matches_the_dense_svd(specs, ones, zero_rows, zero_cols, seed):
+    # block matrices up to row and column permutation, with 1 x 1
+    # components, zero rows and columns, and singular values either side of
+    # the cutoff inside one component
+    rng = np.random.default_rng(seed)
+    specs = specs + [(1, 1, "random")] * ones
+    assert_matches_dense(permuted_blocks(rng, specs, zero_rows, zero_cols), rng)
+
+
+@pytest.mark.parametrize("specs, shapes", [
+    ([(2, 3, "random"), (1, 1, "random"), (2, 3, "rank1"), (3, 1, "random")],
+     [((1, 1), (1, 1)), ((1, 3), (1, 1)), ((2, 2), (2, 3))]),
+    # a row meeting all nonzero columns but one is not one component
+    ([(2, 3, "random"), (1, 1, "random")], [((1, 1), (1, 1)), ((1, 2), (1, 3))]),
+])
+def test_support_components_are_the_blocks_up_to_permutation(specs, shapes):
+    rng = np.random.default_rng(3)
+    mat = permuted_blocks(rng, specs, zero_rows=1, zero_cols=2)
+    svd = SupportSVD(mat)
+    groups = [(rows, cols) for rows, cols, *_ in svd.parts]
+    assert sorted((rows.shape, cols.shape) for rows, cols in groups) == shapes
+    assert len(svd.zero_cols) == 2
+    for rows, cols in groups:
+        # a component holds every nonzero of its rows and of its columns
+        for r, c in zip(rows, cols):
+            assert np.array_equal(mat[r].astype(bool).any(axis=0),
+                                  np.isin(np.arange(mat.shape[1]), c))
+            assert np.array_equal(mat[:, c].astype(bool).any(axis=1),
+                                  np.isin(np.arange(mat.shape[0]), r))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_nonzero_joining_two_components_gives_the_dense_answer(seed):
+    # two rank-deficient blocks, then one entry coupling a row of the first
+    # to a column of the second: one component, and the dense rank, kernel
+    # and pseudo-inverse
+    rng = np.random.default_rng(seed)
+    mat = permuted_blocks(rng, [(3, 4, "rank1"), (4, 3, "near")], 0, 0)
+    parts = SupportSVD(mat).parts
+    assert len(parts) == 2 and all(len(rows) == 1 for rows, *_ in parts)
+    (first_rows, *_), (_, second_cols, *_) = sorted(parts, key=lambda part: part[0].shape)
+    mat[first_rows[0, 0], second_cols[0, 0]] = 0.3
+    assert [rows.shape for rows, *_ in SupportSVD(mat).parts] == [(1, 7)]
+    assert_matches_dense(mat, rng)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("helper", [numeric_rank, null_space, SupportSVD])
+def test_non_finite_entry_of_one_component_raises(helper, value):
+    # a block matrix with many components: the check precedes the split
+    mat = permuted_blocks(np.random.default_rng(1), [(2, 2, "random")] * 3 + [(1, 1, "random")],
+                          1, 1)
+    mat[np.nonzero(mat)[0][4], np.nonzero(mat)[1][4]] = value
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        helper(mat)

@@ -810,3 +810,37 @@ def test_an_embedding_is_checked_once(get_tower, monkeypatch):
     with pytest.raises(InvariantViolation, match="not a subalgebra"):
         bent.require_valid()
     assert emb.verify() < 1e-12
+
+
+def loop_spectral(alg, vec, fun):
+    """``apply_spectral`` with one ``eigh`` per block."""
+    parts = []
+    for mat in alg.block_views(vec):
+        vals, vecs = np.linalg.eigh(mat)
+        parts.append((vecs * fun(vals)) @ vecs.conj().T)
+    return alg.from_blocks(parts).vec
+
+
+@pytest.mark.parametrize("blocks", [(1, 1, 2, 2, 3, 1), (2,), (1, 1, 1)])
+def test_run_factorizations_match_their_block_loop(blocks):
+    # inverse, spectral calculus and positivity take one batched call per
+    # run of equal blocks and read 1 x 1 runs elementwise; the reference is
+    # one LAPACK call per block
+    alg = MultiMatrixAlgebra(blocks)
+    x = random_element(alg, np.random.default_rng(5)).vec
+    inverse = alg.from_blocks([np.linalg.inv(mat) for mat in alg.block_views(x)]).vec
+    assert rel_residual(alg.inverse_vec(x), inverse) <= 1e-14
+    pos = alg.mul_vecs(alg.adjoint_vecs(x), x) + 0.1 * alg.unit().vec
+    assert np.array_equal(alg.apply_spectral(pos, np.sqrt), loop_spectral(alg, pos, np.sqrt))
+    assert rel_residual(alg.sqrt_posdef_vec(pos), loop_spectral(alg, pos, np.sqrt)) == 0
+    assert alg.positive_residual(pos) <= 1e-15
+    shifted = pos - 2 * max(np.linalg.eigvalsh(mat).max()
+                            for mat in alg.block_views(pos)) * alg.unit().vec
+    lowest = min(np.linalg.eigvalsh(mat).min() for mat in alg.block_views(shifted))
+    assert alg.positive_residual(shifted) == -lowest / max(np.abs(shifted).max(), 1.0)
+    with pytest.raises(InvariantViolation, match="not positive definite"):
+        alg.sqrt_posdef_vec(shifted)
+    singular = x.copy()
+    singular[alg.block_slice(len(blocks) - 1)] = 0
+    with pytest.raises(InvariantViolation, match="not invertible"):
+        alg.inverse_vec(singular)
