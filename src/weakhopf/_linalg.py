@@ -18,7 +18,7 @@ an operand, which data built from matrix units is mostly made of; no
 threshold decides what counts as zero.  Comparisons skip them too: an entry
 that is an exact zero on both sides of a residual adds 0 to each of the
 three maxima |lhs|, |rhs| and |lhs - rhs| the residual keeps, so
-``streamed_residuals`` compares only the entries where either side is
+``streamed_residual`` compares only the entries where either side is
 nonzero, with a result bit-identical to a sweep over every entry.
 ``box_slabs`` carries this from the contracted index to the output axes: a
 sweep whose rows mark where each output axis can be nonzero builds both
@@ -130,45 +130,29 @@ def streamed_residual(pairs) -> float:
 
     Only the three maxima |lhs|, |rhs| and |lhs - rhs| are kept from slab to
     slab, so a row that yields its operands slab by slab never holds them
-    whole.  ``rhs`` broadcasts against ``lhs``; a NaN in any slab propagates.
-    """
-    return streamed_residuals(((pair,) for pair in pairs), 1)[0]
-
-
-def streamed_residuals(groups, rows: int) -> list[float]:
-    """:func:`streamed_residual` of ``rows`` comparisons swept together:
-    each item of ``groups`` holds one ``(lhs, rhs)`` slab pair per row, in
-    row order, so slabs that share their inputs are built once.  A group may
-    be a generator; its pairs are folded one at a time.
-
-    Only the entries where ``lhs`` or ``rhs`` is nonzero are compared, and a
-    slab without one is skipped: where both sides are exact zeros, |lhs|,
-    |rhs| and |lhs - rhs| are all 0, which no maximum (each starts at 0)
-    can take from.  So the result is bit-identical to comparing every
-    entry.  An inf or NaN counts as nonzero and propagates; a -0.0 counts
-    as zero and adds 0 either way.  A slab with every entry nonzero is
-    compared as it is."""
-    peaks = [[(0.0, 0.0, 0.0)] for _ in range(rows)]
+    whole.  ``rhs`` broadcasts against ``lhs``.  Only the entries where
+    ``lhs`` or ``rhs`` is nonzero are compared, and a slab without one is
+    skipped: where both sides are exact zeros, |lhs|, |rhs| and |lhs - rhs|
+    are all 0, which no maximum (each starts at 0) can take from, so the
+    result is bit-identical to comparing every entry.  An inf or NaN counts
+    as nonzero and propagates; a -0.0 counts as zero and adds 0 either way."""
+    peaks = [(0.0, 0.0, 0.0)]
     top = np.maximum.reduce
-    for group in groups:
-        for row, (lhs, rhs) in zip(peaks, group):
-            lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-            if lhs.shape != rhs.shape:
-                lhs, rhs = np.broadcast_arrays(lhs, rhs)
-            live = lhs.astype(bool) | rhs.astype(bool)
-            count = np.count_nonzero(live)
-            if not count:
-                continue
-            if count < live.size:
-                at = live.ravel().nonzero()[0]
-                lhs, rhs = lhs.take(at), rhs.take(at)
-            row.append((top(np.abs(lhs), axis=None), top(np.abs(rhs), axis=None),
-                        top(np.abs(lhs - rhs), axis=None)))
-    out = []
-    for row in peaks:
-        top_lhs, top_rhs, top_diff = np.max(row, axis=0)
-        out.append(float(top_diff / max(top_lhs, top_rhs, 1.0)))
-    return out
+    for lhs, rhs in pairs:
+        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+        if lhs.shape != rhs.shape:
+            lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        live = lhs.astype(bool) | rhs.astype(bool)
+        count = np.count_nonzero(live)
+        if not count:
+            continue
+        if count < live.size:
+            at = live.ravel().nonzero()[0]
+            lhs, rhs = lhs.take(at), rhs.take(at)
+        peaks.append((top(np.abs(lhs), axis=None), top(np.abs(rhs), axis=None),
+                      top(np.abs(lhs - rhs), axis=None)))
+    top_lhs, top_rhs, top_diff = np.max(peaks, axis=0)
+    return float(top_diff / max(top_lhs, top_rhs, 1.0))
 
 
 def rel_residual(lhs, rhs) -> float:

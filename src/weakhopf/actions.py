@@ -11,15 +11,12 @@ import numpy as np
 from . import axioms
 from ._linalg import (
     SupportSVD,
-    box_slabs,
     null_space,
     numeric_rank,
-    reach,
     read_only,
     rel_residual,
     slabs,
     streamed_residual,
-    streamed_residuals,
 )
 from .decompose import StructureAlgebra, decompose_structure_algebra
 from .deform import DeformedStructure
@@ -340,7 +337,7 @@ def crossed_product(action: ActionData, *, rng=None,
     cartan = _spanned(hopf.algebra, hopf.target_counital, action.cartan,
                       "target Cartan", rng, tol)
     classes = _class_basis(action, cartan)
-    _check_relators(action, cartan, classes, tol)
+    _check_relators(action, cartan, tol)
 
     commutant, coords = _commutant_coords(action, classes, rng, tol)
     # the coordinates are monomial on the tower path: one SVD per support
@@ -420,52 +417,27 @@ def _class_basis(action: ActionData, cartan: SubalgebraEmbedding) -> ClassMap:
     return ClassMap((car.dim, action.hopf.dim), blocks)
 
 
-def _check_relators(action: ActionData, cartan: SubalgebraEmbedding,
-                    classes: ClassMap, tol):
-    """The class map kills x (z |> 1) (x) b - x (x) z b, and the operators
-    A_z equal L_(z |> 1), for every matrix unit z of B_t.
+def _check_relators(action: ActionData, cartan: SubalgebraEmbedding, tol):
+    """A_z = L_(z |> 1) for every matrix unit z of B_t; the class map then
+    kills x (z |> 1) (x) b - x (x) z b with no sweep of its own:
 
-    In block a the class map is sum_i P_i (x) Q_i, so the relator of z is
-    killed when sum_i P_i R_(z |> 1) (x) Q_i = sum_i P_i (x) Q_i L_z
-    (:func:`_relator_residuals`)."""
-    hopf, car = action.hopf, action.carrier
-    zs = cartan.images.T
+    1. With that check and the module law A_z A_w = A_(zw) (checked by
+       :func:`_verify_products`), z -> z |> 1 is multiplicative on B_t:
+       (z w) |> 1 = A_z (w |> 1) = (z |> 1)(w |> 1).
+    2. So with P_i = V* R(f_i0 |> 1) and Q_i = W* L(f_0i) (:class:`ClassMap`),
+       for z = f_kl both sum_i P_i R_(z |> 1) (x) Q_i and
+       sum_i P_i (x) Q_i L_z equal P_k (x) Q_l: R reverses products, so
+       P_i R_(z |> 1) = V* R((f_kl f_i0) |> 1) is P_k at i = l, else 0, and
+       Q_i L_z = W* L(f_0i f_kl) is Q_l at i = k, else 0.
+
+    A class map off this closed form fails the carrier embedding."""
+    car = action.carrier
     on_unit = action.on_unit @ cartan.images
-    moves = [(car.right_mult_matrix(z1), hopf.algebra.left_mult_matrix(z))
-             for z, z1 in zip(zs, on_unit.T)]
-    if max(_relator_residuals(classes.blocks, moves)) > 1e-6:
-        raise InvariantViolation("quotient map does not kill the relators")
-
     acts = np.einsum("bk,bxy->kxy", cartan.images, action.tensor)
     if rel_residual(acts, car.pairwise_mul(on_unit.T, np.eye(car.dim))) > 100 * tol:
         raise InvariantViolation(
             "representation on L2(M1) does not kill the relators: "
             "A_z differs from L_(z |> 1) on the target Cartan")
-
-
-def _relator_residuals(blocks, moves) -> list[float]:
-    """Per move (R, L), the residual of sum_i P_i R (x) Q_i = sum_i P_i (x)
-    Q_i L, indexed (a, c, y, b), over the class blocks (V, W, P, Q).  Both
-    sides are compared over boxes of the rows a of P, for all moves at once:
-    row a of a box holds the carrier indices y where some P_i[a] or
-    P_i[a] R is nonzero, and the B indices where some Q_i or Q_i L is
-    (``_linalg.box_slabs``); the rows c of Q are whole."""
-    rights, lefts = (np.logical_or.reduce([m.astype(bool) for m in side])
-                     for side in zip(*moves))
-    operands = [m for move in moves for m in move]
-
-    def groups():
-        for _, ws, ps, qs in blocks:
-            on_p = ps.astype(bool).any(axis=0)
-            on_q = qs.astype(bool).any(axis=(0, 1))
-            on_q = np.broadcast_to(on_q | reach(on_q[None], lefts)[0], (len(on_p), len(on_q)))
-            for rows, (ys, bs) in box_slabs((on_p | reach(on_p, rights), on_q),
-                                            ps, qs, *operands, width=ws.shape[1]):
-                part = ps[:, rows]
-                yield ((np.einsum("iay,icb->acyb", part @ right[:, ys], qs[:, :, bs]),
-                        np.einsum("iax,icb->acxb", part[:, :, ys], qs @ left[:, bs]))
-                       for right, left in moves)
-    return streamed_residuals(groups(), len(moves))
 
 
 def _kernel_ideal(action: ActionData, classes: ClassMap, kernel, rng, tol):

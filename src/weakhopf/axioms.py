@@ -14,16 +14,25 @@ where they are the untwisted weak C*-Hopf axioms of Boehm-Nill-Szlachanyi.
 action and the product check of ``canonical_action``, at the tower's H^-1
 Prop 4.13 and Cor 4.12 of ``identity_suite``.
 Callers (``verify_axioms``, ``check_bundle``, ``identity_suite``,
-``classify``, ``verify_action``, ``canonical_action``) pick rows under their
-own check names and refs.  They read every row that takes a structure
+``classify``, ``deform``, ``verify_action``, ``canonical_action``,
+``haar_projection``, ``haar_functional``) pick rows under their own check
+names and refs.  They read every row that takes a structure
 through that structure's memo, ``hopf.row(axioms.<row>, *args)``, so a row
 is evaluated once per structure, twist and operand however many reports
 list it.  At a trivial index element every caller passes no H^-1 (the
 untwisted row), so the suite, ``check_bundle``, ``verify_axioms`` and the
 canonical action share one entry per row.  The exceptions are
 ``intertwines`` (two structures), ``index_element`` (an element, not a
-residual) and ``antipode_anti_homomorphism``, which is itself the larger of
-two memoised rows.
+residual), the two Haar conditions (arrays, not residuals) and
+``antipode_anti_homomorphism``, which is itself the larger of two memoised
+rows.
+
+The Haar rows evaluate the conditions defining the Haar projection or
+functional (``haar_*_conditions``, which the solves of abstract input read
+at the units) at one candidate, in d**2 memory.  A normalised Haar integral
+is unique when it exists (Boehm-Nill-Szlachanyi, J. Algebra 221, 1999,
+section 3), so ``classify`` and ``deform`` read them at closed forms and
+solve nothing.
 
 Rows multiply through the algebra's block kernels (``mul_vecs``,
 ``pairwise_mul``, ``matmul_vecs``): a sum over coproduct legs such as
@@ -35,21 +44,21 @@ gather through the algebra's ``product_index`` (``unit_products``):
 u_i u_j is one unit or zero, so nothing is multiplied.
 
 The rows whose two sides have d**4 entries (``coassociativity``,
-``multiplicativity``, ``module_law``, ``module_multiplicativity``,
-``product_decomposition``, and the relator check of the crossed product in
-:mod:`weakhopf.actions`) build them on boxes and fold them with ``streamed_residual``, so no
-operand-sized array is ever held.  For each leading index (a row of the
-sweep) a few bool matrix products of the operands' supports mark, per output
-axis, the indices at which either side can be nonzero; ``_linalg.box_slabs``
-groups consecutive rows into boxes of about one slab and gathers the
-operands at the union of their marks.  Outside its box both sides are exact
-zeros, which the fold skips anyway (``_linalg.streamed_residuals``), so every
-residual is bit-identical to a sweep over every entry.  An axis marked
-everywhere is taken as a plain slice, so dense data builds today's slabs with
-no gather; an operand holding an inf or NaN makes every box full, so it
-propagates.  ``multiplicativity`` and ``product_decomposition`` box their
-tensor-square and ambient axes by whole blocks and multiply in the summand
-of those blocks (``MultiMatrixAlgebra.summand``); the carrier axis of
+``multiplicativity``, ``module_law``, ``module_multiplicativity`` and
+``product_decomposition``) build them on boxes and fold them with
+``streamed_residual``, so no operand-sized array is ever held.  For each
+leading index (a row of the sweep) a few bool matrix products of the
+operands' supports mark, per output axis, the indices at which either side
+can be nonzero; ``_linalg.box_slabs`` groups consecutive rows into boxes of
+about one slab and gathers the operands at the union of their marks.  Outside
+its box both sides are exact zeros, which the fold skips anyway
+(``_linalg.streamed_residual``), so every residual is bit-identical to a
+sweep over every entry.  An axis marked everywhere is taken as a plain slice,
+so dense data builds today's slabs with no gather; an operand holding an inf
+or NaN makes every box full, so it propagates.  ``multiplicativity`` and
+``product_decomposition`` box their tensor-square and ambient axes by whole
+blocks and multiply in the summand of those blocks
+(``MultiMatrixAlgebra.summand``); the carrier axis of
 ``module_multiplicativity`` is whole.
 
 Support rule: a contraction skips exact zeros only, and so does a box.  Each
@@ -275,6 +284,38 @@ def involution_anti_multiplicative(hopf) -> float:
 def involution_fixes_unit(hopf) -> float:
     """1* = 1."""
     return rel_residual(hopf.star(hopf.unit_vec), hopf.unit_vec)
+
+
+def haar_projection_conditions(hopf, p: np.ndarray):
+    """The Haar projection's conditions at the candidates p (k, d): row i of
+    lhs holds (x - eps_t(x)) p_i over the units x, S(p_i) - p_i and
+    eps_t(p_i), to equal rhs = (0, 0, 1)."""
+    d, et, p = hopf.dim, hopf.target_counital, np.atleast_2d(p)
+    lhs = np.concatenate([hopf.algebra.mul_vecs(np.eye(d) - et.T, p[:, None]).reshape(len(p), -1),
+                          p @ (hopf.antipode - np.eye(d)).T, p @ et.T], axis=1)
+    return lhs, np.concatenate([np.zeros(d * d + d), hopf.unit_vec])
+
+
+def haar_projection_identities(hopf, p: np.ndarray) -> float:
+    """x p = eps_t(x) p over the units x, S(p) = p and eps_t(p) = 1."""
+    return rel_residual(*haar_projection_conditions(hopf, p))
+
+
+def haar_functional_conditions(hopf, phi: np.ndarray):
+    """The Haar functional's conditions at the candidates phi (k, d) of
+    values phi(u_i): row i of lhs holds (Delta phi_i)(1 - eps_t)^T, Delta phi
+    the matrix of (id (x) phi) Delta(u_b), phi_i S - phi_i and phi_i eps_t,
+    to equal rhs = (0, 0, eps)."""
+    d, et, phi = hopf.dim, hopf.target_counital, np.atleast_2d(phi)
+    legs = np.tensordot(phi, hopf.delta, axes=([1], [2]))
+    lhs = np.concatenate([(legs @ (np.eye(d) - et).T).reshape(len(phi), -1),
+                          phi @ (hopf.antipode - np.eye(d)), phi @ et], axis=1)
+    return lhs, np.concatenate([np.zeros(d * d + d), hopf.epsilon])
+
+
+def haar_functional_identities(hopf, phi: np.ndarray) -> float:
+    """(id (x) phi) Delta = (eps_t (x) phi) Delta, phi S = phi, phi eps_t = eps."""
+    return rel_residual(*haar_functional_conditions(hopf, phi))
 
 
 def index_element(hopf) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or I/O error
 (including a stored report whose pass flags contradict its residuals) or an
-input too large to allocate (``error: out of memory: ...``, no traceback).
+input too large to allocate or even to size (``error: out of memory: ...``,
+no traceback).
 Files named ``-`` read stdin; generated objects go to stdout so commands
 compose with pipes.
 """
@@ -107,8 +108,7 @@ def _group_from_spec(kind: str, value: str) -> FiniteGroup:
     if kind == "sym":
         return symmetric(_int(value))
     if kind == "table":
-        payload = _load(value, "group")
-        return FiniteGroup(payload.get("table"))
+        return FiniteGroup(serialize.parse_group_table(_load(value, "group")))
     raise SchemaError(f"unknown group kind {kind!r}")
 
 
@@ -353,7 +353,11 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses, before allocating, an array too large for its index type
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+                ("array is too big", "Maximum allowed dimension exceeded")):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from ._linalg import max_abs, rel_residual
 from .errors import InvariantViolation
 from .multimatrix import DEFAULT_TOL
 from .report import Report
-from .reconstruct import StructureBundle
+from .reconstruct import StructureBundle, haar_closed_forms
 from .weak_hopf import WeakHopfData, verify_axioms
 from .tower import TowerData
 
@@ -113,13 +113,13 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
            declared_index: float | None = None):
     """Twist a structure bundle into a weak C*-Hopf algebra.
 
-    Returns ``(DeformedStructure, Report)``.  With a tower supplied, the Haar
-    projection is matched against the product of the second Jones projection
-    with the index element and the Haar functional against its closed form.
-    At a trivial index element (the Thm 4.17 test of ``trivial_index``,
-    where ``bundle.twist`` is None) the twist is the identity and the
-    deformed structure is the input itself, so its axiom rows are read from
-    the memo the earlier checks filled.
+    Returns ``(DeformedStructure, Report)``.  With a tower supplied, the
+    Thm 5.7 closed forms e2 H and d tau(. S(H) H) are checked at the Haar
+    identities of the deformed structure, not solved for.  At a trivial
+    index element (the Thm 4.17 test of ``trivial_index``, where
+    ``bundle.twist`` is None) the twist is the identity and the deformed
+    structure is the input itself, so its axiom rows, and the Haar rows at
+    e2 and d tau, are read from the memo the earlier checks filled.
     """
     check_bundle(bundle, tol).require_passed("structure bundle violated")
 
@@ -153,19 +153,11 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
             ref="Remark 5.8")
 
     if tower is not None:
-        from .weak_hopf import haar_functional, haar_projection
-
-        e2_b = tower.rel_b.coords_vec(tower.e2.vec[None, :])[0]
-        e2h = alg.mul_vecs(e2_b, h)
-        solved = haar_projection(deformed, tol)
+        projection, functional = haar_closed_forms(tower, hopf, None if hinv is None else h)
         rep.add("Haar projection is e2 twisted by the index element",
-                rel_residual(solved.vec, e2h), ref="Thm 5.7")
-        phi = haar_functional(deformed, tol)
-        sh_h = alg.mul_vecs(s_h, h)
-        closed = tower.d * tower.tau.values(
-            (tower.rel_b.images @ alg.left_mult_matrix(sh_h)).T)
+                deformed.row(axioms.haar_projection_identities, projection), ref="Thm 5.7")
         rep.add("Haar functional closed form",
-                rel_residual(phi, closed), ref="Thm 5.7")
+                deformed.row(axioms.haar_functional_identities, functional), ref="Thm 5.7")
 
     if declared_index is not None and abs(declared_index - round(declared_index)) > 1e-9:
         power = modular.copy()

@@ -11,7 +11,10 @@ class FiniteGroup:
     """Group on indices 0..n-1 with table[i][j] = index of the product."""
 
     def __init__(self, table):
-        table = np.asarray(table, dtype=int)
+        try:
+            table = np.asarray(table, dtype=int)
+        except OverflowError:  # an entry past the integer range is no index
+            raise InvariantViolation("invalid multiplication table") from None
         n = table.shape[0]
         if table.shape != (n, n) or n == 0:
             raise InvariantViolation("invalid multiplication table")

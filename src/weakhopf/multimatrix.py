@@ -398,11 +398,11 @@ class MultiMatrixAlgebra:
         Products of general elements go through the block kernels above, and
         a map applied to products of basis units is a gather through
         :attr:`product_index` (:meth:`unit_products`).  This table is read
-        only where its transpose is the data:
-
-        - the dual coproduct in ``weak_hopf.dual_algebra``;
-        - the left multiplications by the units in the linear system of
-          ``weak_hopf.haar_projection``.
+        only where its transpose is the data: the dual coproduct in
+        ``weak_hopf.dual_algebra``, of abstract input.  The tower chain never
+        forms it; the Haar integrals it checks in closed form, and the
+        solve of abstract input reads its conditions through the block
+        kernels (``axioms.haar_projection_conditions``).
         """
         eye = np.eye(self.dim, dtype=complex)
         return self.pairwise_mul(eye, eye)

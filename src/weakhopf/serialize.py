@@ -132,6 +132,17 @@ def _blocks(data) -> tuple:
     return tuple(data)
 
 
+def parse_group_table(payload: dict) -> list:
+    """The ``table`` of a group payload, a rectangular list of lists of
+    integers; whether it is a group is for ``FiniteGroup`` to decide."""
+    table = payload.get("table")
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise SchemaError("group table must be a list of rows")
+    if len({len(row) for row in table}) > 1:
+        raise SchemaError("ragged group table rows")
+    return [[number(entry, "group table entry", int) for entry in row] for row in table]
+
+
 # -- weak Hopf data ----------------------------------------------------------
 
 

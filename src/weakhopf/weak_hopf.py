@@ -265,36 +265,27 @@ def cartan_subalgebras(hopf: WeakHopfData, tol: float = DEFAULT_TOL,
                         for span, structure in _cartan_spans(hopf, tol)))
 
 
-def _solve_unique(mat: np.ndarray, rhs: np.ndarray, tol: float,
-                  message: str) -> np.ndarray:
-    """The solution of an overdetermined system that must have exactly one:
-    one SVD, taken per support component (:class:`SupportSVD`), gives both
-    the rank test (every singular value above 1e-9 of the largest, one per
-    column) and the least-squares solution, which must then satisfy the
-    system.  Either failure raises ``message``."""
-    svd = SupportSVD(mat)
+def _solve_unique(conditions, message: str) -> np.ndarray:
+    """The least-squares solution of Haar ``conditions`` read at the units,
+    which must have exactly one: one SVD, taken per support component
+    (:class:`SupportSVD`), gives the rank test (every singular value above
+    1e-9 of the largest, one per unknown), whose failure raises
+    ``message``, and the solution."""
+    lhs, rhs = conditions
+    svd = SupportSVD(lhs.T)
     cutoff = 1e-9 * svd.top
-    if svd.rank(cutoff) < mat.shape[1]:
+    if svd.rank(cutoff) < len(lhs):
         raise InvariantViolation(message)
-    sol = svd.solve(rhs, cutoff)
-    if rel_residual(mat @ sol, rhs) > 100 * tol:
-        raise InvariantViolation(message)
-    return sol
+    return svd.solve(rhs, cutoff)
 
 
 def haar_projection(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    """Unique projection p with x p = eps_t(x) p, S(p) = p, eps_t(p) = 1."""
-    d = hopf.dim
-    et = hopf.target_counital
-    # left_all[i] = matrix of left multiplication by u_i
-    left_all = hopf.algebra.mult_tensor.transpose(0, 2, 1)
-    et_left = np.einsum("ki,kab->iab", et, left_all, optimize=True)
-    rows = [(left_all - et_left).reshape(d * d, d),
-            hopf.antipode - np.eye(d),
-            et]
-    mat = np.vstack(rows)
-    rhs = np.concatenate([np.zeros(d * d + d, dtype=complex), hopf.unit_vec])
-    p = _solve_unique(mat, rhs, tol, "Haar projection system degenerate")
+    """Unique projection p with x p = eps_t(x) p, S(p) = p, eps_t(p) = 1,
+    solved for (abstract input; the tower chain checks closed forms)."""
+    message = "Haar projection system degenerate"
+    p = _solve_unique(axioms.haar_projection_conditions(hopf, np.eye(hopf.dim)), message)
+    if hopf.row(axioms.haar_projection_identities, p) > 100 * tol:
+        raise InvariantViolation(message)
     if rel_residual(hopf.algebra.mul_vecs(p, p), p) > 100 * tol \
             or rel_residual(hopf.star(p), p) > 100 * tol:
         raise InvariantViolation("Haar projection is not a self-adjoint idempotent")
@@ -303,17 +294,12 @@ def haar_projection(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> AlgebraElem
 
 def haar_functional(hopf: WeakHopfData, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unique positive functional phi with (id(x)phi)Delta = (eps_t(x)phi)Delta,
-    phi.S = phi and phi.eps_t = eps.  Returns the vector phi(u_i)."""
-    d = hopf.dim
-    delta, et = hopf.delta, hopf.target_counital
-    inv_block = np.einsum("bpq,rp->brq", delta, np.eye(d) - et, optimize=True)
-    mat = np.vstack([
-        inv_block.reshape(d * d, d),
-        hopf.antipode.T - np.eye(d),
-        et.T,
-    ])
-    rhs = np.concatenate([np.zeros(d * d + d, dtype=complex), hopf.epsilon])
-    sol = _solve_unique(mat, rhs, tol, "Haar functional system degenerate")
+    phi.S = phi and phi.eps_t = eps, solved for (abstract input; the tower
+    chain checks closed forms).  Returns the vector phi(u_i)."""
+    message = "Haar functional system degenerate"
+    sol = _solve_unique(axioms.haar_functional_conditions(hopf, np.eye(hopf.dim)), message)
+    if hopf.row(axioms.haar_functional_identities, sol) > 100 * tol:
+        raise InvariantViolation(message)
     gram = hopf.star_matrix.T @ hopf.algebra.unit_products(sol)  # phi(u_i* u_j)
     herm = rel_residual(gram, gram.conj().T)
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))

@@ -511,25 +511,32 @@ def test_class_map_applies_its_dense_matrices(name, get_pipeline):
 @pytest.mark.parametrize("slab", [None, 1])
 def test_crossed_product_rejects_a_class_map_keeping_the_relators(
         get_pipeline, monkeypatch, slab):
-    # one operator P of the first class block is bent, so the class map no
-    # longer kills x (z |> 1) (x) b - x (x) z b; swept in one-row slabs too
-    action = get_pipeline("z2")["action"]
-    assert crossed_product(action).dim == get_pipeline("z2")["crossed"].dim
+    # one operator P or Q of the first class block is bent, so the class map
+    # leaves its closed form and no longer kills x (z |> 1) (x) b - x (x) z b;
+    # the carrier embedding x -> [x (x) 1] then fails as a *-homomorphism,
+    # also at a bend of 1e-7, with the checks swept in one-row slabs too
     build = actions._class_basis
-
-    def bent(*args):
-        classes = build(*args)
-        vs, ws, ps, qs = classes.blocks[0]
-        rng = np.random.default_rng(19)
-        classes.blocks[0] = (vs, ws, ps + 0.1 * rng.standard_normal(ps.shape), qs)
-        return classes
-
-    monkeypatch.setattr(actions, "_class_basis", bent)
     if slab is not None:
         monkeypatch.setattr(_linalg, "_SLAB", slab)
-    with pytest.raises(InvariantViolation,
-                       match="^quotient map does not kill the relators$"):
-        crossed_product(action)
+    for name in ("z2", "z3", "s3"):
+        action = get_pipeline(name)["action"]
+        assert crossed_product(action).dim == get_pipeline(name)["crossed"].dim
+        for factor in (2, 3):
+            for size in (0.1, 1e-7):
+                def bent(*args, factor=factor, size=size):
+                    classes = build(*args)
+                    block = list(classes.blocks[0])
+                    rng = np.random.default_rng(19)
+                    block[factor] = block[factor] + size * rng.standard_normal(
+                        block[factor].shape)
+                    classes.blocks[0] = tuple(block)
+                    return classes
+
+                monkeypatch.setattr(actions, "_class_basis", bent)
+                with pytest.raises(InvariantViolation,
+                                   match="^carrier embedding is not a \\*-homomorphism$"):
+                    crossed_product(action)
+        monkeypatch.setattr(actions, "_class_basis", build)
 
 
 def test_crossed_product_rejects_classes_outside_the_commutant(get_pipeline, monkeypatch):

@@ -100,6 +100,27 @@ def test_the_cyclic3_chain_evaluates_each_row_once(get_tower):
     assert count_row_calls(chain) == {name: 1 for name in COUNTED}
 
 
+def test_classify_and_deform_share_the_haar_rows_at_a_trivial_index(get_tower):
+    """At a trivial index element ``deform`` returns its input and reads the
+    Thm 5.7 Haar rows at e2 and d tau themselves, so they are the memo
+    entries of the Thm 4.17 rows of ``classify``."""
+    tower = get_tower("z3")
+    reports = {}
+
+    def chain():
+        rec = reconstruct(tower, TOL)
+        reports["classify"] = classify(tower, rec, TOL)
+        reports["deform"] = deform(rec.on_b, TOL, tower=tower)[1]
+
+    rows = (axioms.haar_projection_identities, axioms.haar_functional_identities)
+    assert count_calls(chain, *rows) == {row.__name__: 1 for row in rows}
+    for thm_417, thm_57 in [("Haar projection is the second Jones projection",
+                             "Haar projection is e2 twisted by the index element"),
+                            ("Haar functional is the rescaled trace",
+                             "Haar functional closed form")]:
+        assert reports["classify"][thm_417].residual == reports["deform"][thm_57].residual
+
+
 def test_the_suite_and_the_action_check_share_axiom_2(get_tower):
     """Suite row 3, E_M1(b x e2) = E_M1(e2 x S(b)), is axiom (2) of the
     module map; at a trivial index element the canonical action is the

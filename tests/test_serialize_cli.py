@@ -546,6 +546,66 @@ def test_cli_out_of_memory_is_exit_2(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,block,refusal", [
+    (["gen", "pair-groupoid", "3000"], None, "array is too big"),
+    (["verify-wha"], 3000, "array is too big"),
+    (["verify-wha"], 10 ** 10, "Maximum allowed dimension exceeded"),
+], ids=["pair-groupoid", "weak-hopf blocks", "weak-hopf dimension"])
+def test_cli_element_count_past_numpy_maximum_is_out_of_memory(argv, block, refusal,
+                                                              tmp_path, capsys):
+    # 9e6 units: numpy refuses the (d, d, d) coproduct tensor, whose byte
+    # count overflows its index type, before allocating anything; at 1e20
+    # units one axis alone does
+    if block is not None:
+        path = tmp_path / "big.json"
+        path.write_text(serialize.dumps("weak-hopf", {
+            "blocks": [block], "delta": [], "epsilon": [], "antipode": [],
+            "involution": "adjoint"}))
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: out of memory: {refusal}")
+    assert err.count("\n") == 1
+
+
+GROUP_TABLES = [
+    # schema faults: exit 2
+    (5, 2, "group table must be a list of rows"),
+    (None, 2, "group table must be a list of rows"),
+    ("abc", 2, "group table must be a list of rows"),
+    ([[0, 1], [1]], 2, "ragged group table rows"),
+    ([[0, 1], 1], 2, "group table must be a list of rows"),
+    ([[0.5, 1], [1, 0]], 2, "group table entry is not an integer: 0.5"),
+    ([[True, False], [False, True]], 2, "group table entry is not a number: True"),
+    ([["a", "b"], ["b", "a"]], 2, "group table entry is not a number: 'a'"),
+    # well-formed tables that are no group: exit 1
+    ([[0, 0], [0, 0]], 1, "invalid multiplication table"),
+    ([[0, 1, 2], [1, 2, 0]], 1, "invalid multiplication table"),
+    ([[0, 10 ** 30], [1, 0]], 1, "invalid multiplication table"),
+    ([], 1, "invalid multiplication table"),
+]
+
+
+@pytest.mark.parametrize("table,code,message", GROUP_TABLES,
+                         ids=[str(i) for i in range(len(GROUP_TABLES))])
+@pytest.mark.parametrize("command", [["tower", "from-group"], ["gen", "group"]],
+                         ids=["tower", "gen"])
+def test_cli_group_table_faults_end_without_a_traceback(table, code, message, command,
+                                                        tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(serialize.dumps("group", {"table": table}))
+    got, out, err = run_cli(capsys, *command, "table", str(path))
+    assert (got, out, err) == (code, "", f"error: {message}\n")
+
+
+def test_cli_group_table_of_a_group_builds_its_tower(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(serialize.dumps("group", {"table": cyclic(3).table.tolist()}))
+    code, out, _ = run_cli(capsys, "tower", "from-group", "table", str(path))
+    assert code == 0
+    assert out == run_cli(capsys, "tower", "from-group", "cyclic", "3")[1]
+
+
 @pytest.mark.parametrize("command", ["tower", "reconstruct"])
 def test_cli_unwritable_output_is_an_io_error(command, tmp_path, capsys):
     # the console script exits 2 with one line on stderr, no traceback
