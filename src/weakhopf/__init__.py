@@ -35,7 +35,8 @@ from .weak_hopf import (  # noqa: F401
 )
 from .groups import FiniteGroup, cyclic, symmetric  # noqa: F401
 from .report import Check, Report  # noqa: F401
-from .tower import TowerData, build_tower_from_group, verify_tower_premises  # noqa: F401
+from .tower import (TowerData, build_tower_from_group,  # noqa: F401
+                    build_tower_from_inclusion, verify_tower_premises)
 from .reconstruct import (  # noqa: F401
     DualBases,
     PairingForm,

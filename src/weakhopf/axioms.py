@@ -208,7 +208,7 @@ def source_counital_absorption(hopf) -> float:
 def antipode_counital(hopf, hinv=None) -> float:
     """b_(1) S(b_(2) H^-1) = eps_t(b)."""
     alg = hopf.algebra
-    sr = hopf.antipode @ alg.right_mult_matrix(hopf.unit_vec if hinv is None else hinv)
+    sr = hopf.antipode if hinv is None else hopf.antipode @ alg.mul_vecs(np.eye(hopf.dim), hinv).T
     # sum over q of (the first leg paired with u_q) times S(u_q H^-1)
     lhs = alg.mul_vecs(hopf.delta.transpose(0, 2, 1), sr.T).sum(axis=1)
     return rel_residual(lhs, hopf.target_counital.T)

@@ -122,7 +122,7 @@ def cmd_gen(args) -> int:
     if args.generator == "pair-groupoid":
         hopf = pair_groupoid(_int(args.spec[0]))
     elif args.generator == "group":
-        hopf = group_algebra(_group_from_spec(*args.spec), seed=args.seed)
+        hopf = group_algebra(_group_from_spec(*args.spec), args.tolerance, seed=args.seed)
     else:
         hopf = function_algebra(_group_from_spec(*args.spec))
     _write_out(args, "weak-hopf", serialize.weak_hopf_payload(hopf))

@@ -59,7 +59,7 @@ split's ``product_index``, and the adjoints against one through its
 
 import numpy as np
 
-from ._linalg import max_abs, null_space, rel_residual, slabs
+from ._linalg import max_abs, null_space, rel_residual, slabs, streamed_residual
 from .errors import InvariantViolation
 from .multimatrix import MultiMatrixAlgebra, take_units
 
@@ -259,16 +259,10 @@ def _verify_units(on: StructureAlgebra, multi: MultiMatrixAlgebra,
     cols = change.T  # (multi.dim, on.dim), one row per canonical matrix unit
     d = on.dim
     # u_i u_j is the unit product_index[i, j] (e_rc e_cl = e_rl) or 0, checked
-    # one slab of left factors at a time; worst and scale are those of the
-    # relative residual over all pairs at once
-    worst, scale = 0.0, 1.0
-    for sl in slabs(d, d * d):
-        prods = on.pairwise(cols[sl], cols)
-        expected = take_units(cols, multi.product_index[sl])
-        scale = max(scale, max_abs(prods), max_abs(expected))
-        prods -= expected
-        worst = max(worst, max_abs(prods))
-    if worst / scale > 1e-6:
+    # one slab of left factors at a time
+    pairs = ((on.pairwise(cols[sl], cols), take_units(cols, multi.product_index[sl]))
+             for sl in slabs(d, d * d))
+    if streamed_residual(pairs) > 1e-6:
         raise InvariantViolation("matrix-unit relations failed")
     if rel_residual(on.star(cols), cols[multi.adjoint_index]) > 1e-6:
         raise InvariantViolation("matrix units are not adjoint-compatible")

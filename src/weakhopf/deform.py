@@ -34,9 +34,10 @@ class DeformedStructure:
 
 def _positivity_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     """Self-adjointness under the structure involution plus spectral
-    positivity (eigenvalues of left multiplication, basis-independent)."""
+    positivity (eigenvalues of the blocks, those of left multiplication)."""
     res = rel_residual(hopf.star(vec), vec)
-    spec = np.linalg.eigvals(hopf.algebra.left_mult_matrix(vec))
+    spec = np.concatenate([np.linalg.eigvals(vec[sl].reshape(r, m, m)).reshape(-1)
+                           for sl, m, r in hopf.algebra._runs])
     scale = max(max_abs(spec), 1.0)
     res = max(res, float(np.max(np.abs(np.imag(spec)))) / scale)
     res = max(res, float(-np.min(np.real(spec))) / scale)
@@ -53,19 +54,23 @@ def _central_in_cartan_residual(hopf: WeakHopfData, vec: np.ndarray) -> float:
     return max(res, rel_residual(alg.mul_vecs(vec, span), alg.mul_vecs(span, vec)))
 
 
+def _sandwich(alg, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Matrix of x -> left x right on coefficient vectors."""
+    return alg.mul_vecs(alg.mul_vecs(left, np.eye(alg.dim)), right).T
+
+
 def _twist(hopf: WeakHopfData, t: np.ndarray) -> WeakHopfData:
     """Twist by a central invertible Cartan element t: coproduct
-    Delta (1 (x) L(t)), counit eps L(t^-1), antipode S L(t^-1) R(t) and the
+    Delta(b)(1 (x) t), counit eps(t^-1 .), antipode S(t^-1 . t) and the
     involution conjugated by S(t).  ``undeform`` twists by H and ``deform`` by
     H^-1, so the two are inverse to each other."""
     alg = hopf.algebra
     t_inv = alg.inverse_vec(t)
     s_t = hopf.antipode @ t
-    delta = np.einsum("bpQ,qQ->bpq", hopf.delta, alg.left_mult_matrix(t), optimize=True)
-    eps = hopf.epsilon @ alg.left_mult_matrix(t_inv)
-    antipode = hopf.antipode @ alg.left_mult_matrix(t_inv) @ alg.right_mult_matrix(t)
-    star = alg.left_mult_matrix(s_t) @ alg.right_mult_matrix(
-        alg.inverse_vec(s_t)) @ hopf.star_matrix
+    delta = alg.mul_vecs(t, hopf.delta)
+    eps = alg.mul_vecs(t_inv, np.eye(alg.dim)) @ hopf.epsilon
+    antipode = hopf.antipode @ _sandwich(alg, t_inv, t)
+    star = _sandwich(alg, s_t, alg.inverse_vec(s_t)) @ hopf.star_matrix
     return WeakHopfData(hopf.algebra, delta, eps, antipode, star)
 
 
@@ -145,10 +150,9 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
             rel_residual(deformed.antipode @ h, s_h), ref="Prop 5.6")
     modular = alg.mul_vecs(s_h_inv, h)
     squared = deformed.antipode @ deformed.antipode
-    adg = alg.left_mult_matrix(modular) @ alg.right_mult_matrix(
-        alg.inverse_vec(modular))
     rep.add("squared antipode is conjugation by the modular element",
-            rel_residual(squared, adg), ref="Prop 5.6")
+            rel_residual(squared, _sandwich(alg, modular, alg.inverse_vec(modular))),
+            ref="Prop 5.6")
     rep.add("modular element positive", _positivity_residual(deformed, modular),
             ref="Remark 5.8")
 
@@ -160,10 +164,10 @@ def deform(bundle: StructureBundle, tol: float = DEFAULT_TOL,
                 deformed.row(axioms.haar_functional_identities, functional), ref="Thm 5.7")
 
     if declared_index is not None and abs(declared_index - round(declared_index)) > 1e-9:
-        power = modular.copy()
+        power, eye = modular.copy(), np.eye(alg.dim)
         found = None
         for n in range(1, 13):
-            comm = alg.left_mult_matrix(power) - alg.right_mult_matrix(power)
+            comm = alg.mul_vecs(power, eye) - alg.mul_vecs(eye, power)
             if max_abs(comm) / max(max_abs(power), 1.0) <= 1e-8:
                 found = n
                 break

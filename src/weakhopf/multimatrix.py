@@ -316,33 +316,6 @@ class MultiMatrixAlgebra:
         out = np.asarray(u, dtype=complex)[..., self.adjoint_index]
         return np.conj(out, out=out)
 
-    def _block_diagonal(self, run_blocks) -> np.ndarray:
-        """(dim, dim) matrix that is block diagonal over the algebra's blocks;
-        the (r, m*m, m*m) blocks of each run come from ``run_blocks(sl, m, r)``
-        and are written in one assignment."""
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for sl, m, r in self._runs:
-            run = np.arange(r)
-            mat[sl, sl].reshape(r, m * m, r, m * m)[run, :, run, :] = run_blocks(sl, m, r)
-        return mat
-
-    def left_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of x -> vec * x on coefficient vectors: kron(a, 1) on each
-        block a of vec."""
-        vec = np.asarray(vec, dtype=complex)
-        return self._block_diagonal(lambda sl, m, r: (
-            vec[sl].reshape(r, m, 1, m, 1) * np.eye(m).reshape(m, 1, m)
-        ).reshape(r, m * m, m * m))
-
-    def right_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x * vec on coefficient vectors: kron(1, a.T) on
-        each block a of vec."""
-        vec = np.asarray(vec, dtype=complex)
-        return self._block_diagonal(lambda sl, m, r: (
-            np.eye(m).reshape(m, 1, m, 1)
-            * vec[sl].reshape(r, m, m).transpose(0, 2, 1).reshape(r, 1, m, 1, m)
-        ).reshape(r, m * m, m * m))
-
     @cached_property
     def tensor_square(self) -> tuple["MultiMatrixAlgebra", np.ndarray]:
         """``(square, index)``: this algebra tensored with itself, with one

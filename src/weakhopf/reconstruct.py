@@ -541,11 +541,13 @@ def haar_closed_forms(tower: TowerData, hopf: WeakHopfData | None = None,
     over the units of B: e2 and d tau (Thm 4.17), or with the index element
     ``h`` of ``hopf`` e2 H and d tau(. S(H) H) (Thm 5.7)."""
     e2 = tower.rel_b.coords_vec(tower.e2.vec[None, :])[0]
+    trace = tower.d * tower.tau.values(tower.rel_b.images.T)
     if h is None:
-        return e2, tower.d * tower.tau.values(tower.rel_b.images.T)
+        return e2, trace
     alg = hopf.algebra
-    twist = alg.left_mult_matrix(alg.mul_vecs(hopf.antipode @ h, h))
-    return alg.mul_vecs(e2, h), tower.d * tower.tau.values((tower.rel_b.images @ twist).T)
+    # row q is S(H) H u_q, so the product with the trace is d tau(S(H) H u_q)
+    twist = alg.mul_vecs(alg.mul_vecs(hopf.antipode @ h, h), np.eye(alg.dim))
+    return alg.mul_vecs(e2, h), twist @ trace
 
 
 def classify(tower: TowerData, rec: ReconstructedStructure,

@@ -136,38 +136,67 @@ class TowerData:
         return self.sub_top.embed_vec(self.sub_top.coords_vec(x) @ self.module_tensor)
 
 
-def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,
-                           tol: float = DEFAULT_TOL) -> TowerData:
-    """Two basic constructions over scalars < functions(G) with the uniform
-    Markov trace.  The modulus is 1/|G| (the group enters only through its
-    order; the inclusion of scalars into the diagonal forgets the law), for
-    which ``basic_construction`` checks the Markov condition.  M is the
-    diagonal of M1 = M_|G|, so d = |G| is not checked.
+def _inclusion_entries(inclusion, rows: int, cols: int) -> np.ndarray:
+    """Λ as integers, refused unless it is the multiplicity matrix of a
+    unital inclusion of ``rows`` N blocks in ``cols`` M blocks."""
+    try:
+        entries = np.array(inclusion, dtype=float)
+    except (TypeError, ValueError):
+        raise InvariantViolation("inclusion matrix is not a rectangular array") from None
+    if entries.shape != (rows, cols):
+        raise InvariantViolation(
+            f"inclusion matrix has shape {entries.shape}, expected {(rows, cols)}")
+    if not np.all(np.isfinite(entries) & (entries == np.round(entries))):
+        raise InvariantViolation("inclusion matrix has a non-integer entry")
+    if np.any(entries < 0):
+        raise InvariantViolation("inclusion matrix has a negative entry")
+    if not entries.any(axis=1).all():
+        raise InvariantViolation("inclusion matrix has a zero row: an N block is not embedded")
+    if not entries.any(axis=0).all():
+        raise InvariantViolation("inclusion matrix has a zero column: the inclusion is not unital")
+    return entries.astype(int)
+
+
+def build_tower_from_inclusion(sub_blocks, inclusion, weights, lam: float, *,
+                               seed: int = 0, tol: float = DEFAULT_TOL) -> TowerData:
+    """The tower N < M < M1 < M2 of an inclusion matrix Λ: N block i sits
+    ``inclusion[i][j]`` times down the diagonal of M block j, M carries the
+    trace weights ``weights`` (one per M block), and two basic constructions
+    of modulus ``lam``, which check that the trace is Markov for it, give M1
+    and the ambient M2.
 
     Nothing here is random: ``seed`` is only recorded on the tower, which
     passes it to its reports."""
+    sub = MultiMatrixAlgebra(sub_blocks)
+    entries = _inclusion_entries(inclusion, len(sub.blocks), len(weights))
+    mid = MultiMatrixAlgebra(entries.T @ np.asarray(sub.blocks))
+    images = np.zeros((mid.dim, sub.dim), dtype=complex)
+    for j in range(len(mid.blocks)):
+        slot = 0
+        for i, n in enumerate(sub.blocks):
+            a, b = np.divmod(np.arange(n * n), n)
+            for _ in range(entries[i, j]):
+                images[mid.basis_index(j, slot + a, slot + b), sub.basis_index(i, a, b)] = 1
+                slot += n
+    start = SubalgebraEmbedding(sub, mid, images)
+    first = basic_construction(start, TraceState(mid, weights), lam, tol=tol)
+    second = basic_construction(first.inclusion, first.extended_trace, lam, tol=tol)
+    sub_mid = first.inclusion.compose(second.inclusion)  # M in the ambient M2
+    return TowerData(second.algebra, start.compose(sub_mid), sub_mid, second.inclusion,
+                     second.inclusion.embed(first.e), second.e, second.extended_trace, lam,
+                     seed=seed)
+
+
+def build_tower_from_group(group: FiniteGroup, *, seed: int = 0,
+                           tol: float = DEFAULT_TOL) -> TowerData:
+    """The tower of scalars < functions(G) with the uniform Markov trace and
+    modulus 1/|G| (the group enters only through its order; the inclusion of
+    scalars into the diagonal forgets the law).  M is the diagonal of
+    M1 = M_|G|, so d = |G| is not checked."""
     n = group.order
     if n < 2:
         raise InvariantViolation("tower needs a group of order at least 2")
-
-    diag = MultiMatrixAlgebra([1] * n)
-    scalars = MultiMatrixAlgebra([1])
-    start = SubalgebraEmbedding(scalars, diag, diag.unit().vec[:, None])
-    trace_mid = TraceState(diag, np.full(n, 1.0 / n))
-    lam = 1.0 / n
-
-    first = basic_construction(start, trace_mid, lam, tol=tol)
-    second = basic_construction(first.inclusion, first.extended_trace, lam, tol=tol)
-
-    ambient = second.algebra
-    sub_top = second.inclusion                           # M1 in ambient
-    sub_mid = first.inclusion.compose(second.inclusion)  # M in ambient
-    sub_start = start.compose(sub_mid)                   # N in ambient
-    e1 = second.inclusion.embed(first.e)
-    e2 = second.e
-
-    return TowerData(ambient, sub_start, sub_mid, sub_top, e1, e2,
-                     second.extended_trace, lam, seed=seed)
+    return build_tower_from_inclusion([1], [[1] * n], [1 / n] * n, 1 / n, seed=seed, tol=tol)
 
 
 def verify_tower_premises(tower: TowerData, tol: float = DEFAULT_TOL) -> Report:

@@ -27,6 +27,7 @@ from weakhopf.multimatrix import (
     module_endomorphisms,
 )
 from weakhopf.reconstruct import reconstruct
+from weakhopf.tower import build_tower_from_inclusion
 from weakhopf.weak_hopf import (
     WeakHopfData,
     cartan_subalgebras,
@@ -35,7 +36,7 @@ from weakhopf.weak_hopf import (
     verify_axioms,
 )
 
-from conftest import INCLUSIONS, inclusion_tower
+from conftest import INCLUSIONS
 
 TOL = 1e-9
 
@@ -246,7 +247,7 @@ def skewed_permutation_action(skew):
     alg = hopf.algebra
     assert alg.blocks == (2, 1, 1)
     s = alg.from_blocks([np.array([[1.0, skew], [0.0, 1.0]]), np.eye(1), np.eye(1)]).vec
-    phi = alg.left_mult_matrix(s) @ alg.right_mult_matrix(alg.inverse_vec(s))
+    phi = alg.mul_vecs(alg.mul_vecs(s, np.eye(alg.dim)), alg.inverse_vec(s)).T
     phi_inv = np.linalg.inv(phi)
     skewed = WeakHopfData(
         alg, np.einsum("bpq,Pp,Qq,bB->BPQ", hopf.delta, phi, phi, phi_inv, optimize=True),
@@ -564,13 +565,13 @@ def per_class_commutant_coords(action, classes, rng, tol):
     units = []
     for firsts, ranges in zip(fixed.first_columns(), all_ranges):
         basis = corner_frame(car, firsts, ranges)[0]
-        copies = np.stack([car.right_mult_matrix(f).conj().T @ basis for f in firsts])
+        copies = np.stack([car.mul_vecs(np.eye(dm), f).conj() @ basis for f in firsts])
         units.append(np.einsum("cai,cbj->ijab", copies, copies.conj()).reshape(-1, dm * dm))
     image = SubalgebraEmbedding(comm, MultiMatrixAlgebra([dm]), np.concatenate(units).T)
     image.require_valid(tol)
     ops = []
     for vs, ws, _, _ in classes.blocks:
-        lefts = np.stack([car.left_mult_matrix(v) for v in vs.T])
+        lefts = np.stack([car.mul_vecs(v, np.eye(dm)).T for v in vs.T])
         acts = (action.tensor.reshape(len(ws), -1).T @ ws).reshape(dm, dm, -1) \
             .transpose(2, 1, 0)
         ops.append((lefts[:, None] @ acts[None]).reshape(-1, dm * dm))
@@ -638,7 +639,7 @@ def test_crossed_product_probes_catch_broken_covariance(get_pipeline):
     hopf, car = action.hopf, action.carrier
     eye_m, eye_b = np.eye(car.dim), np.eye(hopf.dim)
     fixed = fixed_points(action)
-    bend = eye_m + 0.5 * car.left_mult_matrix(eye_m[car.basis_index(0, 0, 1)]) \
+    bend = eye_m + 0.5 * car.mul_vecs(eye_m[car.basis_index(0, 0, 1)], eye_m).T \
         @ (eye_m - qr_projector(fixed.images))
     cartan = qr_projector(cartan_subalgebras(hopf).target.images)
     mats = action.tensor.transpose(0, 2, 1)
@@ -737,13 +738,13 @@ def test_tower_crossed_product_and_theta_draw_nothing(name, get_pipeline):
     assert np.array_equal(theta.matrix, pipe["theta"].matrix)
 
 
-def test_crossed_product_at_a_twisted_index_element_refuses_its_involution():
+def test_crossed_product_at_a_twisted_index_element_refuses_its_involution(get_tower):
     # C^2 < M_3 + M_3 with Lambda = [[1, 2], [2, 1]] has |H - 1| = 0.4.  The
     # chain passes through the canonical action, and the block product is
     # the algebraic one, but A_(b*) = A_b^dagger fails by 0.5 for the
     # deformed involution.  This is the open crossed product at H != 1 of
     # ROADMAP.md: it stays a refusal until the *-structure is mended
-    tower = inclusion_tower([1, 1], [[1, 2], [2, 1]], [1 / 6, 1 / 6], 1 / 9)
+    tower = get_tower("c2_in_m3_m3")
     deformed, report = deform(reconstruct(tower).on_b, tower=tower)
     assert report.passed
     action = canonical_action(tower, deformed)
@@ -759,16 +760,21 @@ def test_crossed_product_at_a_twisted_index_element_refuses_its_involution():
 
 # C^k < M_k: k one-by-one blocks down the diagonal of M_k with its Markov
 # trace, so M1 is k copies of M_k; with a3_in_s3 these are the towers in
-# which M1 has several blocks
+# which M1 has several blocks.  C < C[S3] with the Plancherel weights has a
+# B with blocks of size 2 and 4
 CHAIN_TOWERS = {f"c{k}_in_m{k}": ([1] * k, [[1]] * k, [1 / k], 1 / k) for k in (3, 4, 5)}
 CHAIN_TOWERS.update((name, INCLUSIONS[name]) for name in ("c2_in_m2", "a3_in_s3"))
+CHAIN_TOWERS["c_in_s3"] = ([1], [[1, 1, 2]], [1 / 6, 1 / 6, 1 / 3], 1 / 6)
 
 
 @pytest.mark.parametrize("name", CHAIN_TOWERS)
 def test_crossed_product_chain_on_an_inclusion_tower(name):
-    # the deform report is not asserted: a3_in_s3 fails its Thm 5.7 rows
-    tower = inclusion_tower(*CHAIN_TOWERS[name])
-    deformed, _ = deform(reconstruct(tower).on_b, tower=tower)
+    # a3_in_s3 fails its Thm 5.7 rows (ROADMAP item 2); every other report passes
+    tower = build_tower_from_inclusion(*CHAIN_TOWERS[name])
+    if name == "c_in_s3":
+        assert tower.rel_b.sub.blocks == (1, 1, 2, 1, 1, 2, 2, 2, 4)
+    deformed, report = deform(reconstruct(tower).on_b, tower=tower)
+    assert report.passed == (name != "a3_in_s3")
     crossed = crossed_product(canonical_action(tower, deformed), rng=np.random.default_rng(0))
     assert crossed.dim == tower.ambient.dim
     assert minimality(crossed).passed

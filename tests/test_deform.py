@@ -9,7 +9,9 @@ from weakhopf.deform import check_bundle, deform, undeform
 from weakhopf.errors import InvariantViolation
 from weakhopf.reconstruct import StructureBundle
 from weakhopf.report import Report
+from weakhopf.groups import symmetric
 from weakhopf.weak_hopf import (
+    group_algebra,
     haar_functional,
     haar_traciality_residual,
     pair_groupoid,
@@ -105,6 +107,13 @@ def test_non_positive_twist_rejected():
     hopf = pair_groupoid(2)
     with pytest.raises(InvariantViolation, match="positive"):
         undeform(hopf, central_twist(hopf, (1.0, -2.0)))
+    # the spectrum is read block by block: C[S3] has blocks (2, 1, 1), and a
+    # negative last block is found too (positivity is checked before centrality)
+    hopf = group_algebra(symmetric(3))
+    vec = hopf.algebra.unit().vec
+    vec[-1] = -1
+    with pytest.raises(InvariantViolation, match="not positive"):
+        undeform(hopf, vec)
 
 
 def test_non_central_twist_rejected():

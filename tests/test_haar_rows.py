@@ -14,12 +14,8 @@ import pytest
 
 from weakhopf._linalg import rel_residual
 from weakhopf.deform import deform
-from weakhopf.groups import cyclic, symmetric
-from weakhopf.reconstruct import classify, haar_closed_forms, reconstruct
-from weakhopf.tower import build_tower_from_group
+from weakhopf.reconstruct import classify, haar_closed_forms
 from weakhopf.weak_hopf import haar_functional, haar_projection
-
-from conftest import INCLUSIONS, inclusion_tower
 
 TOL = 1e-9
 E2 = "Haar projection is the second Jones projection"
@@ -27,12 +23,6 @@ TRACE = "Haar functional is the rescaled trace"
 E2H = "Haar projection is e2 twisted by the index element"
 TRACE_H = "Haar functional closed form"
 ROWS = (E2, TRACE, E2H, TRACE_H)
-TOWERS = {
-    **{f"z{n}": (lambda n=n: build_tower_from_group(cyclic(n))) for n in range(2, 9)},
-    "s3": lambda: build_tower_from_group(symmetric(3)),
-    **{name: (lambda name=name: inclusion_tower(*INCLUSIONS[name]))
-       for name in ("a3_in_s3", "c2_in_m2", "c2_in_m3_m3")},
-}
 
 
 def _bent_e2(forms, hopf):
@@ -77,22 +67,11 @@ WITNESSES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def towers():
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            tower = TOWERS[name]()
-            cache[name] = tower, reconstruct(tower, TOL)
-        return cache[name]
-    return get
-
-
 @pytest.mark.parametrize("name,fault,failing", WITNESSES,
                          ids=[f"{name}-{fault}" for name, fault, _ in WITNESSES])
-def test_each_haar_row_fails_on_its_fault(towers, monkeypatch, name, fault, failing):
-    tower, rec = towers(name)
+def test_each_haar_row_fails_on_its_fault(get_tower, get_reconstruction, monkeypatch,
+                                         name, fault, failing):
+    tower, rec = get_tower(name), get_reconstruction(name)
     closed = haar_closed_forms
 
     def faulty(tower, hopf=None, h=None):
@@ -125,10 +104,10 @@ def test_each_haar_row_fails_on_its_fault(towers, monkeypatch, name, fault, fail
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "z5", "z6", "z7", "z8", "s3",
                                   "c2_in_m2", "c2_in_m3_m3"])
-def test_the_solve_returns_the_closed_forms(towers, name):
+def test_the_solve_returns_the_closed_forms(get_tower, get_reconstruction, name):
     # what abstract input still solves for is what the tower rows check; the
     # deformed structure is the reconstructed one at a trivial index element
-    tower, rec = towers(name)
+    tower, rec = get_tower(name), get_reconstruction(name)
     deformed = deform(rec.on_b, TOL, tower=tower)[0]
     hinv = rec.on_b.twist(TOL)
     projection, functional = haar_closed_forms(

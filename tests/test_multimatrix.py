@@ -442,8 +442,8 @@ def nullspace_commutant(sub, within=None):
     image of ``sub``, inside the span of ``within`` (default: the ambient)."""
     amb = sub.ambient
     carrier = np.eye(amb.dim, dtype=complex) if within is None else within.images
-    rows = [(amb.left_mult_matrix(g) - amb.right_mult_matrix(g)) @ carrier
-            for g in sub.images.T]
+    eye = np.eye(amb.dim)
+    rows = [(amb.mul_vecs(g, eye) - amb.mul_vecs(eye, g)).T @ carrier for g in sub.images.T]
     return carrier @ null_space(np.vstack(rows), TOL)
 
 
@@ -588,11 +588,11 @@ def gns_basic_construction(sub, trace):
 
     # R(f_0c) maps L2(M) f_00 isometrically onto L2(M) f_cc, in the part of
     # the image of f_c0 (right multiplication reverses products)
-    rights = [np.stack([as_operator(amb.right_mult_matrix(
-        sub.images[:, sub.sub.basis_index(alpha, 0, c)])) for c in range(k)])
+    rights = [np.stack([as_operator(amb.mul_vecs(
+        np.eye(amb.dim), sub.images[:, sub.sub.basis_index(alpha, 0, c)]).T) for c in range(k)])
         for alpha, k in enumerate(sub.sub.blocks)]
     realization = _commutant_from_units(MultiMatrixAlgebra([amb.dim]), rights)
-    lefts = np.stack([as_operator(amb.left_mult_matrix(x)) for x in np.eye(amb.dim)])
+    lefts = np.stack([as_operator(amb.mul_vecs(x, np.eye(amb.dim)).T) for x in np.eye(amb.dim)])
     q = np.linalg.qr(sub.images * root[:, None])[0]
     proj = (q @ q.conj().T).reshape(-1)
     assert realization.outside(np.vstack([lefts, proj])) < 1e-12

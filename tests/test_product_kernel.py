@@ -97,27 +97,6 @@ def test_adjoint_index_permutes_the_units(blocks):
     assert np.array_equal(eye[alg.adjoint_index], alg.adjoint_vecs(eye))
 
 
-def _kron_blocks(alg, vec, left):
-    """The per-block np.kron construction of the multiplication matrices."""
-    mat = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for alpha, m in enumerate(alg.blocks):
-        sl = alg.block_slice(alpha)
-        a = vec[sl].reshape(m, m)
-        mat[sl, sl] = np.kron(a, np.eye(m)) if left else np.kron(np.eye(m), a.T)
-    return mat
-
-
-@PROPERTY
-@given(SHAPES, SEEDS)
-def test_multiplication_matrices_match_the_per_block_kron(blocks, seed):
-    alg = MultiMatrixAlgebra(blocks)
-    x, y = _elements(np.random.default_rng(seed), 2, alg.dim)
-    assert np.array_equal(alg.left_mult_matrix(x), _kron_blocks(alg, x, left=True))
-    assert np.array_equal(alg.right_mult_matrix(x), _kron_blocks(alg, x, left=False))
-    assert rel_residual(alg.left_mult_matrix(x) @ y, alg.mul_vecs(x, y)) < 1e-12
-    assert rel_residual(alg.right_mult_matrix(x) @ y, alg.mul_vecs(y, x)) < 1e-12
-
-
 @PROPERTY
 @given(SHAPES, SEEDS)
 def test_unit_products_gather_the_product_table(blocks, seed):

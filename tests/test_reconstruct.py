@@ -30,7 +30,7 @@ from weakhopf.reconstruct import (
 )
 from weakhopf.weak_hopf import verify_axioms
 
-from conftest import INCLUSIONS, TOWER_NAMES, inclusion_tower
+from conftest import TOWER_NAMES
 
 TOL = 1e-9
 
@@ -93,12 +93,12 @@ def test_dual_bases_identities(name, get_tower, get_reconstruction):
     assert rep["duality normalization"].residual <= 1e-12
 
 
-def test_c2_in_m3_m3_chain_through_deform():
+def test_c2_in_m3_m3_chain_through_deform(get_tower):
     # ambient 1458, dim B = 82, dim M1 = 162, and an index element that is
     # not the unit; the module tensor is built over slabs of B units, where
     # the whole (82, 162, 1458) stack of products b x e2 took 296 MiB, and
     # the suite reads b |> x only in M1 coordinates
-    tower = inclusion_tower(*INCLUSIONS["c2_in_m3_m3"])
+    tower = get_tower("c2_in_m3_m3")
     rec = reconstruct(tower)
     assert rec.on_b.twist(TOL) is not None
     assert dual_bases(tower, rec)[1].passed

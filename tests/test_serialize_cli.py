@@ -15,7 +15,10 @@ from weakhopf._linalg import rel_residual
 from weakhopf.cli import build_parser, main
 from weakhopf.errors import InvariantViolation, SchemaError
 from weakhopf.groups import cyclic
+from weakhopf.tower import verify_tower_premises
 from weakhopf.weak_hopf import group_algebra, pair_groupoid
+
+from conftest import INCLUSIONS
 
 
 def run_cli(capsys, *argv):
@@ -41,14 +44,17 @@ def test_weak_hopf_roundtrip_bit_exact():
 
 
 def test_tower_roundtrip(get_tower):
-    tower = get_tower("z2")
-    text = serialize.dumps("tower", serialize.tower_payload(tower))
-    parsed = serialize.parse_tower(serialize.loads(text).payload)
-    assert parsed.ambient.blocks == tower.ambient.blocks
-    assert rel_residual(parsed.e2.vec, tower.e2.vec) == 0
-    assert parsed.lam == tower.lam
-    text2 = serialize.dumps("tower", serialize.tower_payload(parsed))
-    assert text2 == text
+    # the ambient trace is stored, so a disconnected tower (a3_in_s3) comes
+    # back as well as a connected one
+    for tower in map(get_tower, ["z2", *INCLUSIONS]):
+        text = serialize.dumps("tower", serialize.tower_payload(tower))
+        parsed = serialize.parse_tower(serialize.loads(text).payload)
+        assert parsed.ambient.blocks == tower.ambient.blocks
+        assert rel_residual(parsed.e2.vec, tower.e2.vec) == 0
+        assert parsed.lam == tower.lam
+        assert serialize.dumps("tower", serialize.tower_payload(parsed)) == text
+        assert [row.residual for row in verify_tower_premises(parsed).checks] \
+            == [row.residual for row in verify_tower_premises(tower).checks]
 
 
 def test_element_roundtrip():
@@ -167,6 +173,13 @@ def test_cli_gen_group_and_function(tmp_path, capsys):
         assert code == 0
         obj = serialize.loads(out)
         assert obj.kind == "weak-hopf"
+
+
+def test_cli_gen_group_reaches_the_tolerance(capsys):
+    # at tolerance 10 the regular trace of S3 is refused as not positive,
+    # as group_algebra(symmetric(3), 10.0) refuses it
+    assert run_cli(capsys, "gen", "group", "sym", "3", "--tolerance", "10") \
+        == (1, "", "error: involution is not positive (no C* structure)\n")
 
 
 def test_cli_json_report_deterministic(tmp_path, capsys):

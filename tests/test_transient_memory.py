@@ -91,7 +91,8 @@ from weakhopf.reconstruct import (
     identity_suite,
     reconstruct,
 )
-from weakhopf.tower import build_tower_from_group, verify_tower_premises
+from weakhopf.tower import (build_tower_from_group, build_tower_from_inclusion,
+                            verify_tower_premises)
 from weakhopf.weak_hopf import (
     group_algebra,
     haar_functional,
@@ -100,7 +101,6 @@ from weakhopf.weak_hopf import (
     verify_axioms,
 )
 
-from conftest import inclusion_tower
 from test_row_memo import count_calls
 
 BOUND_MIB = 16
@@ -162,7 +162,7 @@ def test_crossed_product_and_theta_hold_no_class_matrix(cyclic6_chain):
 
 def test_crossed_product_holds_no_stack_of_left_multiplications():
     # C^5 < M_5 with its Markov trace
-    tower = inclusion_tower([1] * 5, [[1]] * 5, [1 / 5], 1 / 5)
+    tower = build_tower_from_inclusion([1] * 5, [[1]] * 5, [1 / 5], 1 / 5)
     deformed, _ = deform(reconstruct(tower).on_b, tower=tower)
     action = canonical_action(tower, deformed)
     assert transient_mib(lambda: crossed_product(action)) < MATRIX_CROSSED_BOUND_MIB
