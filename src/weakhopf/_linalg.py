@@ -22,7 +22,12 @@ three maxima |lhs|, |rhs| and |lhs - rhs| the residual keeps, so
 nonzero, with a result bit-identical to a sweep over every entry.
 ``box_slabs`` carries this from the contracted index to the output axes: a
 sweep whose rows mark where each output axis can be nonzero builds both
-sides only on boxes of those marks.
+sides only on boxes of those marks.  ``SparseJoin`` and ``joined_slabs`` go
+to the entries themselves: a side given as products of two lists of
+nonzero entries is formed term by term and summed per output entry, so its
+cost is the number of nonzero terms, counted exactly before any is formed;
+the entries no term reaches are exact zeros on both sides, which the fold
+skips anyway.
 
 Factorizations skip exact zeros too (:class:`SupportSVD`, behind
 ``numeric_rank`` and ``null_space``).  Join row i and column j when
@@ -43,6 +48,7 @@ over all blocks, so every rank decision is the dense one.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -117,10 +123,96 @@ def _grown_boxes(masks, width: int):
         start = stop
 
 
+class SparseJoin:
+    """The index pairs ``(i, j)`` of two arrays of small non-negative integer
+    keys with ``left[i] == right[j]``: the terms of a contraction over the
+    key of two entry lists, as in Gustavson's sparse product (ACM TOMS 4,
+    1978).  ``counts[i]``, the number of partners of ``left[i]``, is read off
+    a bincount of the right keys, so :attr:`terms` is exact without a pair
+    being formed.  ``lead`` holds the ascending leading output index of each
+    left entry, by which :func:`joined_slabs` cuts its slabs."""
+
+    def __init__(self, left: np.ndarray, right: np.ndarray, lead: np.ndarray):
+        self.left, self.right, self.lead = left, right, lead
+        self._per_key = np.bincount(right, minlength=int(left.max(initial=-1)) + 1)
+        self.counts = self._per_key[left]
+
+    @property
+    def terms(self) -> int:
+        return int(self.counts.sum())
+
+    @cached_property
+    def _ranked(self):
+        """The right entries ordered by key, and where each key's run starts."""
+        return (np.argsort(self.right, kind="stable"),
+                np.cumsum(self._per_key) - self._per_key)
+
+    def pairs(self, sl: slice = slice(None)):
+        """``(i, j)`` for the left entries of the slice ``sl``, ordered by i
+        and, for one i, by j."""
+        order, run = self._ranked
+        counts = self.counts[sl]
+        starts = np.cumsum(counts) - counts
+        i = np.repeat(np.arange(len(self.counts))[sl], counts)
+        j = order[np.arange(int(counts.sum()))
+                  + np.repeat(run[self.left[sl]] - starts, counts)]
+        return i, j
+
+
+def summed(keys: np.ndarray, values: np.ndarray):
+    """``(keys, sums)``: the distinct keys ascending and the sum of the
+    values at each, added in the order given."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if first.all():
+        return keys, values
+    at, n = np.cumsum(first) - 1, int(first.sum())
+    sums = np.empty(n, dtype=complex)
+    sums.real = np.bincount(at, values.real, n)
+    sums.imag = np.bincount(at, values.imag, n)
+    return keys[first], sums
+
+
+def joined_slabs(lhs, rhs):
+    """Aligned 1-D ``(lhs, rhs)`` slabs of two sides given as sums of join
+    terms, for :func:`streamed_residual`.  Each side is a pair ``(join,
+    land)``: a :class:`SparseJoin` and ``land(i, j)``, the output keys and
+    values of its terms at the pairs ``(i, j)``; a key lies in the leading
+    index of its left entry, so two runs never share one.  Leading indices
+    are taken in runs whose terms on both sides number at most ``_SLAB``
+    (at least one index); per run each side's duplicate keys are summed
+    (:func:`summed`) and the two sides are laid on the union of their keys,
+    zero where a side has no term.  An output key held by neither side is
+    an exact zero on both, which the fold skips anyway, so the residual is
+    the one over every entry.  As a generator."""
+    joins = [join for join, _ in (lhs, rhs)]
+    n = max((int(join.lead[-1]) + 1 for join in joins if len(join.lead)), default=0)
+    per_lead = sum(np.bincount(join.lead, join.counts, n) for join in joins)
+    ends = np.cumsum(per_lead)
+    start = 0
+    while start < n:
+        spent = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, spent + _SLAB, side="right")))
+        sides = []
+        for join, land in (lhs, rhs):
+            sl = slice(*np.searchsorted(join.lead, (start, stop)))
+            sides.append(summed(*land(*join.pairs(sl))))
+        start = stop
+        keys = np.union1d(sides[0][0], sides[1][0])
+        if len(keys):
+            out = np.zeros((2, len(keys)), dtype=complex)
+            for row, (at, values) in zip(out, sides):
+                row[np.searchsorted(keys, at)] = values
+            yield out[0], out[1]
+
+
 def reach(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The bool matrix product of ``f`` and ``g``: i reaches k when f[i, j]
-    and g[j, k] for some j (the terms are counted in floats)."""
-    return (np.asarray(f, dtype=float) @ np.asarray(g, dtype=float)) > 0
+    and g[j, k] for some j.  The terms are counted in single precision: a
+    sum of ones and zeros is positive exactly when one term is."""
+    return (np.asarray(f, dtype=np.float32) @ np.asarray(g, dtype=np.float32)) > 0
 
 
 def streamed_residual(pairs) -> float:

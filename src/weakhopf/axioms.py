@@ -45,43 +45,109 @@ u_i u_j is one unit or zero, so nothing is multiplied.
 
 The rows whose two sides have d**4 entries (``coassociativity``,
 ``multiplicativity``, ``module_law``, ``module_multiplicativity`` and
-``product_decomposition``) build them on boxes and fold them with
-``streamed_residual``, so no operand-sized array is ever held.  For each
-leading index (a row of the sweep) a few bool matrix products of the
-operands' supports mark, per output axis, the indices at which either side
-can be nonzero; ``_linalg.box_slabs`` groups consecutive rows into boxes of
-about one slab and gathers the operands at the union of their marks.  Outside
-its box both sides are exact zeros, which the fold skips anyway
-(``_linalg.streamed_residual``), so every residual is bit-identical to a
-sweep over every entry.  An axis marked everywhere is taken as a plain slice,
-so dense data builds today's slabs with no gather; an operand holding an inf
-or NaN makes every box full, so it propagates.  ``multiplicativity`` and
-``product_decomposition`` box their tensor-square and ambient axes by whole
-blocks and multiply in the summand of those blocks
+``product_decomposition``) take one of two paths, and both fold their
+sides with ``streamed_residual``, so no operand-sized array is ever held.
+
+The join.  Each side is a sum of products of the operands' nonzero entries
+(Delta, the action tensor, the unit images, the unit products), and a
+product lands on an output entry whose units come from block offsets, rows
+and columns: u_k u_l is a unit exactly when the column of u_k is the row of
+u_l (``MultiMatrixAlgebra.unit_lines``), so no ``product_index`` of the
+tensor square is built.  ``_linalg.SparseJoin`` pairs two entry lists on a
+key, as Gustavson's sparse product does, so a side costs its nonzero terms;
+``_linalg.joined_slabs`` sums the terms landing on one entry and hands both
+sides, aligned on the union of their entries, to the fold, a run of leading
+indices at a time.  A side of three factors (the twisted coproduct, the legs
+b_(1) |> x, H^-1 (b |> y), the products u_y H^-1 u_q) is a chain of joins,
+each summed before the next, in the order the boxes multiply; every
+residual compared (below) is bit-identical on both paths.
+
+The boxes.  For each leading index (a row of the sweep) a few bool matrix
+products of the operands' supports mark, per output axis, the indices at
+which either side can be nonzero; ``_linalg.box_slabs`` groups consecutive
+rows into boxes of about one slab and gathers the operands at the union of
+their marks.  Outside its box both sides are exact zeros, which the fold
+skips anyway (``_linalg.streamed_residual``), so every residual is
+bit-identical to a sweep over every entry.  An axis marked everywhere is
+taken as a plain slice, so dense data builds its slabs with no gather; an
+operand holding an inf or NaN makes every box full, so it propagates.
+``multiplicativity`` and ``product_decomposition`` box their tensor-square
+and ambient axes by whole blocks and multiply in the summand of those blocks
 (``MultiMatrixAlgebra.summand``); the carrier axis of
 ``module_multiplicativity`` is whole.
 
-Support rule: a contraction skips exact zeros only, and so does a box.  Each
-box of Delta is contracted over the leg indices where its rows are nonzero
-(``_linalg.support``), ``product_decomposition`` forms only the M1 x B
-products that its legs use, and products of elements go through the block
-kernels, which contract over the support of their left factor.  Supports and
-boxes are read from the operands on every call, never from the structure
-they were built from, so a fault off the old support still shows in full,
-and a NaN or inf still propagates.
+Which path.  A row reads its marks off the nonzero entries, sizes its
+boxes, and counts the terms of its joins exactly (a bincount of keys, no
+pair formed).  It takes the join when every operand is finite and
+``_TERM_COST`` (4) times the terms are fewer than the entries both sides
+hold on the boxes; otherwise it takes the boxes, unchanged.  A join term
+costs 45-77 ns against 13-19 ns per box entry (C[S4] and C[Z12] forced
+through both paths, one core).  Matrix-unit data joins: at cyclic(6) the
+coassociativity join forms 2,592 terms where its boxes hold 559,872 entries
+(1.1 ms against 5.6 ms), and at cyclic(12) the five rows take 0.36 s where
+the boxes took 1.37 s.  A structure split by ``decompose`` carries rounding
+noise in every entry and keeps the boxes: on C[S4] the coassociativity join
+would form 15.9 million terms (0.71 s) against 663,552 box entries (9 ms).
+Forced through both paths, every row is bit-identical on the cyclic towers
+2-10, C < C[S3], the four inclusion towers, the pair groupoids 2-6, plain
+and undeformed, and the function algebras of Z12, S3 and S4; on the split
+group algebras, which keep the boxes, the join differs in the last bit.
+
+Support rule: a contraction skips exact zeros only, and so do a box and a
+join.  Each box of Delta is contracted over the leg indices where its rows
+are nonzero (``_linalg.support``), ``product_decomposition`` forms only the
+M1 x B products that its legs use, and products of elements go through the
+block kernels, which contract over the support of their left factor.
+Supports, boxes and entries are read from the operands on every call, never
+from the structure they were built from, so a fault off the old support
+still shows in full, and a NaN or inf still propagates.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import box_slabs, reach, rel_residual, slabs, streamed_residual, support
+from ._linalg import (
+    SparseJoin,
+    box_slabs,
+    joined_slabs,
+    reach,
+    rel_residual,
+    slabs,
+    streamed_residual,
+    summed,
+    support,
+)
 from .multimatrix import take_units
 
 
-def _lines(a: np.ndarray, axis: int) -> np.ndarray:
-    """(len(a), a.shape[axis]) bool: whether a[i] holds a nonzero (an inf or
-    NaN counts) at each index of ``axis``."""
-    nz = np.asarray(a).astype(bool)
-    return nz.any(axis=tuple(k for k in range(1, nz.ndim) if k != axis))
+class _Entries(NamedTuple):
+    """The nonzero entries of an array of ``shape`` (an inf or NaN counts, a
+    -0.0 does not): their index arrays ``at``, in row-major order, and their
+    ``values``."""
+    at: tuple
+    values: np.ndarray
+    shape: tuple
+
+
+def _entries(a: np.ndarray) -> _Entries:
+    at = np.nonzero(a)
+    return _Entries(at, a[at], a.shape)
+
+
+def _marks(rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+    """A bool matrix of ``shape``, True at the index pairs ``(rows, cols)``."""
+    out = np.zeros(shape, dtype=bool)
+    out[rows, cols] = True
+    return out
+
+
+def _lines(entries: _Entries, axis: int) -> np.ndarray:
+    """(shape[0], shape[axis]) bool: whether row i of the array holds a
+    nonzero entry at each index of ``axis``."""
+    shape = entries.shape
+    return _marks(entries.at[0], entries.at[axis], (shape[0], shape[axis]))
 
 
 def _products_held(index: np.ndarray, held: np.ndarray):
@@ -103,25 +169,88 @@ def _box(a: np.ndarray, *axes) -> np.ndarray:
     return a
 
 
+def _unit_products(alg):
+    """``(i, j, k)``: every product u_i u_j = u_k of units of ``alg``, by i
+    and then j."""
+    i, j = np.nonzero(alg.product_index >= 0)
+    return i, j, alg.product_index[i, j]
+
+
+# a join term takes about the time of four box entries: 45-77 ns per term
+# against 13-19 ns per entry, measured on the rows of C[S4] and the
+# coassociativity of C[Z12] (0.5-16 million terms) forced through both
+# paths, one core
+_TERM_COST = 4
+
+
+class _Budget:
+    """The boxes of a row's sweep (``box_slabs`` of ``masks``, each entry
+    ``width`` long for their sizing) and the terms its joins may form: fewer
+    than a ``_TERM_COST``-th of the entries both sides form on the boxes,
+    each entry ``extent`` long, and none when one of ``values`` holds an inf
+    or NaN, which takes full boxes."""
+
+    def __init__(self, masks, *values, width: int = 1, extent: int = 1):
+        self.boxes = list(box_slabs(masks, *values, width=width))
+        self.left = 0
+        if all(np.isfinite(v).all() for v in values):
+            self.left = 2 * extent * sum(
+                (rows.stop - rows.start) * math.prod(
+                    len(m[0]) if isinstance(at, slice) else len(at) for m, at in zip(masks, axes))
+                for rows, axes in self.boxes)
+
+    def takes(self, *joins) -> bool:
+        """Spends the terms of ``joins`` (None spends nothing): whether every
+        join so far fits."""
+        self.left -= _TERM_COST * sum(join.terms for join in joins if join is not None)
+        return self.left > 0
+
+
+def _left_times(alg, h: np.ndarray, entries: _Entries):
+    """``(join, entries)``: ``entries`` of an array whose last axis holds
+    units u of ``alg``, with every u replaced by h u, and the join that forms
+    them, of the rows of the u against the columns of the units of h; the
+    terms landing on one entry are summed."""
+    row_of, col_of = alg.unit_lines
+    (t,), h_values, _ = _entries(h)
+    at, values, shape = entries
+    join = SparseJoin(row_of[at[-1]], col_of[t], at[0])
+    i, j = join.pairs()
+    keys, sums = summed(np.ravel_multi_index(
+        tuple(a[i] for a in at[:-1]) + (t[j] + col_of[at[-1][i]] - col_of[t[j]],), shape),
+        h_values[j] * values[i])
+    return join, _Entries(np.unravel_index(keys, shape), sums, shape)
+
+
 def coassociativity(hopf) -> float:
     """(Delta (x) id) Delta = (id (x) Delta) Delta.  Entry (i, a, b, c) of
     the left side is a sum of Delta[i, p, c] Delta[p, a, b], of the right
     side a sum of Delta[i, a, q] Delta[q, b, c]; each axis of the box of
     row i collects the indices either can use."""
-    delta = hopf.delta
+    delta = _entries(hopf.delta)
+    (i, p, c), v, _ = delta
     first, second = _lines(delta, 1), _lines(delta, 2)
     masks = (first | reach(first, first),
              reach(first, second) | reach(second, first),
              second | reach(second, second))
+    budget = _Budget(masks, v)
+    lhs, rhs = SparseJoin(p, i, i), SparseJoin(c, i, i)
+    if budget.takes(lhs, rhs):
+        shape = (hopf.dim,) * 4
+        return streamed_residual(joined_slabs(
+            (lhs, lambda l, r: (np.ravel_multi_index((i[l], p[r], c[r], c[l]), shape),
+                                v[l] * v[r])),
+            (rhs, lambda l, r: (np.ravel_multi_index((i[l], p[l], p[r], c[r]), shape),
+                                v[l] * v[r]))))
 
     def pairs():
-        for rows, (a, b, c) in box_slabs(masks, delta):
-            part = delta[rows]
+        for rows, (a, b, c) in budget.boxes:
+            part = hopf.delta[rows]
             ps, qs = support(part, 1, 2)
             yield (np.einsum("ipc,pab->iabc", _box(part[:, ps], None, None, c),
-                             _box(delta[ps], None, a, b), optimize=True),
+                             _box(hopf.delta[ps], None, a, b), optimize=True),
                    np.einsum("iaq,qbc->iabc", _box(part[:, :, qs], None, a),
-                             _box(delta[qs], None, b, c), optimize=True))
+                             _box(hopf.delta[qs], None, b, c), optimize=True))
     return streamed_residual(pairs())
 
 
@@ -146,21 +275,45 @@ def multiplicativity(hopf, hinv=None) -> float:
     product in the summand of those blocks."""
     alg, d = hopf.algebra, hopf.dim
     square, index = alg.tensor_square
+    row_of, col_of = alg.unit_lines
+    lines, blocks = sum(alg.blocks), len(alg.blocks)
+    delta = _entries(hopf.delta)
+    (i, p, q), v, _ = delta
+    twist, twisted = (None, delta) if hinv is None else _left_times(alg, hinv, delta)
+    (ti, tp, tq), tv, _ = twisted
+    # supports in the square, read off the entries (the twisted ones cover
+    # every entry some term reaches, so the dense product's support too):
+    # u_p (x) u_q lies in its block (a, b) for u_p in block a and u_q in
+    # block b, in the row (column) of the pair of their rows (columns)
+    in_delta, in_twisted = (
+        _marks(at, alg.block_index[legs] * blocks + alg.block_index[other], (d, blocks ** 2))
+        for at, legs, other in ((i, p, q), (ti, tp, tq)))
+    meets = reach(_marks(i, col_of[p] * lines + col_of[q], (d, lines ** 2)),
+                  _marks(ti, row_of[tp] * lines + row_of[tq], (d, lines ** 2)).T)
+    products = alg.product_index
+    used, reached = _products_held(products, in_delta.any(axis=1))
+    reaching = reach(reached, in_delta) | (in_delta & reach(meets, in_twisted))
+    masks = (used | meets, reaching[:, square.block_index])
+    budget = _Budget(masks, v, tv, *(() if hinv is None else (hinv,)))
+    b, c, k = _unit_products(alg)
+    lhs = SparseJoin(k, i, b)
+    rhs = SparseJoin(col_of[p] * lines + col_of[q], row_of[tp] * lines + row_of[tq], i)
+    if budget.takes(twist, lhs, rhs):
+        shape = (d,) * 4
+        return streamed_residual(joined_slabs(
+            (lhs, lambda l, r: (np.ravel_multi_index((b[l], c[l], p[r], q[r]), shape), v[r])),
+            (rhs, lambda l, r: (np.ravel_multi_index(
+                (i[l], ti[r], p[l] + col_of[tp[r]] - col_of[p[l]],
+                 q[l] + col_of[tq[r]] - col_of[q[l]]), shape), v[l] * tv[r]))))
+
     coproducts = np.empty((d, square.dim), dtype=complex)
     coproducts[:, index] = hopf.delta
-    twist = np.empty(square.dim, dtype=complex)
-    twist[index] = np.outer(hopf.unit_vec, hopf.unit_vec if hinv is None else hinv)
-    twisted = square.mul_vecs(twist, coproducts)
-
-    products = alg.product_index
-    in_delta, in_twisted = square.block_support(coproducts), square.block_support(twisted)
-    used, reached = _products_held(products, in_delta.any(axis=1))
-    meets = reach(square.support_lines(coproducts)[1], square.support_lines(twisted)[0].T)
-    blocks = reach(reached, in_delta) | (in_delta & reach(meets, in_twisted))
-    masks = (used | meets, blocks[:, square.block_index])
+    twisted = np.empty(square.dim, dtype=complex)
+    twisted[index] = np.outer(hopf.unit_vec, hopf.unit_vec if hinv is None else hinv)
+    twisted = square.mul_vecs(twisted, coproducts)
 
     def pairs():
-        for rows, (cs, ss) in box_slabs(masks, coproducts, twisted):
+        for rows, (cs, ss) in budget.boxes:
             yield (take_units(_box(coproducts, None, ss), _box(products[rows], None, cs)),
                    square.summand(ss).pairwise_mul(_box(coproducts[rows], None, ss),
                                                    _box(twisted, cs, ss)))
@@ -342,14 +495,26 @@ def module_law(hopf, act: np.ndarray) -> float:
     the box holds the c with b c a unit acting nonzero or with act[c] @
     act[b] nonzero, and the x and y those reach."""
     products = hopf.algebra.product_index
-    on_x, on_y = _lines(act, 1), _lines(act, 2)
+    acting = _entries(act)
+    (b, x, y), v, _ = acting
+    on_x, on_y = _lines(acting, 1), _lines(acting, 2)
     used, reached = _products_held(products, on_x.any(axis=1))
     meets = reach(on_x, on_y.T)  # some z with act[b, z] and act[c, :, z] nonzero
     masks = (used | meets, reach(reached, on_x) | reach(meets, on_x),
              reach(reached, on_y) | on_y)
+    budget = _Budget(masks, v)
+    pb, pc, pk = _unit_products(hopf.algebra)
+    # act[k, x, y] at u_b u_c = u_k, and act[b, z, y] against act[c, x, z] over z
+    lhs, rhs = SparseJoin(pk, b, pb), SparseJoin(x, y, b)
+    if budget.takes(lhs, rhs):
+        shape = (len(act),) * 2 + act.shape[1:]
+        return streamed_residual(joined_slabs(
+            (lhs, lambda l, r: (np.ravel_multi_index((pb[l], pc[l], x[r], y[r]), shape), v[r])),
+            (rhs, lambda l, r: (np.ravel_multi_index((b[l], b[r], x[r], y[l]), shape),
+                                v[l] * v[r]))))
 
     def pairs():
-        for rows, (cs, xs, ys) in box_slabs(masks, act):
+        for rows, (cs, xs, ys) in budget.boxes:
             zs, = support(act[rows], 1)
             acted = _box(act[rows][:, zs], None, None, ys)
             rhs = _box(act, cs, xs)[:, :, zs][None] @ acted[:, None]
@@ -368,17 +533,45 @@ def module_multiplicativity(hopf, act: np.ndarray, carrier, hinv=None) -> float:
     x and y whose product u_x u_y is a unit on which b acts nonzero, and
     the x its first legs act on and the y its second legs reach; the
     carrier axis is whole, as the carrier product forms every coordinate."""
-    dm = act.shape[1]
+    d, dm = act.shape[:2]
     products = carrier.product_index
-    right = act if hinv is None else carrier.mul_vecs(hinv, act)
-    on_x, every = _lines(act, 1), np.ones(dm, dtype=bool)
+    row_of, col_of = carrier.unit_lines
+    lines = sum(carrier.blocks)
+    acting, delta = _entries(act), _entries(hopf.delta)
+    (b, x, z), v, _ = acting
+    (i, p, q), dv, _ = delta
+    # the entries of H^-1 (u_q |> y) cover every unit some term reaches, so
+    # they mark the support of the dense product the boxes read
+    twist, right = (None, acting) if hinv is None else _left_times(carrier, hinv, acting)
+    (rq, ry, rw), rv, _ = right
+    on_x, every = _lines(acting, 1), np.ones(dm, dtype=bool)
     # x reaches k when u_x u_y = u_k for some y, and y when u_x u_y = u_k
     left_of, right_of = (_products_held(index, every)[1] for index in (products, products.T))
-    masks = (reach(on_x, left_of.T) | reach(_lines(hopf.delta, 1), on_x),
-             reach(on_x, right_of.T) | reach(_lines(hopf.delta, 2), _lines(right, 1)))
+    masks = (reach(on_x, left_of.T) | reach(_lines(delta, 1), on_x),
+             reach(on_x, right_of.T) | reach(_lines(delta, 2), _lines(right, 1)))
+    budget = _Budget(masks, dv, v, rv, *(() if hinv is None else (hinv,)), width=dm, extent=dm)
+    px, py, pk = _unit_products(carrier)
+    lhs, legs = SparseJoin(x, pk, b), SparseJoin(p, b, i)
+    if budget.takes(twist, lhs, legs):
+        # legs[b, x, q, u], the sum over p of Delta[b, p, q] act[p, x, u]
+        l, r = legs.pairs()
+        keys, lv = summed(np.ravel_multi_index((i[l], x[r], q[l], z[r]), (d, dm, d, dm)),
+                          dv[l] * v[r])
+        lb, lx, lq, lu = np.unravel_index(keys, (d, dm, d, dm))
+        rhs = SparseJoin(lq * lines + col_of[lu], rq * lines + row_of[rw], lb)
+        if budget.takes(rhs):
+            shape = (d, dm, dm, dm)
+            return streamed_residual(joined_slabs(
+                (lhs, lambda l, r: (np.ravel_multi_index((b[l], px[r], py[r], z[l]), shape),
+                                    v[l])),
+                (rhs, lambda l, r: (np.ravel_multi_index(
+                    (lb[l], lx[l], ry[r], lu[l] + col_of[rw[r]] - col_of[lu[l]]), shape),
+                    lv[l] * rv[r]))))
+
+    right = act if hinv is None else carrier.mul_vecs(hinv, act)
 
     def pairs():
-        for rows, (xs, ys) in box_slabs(masks, hopf.delta, act, right, width=dm):
+        for rows, (xs, ys) in budget.boxes:
             part = hopf.delta[rows]
             ps, qs = support(part, 1, 2)
             legs = np.einsum("bpq,pxz->bxqz", part[:, ps][:, :, qs], _box(act[ps], None, xs),
@@ -424,18 +617,47 @@ def product_decomposition(hopf, tower, hinv=None) -> float:
     alg, mt, delta = tower.ambient, tower.module_tensor, hopf.delta
     b_img = tower.rel_b.images
     b_basis, m_basis = b_img.T, tower.sub_top.images.T
-    dm = len(m_basis)
+    d, dm = len(b_basis), len(m_basis)
     right = b_basis if hinv is None else alg.mul_vecs(b_img @ hinv, b_basis)
+    coproduct, module = _entries(delta), _entries(mt)
     in_b, in_m = alg.block_support(b_basis), alg.block_support(m_basis)
-    first = _lines(delta, 1)
-    blocks = in_b | (reach(reach(first, _lines(mt, 2)), in_m)
-                     & reach(_lines(delta, 2), alg.block_support(right)))
+    first = _lines(coproduct, 1)
+    blocks = in_b | (reach(reach(first, _lines(module, 2)), in_m)
+                     & reach(_lines(coproduct, 2), alg.block_support(right)))
     masks = (reach(alg.support_lines(b_basis)[1], alg.support_lines(m_basis)[0].T)
-             | reach(first, _lines(mt, 1)), blocks[:, alg.block_index])
+             | reach(first, _lines(module, 1)), blocks[:, alg.block_index])
+    (bb, be), bv, _ = _entries(b_basis)
+    (mx, mf), mv, _ = _entries(m_basis)
+    (rq, rg), rv, _ = _entries(right)
+    (i, p, q), dv, _ = coproduct
+    (tp, tx, ty), tv, _ = module
+    budget = _Budget(masks, dv, tv, bv, mv, rv, width=max(1, len(mt) * dm // alg.dim))
+    row_of, col_of = alg.unit_lines
+    # lhs: b_basis[b, e] m_basis[x, f] over u_e u_f = u_r; the products
+    # P[y, q] = u_y H^-1 u_q; the legs Delta[b, p, q] mt[p, x, y] over p
+    lhs = SparseJoin(col_of[be], row_of[mf], bb)
+    products, legs = SparseJoin(col_of[mf], row_of[rg], mx), SparseJoin(p, tp, i)
+    if budget.takes(lhs, products, legs):
+        l, r = products.pairs()
+        keys, pv = summed(np.ravel_multi_index(
+            (mx[l], rq[r], mf[l] + col_of[rg[r]] - col_of[mf[l]]), (dm, d, alg.dim)),
+            mv[l] * rv[r])
+        py, pq, pr = np.unravel_index(keys, (dm, d, alg.dim))
+        l, r = legs.pairs()
+        keys, lv = summed(np.ravel_multi_index((i[l], tx[r], ty[r], q[l]), (d, dm, dm, d)),
+                          dv[l] * tv[r])
+        lb, lx, ly, lq = np.unravel_index(keys, (d, dm, dm, d))
+        rhs = SparseJoin(ly * d + lq, py * d + pq, lb)
+        if budget.takes(rhs):
+            shape = (d, dm, alg.dim)
+            return streamed_residual(joined_slabs(
+                (lhs, lambda l, r: (np.ravel_multi_index(
+                    (bb[l], mx[r], be[l] + col_of[mf[r]] - col_of[be[l]]), shape), bv[l] * mv[r])),
+                (rhs, lambda l, r: (np.ravel_multi_index((lb[l], lx[l], pr[r]), shape),
+                                    lv[l] * pv[r]))))
 
     def pairs():
-        for rows, (xs, amb) in box_slabs(masks, delta, mt, b_basis, m_basis, right,
-                                         width=max(1, len(mt) * dm // alg.dim)):
+        for rows, (xs, amb) in budget.boxes:
             part, summand = delta[rows], alg.summand(amb)
             ps, qs = support(part, 1, 2)
             legs = np.einsum("bpq,pxy->bxyq", part[:, ps][:, :, qs], _box(mt[ps], None, xs),

@@ -33,7 +33,9 @@ unit or zero), so a functional of products, f(u_p u_c), is
 through ``adjoint_index``; no dense (dim, dim) form is built.  The dense table
 ``mult_tensor`` is never contracted against an element, and its docstring
 lists what reads it.  How unit labels transpose and multiply is read from
-``adjoint_index`` and ``product_index``, never rebuilt from labels.
+``adjoint_index``, ``product_index`` and ``unit_lines`` (the row and column
+of each unit, whose match decides a product, for the sparse joins of the
+axiom rows), never rebuilt from labels.
 
 Projections onto the image of a subalgebra have one home as well.  Images of
 distinct matrix units are orthogonal for Tr(x* y) and for tau(x* y), so
@@ -346,6 +348,18 @@ class MultiMatrixAlgebra:
         return index
 
     @cached_property
+    def unit_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)``: the row and the column of each unit e_rc, as
+        lines numbered across the blocks (block alpha's lines start at the
+        sum of the earlier block sizes).  u_k u_l is a unit exactly when
+        ``cols[k] == rows[l]``, and then it is u_(k + cols[l] - cols[k]):
+        the row of u_k and the column of u_l in their common block."""
+        starts = np.cumsum((0,) + self.blocks[:-1])
+        a = self.block_index
+        rows, cols = np.divmod(np.arange(self.dim) - self._offsets[a], np.asarray(self.blocks)[a])
+        return rows + starts[a], cols + starts[a]
+
+    @cached_property
     def product_index(self) -> np.ndarray:
         """``index[i, j] = k`` when u_i u_j = u_k and -1 when u_i u_j = 0:
         e_rc e_cl = e_rl inside a block, and every other product of matrix
@@ -576,7 +590,7 @@ class SubalgebraEmbedding:
         """Coordinates of ambient vectors in the sub basis (must lie in the
         image, up to ``MEMBERSHIP_TOL``)."""
         coords, res = self._back_substitute(ambient_vecs)
-        if res > MEMBERSHIP_TOL:
+        if not res <= MEMBERSHIP_TOL:
             raise InvariantViolation("vector does not lie in the subalgebra image")
         return coords
 
@@ -695,7 +709,7 @@ class SubalgebraEmbedding:
         return max(self.residuals().values())
 
     def require_valid(self, tol: float = DEFAULT_TOL):
-        if self.verify() > 100 * tol:
+        if not self.verify() <= 100 * tol:
             raise InvariantViolation("not a subalgebra")
 
 
@@ -781,13 +795,13 @@ def subalgebra_span(ambient: MultiMatrixAlgebra, span: np.ndarray,
 
     basis = span.T
     adjoints = ambient.adjoint_vecs(basis)
-    if residual_outside(adjoints.T, span) > 100 * tol:
+    if not residual_outside(adjoints.T, span) <= 100 * tol:
         raise InvariantViolation("not a subalgebra")
     unit = ambient.unit().vec
-    if residual_outside(unit[:, None], span) > 100 * tol:
+    if not residual_outside(unit[:, None], span) <= 100 * tol:
         raise InvariantViolation("subspace does not contain the unit")
     prods = ambient.pairwise_mul(basis, basis)
-    if residual_outside(prods.reshape(-1, ambient.dim).T, span) > 100 * tol:
+    if not residual_outside(prods.reshape(-1, ambient.dim).T, span) <= 100 * tol:
         raise InvariantViolation("not a subalgebra")
 
     # coordinates in the orthonormal span basis are inner products with it
@@ -931,7 +945,7 @@ def inclusion_matrix(sub: SubalgebraEmbedding, tol: float = DEFAULT_TOL) -> Incl
     """Multiplicities of each sub block inside each ambient block: the traces
     of the image of 1_alpha in the ambient blocks, over m_alpha."""
     alg, amb, sizes = sub.sub, sub.ambient, np.asarray(sub.sub.blocks)
-    if rel_residual(sub.embed_vec(alg.unit().vec), amb.unit().vec) > 100 * tol:
+    if not rel_residual(sub.embed_vec(alg.unit().vec), amb.unit().vec) <= 100 * tol:
         raise InvariantViolation("embedding is not unital")
     ones = (alg.block_index == np.arange(len(alg.blocks))[:, None]) * alg.unit().vec
     diagonals = np.real(sub.embed_vec(ones)) * amb.unit().vec.real
@@ -964,7 +978,7 @@ def markov_trace(lam_matrix: InclusionMatrix, tol: float = DEFAULT_TOL):
     if np.any(vector <= 0):
         raise InvariantViolation("Perron-Frobenius vector not strictly positive")
     vector = vector / float(vector @ np.asarray(lam_matrix.sub_blocks))
-    if rel_residual(m @ vector, index * vector) > tol:
+    if not rel_residual(m @ vector, index * vector) <= tol:
         raise InvariantViolation("eigen-residual above tolerance")
     return index, vector
 
@@ -1027,7 +1041,7 @@ def basic_construction(sub: SubalgebraEmbedding, trace: TraceState, lam: float,
         raise InvariantViolation("trace lives on a different algebra")
     sub.require_valid(tol)
     mult, algebra, copies, ranges = module_endomorphisms(sub, tol)
-    if rel_residual(mult.T @ (mult @ trace.weights), trace.weights / lam) > 1e-8:
+    if not rel_residual(mult.T @ (mult @ trace.weights), trace.weights / lam) <= 1e-8:
         raise InvariantViolation("trace not Markov")
 
     e = np.zeros(algebra.dim, dtype=complex)

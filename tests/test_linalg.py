@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from weakhopf import _linalg
 from weakhopf._linalg import (
+    SparseJoin,
     SupportSVD,
     condition_number,
+    joined_slabs,
     null_space,
     numeric_rank,
     orthonormal_columns,
@@ -322,3 +324,86 @@ def test_non_finite_entry_of_one_component_raises(helper, value):
     mat[np.nonzero(mat)[0][4], np.nonzero(mat)[1][4]] = value
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
         helper(mat)
+
+
+# -- the sparse join ----------------------------------------------------------
+
+
+@st.composite
+def matrix_products(draw):
+    """Two pairs of (rows, inner) and (inner, cols) Gaussian-integer
+    matrices, any size zero, with a drawn share of nonzeros and -0.0 in
+    either part of about half of the zeros; and a slab size."""
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+
+    def sparse(shape):
+        vals = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+        zeros = np.zeros(shape, dtype=complex)
+        zeros.real[rng.random(shape) < 0.5] = -0.0
+        zeros.imag[rng.random(shape) < 0.5] = -0.0
+        return np.where(rng.random(shape) < density, vals, zeros)
+    ops = [sparse(shape) for shape in ((rows, inner), (inner, cols)) * 2]
+    return ops, draw(st.sampled_from([1, 2, 5, 64]))
+
+
+def product_side(a, b, leads):
+    """a @ b as a join over the inner index, landing (i, j) at i * cols + j;
+    the leading indices of every call to its land are recorded."""
+    (i, k), (m, j) = np.nonzero(a), np.nonzero(b)
+    va, vb = a[i, k], b[m, j]
+
+    def land(l, r):
+        leads.append(i[l])
+        return i[l] * b.shape[1] + j[r], va[l] * vb[r]
+    return SparseJoin(k, m, i), land
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(matrix_products())
+def test_joined_slabs_equal_the_dense_product_residual(case):
+    # Gaussian-integer entries make every sum exact, so the join, its term
+    # count, its slabs and the residual they fold all equal the dense ones
+    (a, b, c, e), slab = case
+    leads = [[], []]
+    sides = [product_side(x, y, at) for x, y, at in ((a, b, leads[0]), (c, e, leads[1]))]
+    for (join, _), (x, y) in zip(sides, ((a, b), (c, e))):
+        nz_x, nz_y = x != 0, y != 0
+        assert join.terms == int((nz_x.sum(axis=0) * nz_y.sum(axis=1)).sum())
+        i, r = join.pairs()
+        assert np.array_equal(join.left[i], join.right[r])
+        assert np.all(np.diff(i) >= 0) and len(np.unique(np.stack([i, r]), axis=1)[0]) == len(i)
+    default, _linalg._SLAB = _linalg._SLAB, slab
+    try:
+        pairs = list(joined_slabs(*sides))
+    finally:
+        _linalg._SLAB = default
+    lhs, rhs = a @ b, c @ e
+    assert streamed_residual(pairs) == rel_residual(lhs, rhs)
+    # the aligned entries are the dense ones where either side has a term
+    def parts(values):
+        return sorted((p.real, p.imag, q.real, q.imag) for p, q in values if p != 0 or q != 0)
+    live = (lhs != 0) | (rhs != 0)
+    assert parts(pair for l, r in pairs for pair in zip(l, r)) == \
+        parts(zip(lhs[live], rhs[live]))
+    # each slab holds whole leading indices, in ascending runs, and at most
+    # the slab size in terms unless it holds one leading index
+    runs = [np.concatenate([lhs_at, rhs_at]) for lhs_at, rhs_at in zip(*leads)]
+    for before, after in zip(runs, runs[1:]):
+        if len(before) and len(after):
+            assert before.max() < after.min()
+    for run in runs:
+        assert len(run) <= slab or len(np.unique(run)) == 1
+
+
+def test_sparse_join_of_empty_entry_lists_forms_nothing():
+    empty = np.zeros(0, dtype=int)
+    join = SparseJoin(empty, np.array([0, 1]), empty)
+    assert join.terms == 0 and all(len(at) == 0 for at in join.pairs())
+    join = SparseJoin(np.array([2, 0]), empty, np.array([0, 1]))
+    assert join.terms == 0 and list(join.counts) == [0, 0]
+
+    def land(i, j):
+        return i, np.ones(len(i), dtype=complex)
+    assert list(joined_slabs((join, land), (join, land))) == []

@@ -21,6 +21,7 @@ from weakhopf.multimatrix import (
     take_units,
     watatani_index,
 )
+from weakhopf.tower import build_tower_from_inclusion
 
 from conftest import dense_span_dim
 
@@ -289,6 +290,28 @@ def test_coords_reject_non_homomorphic_images():
     with pytest.raises(InvariantViolation,
                        match="vector does not lie in the subalgebra image"):
         emb.coords_vec(target[None, :])
+
+
+@pytest.mark.parametrize("check", ["markov", "require_valid", "coords_vec"])
+def test_nan_residuals_are_refused(check):
+    # every refusal holds its residual to ``<= bound``, which a NaN fails
+    # like a residual above the bound; ``> bound`` let a NaN through
+    emb = scalars_in(MultiMatrixAlgebra([2]))
+    if check == "markov":
+        with pytest.raises(InvariantViolation, match="trace not Markov"):
+            build_tower_from_inclusion([1], [[1, 1]], [0.5, 0.5], float("nan"))
+    elif check == "require_valid":
+        images = emb.images.copy()
+        images[0, 0] = np.nan
+        bent = SubalgebraEmbedding(emb.sub, emb.ambient, images)
+        assert np.isnan(bent.verify())
+        with pytest.raises(InvariantViolation, match="not a subalgebra"):
+            bent.require_valid()
+    else:
+        vec = np.full((1, emb.ambient.dim), np.nan, dtype=complex)
+        with pytest.raises(InvariantViolation,
+                           match="vector does not lie in the subalgebra image"):
+            emb.coords_vec(vec)
 
 
 # -- conditional expectations --------------------------------------------------

@@ -294,6 +294,71 @@ def test_haar_traciality_matches_its_dense_reference(get_case, case):
         assert residual > BROKEN
 
 
+# -- the d**4 rows on both paths -------------------------------------------------
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The path each d**4 row evaluated takes, "join" or "boxes", in order:
+    every row folds one residual, through ``joined_slabs`` on the join."""
+    taken, joined = [], []
+    fold, join = axioms.streamed_residual, axioms.joined_slabs
+
+    def folding(pairs):
+        taken.append("join" if joined else "boxes")
+        joined.clear()
+        return fold(pairs)
+
+    def joining(*sides):
+        joined.append(True)
+        return join(*sides)
+    monkeypatch.setattr(axioms, "streamed_residual", folding)
+    monkeypatch.setattr(axioms, "joined_slabs", joining)
+    return taken
+
+
+# matrix-unit data (a pair groupoid, the B of a tower) joins its nonzero
+# entries; the split C[S3] carries rounding noise in every entry, and so does
+# perturbed data, where the join would form more terms than the boxes hold
+PATH_CASES = {"pair_groupoid3": "join", "reconstructed_z3": "join",
+              "group_algebra_s3": "boxes"}
+D4_ROWS = [row for row in ROWS if row[0] in ("coassociativity", "multiplicativity")]
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+@pytest.mark.parametrize("row, value, reference, tensor", D4_ROWS, ids=[r[0] for r in D4_ROWS])
+def test_d4_rows_match_their_dense_reference_on_both_paths(get_case, paths, case, row,
+                                                           value, reference, tensor):
+    hopf, h = get_case(case)
+    expected = reference(hopf, h)
+    paths.clear()
+    assert abs(value(hopf, h) - expected) <= SAME
+    assert paths == [PATH_CASES[case]]
+    bad = perturbed(hopf, tensor)
+    expected = reference(bad, h)
+    paths.clear()
+    assert abs(value(bad, h) - expected) <= SAME
+    assert paths == ["boxes"]
+
+
+@pytest.mark.parametrize("right", ["action", "twisted"])
+@pytest.mark.parametrize("noise, path", [(False, "join"), (True, "boxes")])
+def test_module_multiplicativity_takes_the_join_on_tower_data(
+        get_tower, get_reconstruction, paths, right, noise, path):
+    # the tower's coproduct and module tensor, or both with noise in every
+    # entry
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    hinv = _module_twists(tower, rec)[right]
+    hopf, act, m1 = rec.on_b.hopf, tower.module_tensor, tower.sub_top.sub
+    if noise:
+        hopf, act = perturbed(hopf, "delta"), act + _noise(act.shape)
+    factor = act if hinv is None else m1.mul_vecs(hinv, act)
+    expected = ref_module_multiplicativity(hopf, act, m1, factor)
+    paths.clear()
+    assert abs(axioms.module_multiplicativity(hopf, act, m1, hinv) - expected) <= SAME
+    assert paths == [path]
+
+
 # -- rows on the cyclic(3) tower ---------------------------------------------------
 
 
@@ -405,7 +470,7 @@ def _crosses_three_boundaries(counts):
     return bool(counts) and min(counts) >= 4
 
 
-STREAMED_ROWS = [row for row in ROWS if row[0] in ("coassociativity", "multiplicativity")]
+STREAMED_ROWS = D4_ROWS
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -321,6 +321,55 @@ def test_suite_catches_a_wrong_index_element(kind, get_tower, get_reconstruction
     assert rep["expectation comultiplicativity"].residual > 1e-3
 
 
+def _antipode_bent_at_one_unit(tower, rec, t=1e-3):
+    """S(u_0) + t 1: tau(S(u_0)) moves by t tau(1) = t."""
+    hopf = rec.on_b.hopf
+    bent = hopf.antipode.copy()
+    bent[:, 0] += t * hopf.unit_vec
+    return _suite_with(tower, rec, hopf=hopf.copy_with(antipode=bent)), t
+
+
+def _unit_coproduct_bent_in_one_leg(tower, rec, t=1e-3):
+    """The first leg of one term u_p (x) u_q of Delta(1) scaled by 1 + t, in
+    the coproduct of a unit u_i of the unit's expansion."""
+    hopf = rec.on_b.hopf
+    p, q = np.argwhere(hopf.delta_unit != 0)[0]
+    i = np.flatnonzero(hopf.unit_vec * hopf.delta[:, p, q])[0]
+    delta = hopf.delta.copy()
+    delta[i, p, q] *= 1 + t
+    bent = hopf.copy_with(delta=delta)
+    scale = max(np.abs(bent.delta_unit).max(), np.abs(hopf.delta_unit).max(), 1.0)
+    return _suite_with(tower, rec, hopf=bent), t * abs(hopf.delta[i, p, q]) / scale
+
+
+WITNESSES = {
+    "trace antipode-invariant": _antipode_bent_at_one_unit,
+    "coproduct of the unit": _unit_coproduct_bent_in_one_leg,
+}
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4"])
+@pytest.mark.parametrize("row", list(WITNESSES))
+def test_suite_row_fails_on_its_witness_fault(row, name, get_tower, get_reconstruction):
+    tower, rec = get_tower(name), get_reconstruction(name)
+    assert identity_suite(tower, rec)[row].passed
+    rep, expected = WITNESSES[row](tower, rec)
+    assert not rep[row].passed
+    assert rep[row].residual == pytest.approx(expected, rel=1e-9)
+
+
+def test_comatrix_recursion_fails_on_the_depth_three_subgroup(get_tower, get_reconstruction):
+    # C[Z2] < C[S3] has depth 3: the recursion fails at sqrt(2)/4 there and
+    # holds on the cyclic towers
+    for name in ("z2", "z3", "z4"):
+        assert identity_suite(get_tower(name), get_reconstruction(name))[
+            "comatrix recursion"].passed
+    row = identity_suite(get_tower("z2_in_s3"), get_reconstruction("z2_in_s3"))[
+        "comatrix recursion"]
+    assert not row.passed
+    assert row.residual == pytest.approx(np.sqrt(2) / 4, rel=1e-12)
+
+
 # -- index tables against the label loops they replace ---------------------------
 
 

@@ -177,6 +177,24 @@ def test_nan_off_the_module_support_gives_nan_rows(get_tower, get_reconstruction
         assert math.isnan(rep[row].residual) and not rep[row].passed
 
 
+def test_nan_off_the_coproduct_support_gives_nan_rows(get_tower, get_reconstruction,
+                                                     monkeypatch):
+    # the tower's rows take the join on their nonzero entries; a NaN, even at
+    # an exact zero, sends them to full boxes, where it propagates
+    def no_join(*sides):
+        raise AssertionError("a non-finite operand took the join")
+    monkeypatch.setattr(axioms, "joined_slabs", no_join)
+    tower, rec = get_tower("z3"), get_reconstruction("z3")
+    delta = rec.on_b.hopf.delta.copy()
+    delta[tuple(np.argwhere(delta == 0)[0])] = np.nan
+    bent = rec.on_b.hopf.copy_with(delta=delta)
+    m1 = tower.sub_top.sub
+    for residual in (axioms.coassociativity(bent), axioms.multiplicativity(bent),
+                     axioms.module_multiplicativity(bent, tower.module_tensor, m1),
+                     axioms.product_decomposition(bent, tower)):
+        assert math.isnan(residual)
+
+
 # -- the d**4 rows over their boxes ---------------------------------------------
 
 SMALL_SHAPES = st.lists(st.integers(1, 2), min_size=1, max_size=4)
